@@ -209,8 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--graph", required=True)
     p_det.add_argument("--prev-partition", default=None,
                        help="previous snapshot's partition TSV; enables the stability run")
-    p_det.add_argument("--p", type=float, default=0.0, help="fixed-node fraction (0..1)")
-    p_det.add_argument("--q", type=float, default=0.0, help="preferential-attachment fraction (0..1)")
+    p_det.add_argument("--p", type=float, default=None,
+                       help="fixed-node fraction (0..1, default 0); needs --prev-partition")
+    p_det.add_argument("--q", type=float, default=None,
+                       help="preferential-attachment fraction (0..1, default 0); needs --prev-partition")
     p_det.add_argument("--seed", type=int, default=0)
     p_det.add_argument("--order", choices=["index", "shuffled"], default="index")
     p_det.add_argument("-o", "--output", required=True, help="output partition TSV")
@@ -283,6 +285,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    if args.prev_partition is None and (args.p is not None or args.q is not None):
+        raise InputError("--p and --q apply only to a stability run; give --prev-partition")
     g = read_edge_tsv(args.graph)
     cfg = LouvainConfig(rng_seed=args.seed, node_order=args.order)
     if args.prev_partition is None:
@@ -290,7 +294,7 @@ def _cmd_detect(args) -> int:
         part = renumber_partition(part)
     else:
         prev = read_partition_tsv(args.prev_partition)
-        ctx = DynamicContext.from_previous(prev, g, args.p, args.q, seed=args.seed)
+        ctx = DynamicContext.from_previous(prev, g, args.p or 0.0, args.q or 0.0, seed=args.seed)
         part, report = louvain_dynamic(g, ctx, cfg)
     write_partition_tsv(part, args.output)
     n_comms = len(set(part.labels.tolist()))

@@ -143,7 +143,7 @@ def build_graph(edges: Iterable[EdgeInput], nodes: Iterable[ExternalId] = ()) ->
     edge endpoints), so the same input always produces the same graph.
     Duplicate (u, v) entries merge by weight summation, regardless of
     orientation; (u, u) entries accumulate into the node's self-loop. Weights
-    default to 1 and must be non-negative.
+    default to 1 and must be finite and non-negative.
     """
     ext_ids: list = []
     index: dict = {}
@@ -169,8 +169,6 @@ def build_graph(edges: Iterable[EdgeInput], nodes: Iterable[ExternalId] = ()) ->
         else:
             a, b, w = edge  # type: ignore[misc]
             w = float(w)
-        if w < 0.0:
-            raise InputError(f"negative edge weight on ({a!r}, {b!r}): {w}")
         us.append(intern(a))
         vs.append(intern(b))
         ws.append(w)
@@ -184,6 +182,13 @@ def build_graph(edges: Iterable[EdgeInput], nodes: Iterable[ExternalId] = ()) ->
     ua = np.asarray(us, dtype=np.int64)
     va = np.asarray(vs, dtype=np.int64)
     wa = np.asarray(ws, dtype=np.float64)
+    bad = ~((wa >= 0.0) & (wa < np.inf))  # NaN fails both comparisons
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(
+            f"edge weight on ({ext_ids[us[i]]!r}, {ext_ids[vs[i]]!r}) must be finite "
+            f"and non-negative, got {ws[i]}"
+        )
 
     loop_mask = ua == va
     if loop_mask.any():

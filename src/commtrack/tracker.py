@@ -9,21 +9,26 @@ different community later).
 Persistence is one directory per timeline: ``step_<k>.graph.tsv`` and
 ``step_<k>.partition.tsv`` per snapshot, ``history.jsonl`` with one
 comparison report per transition, and ``meta.json`` for the label counter and
-per-step bookkeeping.
+per-step bookkeeping. ``meta.json`` is the commit point: it names the
+committed step count, and everything past that count is ignored on load.
+Committed step files are written once, so an append writes the same amount
+whatever the timeline's length, and stored graphs are read only when used.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import InputError
 from .graph import (
     CommunityLabel,
     Graph,
     Partition,
+    build_graph,
     read_edge_tsv,
     read_partition_tsv,
     write_edge_tsv,
@@ -51,11 +56,34 @@ __all__ = [
 ]
 
 
-@dataclass
 class TimelineStep:
-    snapshot_id: str
-    graph: Graph
-    partition: Partition
+    """One snapshot of a timeline: its id, graph and partition.
+
+    A step loaded from a timeline directory holds the path of its stored graph
+    and reads it on first access to ``graph``, indexing its nodes in the
+    partition's order so that the partition covers it, as for a step made in
+    memory.
+    """
+
+    __slots__ = ("snapshot_id", "partition", "_graph")
+
+    def __init__(self, snapshot_id: str, graph: Union[Graph, Path], partition: Partition):
+        self.snapshot_id = snapshot_id
+        self.partition = partition
+        self._graph = graph
+
+    @property
+    def graph(self) -> Graph:
+        if not isinstance(self._graph, Graph):
+            stored = read_edge_tsv(self._graph)
+            g = build_graph(stored.edges(), nodes=self.partition.ids.ids)
+            if not g.n == stored.n == self.partition.n:
+                raise InputError(f"partition of step {self.snapshot_id!r} does not cover {self._graph}")
+            self._graph = g
+        return self._graph
+
+    def __repr__(self) -> str:
+        return f"TimelineStep({self.snapshot_id!r}, {self._graph!r}, {self.partition!r})"
 
 
 @dataclass
@@ -71,6 +99,16 @@ class StepEvents:
     fixed_ids: Optional[Tuple] = None
 
 
+@dataclass(frozen=True)
+class _Stored:
+    """Where a timeline is committed: the directory, the step count its
+    ``meta.json`` names, and the byte length of those steps' history rows."""
+
+    directory: Path
+    n_steps: int
+    history_bytes: int
+
+
 @dataclass
 class Timeline:
     steps: List[TimelineStep] = field(default_factory=list)
@@ -78,6 +116,8 @@ class Timeline:
     history: List[ComparisonReport] = field(default_factory=list)
     events: List[StepEvents] = field(default_factory=list)
     label_origins: Dict[int, CommunityLabel] = field(default_factory=dict)
+    # set by load_timeline and save_timeline
+    _stored: Optional[_Stored] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def last(self) -> TimelineStep:
@@ -162,16 +202,38 @@ def step(
 
 # --- persistence ---------------------------------------------------------------
 
+_META = "meta.json"
+_HISTORY = "history.jsonl"
+
+
+def _step_paths(d: Path, k: int) -> Tuple[Path, Path]:
+    return d / f"step_{k}.graph.tsv", d / f"step_{k}.partition.tsv"
+
 
 def save_timeline(tl: Timeline, directory) -> None:
+    """Write the timeline to ``directory`` and commit it there.
+
+    Steps this timeline already committed in that directory (it was loaded
+    from it or last saved to it) are never written again; only new steps'
+    files and history rows are. ``meta.json`` is the commit point: it is
+    replaced atomically once everything it names is on disk, so a save
+    interrupted before that leaves the previous commit loadable, and the next
+    save overwrites the uncommitted files.
+    """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    for k, st in enumerate(tl.steps):
-        write_edge_tsv(st.graph, d / f"step_{k}.graph.tsv")
-        write_partition_tsv(st.partition, d / f"step_{k}.partition.tsv")
-    with open(d / "history.jsonl", "w", encoding="utf-8") as fh:
-        for report in tl.history:
-            fh.write(report.to_json() + "\n")
+    here = d.resolve()
+    stored = tl._stored if tl._stored is not None and tl._stored.directory == here else None
+    start = stored.n_steps if stored else 0
+    history_start = stored.history_bytes if stored else 0
+    for k in range(start, len(tl.steps)):
+        gpath, ppath = _step_paths(d, k)
+        write_edge_tsv(tl.steps[k].graph, gpath)
+        write_partition_tsv(tl.steps[k].partition, ppath)
+    rows = b"".join(r.to_json().encode("utf-8") + b"\n" for r in tl.history[max(start - 1, 0):])
+    with open(d / _HISTORY, "ab") as fh:
+        fh.truncate(history_start)  # drops rows an interrupted save left behind
+        fh.write(rows)
     meta = {
         "n_steps": len(tl.steps),
         "snapshot_ids": [st.snapshot_id for st in tl.steps],
@@ -188,51 +250,81 @@ def save_timeline(tl: Timeline, directory) -> None:
             for ev in tl.events
         ],
     }
-    with open(d / "meta.json", "w", encoding="utf-8") as fh:
+    tmp = d / (_META + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, d / _META)
+    tl._stored = _Stored(here, len(tl.steps), history_start + len(rows))
+
+
+def _read_meta(d: Path) -> Tuple[Timeline, list]:
+    """The timeline ``meta.json`` commits, without steps or history, and its
+    snapshot ids."""
+    meta_path = d / _META
+    if not meta_path.exists():
+        raise InputError(f"no timeline found in {d} (missing meta.json)")
+    try:
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        n_steps = int(meta["n_steps"])
+        snapshot_ids = list(meta["snapshot_ids"])
+        tl = Timeline(label_counter=int(meta["label_counter"]))
+        for rec in meta["events"]:
+            tl.events.append(
+                StepEvents(
+                    step_index=int(rec["step_index"]),
+                    births=[int(x) for x in rec["births"]],
+                    deaths=[int(x) for x in rec["deaths"]],
+                    n_fixed=int(rec["n_fixed"]),
+                    n_pref=int(rec["n_pref"]),
+                )
+            )
+        for lab_s, origin in meta["label_origins"].items():
+            tl.label_origins[int(lab_s)] = CommunityLabel(int(lab_s), int(origin))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"timeline in {d} has an unreadable meta.json: {exc!r}") from exc
+    if len(snapshot_ids) != n_steps or len(tl.events) != max(0, n_steps - 1):
+        raise InputError(
+            f"timeline in {d} is inconsistent: meta.json names {n_steps} steps, "
+            f"{len(snapshot_ids)} snapshot ids and {len(tl.events)} events"
+        )
+    return tl, snapshot_ids
 
 
 def load_timeline(directory) -> Timeline:
-    d = Path(directory)
-    meta_path = d / "meta.json"
-    if not meta_path.exists():
-        raise InputError(f"no timeline found in {d} (missing meta.json)")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    """Load what ``meta.json`` in ``directory`` commits.
 
-    tl = Timeline(label_counter=int(meta["label_counter"]))
-    for k in range(int(meta["n_steps"])):
-        gpath = d / f"step_{k}.graph.tsv"
-        ppath = d / f"step_{k}.partition.tsv"
+    History rows and step files past the committed step count are left out.
+    Each step's partition is read on its own (see :class:`TimelineStep`);
+    its graph is read on first use.
+    """
+    d = Path(directory)
+    tl, snapshot_ids = _read_meta(d)
+    for k, snapshot_id in enumerate(snapshot_ids):
+        gpath, ppath = _step_paths(d, k)
         if not gpath.exists() or not ppath.exists():
             raise InputError(f"timeline in {d} is missing files for step {k}")
-        g = read_edge_tsv(gpath)
-        part = read_partition_tsv(ppath, graph=g)
-        tl.steps.append(TimelineStep(meta["snapshot_ids"][k], g, part))
-    history_path = d / "history.jsonl"
+        tl.steps.append(TimelineStep(snapshot_id, gpath, read_partition_tsv(ppath)))
+    n_rows = max(0, len(tl.steps) - 1)
+    history_bytes = 0
+    history_path = d / _HISTORY
     if history_path.exists():
-        with open(history_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    tl.history.append(ComparisonReport.from_json(line))
-    for rec in meta.get("events", []):
-        tl.events.append(
-            StepEvents(
-                step_index=int(rec["step_index"]),
-                births=[int(x) for x in rec["births"]],
-                deaths=[int(x) for x in rec["deaths"]],
-                n_fixed=int(rec["n_fixed"]),
-                n_pref=int(rec["n_pref"]),
-            )
-        )
-    for lab_s, origin in meta.get("label_origins", {}).items():
-        lab = int(lab_s)
-        tl.label_origins[lab] = CommunityLabel(lab, int(origin))
-    if len(tl.history) != max(0, len(tl.steps) - 1):
+        with open(history_path, "rb") as fh:
+            while len(tl.history) < n_rows:
+                line = fh.readline()
+                if not line:
+                    break
+                if line.strip():
+                    try:
+                        tl.history.append(ComparisonReport.from_json(line))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise InputError(f"{history_path}: unreadable history row: {exc!r}") from exc
+            history_bytes = fh.tell()
+    if len(tl.history) != n_rows:
         raise InputError(
             f"timeline in {d} is inconsistent: {len(tl.steps)} steps but "
             f"{len(tl.history)} history rows"
         )
+    tl._stored = _Stored(d.resolve(), len(tl.steps), history_bytes)
     return tl

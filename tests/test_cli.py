@@ -176,6 +176,55 @@ def test_track_builds_timeline(tmp_path):
     assert meta["n_steps"] == 3
 
 
+def _track_run(tl_dir, syn, steps):
+    for k in steps:
+        extra = [] if k == 0 else ["--p", "0.5", "--q", "0.25"]
+        rc = main(["track", "--timeline", str(tl_dir), "--add",
+                   str(syn / f"step_{k}.graph.tsv"), "--seed", "7"] + extra)
+        assert rc == 0
+
+
+def _synth_steps(out, steps):
+    assert main(["synth", "--nodes", "100", "--communities", "5", "--p-in", "0.35",
+                 "--p-out", "0.02", "--churn", "0.1", "--migrate", "0.05",
+                 "--steps", str(steps), "--seed", "8", "-o", str(out)]) == 0
+
+
+def test_track_after_interrupted_append_matches_uninterrupted(tmp_path, monkeypatch):
+    import commtrack.tracker as tracker
+
+    syn = tmp_path / "syn"
+    _synth_steps(syn, 4)
+    clean = tmp_path / "clean"
+    _track_run(clean, syn, range(4))
+
+    tl_dir = tmp_path / "tl"
+    _track_run(tl_dir, syn, range(2))
+    with monkeypatch.context() as m:
+        def boom(src, dst):
+            raise OSError("rename failed")
+
+        m.setattr(tracker.os, "replace", boom)
+        rc = main(["track", "--timeline", str(tl_dir), "--add",
+                   str(syn / "step_2.graph.tsv"), "--seed", "7", "--p", "0.5", "--q", "0.25"])
+    assert rc == 2
+    assert json.loads((tl_dir / "meta.json").read_text())["n_steps"] == 2
+    _track_run(tl_dir, syn, range(2, 4))
+    files = lambda d: {p.name: p.read_bytes() for p in d.iterdir()}
+    assert files(tl_dir) == files(clean)
+
+
+@pytest.mark.parametrize("text", ["", '{"n_steps": 2, "snap', "[]"])
+def test_track_garbled_meta_exits_2(tmp_path, text):
+    syn = tmp_path / "syn"
+    _synth_steps(syn, 2)
+    tl_dir = tmp_path / "tl"
+    _track_run(tl_dir, syn, [0])
+    (tl_dir / "meta.json").write_text(text, encoding="utf-8")
+    rc = main(["track", "--timeline", str(tl_dir), "--add", str(syn / "step_1.graph.tsv")])
+    assert rc == 2
+
+
 def test_ingest_command(tmp_path):
     cdr = tmp_path / "x.csv"
     cdr.write_text(
@@ -201,6 +250,23 @@ def test_exit_code_2_on_bad_input(tmp_path):
     bad.write_text("a\tb\tnotaweight\n", encoding="utf-8")
     rc = main(["detect", "--graph", str(bad), "-o", str(tmp_path / "o.tsv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_detect_non_finite_weight_exits_2(tmp_path, weight):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"a\tb\t1\nb\tc\t{weight}\n", encoding="utf-8")
+    out = tmp_path / "o.tsv"
+    assert main(["detect", "--graph", str(bad), "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--p", "0.5"], ["--q", "0.25"], ["--p", "0"]])
+def test_detect_stability_flag_without_prev_partition_exits_2(tmp_path, flag):
+    p0, _, _, _ = _write_pair(tmp_path)
+    out = tmp_path / "o.tsv"
+    assert main(["detect", "--graph", str(p0), "-o", str(out)] + flag) == 2
+    assert not out.exists()
 
 
 def test_exit_code_3_on_internal_invariant(tmp_path, monkeypatch):

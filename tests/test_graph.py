@@ -66,6 +66,16 @@ def test_build_graph_rejects_negative_weight():
         build_graph([(0, 1, -1.0)])
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+def test_build_graph_rejects_non_finite_weight(w, tmp_path):
+    with pytest.raises(InputError):
+        build_graph([(0, 1, 1.0), (1, 2, w)])
+    path = tmp_path / "g.tsv"
+    path.write_text(f"a\tb\t1\nb\tc\t{w}\n", encoding="utf-8")
+    with pytest.raises(InputError):
+        read_edge_tsv(path)
+
+
 def test_isolated_nodes_via_nodes_argument():
     g = build_graph([("a", "b")], nodes=["z", "a", "b"])
     assert g.ids.ids == ["z", "a", "b"]

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import commtrack.tracker as tracker
 from commtrack.errors import InputError
-from commtrack.graph import build_graph
-from commtrack.louvain import LouvainConfig
+from commtrack.graph import build_graph, read_edge_tsv, write_edge_tsv
+from commtrack.louvain import LouvainConfig, modularity
 from commtrack.metrics import MatchConfig
 from commtrack.synth import SynthSpec, generate
 from commtrack.tracker import (
@@ -174,3 +175,186 @@ def test_load_missing_directory_rejected(tmp_path):
 def test_derive_step_seed_stable():
     assert derive_step_seed(5, 1) == derive_step_seed(5, 1)
     assert derive_step_seed(5, 1) != derive_step_seed(5, 2)
+
+
+# --- write-once persistence -------------------------------------------------------
+
+
+def _stored_sequence(tmp_path, seed=21, steps=4):
+    """Snapshot graphs as `commtrack track` sees them: read back from TSV, so
+    node ids are strings."""
+    paths = []
+    for k, g in enumerate(_drift_sequence(seed=seed, steps=steps)):
+        path = tmp_path / f"in_{k}.graph.tsv"
+        write_edge_tsv(g, path)
+        paths.append(path)
+    return [read_edge_tsv(path) for path in paths]
+
+
+def _append(d, graphs, k):
+    """One `track --add`: load (or bootstrap), step, save."""
+    if k == 0:
+        tl = bootstrap(graphs[0], LouvainConfig(rng_seed=derive_step_seed(5, 0)))
+    else:
+        tl = load_timeline(d)
+        step(tl, graphs[k], p=0.5, q=0.25, seed=derive_step_seed(5, k),
+             cfg=LouvainConfig(rng_seed=derive_step_seed(5, k)))
+    save_timeline(tl, d)
+    return tl
+
+
+def _in_memory_timeline(graphs):
+    tl = bootstrap(graphs[0], LouvainConfig(rng_seed=derive_step_seed(5, 0)))
+    for k in range(1, len(graphs)):
+        step(tl, graphs[k], p=0.5, q=0.25, seed=derive_step_seed(5, k),
+             cfg=LouvainConfig(rng_seed=derive_step_seed(5, k)))
+    return tl
+
+
+def _edge_set(g):
+    return {(min(u, v), max(u, v), w) for u, v, w in g.edges()}
+
+
+def _files(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def test_append_never_rewrites_committed_steps(tmp_path):
+    graphs = _stored_sequence(tmp_path)
+    d = tmp_path / "tl"
+    seen = {}
+    for k in range(len(graphs)):
+        _append(d, graphs, k)
+        files = _files(d)
+        for name, data in seen.items():
+            if name.startswith("step_"):
+                assert files[name] == data, f"{name} changed at append {k}"
+        seen = files
+    # the incremental directory equals one save of the same in-memory timeline
+    fresh = tmp_path / "fresh"
+    save_timeline(_in_memory_timeline(graphs), fresh)
+    assert _files(fresh) == _files(d)
+
+
+def test_load_and_append_read_no_stored_graph(tmp_path, monkeypatch):
+    graphs = _stored_sequence(tmp_path, steps=3)
+    d = tmp_path / "tl"
+    for k in range(2):
+        _append(d, graphs, k)
+    calls = []
+    real_read = tracker.read_edge_tsv
+    monkeypatch.setattr(tracker, "read_edge_tsv", lambda path: calls.append(path) or real_read(path))
+    _append(d, graphs, 2)
+    assert calls == []
+    tl = load_timeline(d)
+    g0 = tl.steps[0].graph
+    assert calls == [d / "step_0.graph.tsv"]
+    assert tl.steps[0].graph is g0
+    assert _edge_set(g0) == _edge_set(graphs[0])
+    # once read, the graph indexes its step's partition, as in memory
+    built = _in_memory_timeline(graphs)
+    for st, ref in zip(tl.steps, built.steps):
+        assert st.partition.covers(st.graph)
+        assert modularity(st.graph, st.partition) == pytest.approx(modularity(ref.graph, ref.partition))
+
+
+def test_stored_graph_not_covered_by_partition_rejected(tmp_path):
+    graphs = _stored_sequence(tmp_path, steps=2)
+    d = tmp_path / "tl"
+    _append(d, graphs, 0)
+    ppath = d / "step_0.partition.tsv"
+    ppath.write_text("".join(ppath.read_text(encoding="utf-8").splitlines(True)[1:]), encoding="utf-8")
+    tl = load_timeline(d)
+    with pytest.raises(InputError):
+        tl.steps[0].graph
+
+
+def test_save_into_other_directory_writes_every_step(tmp_path):
+    graphs = _stored_sequence(tmp_path, steps=3)
+    d = tmp_path / "tl"
+    for k in range(3):
+        _append(d, graphs, k)
+    tl = load_timeline(d)
+    other = tmp_path / "copy"
+    save_timeline(tl, other)
+    assert sorted(p.name for p in other.iterdir()) == sorted(p.name for p in d.iterdir())
+    clone = load_timeline(other)
+    assert clone.history == tl.history
+    for a, b in zip(tl.steps, clone.steps):
+        assert a.partition == b.partition
+        assert _edge_set(a.graph) == _edge_set(b.graph)
+
+
+class _Interrupted(OSError):
+    pass
+
+
+def _interrupt_partition_write(monkeypatch):
+    def boom(part, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("half a line")
+        raise _Interrupted("disk full")
+    monkeypatch.setattr(tracker, "write_partition_tsv", boom)
+
+
+def _interrupt_commit(monkeypatch):
+    def boom(src, dst):
+        raise _Interrupted("rename failed")
+    monkeypatch.setattr(tracker.os, "replace", boom)
+
+
+@pytest.mark.parametrize("interrupt", [_interrupt_partition_write, _interrupt_commit])
+def test_interrupted_append_keeps_last_commit(tmp_path, monkeypatch, interrupt):
+    graphs = _stored_sequence(tmp_path)
+    clean = tmp_path / "clean"
+    for k in range(len(graphs)):
+        _append(clean, graphs, k)
+
+    d = tmp_path / "tl"
+    for k in range(2):
+        _append(d, graphs, k)
+    committed = load_timeline(d)
+    with monkeypatch.context() as m:
+        interrupt(m)
+        with pytest.raises(_Interrupted):
+            _append(d, graphs, 2)
+    tl = load_timeline(d)
+    assert len(tl.steps) == 2
+    assert tl.history == committed.history
+    assert tl.last.partition == committed.last.partition
+    # the next appends overwrite what the interrupted one left behind
+    for k in range(2, len(graphs)):
+        _append(d, graphs, k)
+    assert _files(d) == _files(clean)
+
+
+def test_uncommitted_history_tail_is_ignored(tmp_path):
+    graphs = _stored_sequence(tmp_path, steps=3)
+    d = tmp_path / "tl"
+    for k in range(2):
+        _append(d, graphs, k)
+    before = _files(d)
+    with open(d / "history.jsonl", "ab") as fh:
+        fh.write(b'{"mi_nats": 0.')
+    (d / "step_2.graph.tsv").write_text("junk\tjunk\tjunk\tjunk\n", encoding="utf-8")
+    tl = load_timeline(d)
+    assert len(tl.steps) == 2 and len(tl.history) == 1
+    save_timeline(tl, d)
+    assert (d / "history.jsonl").read_bytes() == before["history.jsonl"]
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    '{"n_steps": 2, "snapshot_ids": ["0", ',
+    "not json at all",
+    "[1, 2, 3]",
+    '{"n_steps": 1, "snapshot_ids": ["0"], "label_counter": 2, "events": []}',
+    '{"n_steps": 3, "snapshot_ids": ["0"], "label_counter": 2, "events": [], "label_origins": {}}',
+])
+def test_garbled_meta_rejected(tmp_path, text):
+    graphs = _stored_sequence(tmp_path, steps=2)
+    d = tmp_path / "tl"
+    _append(d, graphs, 0)
+    (d / "meta.json").write_text(text, encoding="utf-8")
+    with pytest.raises(InputError):
+        load_timeline(d)
