@@ -227,8 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trk = sub.add_parser("track", help="append a snapshot to a timeline directory")
     p_trk.add_argument("--timeline", required=True, help="timeline directory (created on first use)")
     p_trk.add_argument("--add", required=True, help="next snapshot's graph TSV")
-    p_trk.add_argument("--p", type=float, default=0.0)
-    p_trk.add_argument("--q", type=float, default=0.0)
+    p_trk.add_argument("--p", type=float, default=None,
+                       help="fixed-node fraction (0..1, default 0); not allowed on the first call")
+    p_trk.add_argument("--q", type=float, default=None,
+                       help="preferential-attachment fraction (0..1, default 0); not allowed on the first call")
     p_trk.add_argument("--seed", type=int, default=0,
                        help="base seed; each step uses a sub-seed derived from it and the step index")
     p_trk.add_argument("--r", type=float, default=0.51)
@@ -320,16 +322,19 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    g = read_edge_tsv(args.add)
     d = Path(args.timeline)
-    if (d / "meta.json").exists():
+    appending = (d / "meta.json").exists()
+    if not appending and (args.p is not None or args.q is not None):
+        raise InputError("--p and --q apply only to an append; the first call starts the timeline")
+    g = read_edge_tsv(args.add)
+    if appending:
         tl = load_timeline(d)
         idx = len(tl.steps)
         step(
             tl,
             g,
-            args.p,
-            args.q,
+            args.p or 0.0,
+            args.q or 0.0,
             derive_step_seed(args.seed, idx),
             LouvainConfig(rng_seed=derive_step_seed(args.seed, idx)),
             MatchConfig(args.r),

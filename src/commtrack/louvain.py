@@ -90,6 +90,8 @@ class LevelStats:
     q_start: float
     q_end: float
     sweep_q: List[float] = field(default_factory=list)
+    sweep_visited: List[int] = field(default_factory=list)
+    sweep_moves: List[int] = field(default_factory=list)
 
 
 @dataclass
@@ -119,6 +121,7 @@ class RunReport:
                     "n_communities_end": s.n_communities_end,
                     "sweeps": s.sweeps,
                     "moves": s.moves,
+                    "visited": sum(s.sweep_visited),
                     "q_start": s.q_start,
                     "q_end": s.q_end,
                 }
@@ -176,15 +179,22 @@ def modularity(g: Graph, part: Partition) -> float:
     if two_m <= 0.0:
         return 0.0
     uniq, dense = np.unique(part.labels, return_inverse=True)
-    c = len(uniq)
+    return _q_from_sums(*_community_sums(g, dense, len(uniq)), two_m)
+
+
+def _community_sums(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
+    """in_c and tot_c (see :func:`modularity`) for community indices ``dense`` in [0, c)."""
     # bincount yields int64 on empty input; force the float accumulators
     tot = np.bincount(dense, weights=g.degrees, minlength=c).astype(np.float64)
-
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     same = dense[rows] == dense[g.nbr]
     internal = np.bincount(dense[rows[same]], weights=g.wgt[same], minlength=c).astype(np.float64)
     internal += 2.0 * np.bincount(dense, weights=g.self_loops, minlength=c)
-    return float(np.sum(internal / two_m - (tot / two_m) ** 2))
+    return internal, tot
+
+
+def _q_from_sums(com_in: np.ndarray, com_tot: np.ndarray, two_m: float) -> float:
+    return float(np.sum(com_in / two_m - (com_tot / two_m) ** 2))
 
 
 class CommunitySums:
@@ -358,14 +368,9 @@ def seeded_init(prev_partition: Partition, g_next: Graph, fresh_label_start: Opt
 # --- the optimizer ------------------------------------------------------------
 
 
-def _q_from_sums(com_in: List[float], com_tot: List[float], two_m: float) -> float:
-    inv = 1.0 / two_m
-    return sum(ci * inv - (ct * inv) ** 2 for ci, ct in zip(com_in, com_tot))
-
-
 def _one_level(
     lg: Graph,
-    keys: List[int],
+    keys: np.ndarray,
     movable: List[bool],
     pref_flags: Optional[List[bool]],
     prev_labels: FrozenSet[int],
@@ -373,36 +378,21 @@ def _one_level(
     rng: random.Random,
     level: int,
     trace: Optional[list],
-) -> Tuple[List[int], LevelStats]:
-    """Phase 1 on one level graph; returns final key per node and stats."""
+) -> Tuple[np.ndarray, LevelStats]:
+    """Phase 1 on one level graph; returns final key per node and stats.
+
+    The first sweep visits every movable node; each later sweep visits, in
+    the same order, only the movable nodes that moved in the previous sweep
+    or neighbour a node that did. The level ends when a sweep moves nothing.
+    """
     n = lg.n
     two_m = lg.total_weight_2m
-    indptr = lg.indptr.tolist()
-    nbr = lg.nbr.tolist()
-    wgt = lg.wgt.tolist()
-    loops = lg.self_loops.tolist()
-    k = lg.degrees.tolist()
 
-    slot_key = sorted(set(keys))
-    slot_of = {key: s for s, key in enumerate(slot_key)}
-    node_slot = [slot_of[key] for key in keys]
-    c = len(slot_key)
+    slot_key_arr, node_slot_arr = np.unique(keys, return_inverse=True)
+    c = len(slot_key_arr)
+    com_in_arr, com_tot_arr = _community_sums(lg, node_slot_arr, c)
 
-    com_tot = [0.0] * c
-    com_in = [0.0] * c
-    for u in range(n):
-        s = node_slot[u]
-        com_tot[s] += k[u]
-        com_in[s] += 2.0 * loops[u]
-    for u in range(n):
-        su = node_slot[u]
-        for e in range(indptr[u], indptr[u + 1]):
-            if node_slot[nbr[e]] == su:
-                com_in[su] += wgt[e]
-
-    slot_is_prev = [key in prev_labels for key in slot_key] if pref_flags is not None else None
-
-    q_start = _q_from_sums(com_in, com_tot, two_m) if two_m > 0.0 else 0.0
+    q_start = _q_from_sums(com_in_arr, com_tot_arr, two_m) if two_m > 0.0 else 0.0
     stats = LevelStats(
         level=level,
         n_nodes=n,
@@ -416,22 +406,38 @@ def _one_level(
     if two_m <= 0.0 or n == 0:
         return keys, stats
 
+    indptr = lg.indptr.tolist()
+    nbr = lg.nbr.tolist()
+    wgt = lg.wgt.tolist()
+    loops = lg.self_loops.tolist()
+    k = lg.degrees.tolist()
+    slot_key = slot_key_arr.tolist()
+    node_slot = node_slot_arr.tolist()
+    com_tot = com_tot_arr.tolist()
+    com_in = com_in_arr.tolist()
+    slot_is_prev = [key in prev_labels for key in slot_key] if pref_flags is not None else None
+
     order = list(range(n))
     if cfg.node_order == "shuffled":
         rng.shuffle(order)
+    position = [0] * n
+    for i, u in enumerate(order):
+        position[u] = i
+    visit = [u for u in order if movable[u]]
+    queued = [False] * n  # u is already in the next sweep's visit list
 
     eps = cfg.min_gain_epsilon
     inv_two_m = 1.0 / two_m
     q_prev = q_start
     while stats.sweeps < cfg.max_passes_per_level:
         moved = 0
-        for u in order:
-            if not movable[u]:
-                continue
+        nxt: List[int] = []
+        for u in visit:
             su = node_slot[u]
             ku = k[u]
+            lo, hi = indptr[u], indptr[u + 1]
             links: Dict[int, float] = {}
-            for e in range(indptr[u], indptr[u + 1]):
+            for e in range(lo, hi):
                 s = node_slot[nbr[e]]
                 links[s] = links.get(s, 0.0) + wgt[e]
 
@@ -467,6 +473,10 @@ def _one_level(
                 com_in[su] -= 2.0 * w_own + 2.0 * loops[u]
                 com_in[best_slot] += 2.0 * links.get(best_slot, 0.0) + 2.0 * loops[u]
                 moved += 1
+                for v in (u, *nbr[lo:hi]):
+                    if movable[v] and not queued[v]:
+                        queued[v] = True
+                        nxt.append(v)
                 chosen: Optional[int] = slot_key[best_slot]
             else:
                 com_tot[su] += ku
@@ -477,7 +487,9 @@ def _one_level(
 
         stats.sweeps += 1
         stats.moves += moved
-        q_now = _q_from_sums(com_in, com_tot, two_m)
+        stats.sweep_visited.append(len(visit))
+        stats.sweep_moves.append(moved)
+        q_now = _q_from_sums(np.asarray(com_in), np.asarray(com_tot), two_m)
         stats.sweep_q.append(q_now)
         if q_now < q_prev - 1e-9:
             raise InternalInvariantError(
@@ -486,10 +498,15 @@ def _one_level(
         q_prev = q_now
         if moved == 0:
             break
+        for u in nxt:
+            queued[u] = False
+        nxt.sort(key=position.__getitem__)
+        visit = nxt
 
     stats.q_end = q_prev
-    stats.n_communities_end = len({node_slot[u] for u in range(n)})
-    return [slot_key[s] for s in node_slot], stats
+    final = np.asarray(node_slot, dtype=np.int64)
+    stats.n_communities_end = len(np.unique(final))
+    return slot_key_arr[final], stats
 
 
 def _run(
@@ -520,7 +537,7 @@ def _run(
             pref_flags[u] = True
 
     lg = g
-    keys = flat.tolist()
+    keys = flat
     level = 1
     while True:
         keys, stats = _one_level(
@@ -528,19 +545,17 @@ def _run(
         )
         report.levels.append(stats)
         if level == 1:
-            flat = np.asarray(keys, dtype=np.int64)
-        else:
-            rekey = dict(zip(lg.ids.ids, keys))
-            uniq, inv = np.unique(flat, return_inverse=True)
-            flat = np.asarray([rekey[int(key)] for key in uniq], dtype=np.int64)[inv]
+            flat = keys
+        else:  # supernode ids are the previous level's keys, sorted
+            flat = keys[np.searchsorted(np.asarray(lg.ids.ids, dtype=np.int64), flat)]
         report.final_q = stats.q_end
         if stats.moves == 0 or stats.q_end - stats.q_start < cfg.min_gain_epsilon:
             break
 
-        lg = aggregate_by_partition(lg, Partition(lg.ids, np.asarray(keys, dtype=np.int64)))
-        keys = list(lg.ids.ids)  # supernode external id == its community key
+        lg = aggregate_by_partition(lg, Partition(lg.ids, keys))
+        keys = np.asarray(lg.ids.ids, dtype=np.int64)  # supernode external id == its community key
         if cfg.freeze_fixed_supernodes and frozen_labels:
-            movable = [key not in frozen_labels for key in keys]
+            movable = [key not in frozen_labels for key in lg.ids.ids]
         else:
             movable = [True] * lg.n
         pref_flags = None  # preferential rule applies to the first level only
@@ -596,14 +611,7 @@ def louvain_dynamic(
 
 def renumber_partition(part: Partition, start: int = 0) -> Partition:
     """Map labels to start, start+1, ... in first-seen node order."""
-    mapping: Dict[int, int] = {}
-    out = np.empty(len(part.labels), dtype=np.int64)
-    nxt = start
-    for i, lab in enumerate(part.labels.tolist()):
-        new = mapping.get(lab)
-        if new is None:
-            new = nxt
-            mapping[lab] = new
-            nxt += 1
-        out[i] = new
-    return Partition(part.ids, out)
+    uniq, first, inv = np.unique(part.labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(start, start + len(uniq), dtype=np.int64)
+    return Partition(part.ids, rank[inv])

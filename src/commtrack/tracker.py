@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -215,7 +216,8 @@ def save_timeline(tl: Timeline, directory) -> None:
 
     Steps this timeline already committed in that directory (it was loaded
     from it or last saved to it) are never written again; only new steps'
-    files and history rows are. ``meta.json`` is the commit point: it is
+    files and history rows are. A stored graph that was never read is copied
+    byte for byte. ``meta.json`` is the commit point: it is
     replaced atomically once everything it names is on disk, so a save
     interrupted before that leaves the previous commit loadable, and the next
     save overwrites the uncommitted files.
@@ -228,7 +230,11 @@ def save_timeline(tl: Timeline, directory) -> None:
     history_start = stored.history_bytes if stored else 0
     for k in range(start, len(tl.steps)):
         gpath, ppath = _step_paths(d, k)
-        write_edge_tsv(tl.steps[k].graph, gpath)
+        stored_graph = tl.steps[k]._graph
+        if isinstance(stored_graph, Graph):
+            write_edge_tsv(stored_graph, gpath)
+        elif stored_graph.resolve() != gpath.resolve():
+            shutil.copyfile(stored_graph, gpath)  # never read: keep its bytes
         write_partition_tsv(tl.steps[k].partition, ppath)
     rows = b"".join(r.to_json().encode("utf-8") + b"\n" for r in tl.history[max(start - 1, 0):])
     with open(d / _HISTORY, "ab") as fh:

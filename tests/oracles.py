@@ -83,6 +83,17 @@ def oracle_mutual_information(la: Sequence[int], lb: Sequence[int]) -> float:
     return mi
 
 
+def oracle_renumber(labels: Sequence[int], start: int = 0) -> List[int]:
+    """Labels mapped to start, start+1, ... in first-seen order, by dictionary."""
+    mapping: Dict[int, int] = {}
+    out = []
+    for lab in labels:
+        if lab not in mapping:
+            mapping[lab] = start + len(mapping)
+        out.append(mapping[lab])
+    return out
+
+
 def set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
     """All partitions of a set (Bell-number many; fine for <= 8 items)."""
     if not items:

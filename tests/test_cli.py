@@ -166,14 +166,25 @@ def test_track_builds_timeline(tmp_path):
           "--steps", "3", "--seed", "8", "-o", str(out)])
     tl_dir = tmp_path / "tl"
     for k in range(3):
+        stability = ["--p", "0.5"] if k else []
         rc = main(["track", "--timeline", str(tl_dir), "--add",
-                   str(out / f"step_{k}.graph.tsv"), "--p", "0.5", "--seed", "11"])
+                   str(out / f"step_{k}.graph.tsv"), "--seed", "11", *stability])
         assert rc == 0
     assert (tl_dir / "step_2.partition.tsv").exists()
     history = (tl_dir / "history.jsonl").read_text().strip().splitlines()
     assert len(history) == 2
     meta = json.loads((tl_dir / "meta.json").read_text())
     assert meta["n_steps"] == 3
+
+
+@pytest.mark.parametrize("flags", [["--p", "0.5"], ["--q", "0.9"], ["--p", "0", "--q", "0"]])
+def test_track_rejects_stability_flags_on_first_call(tmp_path, flags):
+    syn = tmp_path / "syn"
+    _synth_steps(syn, 1)
+    tl_dir = tmp_path / "tl"
+    rc = main(["track", "--timeline", str(tl_dir), "--add", str(syn / "step_0.graph.tsv")] + flags)
+    assert rc == 2
+    assert not (tl_dir / "meta.json").exists()
 
 
 def _track_run(tl_dir, syn, steps):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import commtrack.louvain as louvain
 from commtrack.errors import InputError
-from commtrack.graph import Partition, build_graph
+from commtrack.graph import IdMap, Partition, build_graph
 from commtrack.louvain import (
     CommunitySums,
     DynamicContext,
@@ -20,9 +23,10 @@ from commtrack.louvain import (
     sample_pref_set,
     seeded_init,
 )
+from commtrack.metrics import compare
 from commtrack.synth import SynthSpec, generate
 
-from oracles import canonical_blocks, oracle_gain, random_graph, random_labels
+from oracles import canonical_blocks, oracle_gain, oracle_renumber, random_graph, random_labels
 
 
 def two_triangles():
@@ -316,9 +320,121 @@ def test_renumber_partition_first_seen():
     assert ren.labels.tolist() == [10, 10, 11, 10]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**62), 2**62) | st.integers(0, 5), max_size=40), st.integers(0, 1000))
+def test_renumber_partition_matches_dict_oracle(labels, start):
+    part = Partition(IdMap(range(len(labels))), np.asarray(labels, dtype=np.int64))
+    assert renumber_partition(part, start=start).labels.tolist() == oracle_renumber(labels, start)
+
+
 def test_labels_persist_through_levels():
     # a seeded run that only merges keeps the winning previous labels alive
     g = two_triangles()
     prev = Partition(g.ids, np.array([3, 3, 3, 8, 8, 8]))
     part, _ = louvain_static(g, init=prev)
     assert part.labels_set == {3, 8}
+
+
+# --- active-node sweeps ----------------------------------------------------------------
+
+
+def _planted(seed, nodes=2000, steps=1, churn=0.0, migrate=0.0):
+    """Planted partition with communities of 100 nodes, about 4 cross neighbours each."""
+    return generate(SynthSpec(
+        n_nodes=nodes, n_communities=nodes // 100, p_in=0.12, p_out=4.0 / (nodes - 100),
+        churn_rate=churn, migrate_rate=migrate, steps=steps, seed=seed,
+    ))
+
+
+def _dynamic_run(seed, p, q, drift=0.05):
+    (g0, _), (g1, _) = _planted(seed, nodes=1000, steps=2, churn=drift, migrate=drift)
+    prev = renumber_partition(louvain_static(g0, LouvainConfig(rng_seed=seed))[0])
+    ctx = DynamicContext.from_previous(prev, g1, p, q, seed=seed)
+    return g1, ctx, lambda cfg: louvain_dynamic(g1, ctx, cfg)
+
+
+def _level_one(run, cfg, monkeypatch):
+    """Level-1 keys before and after phase 1, the movable flags, and its stats."""
+    seen = {}
+    real = louvain._one_level
+
+    def spy(lg, keys, movable, *rest):
+        out, stats = real(lg, keys, movable, *rest)
+        if stats.level == 1:
+            seen.update(init=np.array(keys), keys=np.array(out), movable=np.array(movable), stats=stats)
+        return out, stats
+
+    with monkeypatch.context() as m:
+        m.setattr(louvain, "_one_level", spy)
+        run(cfg)
+    return seen
+
+
+def _check_active_sweeps(g, run, monkeypatch):
+    full = _level_one(run, LouvainConfig(), monkeypatch)
+    stats, movable = full["stats"], full["movable"]
+    assert stats.sweeps < LouvainConfig().max_passes_per_level
+    assert len(stats.sweep_visited) == len(stats.sweep_moves) == len(stats.sweep_q) == stats.sweeps
+    assert stats.sweep_visited[0] == int(movable.sum())
+    assert stats.sweep_moves[-1] == 0
+    assert stats.moves == sum(stats.sweep_moves)
+    assert sum(stats.sweep_visited) < stats.sweeps * stats.n_nodes
+    # replay the level one sweep at a time: a node changes key in a sweep iff it moved
+    before = full["init"]
+    for t in range(1, stats.sweeps):
+        after = _level_one(run, LouvainConfig(max_passes_per_level=t), monkeypatch)["keys"]
+        moved = np.flatnonzero(after != before)
+        assert len(moved) == stats.sweep_moves[t - 1]
+        active = np.zeros(g.n, dtype=bool)
+        active[moved] = True
+        for u in moved.tolist():
+            active[g.neighbors(u)[0]] = True
+        assert stats.sweep_visited[t] == int((active & movable).sum())
+        before = after
+    assert np.array_equal(before, full["keys"])
+
+
+def test_active_sweeps_static_planted(monkeypatch):
+    (g, _), = _planted(3)
+    _check_active_sweeps(g, lambda cfg: louvain_static(g, cfg), monkeypatch)
+
+
+def test_active_sweeps_dynamic_pinned(monkeypatch):
+    g1, ctx, run = _dynamic_run(4, p=0.5, q=0.25, drift=0.2)
+    assert len(ctx.fixed) > 0
+    _check_active_sweeps(g1, run, monkeypatch)
+
+
+def test_report_lists_visits_per_level():
+    (g, _), = _planted(5)
+    _, report = louvain_static(g)
+    levels = report.as_dict()["levels"]
+    assert [lv["visited"] for lv in levels] == [sum(s.sweep_visited) for s in report.levels]
+    assert levels[0]["visited"] < levels[0]["sweeps"] * g.n
+
+
+def test_final_q_matches_modularity_static():
+    for seed in range(3):
+        (g, _), = _planted(seed, nodes=1000)
+        part, report = louvain_static(g, LouvainConfig(rng_seed=seed))
+        assert report.final_q == pytest.approx(modularity(g, part), abs=1e-9)
+        singletons = Partition.singletons(g)
+        assert report.levels[0].q_start == pytest.approx(modularity(g, singletons), abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("q", [0.0, 0.5])
+def test_final_q_matches_modularity_dynamic(p, q):
+    g1, ctx, run = _dynamic_run(6, p, q)
+    part, report = run(LouvainConfig(rng_seed=6))
+    assert report.final_q == pytest.approx(modularity(g1, part), abs=1e-9)
+    init = Partition(g1.ids, ctx.init_labels)
+    assert report.levels[0].q_start == pytest.approx(modularity(g1, init), abs=1e-9)
+
+
+def test_planted_quality_holds():
+    for seed in range(1, 11):
+        (g, planted), = _planted(seed)
+        part, report = louvain_static(g, LouvainConfig(rng_seed=seed))
+        assert report.final_q >= modularity(g, planted) - 1e-3
+        assert compare(planted, part).normalized_mi() >= 0.99

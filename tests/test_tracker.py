@@ -285,6 +285,28 @@ def test_save_into_other_directory_writes_every_step(tmp_path):
         assert _edge_set(a.graph) == _edge_set(b.graph)
 
 
+def test_save_into_other_directory_keeps_unread_step_bytes(tmp_path):
+    graphs = _stored_sequence(tmp_path, steps=2)
+    d = tmp_path / "tl"
+    for k in range(2):
+        _append(d, graphs, k)
+    # the same graph in a form write_edge_tsv does not produce: lines reversed,
+    # endpoints swapped, weights written as floats
+    gpath = d / "step_0.graph.tsv"
+    lines = gpath.read_text(encoding="utf-8").splitlines()
+    swapped = ["\t".join([f[1], f[0], repr(float(f[2]))]) for f in (ln.split("\t") for ln in lines)]
+    gpath.write_text("\n".join(reversed(swapped)) + "\n", encoding="utf-8")
+    assert _edge_set(load_timeline(d).steps[0].graph) == _edge_set(graphs[0])
+    save_timeline(load_timeline(d), tmp_path / "copy")
+    assert _files(tmp_path / "copy") == _files(d)
+    # saved elsewhere, then back into the directory its unread graphs live in
+    before = _files(d)
+    again = load_timeline(d)
+    save_timeline(again, tmp_path / "again")
+    save_timeline(again, d)
+    assert _files(d) == before == _files(tmp_path / "again")
+
+
 class _Interrupted(OSError):
     pass
 
