@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, reading_text
 from .graph import (
     Graph,
     read_edge_tsv,
@@ -267,7 +267,7 @@ def _cmd_ingest(args) -> int:
 
     def _lines():
         for name in args.cdr:
-            with open(name, "r", encoding="utf-8") as fh:
+            with open(name, "r", encoding="utf-8") as fh, reading_text(name):
                 yield from fh
 
     g, report = ingest_pipeline(

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class CommtrackError(Exception):
     """Base class for all commtrack errors."""
@@ -17,3 +19,13 @@ class InternalInvariantError(CommtrackError, RuntimeError):
 
     CLI maps this to exit code 3.
     """
+
+
+@contextmanager
+def reading_text(path):
+    """Report bytes that are not UTF-8, decoded inside the block, as bad
+    input naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc

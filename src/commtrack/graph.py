@@ -19,7 +19,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tu
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, reading_text
 
 ExternalId = Hashable
 EdgeInput = Union[Tuple[ExternalId, ExternalId], Tuple[ExternalId, ExternalId, float]]
@@ -132,6 +132,30 @@ class Graph:
             if w != 0.0:
                 yield ids[u], ids[u], w
 
+    def subgraph(self, keep_mask: np.ndarray) -> "Graph":
+        """The subgraph induced by the nodes where ``keep_mask`` is true.
+
+        Kept nodes keep their relative order and their self-loops; rows stay
+        sorted because the index map is monotone.
+        """
+        keep = np.asarray(keep_mask, dtype=bool)
+        if keep.shape != (self.n,):
+            raise InputError(f"subgraph mask has shape {keep.shape} for {self.n} nodes")
+        new_index = np.cumsum(keep) - 1
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        edge_mask = keep[rows] & keep[self.nbr]
+        kept = np.flatnonzero(keep)
+        indptr = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(new_index[rows[edge_mask]], minlength=len(kept)), out=indptr[1:])
+        ids = self.ids.ids
+        return Graph(
+            IdMap([ids[i] for i in kept.tolist()]),
+            indptr,
+            new_index[self.nbr[edge_mask]],
+            self.wgt[edge_mask],
+            self.self_loops[keep],
+        )
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.n_edges}, 2m={self.total_weight_2m:g})"
 
@@ -203,17 +227,22 @@ def build_graph(edges: Iterable[EdgeInput], nodes: Iterable[ExternalId] = ()) ->
     keys = lo * n + hi
     uniq, inv = np.unique(keys, return_inverse=True)
     merged_w = np.bincount(inv, weights=wa, minlength=len(uniq))
-    lo = uniq // n
-    hi = uniq % n
+    return graph_from_distinct_edges(id_map, uniq // n, uniq % n, merged_w, loops)
 
-    rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
-    w2 = np.concatenate([merged_w, merged_w])
+
+def graph_from_distinct_edges(
+    ids: IdMap, u: np.ndarray, v: np.ndarray, w: np.ndarray, self_loops: np.ndarray
+) -> Graph:
+    """CSR graph from distinct undirected non-loop edges ``(u[i], v[i], w[i])``
+    given as int64 node indices into ``ids``, in any order and orientation."""
+    n = len(ids)
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    w2 = np.concatenate([w, w])
     order = np.lexsort((cols, rows))
-    rows, cols, w2 = rows[order], cols[order], w2[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Graph(id_map, indptr, cols, w2, loops)
+    return Graph(ids, indptr, cols[order], w2[order], self_loops)
 
 
 class Partition:
@@ -368,7 +397,7 @@ def write_edge_tsv(g: Graph, path) -> None:
 def read_edge_tsv(path) -> Graph:
     edges: list = []
     nodes: list = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, reading_text(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -405,7 +434,7 @@ def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
     a previous snapshot's partition is compared against a newer graph.
     """
     assignment: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, reading_text(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

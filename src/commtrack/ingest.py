@@ -5,6 +5,14 @@ months, count directed traffic per ordered pair, keep an undirected edge only
 where traffic flowed in both directions, then drop nodes whose connection
 count exceeds a cap (call centers, spam farms) in one pass.
 
+:func:`ingest_pipeline` runs this columnar: ids are interned to dense ints as
+lines stream by, in-window (origin, target) pairs are folded chunk by chunk
+into sorted distinct int64 keys with counts, and mutual pairs are found by
+sorting unordered pair keys once. Memory is bounded by the distinct directed
+pairs, not by the line count. The record-level :func:`iter_parse_cdr` shares
+its line validator, and :func:`symmetrize` its mutual-pair graph
+construction.
+
 Record format (header optional, UTF-8):
     origin,target,timestamp,kind,duration_s
 with ISO-8601 timestamps, kind one of call|sms, integer seconds.
@@ -12,16 +20,18 @@ with ISO-8601 timestamps, kind one of call|sms, integer seconds.
 
 from __future__ import annotations
 
+import re
+import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone, tzinfo
+from datetime import date, datetime, timezone, tzinfo
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, build_graph
+from .graph import Graph, IdMap, graph_from_distinct_edges
 
 __all__ = [
     "CdrKind",
@@ -104,14 +114,16 @@ def _parse_timestamp(text: str) -> Optional[datetime]:
 _HEADER_FIELDS = ("origin", "target")
 
 
-def iter_parse_cdr(
+def _valid_records(
     lines: Iterable[str],
     report: RejectionReport,
-) -> Iterator[CdrRecord]:
-    """Validate lines one at a time, updating ``report`` in place.
-
-    A leading header line (first field "origin", second "target") is skipped
-    without counting as a rejection; blank lines are ignored.
+    stamp: Callable[[str], object],
+) -> Iterator[Tuple[str, str, object, CdrKind, int]]:
+    """The line validator behind :func:`iter_parse_cdr` and
+    :func:`ingest_pipeline`: yields ``(origin, target, stamp(timestamp),
+    kind, duration_s)`` per valid line and counts every other non-blank line
+    in ``report`` under its reason. ``stamp`` returns None for a timestamp it
+    rejects.
     """
     first_content = True
     for lineno, raw in enumerate(lines, start=1):
@@ -119,7 +131,7 @@ def iter_parse_cdr(
         if not line:
             continue
         report.n_lines += 1
-        fields = [f.strip() for f in line.split(",")]
+        fields = list(map(str.strip, line.split(",")))
         if first_content:
             first_content = False
             if (
@@ -139,7 +151,7 @@ def iter_parse_cdr(
         if origin == target:
             report.note("self_record", lineno)
             continue
-        ts = _parse_timestamp(ts_text)
+        ts = stamp(ts_text)
         if ts is None:
             report.note("bad_timestamp", lineno)
             continue
@@ -163,7 +175,34 @@ def iter_parse_cdr(
             report.note("sms_nonzero_duration", lineno)
             continue
         report.n_valid += 1
-        yield CdrRecord(origin, target, ts, kind, duration)
+        yield origin, target, ts, kind, duration
+
+
+def iter_parse_cdr(
+    lines: Iterable[str],
+    report: RejectionReport,
+) -> Iterator[CdrRecord]:
+    """Validate lines one at a time, updating ``report`` in place.
+
+    A leading header line (first field "origin", second "target") is skipped
+    without counting as a rejection; blank lines are ignored.
+    """
+    for fields in _valid_records(lines, report, _parse_timestamp):
+        yield CdrRecord(*fields)
+
+
+def _check_fraction(max_rejected_fraction: float) -> None:
+    if not 0.0 <= max_rejected_fraction <= 1.0:
+        raise InputError("max_rejected_fraction must lie in [0, 1]")
+
+
+def _check_rejections(report: RejectionReport, max_rejected_fraction: float) -> None:
+    if report.rejected_fraction() > max_rejected_fraction:
+        raise InputError(
+            f"rejected {report.n_rejected} of {report.n_lines} lines "
+            f"({report.rejected_fraction():.1%}), above the allowed "
+            f"{max_rejected_fraction:.1%}; reasons: {report.reasons}"
+        )
 
 
 def parse_cdr(
@@ -175,16 +214,10 @@ def parse_cdr(
     Raises only when the rejected fraction strictly exceeds
     ``max_rejected_fraction`` (the default 1.0 can never be exceeded).
     """
-    if not 0.0 <= max_rejected_fraction <= 1.0:
-        raise InputError("max_rejected_fraction must lie in [0, 1]")
+    _check_fraction(max_rejected_fraction)
     report = RejectionReport()
     records = list(iter_parse_cdr(lines, report))
-    if report.rejected_fraction() > max_rejected_fraction:
-        raise InputError(
-            f"rejected {report.n_rejected} of {report.n_lines} lines "
-            f"({report.rejected_fraction():.1%}), above the allowed "
-            f"{max_rejected_fraction:.1%}; reasons: {report.reasons}"
-        )
+    _check_rejections(report, max_rejected_fraction)
     return records, report
 
 
@@ -239,6 +272,39 @@ class WindowSpec:
             ts = ts.astimezone(self.tz)
         idx = ts.year * 12 + (ts.month - 1)
         return self._anchor_index - self.span_months < idx <= self._anchor_index
+
+
+# YYYY-MM-DDTHH:MM:SS with ASCII digits: a form every supported Python's
+# fromisoformat reads as a naive time, so its month is its YYYY-MM prefix
+_CANONICAL_TS = re.compile(r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d", re.ASCII)
+
+
+@lru_cache(maxsize=1 << 12)
+def _day_month_index(day: str) -> Optional[int]:
+    """``year * 12 + month - 1`` of a YYYY-MM-DD text, None if no such date."""
+    try:
+        d = date(int(day[:4]), int(day[5:7]), int(day[8:10]))
+    except ValueError:
+        return None
+    return d.year * 12 + d.month - 1
+
+
+def _window_test(window: WindowSpec) -> Callable[[str], Optional[bool]]:
+    """Timestamp text -> whether it lies inside ``window``, None if it is not
+    a timestamp. Same answers as ``_parse_timestamp`` + ``window.contains``;
+    canonical naive timestamps skip the datetime."""
+    lo = window._anchor_index - window.span_months
+    hi = window._anchor_index
+    canonical = _CANONICAL_TS.fullmatch
+
+    def test(text: str) -> Optional[bool]:
+        if canonical(text):
+            idx = _day_month_index(text[:10])
+            return None if idx is None else lo < idx <= hi
+        ts = _parse_timestamp(text)
+        return None if ts is None else window.contains(ts)
+
+    return test
 
 
 @dataclass
@@ -299,6 +365,59 @@ def merge_counts(*batches: DirectedCounts) -> DirectedCounts:
 # --- graph construction -------------------------------------------------------
 
 
+def _check_weight_mode(weight_mode: str) -> None:
+    if weight_mode not in ("unit", "comm_count"):
+        raise InputError(f"unknown weight_mode {weight_mode!r}")
+
+
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise InputError(f"cap must be a positive integer, got {cap}")
+
+
+def _mutual_graph(
+    ids: List[str], origin: np.ndarray, target: np.ndarray, comms: np.ndarray, weight_mode: str
+) -> Graph:
+    """Graph of the mutual pairs among distinct directed pairs
+    ``(ids[origin[i]], ids[target[i]])`` with ``comms[i]`` records each.
+
+    Edges are ordered by their endpoints' ids as strings, smaller id first,
+    and nodes take indices in first-seen order over those edges, the order
+    ``build_graph`` gives a sorted edge list.
+    """
+    n = len(ids)
+    lo = np.minimum(origin, target)
+    hi = np.maximum(origin, target)
+    order = np.argsort(lo * n + hi)
+    lo, hi, comms = lo[order], hi[order], comms[order]
+    # the pairs are distinct, so an unordered pair seen twice is the two
+    # directions of one mutual pair, side by side once sorted
+    twin = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+    a, b = lo[twin], hi[twin]
+    named = np.unique(np.concatenate([a, b]))
+    rank = np.zeros(n, dtype=np.int64)
+    rank[sorted(named.tolist(), key=ids.__getitem__)] = np.arange(len(named))
+    swap = rank[a] > rank[b]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    if weight_mode == "unit":
+        w = np.ones(len(a), dtype=np.float64)
+    else:
+        w = (comms[twin] + comms[twin + 1]).astype(np.float64)
+    by_text = np.argsort(rank[a] * len(named) + rank[b])
+    a, b, w = a[by_text], b[by_text], w[by_text]
+    seen, first_at = np.unique(np.column_stack((a, b)).ravel(), return_index=True)
+    nodes = seen[np.argsort(first_at)]
+    new_index = np.zeros(n, dtype=np.int64)
+    new_index[nodes] = np.arange(len(nodes))
+    return graph_from_distinct_edges(
+        IdMap([ids[i] for i in nodes.tolist()]),
+        new_index[a],
+        new_index[b],
+        w,
+        np.zeros(len(nodes), dtype=np.float64),
+    )
+
+
 def symmetrize(counts: DirectedCounts, weight_mode: str = "unit") -> Graph:
     """Undirected graph with an edge (A,B) iff traffic flowed A→B and B→A.
 
@@ -308,17 +427,12 @@ def symmetrize(counts: DirectedCounts, weight_mode: str = "unit") -> Graph:
     here); edges are emitted in sorted order so the result is independent of
     record order.
     """
-    if weight_mode not in ("unit", "comm_count"):
-        raise InputError(f"unknown weight_mode {weight_mode!r}")
-    edges = []
-    for (a, b), fwd in counts.items():
-        if a < b:
-            rev = counts.get((b, a))
-            if rev is not None:
-                w = 1.0 if weight_mode == "unit" else float(fwd.comms + rev.comms)
-                edges.append((a, b, w))
-    edges.sort()
-    return build_graph(edges)
+    _check_weight_mode(weight_mode)
+    index: Dict[str, int] = {}
+    intern = index.setdefault
+    ends = np.fromiter((intern(x, len(index)) for pair in counts for x in pair), np.int64, 2 * len(counts))
+    comms = np.fromiter((pc.comms for pc in counts.values()), np.int64, len(counts))
+    return _mutual_graph(list(index), ends[0::2], ends[1::2], comms, weight_mode)
 
 
 @dataclass
@@ -342,32 +456,18 @@ def filter_high_degree(g: Graph, cap: int = 200) -> Tuple[Graph, FilterReport]:
     a hub never cascades; nodes it leaves isolated stay in the node set.
     Self-loops do not count toward the cap and survive with their node.
     """
-    if cap < 1:
-        raise InputError(f"cap must be a positive integer, got {cap}")
-    report = FilterReport(
-        cap=cap,
-        n_nodes_before=g.n,
-        n_edges_before=g.n_edges,
-    )
+    _check_cap(cap)
     keep = g.neighbor_counts() <= cap
-    removed_idx = np.nonzero(~keep)[0]
-    report.removed = [g.ids.ids[int(i)] for i in removed_idx]
-
-    kept_nodes = [g.ids.ids[int(i)] for i in np.nonzero(keep)[0]]
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    mask = keep[rows] & keep[g.nbr] & (rows < g.nbr)
+    out = g.subgraph(keep)
     ids = g.ids.ids
-    edges = [
-        (ids[int(u)], ids[int(v)], float(w))
-        for u, v, w in zip(rows[mask], g.nbr[mask], g.wgt[mask])
-    ]
-    for i in np.nonzero(keep & (g.self_loops > 0))[0]:
-        edges.append((ids[int(i)], ids[int(i)], float(g.self_loops[int(i)])))
-
-    out = build_graph(edges, nodes=kept_nodes)
-    report.n_nodes_after = out.n
-    report.n_edges_after = out.n_edges
-    return out, report
+    return out, FilterReport(
+        cap=cap,
+        removed=[ids[i] for i in np.flatnonzero(~keep).tolist()],
+        n_nodes_before=g.n,
+        n_nodes_after=out.n,
+        n_edges_before=g.n_edges,
+        n_edges_after=out.n_edges,
+    )
 
 
 # --- end-to-end pipeline --------------------------------------------------------
@@ -380,6 +480,25 @@ class IngestReport:
     n_out_of_window: int
     n_directed_pairs: int
     filter: FilterReport
+    # wall seconds per stage: "parse" (validate, window, intern), "aggregate"
+    # (fold pair chunks), "symmetrize", "filter"
+    seconds: Dict[str, float] = field(default_factory=dict)
+
+
+_CHUNK = 1 << 16  # in-window pairs buffered before they are folded into the totals
+_KEY_BASE = 1 << 32  # pair key = origin index * _KEY_BASE + target index
+
+
+def _fold_pairs(keys: np.ndarray, counts: np.ndarray, chunk: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Add a chunk of pair keys to the sorted distinct ``keys`` and their ``counts``."""
+    new_keys, new_counts = np.unique(np.array(chunk, dtype=np.int64), return_counts=True)
+    pos = np.searchsorted(keys, new_keys)
+    known = np.zeros(len(new_keys), dtype=bool)
+    inside = pos < len(keys)
+    known[inside] = keys[pos[inside]] == new_keys[inside]
+    counts[pos[known]] += new_counts[known]
+    fresh = ~known
+    return np.insert(keys, pos[fresh], new_keys[fresh]), np.insert(counts, pos[fresh], new_counts[fresh])
 
 
 def ingest_pipeline(
@@ -391,38 +510,55 @@ def ingest_pipeline(
 ) -> Tuple[Graph, IngestReport]:
     """Streamed parse → window filter → aggregate → symmetrize → degree cap.
 
-    One pass over the input; only per-pair totals are held in memory.
+    One pass over the input. Held memory is the distinct in-window directed
+    pairs as int64 keys and counts, plus one chunk of pairs not folded yet.
+    Arguments are checked before the first line is read.
     """
-    if not 0.0 <= max_rejected_fraction <= 1.0:
-        raise InputError("max_rejected_fraction must lie in [0, 1]")
+    _check_fraction(max_rejected_fraction)
+    _check_weight_mode(weight_mode)
+    _check_cap(cap)
     rejections = RejectionReport()
-    counts: DirectedCounts = {}
+    index: Dict[str, int] = {}
+    intern = index.setdefault
+    keys = np.empty(0, dtype=np.int64)
+    counts = np.empty(0, dtype=np.int64)
+    chunk: List[int] = []
     n_in = 0
     n_out = 0
-    for rec in iter_parse_cdr(lines, rejections):
-        if not window.contains(rec.timestamp):
+    fold_s = 0.0
+    t0 = time.perf_counter()
+    for origin, target, inside, _, _ in _valid_records(lines, rejections, _window_test(window)):
+        if not inside:
             n_out += 1
             continue
         n_in += 1
-        key = (rec.origin, rec.target)
-        pc = counts.get(key)
-        if pc is None:
-            pc = PairCounts(0, 0, 0)
-            counts[key] = pc
-        pc.add(rec)
-    if rejections.rejected_fraction() > max_rejected_fraction:
-        raise InputError(
-            f"rejected {rejections.n_rejected} of {rejections.n_lines} lines, above "
-            f"the allowed fraction {max_rejected_fraction}; reasons: {rejections.reasons}"
-        )
-    g = symmetrize(counts, weight_mode)
-    n_pairs = len(counts)
-    del counts
+        chunk.append(intern(origin, len(index)) * _KEY_BASE + intern(target, len(index)))
+        if len(chunk) == _CHUNK:
+            t = time.perf_counter()
+            keys, counts = _fold_pairs(keys, counts, chunk)
+            chunk = []
+            fold_s += time.perf_counter() - t
+    t1 = time.perf_counter()
+    keys, counts = _fold_pairs(keys, counts, chunk)
+    del chunk
+    _check_rejections(rejections, max_rejected_fraction)
+    t2 = time.perf_counter()
+    g = _mutual_graph(list(index), keys // _KEY_BASE, keys % _KEY_BASE, counts, weight_mode)
+    n_pairs = len(keys)
+    del keys, counts, index
+    t3 = time.perf_counter()
     g, filter_report = filter_high_degree(g, cap)
+    t4 = time.perf_counter()
     return g, IngestReport(
         rejections=rejections,
         n_in_window=n_in,
         n_out_of_window=n_out,
         n_directed_pairs=n_pairs,
         filter=filter_report,
+        seconds={
+            "parse": t1 - t0 - fold_s,
+            "aggregate": fold_s + t2 - t1,
+            "symmetrize": t3 - t2,
+            "filter": t4 - t3,
+        },
     )

@@ -14,7 +14,6 @@ of consecutive snapshots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -196,19 +195,3 @@ def generate(spec: SynthSpec) -> List[Tuple[Graph, Partition]]:
         out.append((g, Partition(g.ids, labels.copy())))
     return out
 
-
-def _expected_degrees(spec: SynthSpec) -> Tuple[float, float]:
-    """Mean intra- and inter-community degree under even community sizes."""
-    s = spec.n_nodes / spec.n_communities
-    intra = (s - 1) * spec.p_in
-    inter = (spec.n_nodes - s) * spec.p_out
-    return intra, inter
-
-
-def _check_pairs_budget(spec: SynthSpec) -> int:
-    """Expected edge count; callers can sanity-check memory before generating."""
-    s = spec.n_nodes / spec.n_communities
-    intra = spec.n_communities * (s * (s - 1) / 2) * spec.p_in
-    total = spec.n_nodes * (spec.n_nodes - 1) / 2
-    inter = (total - spec.n_communities * s * (s - 1) / 2) * spec.p_out
-    return int(math.ceil(intra + inter))

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: dense matrices, exhaustive
 enumeration, dictionary counting. Nothing is shared with the package code, so
-the same bug would have to be written twice to slip through.
+the same bug would have to be written twice to slip through. The one
+exception is the ingest reference at the end, which composes the package's
+record-level parser and tuple-based ``build_graph`` with per-pair dictionary
+symmetrization and a tuple-based degree cap.
 
 Node convention: graphs are (n, edges) with integer nodes 0..n-1 and edges as
 (u, v, w) tuples, possibly repeated (weights accumulate). A self entry
@@ -151,3 +154,69 @@ def random_labels(rng, n: int, max_comms: int = 0) -> List[int]:
         return []
     k = max_comms or max(1, n // 2)
     return [int(x) for x in rng.integers(0, k, size=n)]
+
+
+# --- ingest reference --------------------------------------------------------
+
+
+def oracle_symmetrize(counts, weight_mode: str = "unit"):
+    """Mutual edges by per-pair dictionary lookups, sorted, then ``build_graph``."""
+    from commtrack.graph import build_graph
+
+    edges = []
+    for (a, b), fwd in counts.items():
+        if a < b and (b, a) in counts:
+            rev = counts[(b, a)]
+            w = 1.0 if weight_mode == "unit" else float(fwd.comms + rev.comms)
+            edges.append((a, b, w))
+    edges.sort()
+    return build_graph(edges)
+
+
+def oracle_degree_cap(g, cap: int):
+    """Nodes with more than ``cap`` neighbours removed, rebuilt from edge tuples.
+    Returns the graph and the removed ids in index order."""
+    from commtrack.graph import build_graph
+
+    ids = g.ids.ids
+    degree = [int(g.indptr[u + 1] - g.indptr[u]) for u in range(g.n)]
+    kept = [ids[u] for u in range(g.n) if degree[u] <= cap]
+    removed = [ids[u] for u in range(g.n) if degree[u] > cap]
+    edges = []
+    for u in range(g.n):
+        for e in range(int(g.indptr[u]), int(g.indptr[u + 1])):
+            v = int(g.nbr[e])
+            if u < v and degree[u] <= cap and degree[v] <= cap:
+                edges.append((ids[u], ids[v], float(g.wgt[e])))
+    for u in range(g.n):
+        if degree[u] <= cap and g.self_loops[u] > 0:
+            edges.append((ids[u], ids[u], float(g.self_loops[u])))
+    return build_graph(edges, nodes=kept), removed
+
+
+def oracle_ingest(lines, window, cap: int, weight_mode: str):
+    """Record-by-record ingest: ``iter_parse_cdr`` -> ``aggregate_window`` ->
+    dictionary symmetrization -> tuple degree cap. Returns the graph and the
+    report fields as a dict."""
+    from commtrack.ingest import RejectionReport, aggregate_window, iter_parse_cdr
+
+    rejections = RejectionReport()
+    records = list(iter_parse_cdr(lines, rejections))
+    counts = aggregate_window(records, window)
+    mutual = oracle_symmetrize(counts, weight_mode)
+    g, removed = oracle_degree_cap(mutual, cap)
+    n_in = sum(1 for r in records if window.contains(r.timestamp))
+    return g, {
+        "n_lines": rejections.n_lines,
+        "n_valid": rejections.n_valid,
+        "reasons": rejections.reasons,
+        "first_line": rejections.first_line,
+        "n_in_window": n_in,
+        "n_out_of_window": len(records) - n_in,
+        "n_directed_pairs": len(counts),
+        "removed": removed,
+        "n_nodes_before": mutual.n,
+        "n_nodes_after": g.n,
+        "n_edges_before": mutual.n_edges,
+        "n_edges_after": g.n_edges,
+    }

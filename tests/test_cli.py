@@ -290,3 +290,54 @@ def test_exit_code_3_on_internal_invariant(tmp_path, monkeypatch):
     rc = main(["sweep", "--graph-t", str(p0), "--graph-t1", str(p1),
                "--p", "0", "--q", "0", "--seeds", "1", "-o", str(tmp_path / "o.csv")])
     assert rc == 3
+
+
+def _spoil(path):
+    """Append a line holding a byte that is not UTF-8."""
+    with open(path, "ab") as fh:
+        fh.write(b"n\xff1\tn2\n")
+
+
+def test_ingest_non_utf8_exits_2(tmp_path, capsys):
+    cdr = tmp_path / "x.csv"
+    cdr.write_bytes(b"A,B,2012-03-05T10:00:00,call,62\nB,\xffA,2012-03-05T10:00:00,call,1\n")
+    out = tmp_path / "g.tsv"
+    rc = main(["ingest", "--cdr", str(cdr), "--month", "2012-03", "-o", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(cdr) in err and "UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_detect_non_utf8_exits_2(tmp_path, capsys):
+    p0, _, _, _ = _write_pair(tmp_path)
+    _spoil(p0)
+    out = tmp_path / "o.tsv"
+    assert main(["detect", "--graph", str(p0), "-o", str(out)]) == 2
+    assert str(p0) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["prev-partition", "compare", "graph-t", "graph-t1", "track-add",
+                                    "timeline-partition"])
+def test_every_cli_reader_reports_non_utf8_as_input_error(tmp_path, capsys, reader):
+    p0, p1, _, _ = _write_pair(tmp_path)
+    part = tmp_path / "p0.tsv"
+    assert main(["detect", "--graph", str(p0), "-o", str(part)]) == 0
+    out = tmp_path / "o"
+    tl_dir = tmp_path / "tl"
+    if reader.startswith("timeline"):
+        assert main(["track", "--timeline", str(tl_dir), "--add", str(p0)]) == 0
+    bad, argv = {
+        "prev-partition": (part, ["detect", "--graph", str(p1), "--prev-partition", str(part), "-o", str(out)]),
+        "compare": (part, ["compare", "--prev", str(part), "--next", str(part)]),
+        "graph-t": (p0, ["sweep", "--graph-t", str(p0), "--graph-t1", str(p1), "-o", str(out)]),
+        "graph-t1": (p1, ["sweep", "--graph-t", str(p0), "--graph-t1", str(p1), "-o", str(out)]),
+        "track-add": (p1, ["track", "--timeline", str(tl_dir), "--add", str(p1)]),
+        "timeline-partition": (tl_dir / "step_0.partition.tsv",
+                               ["track", "--timeline", str(tl_dir), "--add", str(p1)]),
+    }[reader]
+    _spoil(bad)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err

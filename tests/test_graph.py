@@ -265,3 +265,25 @@ def test_modularity_matches_oracle_small_random():
         got = modularity(g, Partition(g.ids, np.asarray(labels)))
         want = oracle_modularity(n, edges, labels)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_subgraph_matches_build_graph_on_kept_edges():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n, edges = random_graph(rng)
+        g = build_graph([(f"v{u}", f"v{v}", w) for u, v, w in edges], nodes=[f"v{u}" for u in range(n)])
+        keep = rng.random(g.n) < rng.random()
+        sub = g.subgraph(keep)
+        kept = [x for x, k in zip(g.ids.ids, keep) if k]
+        want = build_graph([(u, v, w) for u, v, w in g.edges() if u in kept and v in kept], nodes=kept)
+        assert sub.ids.ids == want.ids.ids
+        for got_a, want_a in zip((sub.indptr, sub.nbr, sub.wgt, sub.self_loops),
+                                 (want.indptr, want.nbr, want.wgt, want.self_loops)):
+            assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a)
+        assert sub.total_weight_2m == want.total_weight_2m
+
+
+def test_subgraph_rejects_mask_of_wrong_length():
+    g = build_graph([("a", "b")])
+    with pytest.raises(InputError):
+        g.subgraph(np.ones(3, dtype=bool))

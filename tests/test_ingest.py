@@ -1,15 +1,22 @@
 """Record parsing, window arithmetic, symmetrization, degree capping."""
 
-from datetime import datetime, timezone
+import math
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import commtrack.ingest as ingest
 from commtrack.errors import InputError
 from commtrack.graph import build_graph
 from commtrack.ingest import (
     CdrKind,
     PairCounts,
     WindowSpec,
+    _parse_timestamp,
+    _window_test,
     aggregate_window,
     filter_high_degree,
     ingest_pipeline,
@@ -17,6 +24,8 @@ from commtrack.ingest import (
     parse_cdr,
     symmetrize,
 )
+
+from oracles import oracle_ingest, oracle_symmetrize
 
 
 def test_parse_single_call_record():
@@ -266,3 +275,225 @@ def test_pipeline_end_to_end():
     assert report.n_out_of_window == 1
     assert report.n_in_window == 5
     assert report.filter.n_removed == 0
+
+
+class _Untouchable:
+    """A line source that fails the test if anything reads from it."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("input was read before the arguments were checked")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cap": 0},
+    {"cap": -3},
+    {"weight_mode": "bogus"},
+    {"max_rejected_fraction": 1.5},
+    {"max_rejected_fraction": -0.1},
+    {"max_rejected_fraction": math.nan},
+])
+def test_pipeline_checks_arguments_before_reading(kwargs):
+    with pytest.raises(InputError):
+        ingest_pipeline(_Untouchable(), WindowSpec.from_label("2012-03"), **kwargs)
+
+
+def test_pipeline_reports_stage_seconds():
+    lines = ["A,B,2012-03-05T10:00:00,call,62", "B,A,2012-02-10T09:00:00,sms,0"]
+    _, report = ingest_pipeline(lines, WindowSpec.from_label("2012-03"))
+    assert set(report.seconds) == {"parse", "aggregate", "symmetrize", "filter"}
+    assert all(math.isfinite(v) and v >= 0.0 for v in report.seconds.values())
+
+
+# --- timestamp fast path ------------------------------------------------------------
+
+_DIGITS = "0123456789"
+_FOREIGN_DIGITS = ("\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",  # fullwidth
+                   "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")  # Arabic-Indic
+_TZS = (timezone.utc, timezone(timedelta(hours=5)), timezone(timedelta(hours=-11, minutes=-30)))
+
+
+@st.composite
+def _timestamp_texts(draw):
+    year = draw(st.sampled_from([1, 1999, 2011, 2012, 2013, 9999]))
+    month = draw(st.integers(0, 13))
+    day = draw(st.sampled_from([0, 1, 15, 28, 29, 30, 31, 32]))
+    hour = draw(st.sampled_from([0, 9, 19, 20, 23, 24, 25]))
+    minute = draw(st.sampled_from([0, 30, 59, 60]))
+    second = draw(st.sampled_from([0, 59, 60]))
+    sep = draw(st.sampled_from(["T", "T", " ", "t", "_"]))
+    text = f"{year:04d}-{month:02d}-{day:02d}{sep}{hour:02d}:{minute:02d}:{second:02d}"
+    if draw(st.integers(0, 5)) == 0:
+        text = draw(st.sampled_from([text[:10], text[:13], text[:16], text.replace("-", "").replace(":", "")]))
+    text += draw(st.sampled_from(["", "", "", "Z", "z", "+00:00", "+02:00", "-05:30", "+14:00",
+                                  ".5", ".123456", ".123456+01:00", "+0200", "x"]))
+    if draw(st.integers(0, 4)) == 0:
+        digits = draw(st.sampled_from(_FOREIGN_DIGITS))
+        positions = draw(st.sets(st.integers(0, len(text) - 1), min_size=1))
+        text = "".join(
+            digits[_DIGITS.index(c)] if i in positions and c in _DIGITS else c for i, c in enumerate(text)
+        )
+    return draw(st.sampled_from(["", "", " ", "x"])) + text + draw(st.sampled_from(["", "", " ", "x", "\n"]))
+
+
+_windows = st.builds(
+    WindowSpec,
+    year=st.sampled_from([2011, 2012, 2013]),
+    month=st.integers(1, 12),
+    span_months=st.integers(1, 14),
+    tz=st.sampled_from(_TZS),
+)
+
+
+def _full_parser(text, window):
+    ts = _parse_timestamp(text)
+    return None if ts is None else window.contains(ts)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_timestamp_texts(), st.text(max_size=24)), _windows)
+def test_window_fast_path_matches_full_parser(text, window):
+    try:
+        want = _full_parser(text, window)
+    except OverflowError:  # an offset that pushes year 1 or 9999 out of range
+        with pytest.raises(OverflowError):
+            _window_test(window)(text)
+        return
+    assert _window_test(window)(text) == want
+
+
+# only agreement with the full parser is checked: what fromisoformat makes of
+# these may differ between Python versions
+_ANY = object()
+
+
+@pytest.mark.parametrize("text, inside", [
+    ("2012-02-29T10:00:00", True),       # leap day
+    ("2011-02-29T10:00:00", None),       # no such day
+    ("2012-02-30T10:00:00", None),
+    ("2012-13-01T10:00:00", None),
+    ("2012-00-01T10:00:00", None),
+    ("2012-03-01T24:00:00", _ANY),
+    ("2012-03-31T23:59:59", True),
+    ("2012-04-01T00:00:00", False),
+    ("2011-12-31T23:59:59", False),
+    ("2012-04-01T01:30:00+02:00", True),  # 2012-03-31T23:30 UTC
+    ("2012-03-31T23:30:00-01:00", False),  # 2012-04-01T00:30 UTC
+    ("2012-01-01T00:30:00+01:00", False),  # 2011-12-31T23:30 UTC
+    ("2012-03-05T10:00:00Z", True),
+    ("2012-03-05 10:00:00", True),
+    ("2012-03-05T10:00:00.250", True),
+    ("\uff12\uff10\uff11\uff12-03-05T10:00:00", _ANY),
+    ("\u0662\u0660\u0661\u0662-03-05T10:00:00", _ANY),
+    ("x2012-03-05T10:00:00", None),
+    ("2012-03-05T10:00:00x", _ANY),
+])
+def test_window_fast_path_cases(text, inside):
+    window = WindowSpec.from_label("2012-03", span_months=3)
+    if inside is not _ANY:
+        assert _full_parser(text, window) == inside
+    assert _window_test(window)(text) == _full_parser(text, window)
+    # a naive time is read in the window's zone; an aware one is converted to it
+    shifted = WindowSpec.from_label("2012-03", span_months=3, tz=timezone(timedelta(hours=5)))
+    assert _window_test(shifted)(text) == _full_parser(text, shifted)
+
+
+# --- pipeline against the record-by-record reference ---------------------------------
+
+_NODE_IDS = ["a", "b", "c", "d", "e", "B", "\u00e4", "a0", "hub"]
+_MALFORMED = [
+    "a,b,2012-03-05T10:00:00",
+    ",b,2012-03-05T10:00:00,call,1",
+    "a,b,yesterday,call,1",
+    "a,b,2012-03-05T10:00:00,fax,1",
+    "a,b,2012-03-05T10:00:00,call,soon",
+    "a,b,2012-03-05T10:00:00,call,-5",
+    "a,b,2012-03-05T10:00:00,sms,12",
+    "a,a,2012-03-05T10:00:00,call,3",
+    "a,b,2012-02-30T10:00:00,call,3",
+    "a,b,c,d,e,f",
+]
+
+
+@st.composite
+def _cdr_lines(draw):
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["origin,target,timestamp,kind,duration_s", " Origin , TARGET ,x"])))
+    for _ in range(draw(st.integers(0, 80))):
+        roll = draw(st.integers(0, 19))
+        if roll == 0:
+            lines.append(draw(st.sampled_from(_MALFORMED)))
+        elif roll == 1:
+            lines.append(draw(st.sampled_from(["", "  "])))
+        else:
+            origin = "hub" if roll < 5 else draw(st.sampled_from(_NODE_IDS))
+            target = draw(st.sampled_from(_NODE_IDS))
+            month = draw(st.sampled_from(["2011-12", "2012-01", "2012-02", "2012-03", "2012-04"]))
+            day = draw(st.sampled_from(["01", "15", "31"]))
+            zone = draw(st.sampled_from(["", "", "", "Z", "+02:00", "-03:00"]))
+            stamp = f"{month}-{day if month != '2012-02' else '15'}T{draw(st.sampled_from(['00', '12', '23']))}:30:00{zone}"
+            kind = draw(st.sampled_from(["call", "sms", "CALL"]))
+            duration = 0 if kind == "sms" else draw(st.integers(0, 99))
+            lines.append(f"{origin}, {target},{stamp},{kind},{duration}")
+    return lines
+
+
+def _arrays(g):
+    return [g.ids.ids] + [(a.dtype.str, a.tobytes()) for a in (g.indptr, g.nbr, g.wgt, g.self_loops)]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_cdr_lines(), st.integers(1, 4), st.sampled_from(["unit", "comm_count"]), st.sampled_from([1, 2, 5, 1 << 16]))
+def test_pipeline_matches_record_reference(lines, cap, weight_mode, chunk):
+    window = WindowSpec.from_label("2012-03", span_months=2)
+    want_g, want = oracle_ingest(lines, window, cap, weight_mode)
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        g, report = ingest_pipeline(iter(lines), window, cap=cap, weight_mode=weight_mode)
+    assert _arrays(g) == _arrays(want_g)
+    rej, flt = report.rejections, report.filter
+    got = {
+        "n_lines": rej.n_lines,
+        "n_valid": rej.n_valid,
+        "reasons": rej.reasons,
+        "first_line": rej.first_line,
+        "n_in_window": report.n_in_window,
+        "n_out_of_window": report.n_out_of_window,
+        "n_directed_pairs": report.n_directed_pairs,
+        "removed": flt.removed,
+        "n_nodes_before": flt.n_nodes_before,
+        "n_nodes_after": flt.n_nodes_after,
+        "n_edges_before": flt.n_edges_before,
+        "n_edges_after": flt.n_edges_after,
+    }
+    assert got == want
+    assert flt.cap == cap
+
+
+def test_pipeline_reference_sees_hubs_and_one_way_contacts():
+    lines = [f"hub,x{i},2012-03-0{1 + i % 5}T10:00:00,call,5" for i in range(6)]
+    lines += [f"x{i},hub,2012-02-10T10:00:00Z,sms,0" for i in range(6)]
+    lines += ["x0,x1,2012-03-01T10:00:00,call,1", "x1,x0,2012-03-02T10:00:00,call,1",
+              "x2,x3,2012-03-01T10:00:00,call,1"]
+    window = WindowSpec.from_label("2012-03", span_months=2)
+    g, report = ingest_pipeline(lines, window, cap=5, weight_mode="comm_count")
+    want_g, want = oracle_ingest(lines, window, 5, "comm_count")
+    assert _arrays(g) == _arrays(want_g)
+    assert report.filter.removed == want["removed"] == ["hub"]
+    assert list(g.edges()) == [("x0", "x1", 2.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(_NODE_IDS), st.sampled_from(_NODE_IDS)),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 50)),
+        max_size=40,
+    ),
+    st.sampled_from(["unit", "comm_count"]),
+)
+def test_symmetrize_matches_dictionary_reference(raw, weight_mode):
+    counts = {key: PairCounts(*value) for key, value in raw.items()}
+    assert _arrays(symmetrize(counts, weight_mode)) == _arrays(oracle_symmetrize(counts, weight_mode))
