@@ -38,7 +38,6 @@ from .louvain import (
     louvain_dynamic,
     louvain_static,
     modularity,
-    modularity_gain,
     renumber_partition,
     sample_fixed_set,
     sample_pref_set,
@@ -54,7 +53,7 @@ from .metrics import (
 )
 from .synth import SynthSpec, generate
 from .tracker import Timeline, bootstrap, load_timeline, save_timeline, step
-from .cli import SweepResult, SweepSpec, run_sweep
+from .sweep import SweepResult, SweepSpec, run_sweep
 
 __version__ = "0.1.0"
 
@@ -88,7 +87,6 @@ __all__ = [
     "louvain_dynamic",
     "louvain_static",
     "modularity",
-    "modularity_gain",
     "renumber_partition",
     "sample_fixed_set",
     "sample_pref_set",

@@ -200,9 +200,6 @@ def build_graph(edges: Iterable[EdgeInput], nodes: Iterable[ExternalId] = ()) ->
     n = len(ext_ids)
     id_map = IdMap(ext_ids)
     loops = np.zeros(n, dtype=np.float64)
-    if not us:
-        return Graph(id_map, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), loops)
-
     ua = np.asarray(us, dtype=np.int64)
     va = np.asarray(vs, dtype=np.int64)
     wa = np.asarray(ws, dtype=np.float64)
@@ -219,8 +216,6 @@ def build_graph(edges: Iterable[EdgeInput], nodes: Iterable[ExternalId] = ()) ->
         np.add.at(loops, ua[loop_mask], wa[loop_mask])
         keep = ~loop_mask
         ua, va, wa = ua[keep], va[keep], wa[keep]
-        if len(ua) == 0:
-            return Graph(id_map, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), loops)
 
     lo = np.minimum(ua, va)
     hi = np.maximum(ua, va)
@@ -238,7 +233,7 @@ def graph_from_distinct_edges(
     n = len(ids)
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
-    w2 = np.concatenate([w, w])
+    w2 = np.concatenate([w, w], dtype=np.float64)  # bincount sums come back int64 when empty
     order = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
@@ -348,30 +343,13 @@ def aggregate_by_partition(g: Graph, part: Partition) -> Graph:
         # each internal edge appears in both directions -> sum/2 counts it once
         np.add.at(new_loops, cu[internal], g.wgt[internal] * 0.5)
 
-    ext_u = cu[~internal]
-    ext_v = cv[~internal]
-    ext_w = g.wgt[~internal]
-
-    id_map = IdMap(uniq.tolist())
-    n_new = c
-    if len(ext_u) == 0:
-        return Graph(
-            id_map,
-            np.zeros(n_new + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-            new_loops,
-        )
-
-    # directed entries already come in both orientations; merge per (cu, cv)
-    keys = ext_u * n_new + ext_v
+    # each crossing edge appears in both directions; keep one so both
+    # orientations get the same merged weight
+    half = cu < cv
+    keys = cu[half] * c + cv[half]
     uniq_keys, inv = np.unique(keys, return_inverse=True)
-    merged_w = np.bincount(inv, weights=ext_w, minlength=len(uniq_keys))
-    rows2 = uniq_keys // n_new
-    cols2 = uniq_keys % n_new
-    indptr = np.zeros(n_new + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows2, minlength=n_new), out=indptr[1:])
-    return Graph(id_map, indptr, cols2, merged_w, new_loops)
+    merged_w = np.bincount(inv, weights=g.wgt[half], minlength=len(uniq_keys))
+    return graph_from_distinct_edges(IdMap(uniq.tolist()), uniq_keys // c, uniq_keys % c, merged_w, new_loops)
 
 
 # --- text formats -----------------------------------------------------------

@@ -239,6 +239,8 @@ class WindowSpec:
     tz: tzinfo = timezone.utc
 
     def __post_init__(self):
+        if not 1 <= self.year <= 9999:
+            raise InputError(f"year must be 1..9999, got {self.year}")
         if not 1 <= self.month <= 12:
             raise InputError(f"month must be 1..12, got {self.month}")
         if self.span_months < 1:
@@ -269,7 +271,10 @@ class WindowSpec:
 
     def contains(self, ts: datetime) -> bool:
         if ts.tzinfo is not None:
-            ts = ts.astimezone(self.tz)
+            try:
+                ts = ts.astimezone(self.tz)
+            except OverflowError:  # lands before year 1 or after 9999, outside any window
+                return False
         idx = ts.year * 12 + (ts.month - 1)
         return self._anchor_index - self.span_months < idx <= self._anchor_index
 

@@ -9,9 +9,9 @@ final flattened partition carries community lineage for free.
 Two stability knobs on top of the seeded variant:
 
 * fixed nodes: a sampled subset of the surviving nodes is pinned to its
-  previous community. Pinned nodes never enter the level-1 move loop, and by
-  default every higher-level supernode containing one is frozen in place so
-  the pin survives flattening.
+  previous community. Pinned nodes never enter the level-1 move loop, and
+  every higher-level supernode containing one is frozen in place so the pin
+  survives flattening.
 * preferential attachment: a sampled subset of all nodes is, at level 1 only,
   restricted to moving into neighboring communities whose label already
   existed at the previous step (falling back to the normal rule when it has
@@ -36,9 +36,7 @@ __all__ = [
     "DynamicContext",
     "LevelStats",
     "RunReport",
-    "CommunitySums",
     "modularity",
-    "modularity_gain",
     "louvain_static",
     "louvain_dynamic",
     "sample_fixed_set",
@@ -56,9 +54,6 @@ class LouvainConfig:
     ``min_gain_epsilon``: a move (or a whole level) below this gain does not
     count as improvement. ``node_order``: "index" sweeps nodes in ascending
     internal index; "shuffled" applies one seeded shuffle per level.
-    ``freeze_fixed_supernodes``: when False, pinning is enforced at level 1
-    only and higher-level merges may relabel fixed nodes (permissive mode;
-    the default keeps the pin exact in the flattened output).
     ``collect_pref_trace``: record every restricted candidate set and chosen
     target for preferential nodes, for diagnostics.
     """
@@ -67,7 +62,6 @@ class LouvainConfig:
     max_passes_per_level: int = 100
     rng_seed: int = 0
     node_order: str = "index"  # "index" | "shuffled"
-    freeze_fixed_supernodes: bool = True
     collect_pref_trace: bool = False
 
     def __post_init__(self):
@@ -197,76 +191,6 @@ def _q_from_sums(com_in: np.ndarray, com_tot: np.ndarray, two_m: float) -> float
     return float(np.sum(com_in / two_m - (com_tot / two_m) ** 2))
 
 
-class CommunitySums:
-    """Cached per-community degree totals used by incremental gain evaluation."""
-
-    __slots__ = ("tot", "two_m")
-
-    def __init__(self, tot: Dict[int, float], two_m: float):
-        self.tot = tot
-        self.two_m = two_m
-
-    @classmethod
-    def from_partition(cls, g: Graph, part: Partition) -> "CommunitySums":
-        uniq, dense = np.unique(part.labels, return_inverse=True)
-        tot = np.bincount(dense, weights=g.degrees, minlength=len(uniq)).astype(np.float64)
-        return cls(dict(zip(uniq.tolist(), tot.tolist())), g.total_weight_2m)
-
-    def move(self, degree: float, source: int, target: int) -> None:
-        """Keep the cache consistent with a node move of the given degree."""
-        self.tot[source] -= degree
-        self.tot[target] = self.tot.get(target, 0.0) + degree
-
-    def check_consistent(self, g: Graph, part: Partition, atol: float = 1e-6) -> None:
-        fresh = CommunitySums.from_partition(g, part)
-        for lab, t in fresh.tot.items():
-            if abs(self.tot.get(lab, 0.0) - t) > atol:
-                raise InternalInvariantError(f"cached community total for label {lab} drifted")
-
-
-def modularity_gain(
-    g: Graph,
-    part: Partition,
-    node: int,
-    target_label: int,
-    sums: Optional[CommunitySums] = None,
-) -> float:
-    """Modularity change from moving ``node`` into ``target_label``.
-
-    Moving into the node's own community is 0 by definition. ``sums`` may be
-    maintained incrementally across moves; when omitted it is rebuilt.
-    """
-    if not 0 <= node < g.n:
-        raise InputError(f"node index {node} out of range")
-    current = int(part.labels[node])
-    if target_label == current:
-        return 0.0
-    if sums is None:
-        sums = CommunitySums.from_partition(g, part)
-    if sums.two_m != g.total_weight_2m:
-        raise InternalInvariantError("cached community sums were built for a different graph")
-    if current not in sums.tot:
-        raise InternalInvariantError("cached community sums are inconsistent with the partition")
-    two_m = sums.two_m
-    if two_m <= 0.0:
-        return 0.0
-
-    k_u = float(g.degrees[node])
-    nbrs, wts = g.neighbors(node)
-    labels = part.labels
-    w_cur = 0.0
-    w_tgt = 0.0
-    for v, w in zip(nbrs.tolist(), wts.tolist()):
-        lab = int(labels[v])
-        if lab == current:
-            w_cur += w
-        elif lab == target_label:
-            w_tgt += w
-    tot_tgt = sums.tot.get(target_label, 0.0)
-    tot_cur = sums.tot[current]
-    return (2.0 * (w_tgt - w_cur)) / two_m - (2.0 * k_u * (tot_tgt - tot_cur + k_u)) / (two_m * two_m)
-
-
 # --- dynamic context ----------------------------------------------------------
 
 
@@ -380,6 +304,14 @@ def _one_level(
     trace: Optional[list],
 ) -> Tuple[np.ndarray, LevelStats]:
     """Phase 1 on one level graph; returns final key per node and stats.
+
+    This is the package's one move rule. A visited node, taken out of its
+    community, scores each candidate community s by ``w_s - k_u * tot_s / 2m``
+    (its link weight into s, less its expected share of s's degree). It moves
+    to the best-scoring neighbouring community (for a preferential node, the
+    best one alive at the previous step, if any), equal scores going to the
+    smallest key, only when the modularity gain over staying, twice the score
+    difference over 2m, exceeds ``min_gain_epsilon``.
 
     The first sweep visits every movable node; each later sweep visits, in
     the same order, only the movable nodes that moved in the previous sweep
@@ -554,10 +486,7 @@ def _run(
 
         lg = aggregate_by_partition(lg, Partition(lg.ids, keys))
         keys = np.asarray(lg.ids.ids, dtype=np.int64)  # supernode external id == its community key
-        if cfg.freeze_fixed_supernodes and frozen_labels:
-            movable = [key not in frozen_labels for key in lg.ids.ids]
-        else:
-            movable = [True] * lg.n
+        movable = [key not in frozen_labels for key in lg.ids.ids]
         pref_flags = None  # preferential rule applies to the first level only
         level += 1
 
@@ -605,7 +534,7 @@ def louvain_dynamic(
         ctx.fixed,
         ctx.pref,
         ctx.prev_labels,
-        ctx.frozen_labels if cfg.freeze_fixed_supernodes else frozenset(),
+        ctx.frozen_labels,
     )
 
 

@@ -84,30 +84,12 @@ class ComparisonReport:
         return cls(**d)
 
 
-def _common_label_arrays(
-    a: Partition,
-    b: Partition,
-    common_nodes: Optional[Sequence] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+def _common_label_arrays(a: Partition, b: Partition) -> Tuple[np.ndarray, np.ndarray]:
     """Label pairs (a-label, b-label) over the shared node set.
 
-    With ``common_nodes`` given, exactly those external ids are used and each
-    must be covered by both partitions. Otherwise the intersection of the two
-    node sets is taken, ordered by a's node order for determinism.
+    The intersection of the two node sets is taken, ordered by a's node order
+    for determinism.
     """
-    if common_nodes is not None:
-        a_index = a.ids.index
-        b_index = b.ids.index
-        rows_a = []
-        rows_b = []
-        for x in common_nodes:
-            i = a_index.get(x)
-            j = b_index.get(x)
-            if i is None or j is None:
-                raise InputError(f"common node {x!r} is not covered by both partitions")
-            rows_a.append(i)
-            rows_b.append(j)
-        return a.labels[rows_a], b.labels[rows_b]
     if a.ids is b.ids or a.ids == b.ids:
         return a.labels, b.labels
     b_index = b.ids.index
@@ -131,23 +113,22 @@ def _contingency(la: np.ndarray, lb: np.ndarray):
     return uniq_a, uniq_b, cells // nb, cells % nb, counts
 
 
-def mutual_information(
-    a: Partition,
-    b: Partition,
-    common_nodes: Optional[Sequence] = None,
-) -> float:
+def mutual_information(a: Partition, b: Partition) -> float:
     """Mutual information between two partitions, in nats.
 
-    Probabilities are empirical frequencies over the shared node set (the
-    node intersection unless ``common_nodes`` pins it down); nodes unique to
-    either side do not contribute. An empty shared set leaves the measure
-    undefined and is rejected. Never negative.
+    Probabilities are empirical frequencies over the node intersection; nodes
+    unique to either side do not contribute. An empty shared set leaves the
+    measure undefined and is rejected. Never negative.
     """
-    la, lb = _common_label_arrays(a, b, common_nodes)
-    n = len(la)
-    if n == 0:
+    la, lb = _common_label_arrays(a, b)
+    if len(la) == 0:
         raise InputError("mutual information is undefined for an empty common node set")
-    uniq_a, uniq_b, ia, ib, counts = _contingency(la, lb)
+    return _mutual_information(len(la), _contingency(la, lb))
+
+
+def _mutual_information(n: int, table) -> float:
+    """MI in nats from a :func:`_contingency` table over ``n`` shared nodes."""
+    uniq_a, uniq_b, ia, ib, counts = table
     row = np.bincount(ia, weights=counts, minlength=len(uniq_a))
     col = np.bincount(ib, weights=counts, minlength=len(uniq_b))
     mi = 0.0
@@ -195,8 +176,12 @@ def matching_communities(
     la, lb = _common_label_arrays(a, b)
     if len(la) == 0:
         return []
-    uniq_a, uniq_b, ia, ib, counts = _contingency(la, lb)
+    return _matching(a, b, _contingency(la, lb), cfg)
 
+
+def _matching(a: Partition, b: Partition, table, cfg: MatchConfig) -> List[Tuple[int, int]]:
+    """:func:`matching_communities` from a :func:`_contingency` table."""
+    uniq_a, uniq_b, ia, ib, counts = table
     size_a: Dict[int, int] = dict(zip(*(arr.tolist() for arr in np.unique(a.labels, return_counts=True))))
     size_b: Dict[int, int] = dict(zip(*(arr.tolist() for arr in np.unique(b.labels, return_counts=True))))
 
@@ -229,9 +214,10 @@ def compare(
     la, lb = _common_label_arrays(a, b)
     if len(la) == 0:
         raise InputError("partitions share no nodes; comparison is undefined")
+    table = _contingency(la, lb)
 
     return ComparisonReport(
-        mi_nats=mutual_information(a, b),
+        mi_nats=_mutual_information(len(la), table),
         entropy_a=_entropy_of_labels(la),
         entropy_b=_entropy_of_labels(lb),
         n_common=len(la),
@@ -240,6 +226,6 @@ def compare(
         n_communities_a=len(np.unique(a.labels)),
         n_communities_b=len(np.unique(b.labels)),
         r=cfg.r,
-        matching=matching_communities(a, b, cfg),
+        matching=_matching(a, b, table, cfg),
         modularity_next=None if g_next is None else modularity(g_next, b),
     )

@@ -58,6 +58,54 @@ def oracle_gain(
     return oracle_modularity(n, edges, moved) - before
 
 
+def oracle_sweep(
+    n: int,
+    edges: Iterable[Edge],
+    labels: Sequence[int],
+    movable: Sequence[bool],
+    order: Sequence[int],
+    eps: float,
+    pref: Sequence[bool] = (),
+    prev_labels: Iterable[int] = (),
+    tie: float = 1e-12,
+) -> Tuple[List[int], List[Tuple[int, int, float]]]:
+    """One local-move sweep decided by full recomputation of every gain.
+
+    Nodes are visited in ``order``, skipping the non-movable ones. A visited
+    node moves to the neighbouring community of largest ``oracle_gain``
+    (gains within ``tie`` of the best count as equal; the smallest label wins)
+    when that gain exceeds ``eps``, and otherwise stays. A node flagged in
+    ``pref`` only considers neighbouring communities labelled in
+    ``prev_labels``, its own included, unless it has none. Returns the labels
+    after the sweep and the moves as (node, target, gain).
+    """
+    edges = list(edges)
+    nbrs: Dict[int, set] = {u: set() for u in range(n)}
+    for u, v, _w in edges:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    prev = set(prev_labels)
+    labels = list(labels)
+    moves: List[Tuple[int, int, float]] = []
+    for u in order:
+        if not movable[u]:
+            continue
+        around = {labels[v] for v in nbrs[u]}
+        if pref and pref[u] and around & prev:
+            around &= prev
+        around.discard(labels[u])
+        gains = {lab: oracle_gain(n, edges, labels, u, lab) for lab in around}
+        if not gains:
+            continue
+        best = max(gains.values())
+        if best > eps:
+            target = min(lab for lab, gain in gains.items() if gain >= best - tie)
+            moves.append((u, target, gains[target]))
+            labels[u] = target
+    return labels, moves
+
+
 def oracle_entropy(labels: Sequence[int]) -> float:
     n = len(labels)
     if n == 0:

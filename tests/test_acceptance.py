@@ -8,6 +8,7 @@ drifting synthetic pair at the stated configuration.
 
 import csv
 import os
+import random
 import tempfile
 import time
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import commtrack.louvain as louvain
 from commtrack.cli import SweepSpec, main, run_sweep
 from commtrack.graph import Partition, build_graph, read_edge_tsv
 from commtrack.ingest import PairCounts, WindowSpec, filter_high_degree, ingest_pipeline, symmetrize
@@ -24,7 +26,6 @@ from commtrack.louvain import (
     louvain_dynamic,
     louvain_static,
     modularity,
-    modularity_gain,
     renumber_partition,
     seeded_init,
 )
@@ -33,9 +34,9 @@ from commtrack.synth import SynthSpec, generate
 
 from oracles import (
     oracle_entropy,
-    oracle_gain,
     oracle_modularity,
     oracle_mutual_information,
+    oracle_sweep,
     random_graph,
     random_labels,
 )
@@ -77,25 +78,33 @@ def test_criterion_01_modularity_oracle_equivalence():
 
 
 def test_criterion_02_gain_oracle_equivalence():
+    # one production level-1 sweep (``_one_level``, which the optimizer runs at
+    # every level) replayed decision by decision against brute-force gains
     rng = np.random.default_rng(202)
+    cfg = LouvainConfig(max_passes_per_level=1)
     worst = 0.0
-    done = 0
+    wrong = n_moves = n_stays = done = 0
     while done < 500:
         n, edges = random_graph(rng, max_nodes=10, max_edges=30)
         if n < 2:
             continue
         g = build_graph(edges, nodes=range(n))
         labels = random_labels(rng, n)
-        part = Partition(g.ids, np.asarray(labels))
-        node = int(rng.integers(0, n))
-        target = int(rng.integers(0, max(labels) + 2))
-        got = modularity_gain(g, part, node, target)
-        want = oracle_gain(n, edges, labels, node, target)
-        worst = max(worst, abs(got - want))
+        movable = (rng.random(n) >= 0.2).tolist()
+        keys, stats = louvain._one_level(
+            g, np.asarray(labels, dtype=np.int64), movable, None, frozenset(),
+            cfg, random.Random(0), 1, None,
+        )
+        want, moves = oracle_sweep(n, edges, labels, movable, range(n), cfg.min_gain_epsilon)
+        wrong += keys.tolist() != want
+        q_after = stats.sweep_q[0] if stats.sweep_q else stats.q_start
+        worst = max(worst, abs(q_after - stats.q_start - sum(m[2] for m in moves)))
+        n_moves += len(moves)
+        n_stays += sum(movable) - len(moves)
         done += 1
-    ok = worst <= 1e-12
-    _verdict(2, "incremental move gain matches full recomputation on 500 cases",
-             ok, f"max |dGain|={worst:.2e}")
+    ok = wrong == 0 and worst <= 1e-12
+    _verdict(2, "every level-1 move decision matches brute-force gains on 500 cases",
+             ok, f"{wrong} sweeps differ, {n_moves} moves, {n_stays} stays, max |dQ|={worst:.2e}")
 
 
 def test_criterion_03_mutual_information_oracle_equivalence():

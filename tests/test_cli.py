@@ -253,6 +253,27 @@ def test_ingest_command(tmp_path):
     assert g.n_edges == 1
 
 
+def test_ingest_timestamp_converting_outside_years_1_to_9999(tmp_path, capsys):
+    # both instants leave years 1..9999 when converted to UTC
+    cdr = tmp_path / "x.csv"
+    cdr.write_text(
+        "A,B,0001-01-01T00:00:00+05:00,call,62\n"
+        "B,A,9999-12-31T23:00:00-05:00,sms,0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "g.tsv"
+    assert main(["ingest", "--cdr", str(cdr), "--month", "2012-03", "-o", str(out)]) == 0
+    assert "2 records kept (0 rejected, 2 outside window)" in capsys.readouterr().err
+    assert read_edge_tsv(out).n == 0
+
+
+@pytest.mark.parametrize("month", ["10000-01", "0-12"])
+def test_ingest_anchor_year_outside_1_to_9999_exits_2(tmp_path, month):
+    cdr = tmp_path / "x.csv"
+    cdr.write_text("A,B,2012-03-05T10:00:00,call,62\n", encoding="utf-8")
+    assert main(["ingest", "--cdr", str(cdr), "--month", month, "-o", str(tmp_path / "g.tsv")]) == 2
+
+
 def test_exit_code_2_on_bad_input(tmp_path):
     rc = main(["detect", "--graph", str(tmp_path / "missing.tsv"),
                "-o", str(tmp_path / "o.tsv")])

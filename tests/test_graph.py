@@ -169,6 +169,21 @@ def test_aggregate_keeps_crossing_weight():
     assert agg.total_weight_2m == g.total_weight_2m
 
 
+def test_aggregate_weights_are_bitwise_symmetric():
+    # float weights summed in two orders can differ in the last bit; the two
+    # stored orientations of a supernode pair must not
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(1, 150))
+        edges = [(int(rng.integers(n)), int(rng.integers(n)), float(rng.random())) for _ in range(m)]
+        g = build_graph(edges, nodes=range(n))
+        agg = aggregate_by_partition(g, Partition(g.ids, rng.integers(0, 4, size=n)))
+        rows = np.repeat(np.arange(agg.n), np.diff(agg.indptr))
+        w = dict(zip(zip(rows.tolist(), agg.nbr.tolist()), agg.wgt.tolist()))
+        assert all(w[(v, u)] == x for (u, v), x in w.items())
+
+
 def test_aggregate_preserves_modularity_on_random_graphs():
     rng = np.random.default_rng(42)
     for _ in range(30):

@@ -1,5 +1,7 @@
 """Optimizer behavior: gains, seeding, pinning, steering, termination."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,12 @@ import commtrack.louvain as louvain
 from commtrack.errors import InputError
 from commtrack.graph import IdMap, Partition, build_graph
 from commtrack.louvain import (
-    CommunitySums,
     DynamicContext,
     LouvainConfig,
     derive_seed,
     louvain_dynamic,
     louvain_static,
     modularity,
-    modularity_gain,
     renumber_partition,
     round_half_up,
     sample_fixed_set,
@@ -26,7 +26,7 @@ from commtrack.louvain import (
 from commtrack.metrics import compare
 from commtrack.synth import SynthSpec, generate
 
-from oracles import canonical_blocks, oracle_gain, oracle_renumber, random_graph, random_labels
+from oracles import canonical_blocks, oracle_renumber, oracle_sweep, random_graph, random_labels
 
 
 def two_triangles():
@@ -72,51 +72,45 @@ def test_derive_seed_is_stable_and_sensitive():
     assert derive_seed(1, 2) != derive_seed(2, 1)
 
 
-# --- gain vs full recomputation ---------------------------------------------------
+# --- level-1 sweep vs full recomputation ------------------------------------------
 
 
-def test_gain_matches_oracle_random_cases():
+def test_level_one_sweep_matches_oracle():
+    # pinned, preferential and shuffled-order nodes in one production sweep;
+    # criterion 02 covers the plain rule on more cases. Every other case is a
+    # simple unit-weight graph started from singletons, where equal scores are
+    # common; its edge count is a power of two so that every score is exact
+    # and scores that tie in exact arithmetic also tie in floating point.
     rng = np.random.default_rng(11)
+    cfg = LouvainConfig(max_passes_per_level=1, node_order="shuffled", rng_seed=5)
+    restricted = 0
     done = 0
     while done < 120:
         n, edges = random_graph(rng, max_nodes=10, max_edges=25)
         if n < 2:
             continue
+        if done % 2 == 0:
+            edges = sorted({(min(u, v), max(u, v), 1.0) for u, v, _ in edges if u != v})
+            edges = edges[: 1 << max(0, len(edges).bit_length() - 1)]
         g = build_graph(edges, nodes=range(n))
-        labels = random_labels(rng, n)
-        part = Partition(g.ids, np.asarray(labels))
-        node = int(rng.integers(0, n))
-        target = int(rng.integers(0, max(labels) + 2))
-        got = modularity_gain(g, part, node, target)
-        want = oracle_gain(n, edges, labels, node, target)
-        assert got == pytest.approx(want, abs=1e-12)
+        labels = random_labels(rng, n) if done % 2 else list(range(n))
+        movable = (rng.random(n) >= 0.2).tolist()
+        pref = (rng.random(n) < 0.5).tolist()
+        prev = set(rng.choice(max(labels) + 1, size=max(1, max(labels) // 2), replace=False).tolist())
+        trace = []
+        keys, stats = louvain._one_level(
+            g, np.asarray(labels, dtype=np.int64), movable, pref, frozenset(prev),
+            cfg, random.Random(cfg.rng_seed), 1, trace,
+        )
+        order = list(range(n))
+        random.Random(cfg.rng_seed).shuffle(order)
+        want, moves = oracle_sweep(n, edges, labels, movable, order, cfg.min_gain_epsilon, pref, prev)
+        assert keys.tolist() == want
+        q_after = stats.sweep_q[0] if stats.sweep_q else stats.q_start
+        assert q_after - stats.q_start == pytest.approx(sum(m[2] for m in moves), abs=1e-12)
+        restricted += len(trace)
         done += 1
-
-
-def test_gain_own_community_is_zero():
-    g = two_triangles()
-    part = Partition(g.ids, np.array([0, 0, 0, 1, 1, 1]))
-    assert modularity_gain(g, part, 0, 0) == 0.0
-
-
-def test_gain_with_incremental_sums():
-    g = two_triangles()
-    part = Partition(g.ids, np.array([0, 0, 0, 1, 1, 1]))
-    sums = CommunitySums.from_partition(g, part)
-    before = modularity_gain(g, part, 2, 1, sums)
-    # apply the move and keep sums in sync
-    part.labels[2] = 1
-    sums.move(float(g.degrees[2]), 0, 1)
-    sums.check_consistent(g, part)
-    after = modularity_gain(g, part, 2, 0, sums)
-    assert after == pytest.approx(-before, abs=1e-12)
-
-
-def test_gain_rejects_bad_node():
-    g = two_triangles()
-    part = Partition.singletons(g)
-    with pytest.raises(InputError):
-        modularity_gain(g, part, 99, 0)
+    assert restricted > 0
 
 
 # --- static optimization -----------------------------------------------------------
@@ -298,19 +292,6 @@ def test_dynamic_validates_context_against_graph():
     ctx = DynamicContext.from_previous(prev, g0, 0.5, 0.0, seed=0)
     with pytest.raises(InputError):
         louvain_dynamic(other, ctx)
-
-
-def test_permissive_freeze_mode_still_pins_level_one():
-    # with supernode freezing off, pins hold whenever no upper level runs
-    g0, g1 = _drifting_pair(9)
-    prev = renumber_partition(louvain_static(g0)[0])
-    ctx = DynamicContext.from_previous(prev, g1, 1.0, 0.0, seed=2)
-    cfg = LouvainConfig(freeze_fixed_supernodes=False)
-    part, report = louvain_dynamic(g1, ctx, cfg)
-    if len(report.levels) == 1:
-        for i in ctx.fixed.tolist():
-            ext = g1.ids.ids[int(i)]
-            assert part.label_of(ext) == prev.label_of(ext)
 
 
 def test_renumber_partition_first_seen():

@@ -51,14 +51,6 @@ def test_mi_uses_only_common_nodes():
     assert mutual_information(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_mi_explicit_common_nodes():
-    a = _part([1, 2, 3, 4], [0, 0, 1, 1])
-    b = _part([1, 2, 3, 4], [4, 4, 6, 6])
-    assert mutual_information(a, b, common_nodes=[1, 3]) == pytest.approx(math.log(2), abs=1e-12)
-    with pytest.raises(InputError):
-        mutual_information(a, b, common_nodes=[1, 99])
-
-
 def test_mi_empty_intersection_rejected():
     a = _part([1, 2], [0, 0])
     b = _part([3, 4], [0, 0])
