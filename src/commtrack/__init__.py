@@ -8,7 +8,6 @@ synthetic-benchmark machinery around it.
 
 from .errors import CommtrackError, InputError, InternalInvariantError
 from .graph import (
-    CommunityLabel,
     Graph,
     IdMap,
     Partition,
@@ -27,7 +26,6 @@ from .ingest import (
     aggregate_window,
     filter_high_degree,
     ingest_pipeline,
-    merge_counts,
     parse_cdr,
     symmetrize,
 )
@@ -39,8 +37,6 @@ from .louvain import (
     louvain_static,
     modularity,
     renumber_partition,
-    sample_fixed_set,
-    sample_pref_set,
     seeded_init,
 )
 from .metrics import (
@@ -61,7 +57,6 @@ __all__ = [
     "CommtrackError",
     "InputError",
     "InternalInvariantError",
-    "CommunityLabel",
     "Graph",
     "IdMap",
     "Partition",
@@ -78,7 +73,6 @@ __all__ = [
     "aggregate_window",
     "filter_high_degree",
     "ingest_pipeline",
-    "merge_counts",
     "parse_cdr",
     "symmetrize",
     "DynamicContext",
@@ -88,8 +82,6 @@ __all__ = [
     "louvain_static",
     "modularity",
     "renumber_partition",
-    "sample_fixed_set",
-    "sample_pref_set",
     "seeded_init",
     "ComparisonReport",
     "MatchConfig",

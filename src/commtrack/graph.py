@@ -14,12 +14,14 @@ community.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+import math
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import InputError, reading_text
+
+INT64_MAX = int(np.iinfo(np.int64).max)  # community labels are int64
 
 ExternalId = Hashable
 EdgeInput = Union[Tuple[ExternalId, ExternalId], Tuple[ExternalId, ExternalId, float]]
@@ -51,19 +53,6 @@ class IdMap:
         return f"IdMap(n={len(self.ids)})"
 
 
-@dataclass(frozen=True)
-class CommunityLabel:
-    """A community identity: opaque value plus the step that first issued it.
-
-    Label values are plain int64s inside partitions; this record is the
-    bookkeeping a tracker keeps so "community existing at step t" stays
-    decidable. Values are never reissued within one timeline.
-    """
-
-    value: int
-    origin_snapshot: int
-
-
 class Graph:
     """Immutable undirected weighted graph in CSR form.
 
@@ -89,6 +78,11 @@ class Graph:
         self.wgt = wgt
         self.self_loops = self_loops
         self.total_weight_2m = float(wgt.sum() + 2.0 * self_loops.sum())
+        # the optimizer's scores reach (2m)^2; past that they overflow
+        if not math.isfinite(self.total_weight_2m * self.total_weight_2m):
+            raise InputError(
+                f"total edge weight 2m = {self.total_weight_2m:g} is too large: (2m)^2 overflows"
+            )
         self._degrees: Optional[np.ndarray] = None
 
     @property
@@ -425,6 +419,8 @@ def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
                 label = int(label_s)
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: bad label {label_s!r}") from exc
+            if not -INT64_MAX - 1 <= label <= INT64_MAX:
+                raise InputError(f"{path}:{lineno}: label {label_s!r} is outside the int64 range")
             if node in assignment:
                 raise InputError(f"{path}:{lineno}: node {node!r} listed twice")
             assignment[node] = label

@@ -45,7 +45,6 @@ __all__ = [
     "parse_cdr",
     "iter_parse_cdr",
     "aggregate_window",
-    "merge_counts",
     "symmetrize",
     "filter_high_degree",
     "ingest_pipeline",
@@ -89,14 +88,6 @@ class RejectionReport:
     def note(self, reason: str, lineno: int) -> None:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
         self.first_line.setdefault(reason, lineno)
-
-    def merge(self, other: "RejectionReport") -> None:
-        self.n_lines += other.n_lines
-        self.n_valid += other.n_valid
-        for reason, count in other.reasons.items():
-            self.reasons[reason] = self.reasons.get(reason, 0) + count
-        for reason, lineno in other.first_line.items():
-            self.first_line.setdefault(reason, lineno)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -262,13 +253,6 @@ class WindowSpec:
     def _anchor_index(self) -> int:
         return self.year * 12 + (self.month - 1)
 
-    def months(self) -> List[Tuple[int, int]]:
-        """The (year, month) pairs covered, oldest first."""
-        out = []
-        for idx in range(self._anchor_index - self.span_months + 1, self._anchor_index + 1):
-            out.append((idx // 12, idx % 12 + 1))
-        return out
-
     def contains(self, ts: datetime) -> bool:
         if ts.tzinfo is not None:
             try:
@@ -350,21 +334,6 @@ def aggregate_window(records: Iterable[CdrRecord], window: WindowSpec) -> Direct
             counts[key] = pc
         pc.add(rec)
     return counts
-
-
-def merge_counts(*batches: DirectedCounts) -> DirectedCounts:
-    """Order-independent merge, so sharded aggregation equals one big pass."""
-    out: DirectedCounts = {}
-    for batch in batches:
-        for key, pc in batch.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = PairCounts(pc.calls, pc.smses, pc.duration_s)
-            else:
-                acc.calls += pc.calls
-                acc.smses += pc.smses
-                acc.duration_s += pc.duration_s
-    return out
 
 
 # --- graph construction -------------------------------------------------------

@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError, InternalInvariantError
-from .graph import Graph, Partition, aggregate_by_partition
+from .graph import INT64_MAX, Graph, Partition, aggregate_by_partition
 
 __all__ = [
     "LouvainConfig",
@@ -39,34 +39,31 @@ __all__ = [
     "modularity",
     "louvain_static",
     "louvain_dynamic",
-    "sample_fixed_set",
-    "sample_pref_set",
     "seeded_init",
     "round_half_up",
     "derive_seed",
 ]
 
 
+# A move counts as improvement only when its modularity gain exceeds this, and
+# a level only when it gains at least this much.
+MIN_GAIN = 1e-9
+
+
 @dataclass(frozen=True)
 class LouvainConfig:
-    """Termination and tie-breaking rules the optimizer needs pinned down.
+    """Termination and ordering rules the optimizer needs pinned down.
 
-    ``min_gain_epsilon``: a move (or a whole level) below this gain does not
-    count as improvement. ``node_order``: "index" sweeps nodes in ascending
-    internal index; "shuffled" applies one seeded shuffle per level.
-    ``collect_pref_trace``: record every restricted candidate set and chosen
-    target for preferential nodes, for diagnostics.
+    ``max_passes_per_level`` caps the sweeps of one level. ``node_order``:
+    "index" sweeps nodes in ascending internal index; "shuffled" applies one
+    seeded shuffle per level.
     """
 
-    min_gain_epsilon: float = 1e-9
     max_passes_per_level: int = 100
     rng_seed: int = 0
     node_order: str = "index"  # "index" | "shuffled"
-    collect_pref_trace: bool = False
 
     def __post_init__(self):
-        if self.min_gain_epsilon <= 0.0:
-            raise InputError("min_gain_epsilon must be > 0")
         if self.max_passes_per_level < 1:
             raise InputError("max_passes_per_level must be >= 1")
         if self.node_order not in ("index", "shuffled"):
@@ -94,8 +91,6 @@ class RunReport:
     final_q: float = 0.0
     n_fixed: int = 0
     n_pref: int = 0
-    # (level, node internal index, candidate labels, chosen label or None)
-    pref_trace: Optional[List[Tuple[int, int, Tuple[int, ...], Optional[int]]]] = None
 
     @property
     def total_moves(self) -> int:
@@ -146,16 +141,6 @@ def _sample_without_replacement(population: Sequence[int], fraction: float, seed
         return np.empty(0, dtype=np.int64)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     return np.sort(rng.choice(pop, size=k, replace=False))
-
-
-def sample_fixed_set(remaining: Iterable[int], p: float, seed: int) -> np.ndarray:
-    """Uniform sample of round(p * |remaining|) nodes to pin, sorted."""
-    return _sample_without_replacement(list(remaining), p, seed)
-
-
-def sample_pref_set(nodes: Iterable[int], q: float, seed: int) -> np.ndarray:
-    """Uniform sample of round(q * |nodes|) preferential-attachment nodes, sorted."""
-    return _sample_without_replacement(list(nodes), q, seed)
 
 
 # --- modularity --------------------------------------------------------------
@@ -237,14 +222,16 @@ class DynamicContext:
         for i, x in enumerate(g_next.ids.ids):
             j = prev_index.get(x)
             if j is None:
+                if next_fresh > INT64_MAX:
+                    raise InputError(f"fresh community label {next_fresh} is outside the int64 range")
                 init[i] = next_fresh
                 next_fresh += 1
             else:
                 init[i] = prev_label_arr[j]
                 remaining.append(i)
         remaining_arr = np.asarray(remaining, dtype=np.int64)
-        fixed = sample_fixed_set(remaining_arr, p, derive_seed(seed, 0))
-        pref = sample_pref_set(range(n), q, derive_seed(seed, 1))
+        fixed = _sample_without_replacement(remaining_arr, p, derive_seed(seed, 0))
+        pref = _sample_without_replacement(range(n), q, derive_seed(seed, 1))
         return cls(
             remaining=remaining_arr,
             prev_labels=frozenset(np.unique(prev_label_arr).tolist()),
@@ -301,17 +288,18 @@ def _one_level(
     cfg: LouvainConfig,
     rng: random.Random,
     level: int,
-    trace: Optional[list],
 ) -> Tuple[np.ndarray, LevelStats]:
     """Phase 1 on one level graph; returns final key per node and stats.
 
     This is the package's one move rule. A visited node, taken out of its
-    community, scores each candidate community s by ``w_s - k_u * tot_s / 2m``
-    (its link weight into s, less its expected share of s's degree). It moves
-    to the best-scoring neighbouring community (for a preferential node, the
-    best one alive at the previous step, if any), equal scores going to the
-    smallest key, only when the modularity gain over staying, twice the score
-    difference over 2m, exceeds ``min_gain_epsilon``.
+    community, scores each candidate community s by ``w_s * 2m - k_u * tot_s``
+    (its link weight into s, less its expected share of s's degree, scaled
+    by 2m). It moves to the best-scoring neighbouring community (for a
+    preferential node, the best one alive at the previous step, if any),
+    equal scores going to the smallest key, only when the modularity gain
+    over staying, twice the score difference over (2m)^2, exceeds
+    :data:`MIN_GAIN`. For integer weights every score is an integer, exact
+    while (2m)^2 stays below 2**53, so the tie-break is exact too.
 
     The first sweep visits every movable node; each later sweep visits, in
     the same order, only the movable nodes that moved in the previous sweep
@@ -358,8 +346,7 @@ def _one_level(
     visit = [u for u in order if movable[u]]
     queued = [False] * n  # u is already in the next sweep's visit list
 
-    eps = cfg.min_gain_epsilon
-    inv_two_m = 1.0 / two_m
+    min_diff = MIN_GAIN * two_m * two_m / 2.0
     q_prev = q_start
     while stats.sweeps < cfg.max_passes_per_level:
         moved = 0
@@ -376,30 +363,24 @@ def _one_level(
             w_own = links.get(su, 0.0)
             com_tot[su] -= ku
 
-            restricted = False
+            cand = links
             if pref_flags is not None and pref_flags[u]:
-                cand = [s for s in links if slot_is_prev[s]]
-                if cand:
-                    restricted = True
-                else:
-                    cand = links
-            else:
-                cand = links
+                cand = [s for s in links if slot_is_prev[s]] or links
 
-            stay_score = w_own - ku * com_tot[su] * inv_two_m
+            stay_score = w_own * two_m - ku * com_tot[su]
             best_slot = su
             best_score = stay_score
             best_key = slot_key[su]
             for s in cand:
                 if s == su:
                     continue
-                score = links[s] - ku * com_tot[s] * inv_two_m
+                score = links[s] * two_m - ku * com_tot[s]
                 if score > best_score or (score == best_score and slot_key[s] < best_key):
                     best_slot = s
                     best_score = score
                     best_key = slot_key[s]
 
-            if best_slot != su and 2.0 * (best_score - stay_score) * inv_two_m > eps:
+            if best_slot != su and best_score - stay_score > min_diff:
                 node_slot[u] = best_slot
                 com_tot[best_slot] += ku
                 com_in[su] -= 2.0 * w_own + 2.0 * loops[u]
@@ -409,13 +390,8 @@ def _one_level(
                     if movable[v] and not queued[v]:
                         queued[v] = True
                         nxt.append(v)
-                chosen: Optional[int] = slot_key[best_slot]
             else:
                 com_tot[su] += ku
-                chosen = None
-            if restricted and trace is not None:
-                cands = tuple(sorted(slot_key[s] for s in links if slot_is_prev[s]))
-                trace.append((level, u, cands, chosen))
 
         stats.sweeps += 1
         stats.moves += moved
@@ -451,8 +427,6 @@ def _run(
     frozen_labels: FrozenSet[int],
 ) -> Tuple[Partition, RunReport]:
     report = RunReport(n_fixed=len(fixed), n_pref=len(pref))
-    if cfg.collect_pref_trace:
-        report.pref_trace = []
     if g.n == 0:
         return Partition(g.ids, np.empty(0, dtype=np.int64)), report
 
@@ -472,16 +446,14 @@ def _run(
     keys = flat
     level = 1
     while True:
-        keys, stats = _one_level(
-            lg, keys, movable, pref_flags, prev_labels, cfg, rng, level, report.pref_trace
-        )
+        keys, stats = _one_level(lg, keys, movable, pref_flags, prev_labels, cfg, rng, level)
         report.levels.append(stats)
         if level == 1:
             flat = keys
         else:  # supernode ids are the previous level's keys, sorted
             flat = keys[np.searchsorted(np.asarray(lg.ids.ids, dtype=np.int64), flat)]
         report.final_q = stats.q_end
-        if stats.moves == 0 or stats.q_end - stats.q_start < cfg.min_gain_epsilon:
+        if stats.moves == 0 or stats.q_end - stats.q_start < MIN_GAIN:
             break
 
         lg = aggregate_by_partition(lg, Partition(lg.ids, keys))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -137,19 +137,9 @@ def _mutual_information(n: int, table) -> float:
     return max(0.0, mi)
 
 
-def partition_entropy(part: Partition, restrict_to: Optional[Sequence] = None) -> float:
-    """Shannon entropy of community sizes in nats.
-
-    ``restrict_to`` limits the node set (external ids); unknown ids are
-    ignored. Entropy of an empty set is 0.
-    """
-    if restrict_to is None:
-        labels = part.labels
-    else:
-        index = part.ids.index
-        rows = [index[x] for x in restrict_to if x in index]
-        labels = part.labels[rows]
-    return _entropy_of_labels(labels)
+def partition_entropy(part: Partition) -> float:
+    """Shannon entropy of community sizes in nats; 0 for an empty partition."""
+    return _entropy_of_labels(part.labels)
 
 
 def _entropy_of_labels(labels: np.ndarray) -> float:

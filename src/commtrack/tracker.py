@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import InputError
 from .graph import (
-    CommunityLabel,
     Graph,
     Partition,
     build_graph,
@@ -116,7 +115,7 @@ class Timeline:
     label_counter: int = 0
     history: List[ComparisonReport] = field(default_factory=list)
     events: List[StepEvents] = field(default_factory=list)
-    label_origins: Dict[int, CommunityLabel] = field(default_factory=dict)
+    label_origins: Dict[int, int] = field(default_factory=dict)  # label -> step that first issued it
     # set by load_timeline and save_timeline
     _stored: Optional[_Stored] = field(default=None, init=False, repr=False, compare=False)
 
@@ -128,8 +127,7 @@ class Timeline:
 
     def _register_labels(self, part: Partition, step_index: int) -> None:
         for lab in sorted(part.labels_set):
-            if lab not in self.label_origins:
-                self.label_origins[lab] = CommunityLabel(lab, step_index)
+            self.label_origins.setdefault(lab, step_index)
         if len(part.labels):
             self.label_counter = max(self.label_counter, int(part.labels.max()) + 1)
 
@@ -244,7 +242,7 @@ def save_timeline(tl: Timeline, directory) -> None:
         "n_steps": len(tl.steps),
         "snapshot_ids": [st.snapshot_id for st in tl.steps],
         "label_counter": tl.label_counter,
-        "label_origins": {str(lab): cl.origin_snapshot for lab, cl in tl.label_origins.items()},
+        "label_origins": {str(lab): origin for lab, origin in tl.label_origins.items()},
         "events": [
             {
                 "step_index": ev.step_index,
@@ -287,7 +285,7 @@ def _read_meta(d: Path) -> Tuple[Timeline, list]:
                 )
             )
         for lab_s, origin in meta["label_origins"].items():
-            tl.label_origins[int(lab_s)] = CommunityLabel(int(lab_s), int(origin))
+            tl.label_origins[int(lab_s)] = int(origin)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"timeline in {d} has an unreadable meta.json: {exc!r}") from exc
     if len(snapshot_ids) != n_steps or len(tl.events) != max(0, n_steps - 1):

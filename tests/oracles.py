@@ -68,7 +68,7 @@ def oracle_sweep(
     pref: Sequence[bool] = (),
     prev_labels: Iterable[int] = (),
     tie: float = 1e-12,
-) -> Tuple[List[int], List[Tuple[int, int, float]]]:
+) -> Tuple[List[int], List[Tuple[int, int, float]], int]:
     """One local-move sweep decided by full recomputation of every gain.
 
     Nodes are visited in ``order``, skipping the non-movable ones. A visited
@@ -77,7 +77,8 @@ def oracle_sweep(
     when that gain exceeds ``eps``, and otherwise stays. A node flagged in
     ``pref`` only considers neighbouring communities labelled in
     ``prev_labels``, its own included, unless it has none. Returns the labels
-    after the sweep and the moves as (node, target, gain).
+    after the sweep, the moves as (node, target, gain), and the number of
+    visits whose candidates were so restricted.
     """
     edges = list(edges)
     nbrs: Dict[int, set] = {u: set() for u in range(n)}
@@ -88,12 +89,14 @@ def oracle_sweep(
     prev = set(prev_labels)
     labels = list(labels)
     moves: List[Tuple[int, int, float]] = []
+    restricted = 0
     for u in order:
         if not movable[u]:
             continue
         around = {labels[v] for v in nbrs[u]}
         if pref and pref[u] and around & prev:
             around &= prev
+            restricted += 1
         around.discard(labels[u])
         gains = {lab: oracle_gain(n, edges, labels, u, lab) for lab in around}
         if not gains:
@@ -103,7 +106,7 @@ def oracle_sweep(
             target = min(lab for lab, gain in gains.items() if gain >= best - tie)
             moves.append((u, target, gains[target]))
             labels[u] = target
-    return labels, moves
+    return labels, moves, restricted
 
 
 def oracle_entropy(labels: Sequence[int]) -> float:

@@ -93,9 +93,9 @@ def test_criterion_02_gain_oracle_equivalence():
         movable = (rng.random(n) >= 0.2).tolist()
         keys, stats = louvain._one_level(
             g, np.asarray(labels, dtype=np.int64), movable, None, frozenset(),
-            cfg, random.Random(0), 1, None,
+            cfg, random.Random(0), 1,
         )
-        want, moves = oracle_sweep(n, edges, labels, movable, range(n), cfg.min_gain_epsilon)
+        want, moves, _ = oracle_sweep(n, edges, labels, movable, range(n), louvain.MIN_GAIN)
         wrong += keys.tolist() != want
         q_after = stats.sweep_q[0] if stats.sweep_q else stats.q_start
         worst = max(worst, abs(q_after - stats.q_start - sum(m[2] for m in moves)))

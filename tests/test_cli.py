@@ -293,6 +293,51 @@ def test_detect_non_finite_weight_exits_2(tmp_path, weight):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "compare", "track"])
+def test_weight_sum_whose_square_overflows_exits_2(tmp_path, capsys, command):
+    graph = tmp_path / "huge.tsv"
+    graph.write_text("a\tb\t1e308\nb\ta\t1e308\n", encoding="utf-8")
+    part = tmp_path / "part.tsv"
+    part.write_text("a\t0\nb\t0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = {
+        "detect": ["detect", "--graph", str(graph), "-o", str(out)],
+        "compare": ["compare", "--prev", str(part), "--next", str(part), "--graph", str(graph),
+                    "-o", str(out)],
+        "track": ["track", "--timeline", str(out), "--add", str(graph)],
+    }[command]
+    assert main(args) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "compare"])
+def test_partition_label_outside_int64_exits_2(tmp_path, capsys, command):
+    p0, _, g0, _ = _write_pair(tmp_path)
+    part = tmp_path / "prev.tsv"
+    ids = g0.ids.ids
+    part.write_text("".join(f"{x}\t0\n" for x in ids[1:]) + f"{ids[0]}\t99999999999999999999\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    args = {
+        "detect": ["detect", "--graph", str(p0), "--prev-partition", str(part), "-o", str(out)],
+        "compare": ["compare", "--prev", str(part), "--next", str(part), "-o", str(out)],
+    }[command]
+    assert main(args) == 2
+    assert f"{part}:{len(ids)}: label" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_detect_fresh_label_past_int64_exits_2(tmp_path):
+    graph = tmp_path / "g.tsv"
+    graph.write_text("a\tb\nb\tc\n", encoding="utf-8")
+    part = tmp_path / "prev.tsv"
+    part.write_text(f"a\t0\nb\t{2**63 - 1}\n", encoding="utf-8")
+    out = tmp_path / "o.tsv"
+    assert main(["detect", "--graph", str(graph), "--prev-partition", str(part), "-o", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--p", "0.5"], ["--q", "0.25"], ["--p", "0"]])
 def test_detect_stability_flag_without_prev_partition_exits_2(tmp_path, flag):
     p0, _, _, _ = _write_pair(tmp_path)

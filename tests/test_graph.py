@@ -1,5 +1,7 @@
 """Core graph structure: construction, aggregation, text round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,15 @@ def test_build_graph_rejects_non_finite_weight(w, tmp_path):
     path.write_text(f"a\tb\t1\nb\tc\t{w}\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_edge_tsv(path)
+
+
+def test_build_graph_rejects_weight_sum_whose_square_overflows():
+    with pytest.raises(InputError, match="overflows"):
+        build_graph([("a", "b", 1e308), ("b", "a", 1e308)])
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    with pytest.raises(InputError, match="overflows"):
+        build_graph([(u, v, 1e160) for u, v in triangles])
+    assert build_graph([(u, v, 1e150) for u, v in triangles]).total_weight_2m == 1.2e151
 
 
 def test_isolated_nodes_via_nodes_argument():
@@ -269,6 +280,16 @@ def test_partition_tsv_rejects_duplicates_and_bad_labels(tmp_path):
     p2.write_text("a\tx\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_partition_tsv(p2)
+
+
+@pytest.mark.parametrize("label", [2**63, -(2**63) - 1, 10**20])
+def test_partition_tsv_rejects_labels_outside_int64(tmp_path, label):
+    path = tmp_path / "p.tsv"
+    path.write_text(f"a\t{2**63 - 1}\nb\t{-(2**63)}\n", encoding="utf-8")
+    assert read_partition_tsv(path).labels.tolist() == [2**63 - 1, -(2**63)]
+    path.write_text(f"a\t1\nb\t{label}\n", encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}:2: label {str(label)!r} is outside")):
+        read_partition_tsv(path)
 
 
 def test_modularity_matches_oracle_small_random():

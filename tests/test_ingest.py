@@ -20,7 +20,6 @@ from commtrack.ingest import (
     aggregate_window,
     filter_high_degree,
     ingest_pipeline,
-    merge_counts,
     parse_cdr,
     symmetrize,
 )
@@ -102,9 +101,10 @@ def test_parse_rejected_fraction_threshold():
 
 def test_window_months_and_labels():
     w = WindowSpec.from_label("2012-03", span_months=3)
-    assert w.months() == [(2012, 1), (2012, 2), (2012, 3)]
+    assert [m for m in range(1, 13) if w.contains(datetime(2012, m, 15))] == [1, 2, 3]
     w2 = WindowSpec.from_label("2012-01", span_months=3)
-    assert w2.months() == [(2011, 11), (2011, 12), (2012, 1)]
+    months = [(y, m) for y in (2011, 2012) for m in range(1, 13) if w2.contains(datetime(y, m, 15))]
+    assert months == [(2011, 11), (2011, 12), (2012, 1)]
     with pytest.raises(InputError):
         WindowSpec.from_label("2012/03")
     with pytest.raises(InputError):
@@ -147,19 +147,6 @@ def test_aggregate_window_filters_and_sums():
     assert counts[("A", "B")].calls == 2
     assert counts[("A", "B")].duration_s == 20
     assert counts[("B", "A")].smses == 1
-
-
-def test_aggregation_associative_over_batches():
-    w = WindowSpec.from_label("2012-02", span_months=2)
-    batch1 = [_rec("A", "B", "2012-01-10T08:00:00"), _rec("B", "A", "2012-02-01T09:00:00")]
-    batch2 = [_rec("A", "B", "2012-02-15T10:00:00", kind="sms")]
-    whole = aggregate_window(batch1 + batch2, w)
-    merged = merge_counts(aggregate_window(batch1, w), aggregate_window(batch2, w))
-    assert set(whole) == set(merged)
-    for key in whole:
-        assert (whole[key].calls, whole[key].smses, whole[key].duration_s) == (
-            merged[key].calls, merged[key].smses, merged[key].duration_s,
-        )
 
 
 # --- symmetrization ---------------------------------------------------------------

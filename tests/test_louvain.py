@@ -19,8 +19,6 @@ from commtrack.louvain import (
     modularity,
     renumber_partition,
     round_half_up,
-    sample_fixed_set,
-    sample_pref_set,
     seeded_init,
 )
 from commtrack.metrics import compare
@@ -38,8 +36,6 @@ def two_triangles():
 
 def test_config_validation():
     with pytest.raises(InputError):
-        LouvainConfig(min_gain_epsilon=0.0)
-    with pytest.raises(InputError):
         LouvainConfig(max_passes_per_level=0)
     with pytest.raises(InputError):
         LouvainConfig(node_order="sideways")
@@ -53,18 +49,19 @@ def test_round_half_up():
 
 
 def test_sampling_sizes_and_determinism():
+    sample = louvain._sample_without_replacement
     pop = list(range(100))
     for p in (0.0, 0.25, 0.5, 0.753, 1.0):
-        got = sample_fixed_set(pop, p, seed=9)
+        got = sample(pop, p, seed=9)
         assert len(got) == round_half_up(p * 100)
         assert set(got.tolist()) <= set(pop)
-    a = sample_pref_set(pop, 0.3, seed=5)
-    b = sample_pref_set(pop, 0.3, seed=5)
-    c = sample_pref_set(pop, 0.3, seed=6)
+    a = sample(pop, 0.3, seed=5)
+    b = sample(pop, 0.3, seed=5)
+    c = sample(pop, 0.3, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     with pytest.raises(InputError):
-        sample_fixed_set(pop, 1.2, seed=0)
+        sample(pop, 1.2, seed=0)
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -79,8 +76,7 @@ def test_level_one_sweep_matches_oracle():
     # pinned, preferential and shuffled-order nodes in one production sweep;
     # criterion 02 covers the plain rule on more cases. Every other case is a
     # simple unit-weight graph started from singletons, where equal scores are
-    # common; its edge count is a power of two so that every score is exact
-    # and scores that tie in exact arithmetic also tie in floating point.
+    # common and test the tie-break.
     rng = np.random.default_rng(11)
     cfg = LouvainConfig(max_passes_per_level=1, node_order="shuffled", rng_seed=5)
     restricted = 0
@@ -91,26 +87,45 @@ def test_level_one_sweep_matches_oracle():
             continue
         if done % 2 == 0:
             edges = sorted({(min(u, v), max(u, v), 1.0) for u, v, _ in edges if u != v})
-            edges = edges[: 1 << max(0, len(edges).bit_length() - 1)]
         g = build_graph(edges, nodes=range(n))
         labels = random_labels(rng, n) if done % 2 else list(range(n))
         movable = (rng.random(n) >= 0.2).tolist()
         pref = (rng.random(n) < 0.5).tolist()
         prev = set(rng.choice(max(labels) + 1, size=max(1, max(labels) // 2), replace=False).tolist())
-        trace = []
         keys, stats = louvain._one_level(
             g, np.asarray(labels, dtype=np.int64), movable, pref, frozenset(prev),
-            cfg, random.Random(cfg.rng_seed), 1, trace,
+            cfg, random.Random(cfg.rng_seed), 1,
         )
         order = list(range(n))
         random.Random(cfg.rng_seed).shuffle(order)
-        want, moves = oracle_sweep(n, edges, labels, movable, order, cfg.min_gain_epsilon, pref, prev)
+        want, moves, steered = oracle_sweep(n, edges, labels, movable, order, louvain.MIN_GAIN, pref, prev)
         assert keys.tolist() == want
         q_after = stats.sweep_q[0] if stats.sweep_q else stats.q_start
         assert q_after - stats.q_start == pytest.approx(sum(m[2] for m in moves), abs=1e-12)
-        restricted += len(trace)
+        restricted += steered
         done += 1
     assert restricted > 0
+
+
+def test_equal_scores_go_to_smallest_key():
+    # node 7's best candidates, the communities of nodes 6 and 8, score the
+    # same in exact arithmetic; a score computed as w - k * tot / 2m splits
+    # them by rounding and picks label 8
+    edges = [(0, 1), (0, 2), (0, 5), (0, 7), (0, 8), (1, 7), (1, 8), (2, 4), (2, 5),
+             (2, 7), (3, 4), (4, 6), (5, 6), (6, 7)]
+    edges = [(u, v, 1.0) for u, v in edges]
+    n = 10
+    g = build_graph(edges, nodes=range(n))
+    cfg = LouvainConfig(max_passes_per_level=1, node_order="shuffled", rng_seed=5)
+    keys, _ = louvain._one_level(
+        g, np.arange(n, dtype=np.int64), [True] * n, None, frozenset(),
+        cfg, random.Random(cfg.rng_seed), 1,
+    )
+    order = list(range(n))
+    random.Random(cfg.rng_seed).shuffle(order)
+    want, _, _ = oracle_sweep(n, edges, list(range(n)), [True] * n, order, louvain.MIN_GAIN)
+    assert want[7] == 6
+    assert keys.tolist() == want
 
 
 # --- static optimization -----------------------------------------------------------
@@ -195,6 +210,17 @@ def test_context_rejects_bad_fractions():
         DynamicContext.from_previous(prev, g, p=1.5, q=0.0, seed=0)
 
 
+def test_context_rejects_fresh_labels_past_int64():
+    g = build_graph([(0, 1)], nodes=[0, 1])
+    prev = Partition(g.ids, np.array([0, 2**63 - 1]))
+    DynamicContext.from_previous(prev, g, 0.5, 0.5, seed=0)
+    g_next = build_graph([(0, 1), (1, 2)], nodes=[0, 1, 2])
+    with pytest.raises(InputError, match="int64"):
+        DynamicContext.from_previous(prev, g_next, 0.0, 0.0, seed=0)
+    with pytest.raises(InputError, match="int64"):
+        seeded_init(Partition(g.ids, np.array([0, 1])), g_next, fresh_label_start=2**63)
+
+
 def test_seeded_init_matches_context():
     g0 = two_triangles()
     prev, _ = louvain_static(g0)
@@ -259,20 +285,28 @@ def test_p1_identical_snapshot_is_identity():
     assert part == prev
 
 
-def test_pref_restriction_only_targets_previous_labels():
-    # every steered move must land in a community labeled from the previous step
+def test_pref_restriction_only_targets_previous_labels(monkeypatch):
+    # test_level_one_sweep_matches_oracle checks that steered nodes only pick
+    # previous labels; here, the steering reaches level 1 and no level above
+    real = louvain._one_level
+    seen = []
+
+    def spy(lg, keys, movable, pref_flags, prev_labels, cfg, rng, level):
+        seen.append((level, pref_flags, prev_labels))
+        return real(lg, keys, movable, pref_flags, prev_labels, cfg, rng, level)
+
+    monkeypatch.setattr(louvain, "_one_level", spy)
     for seed in range(6):
         g0, g1 = _drifting_pair(seed, n=60, k=5)
         prev = renumber_partition(louvain_static(g0)[0])
         ctx = DynamicContext.from_previous(prev, g1, 0.0, 1.0, seed=seed)
-        cfg = LouvainConfig(collect_pref_trace=True)
-        part, report = louvain_dynamic(g1, ctx, cfg)
-        assert report.pref_trace is not None
-        for level, node, candidates, chosen in report.pref_trace:
-            assert level == 1
-            assert set(candidates) <= ctx.prev_labels
-            if chosen is not None:
-                assert chosen in ctx.prev_labels
+        seen.clear()
+        louvain_dynamic(g1, ctx)
+        assert len(seen) > 1
+        level, pref_flags, prev_labels = seen[0]
+        assert level == 1 and prev_labels == ctx.prev_labels
+        assert pref_flags == [True] * g1.n
+        assert all(flags is None for _, flags, _ in seen[1:])
 
 
 def test_pref_never_forces_a_move():

@@ -77,11 +77,10 @@ def test_mi_matches_oracle_random_pairs():
         assert got >= 0.0
 
 
-def test_entropy_restriction():
+def test_entropy_of_community_sizes():
     a = _part([1, 2, 3, 4], [0, 0, 1, 1])
     assert partition_entropy(a) == pytest.approx(math.log(2), abs=1e-12)
-    assert partition_entropy(a, restrict_to=[1, 2]) == 0.0
-    assert partition_entropy(a, restrict_to=[]) == 0.0
+    assert partition_entropy(_part([], [])) == 0.0
 
 
 # --- matching ------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_label_freshness_monotone():
                 assert lab >= counter_before
     # origin bookkeeping agrees with first appearance
     for lab, first in seen_at.items():
-        assert tl.label_origins[lab].origin_snapshot == first
+        assert tl.label_origins[lab] == first
 
 
 def test_births_and_deaths_are_unmatched_labels():
