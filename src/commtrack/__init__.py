@@ -19,14 +19,11 @@ from .graph import (
     write_partition_tsv,
 )
 from .ingest import (
-    CdrKind,
-    CdrRecord,
     FilterReport,
     WindowSpec,
     aggregate_window,
     filter_high_degree,
     ingest_pipeline,
-    parse_cdr,
     symmetrize,
 )
 from .louvain import (
@@ -66,14 +63,11 @@ __all__ = [
     "read_partition_tsv",
     "write_edge_tsv",
     "write_partition_tsv",
-    "CdrKind",
-    "CdrRecord",
     "FilterReport",
     "WindowSpec",
     "aggregate_window",
     "filter_high_degree",
     "ingest_pipeline",
-    "parse_cdr",
     "symmetrize",
     "DynamicContext",
     "LouvainConfig",

@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="preferential-attachment fraction (0..1, default 0); not allowed on the first call")
     p_trk.add_argument("--seed", type=int, default=0,
                        help="base seed; each step uses a sub-seed derived from it and the step index")
-    p_trk.add_argument("--r", type=float, default=0.51)
+    p_trk.add_argument("--r", type=float, default=None,
+                       help="matching overlap threshold (>0.5, default 0.51); not allowed on the first call")
 
     p_syn = sub.add_parser("synth", help="generate an evolving planted-partition sequence")
     p_syn.add_argument("--nodes", type=int, required=True)
@@ -218,8 +219,8 @@ def _cmd_compare(args) -> int:
 def _cmd_track(args) -> int:
     d = Path(args.timeline)
     appending = (d / "meta.json").exists()
-    if not appending and (args.p is not None or args.q is not None):
-        raise InputError("--p and --q apply only to an append; the first call starts the timeline")
+    if not appending and (args.p is not None or args.q is not None or args.r is not None):
+        raise InputError("--p, --q and --r apply only to an append; the first call starts the timeline")
     g = read_edge_tsv(args.add)
     if appending:
         tl = load_timeline(d)
@@ -231,7 +232,7 @@ def _cmd_track(args) -> int:
             args.q or 0.0,
             derive_step_seed(args.seed, idx),
             LouvainConfig(rng_seed=derive_step_seed(args.seed, idx)),
-            MatchConfig(args.r),
+            MatchConfig() if args.r is None else MatchConfig(args.r),
         )
         last = tl.history[-1]
         print(

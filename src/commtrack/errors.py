@@ -2,6 +2,8 @@
 
 from contextlib import contextmanager
 
+__all__ = ["CommtrackError", "InputError", "InternalInvariantError", "reading_text"]
+
 
 class CommtrackError(Exception):
     """Base class for all commtrack errors."""

@@ -21,6 +21,19 @@ import numpy as np
 
 from .errors import InputError, reading_text
 
+__all__ = [
+    "IdMap",
+    "Graph",
+    "build_graph",
+    "graph_from_distinct_edges",
+    "Partition",
+    "aggregate_by_partition",
+    "write_edge_tsv",
+    "read_edge_tsv",
+    "write_partition_tsv",
+    "read_partition_tsv",
+]
+
 INT64_MAX = int(np.iinfo(np.int64).max)  # community labels are int64
 
 ExternalId = Hashable
@@ -355,7 +368,20 @@ def _format_weight(w: float) -> str:
     return str(int(w)) if w == int(w) else repr(w)
 
 
+def _check_writable_ids(ids: Iterable[ExternalId]) -> None:
+    """Raise unless every id reads back from a TSV line as itself: it must be
+    non-empty, hold no tab, CR or LF, and not start with '#'."""
+    for x in ids:
+        s = str(x)
+        if not s or s[0] == "#" or "\t" in s or "\r" in s or "\n" in s:
+            raise InputError(
+                f"node id {s!r} cannot be written to a TSV file: ids must be non-empty, "
+                "hold no tab, CR or LF, and not start with '#'"
+            )
+
+
 def write_edge_tsv(g: Graph, path) -> None:
+    _check_writable_ids(g.ids.ids)
     with open(path, "w", encoding="utf-8") as fh:
         for u, v, w in g.edges():
             fh.write(f"{u}\t{v}\t{_format_weight(w)}\n")
@@ -394,6 +420,7 @@ def read_edge_tsv(path) -> Graph:
 
 
 def write_partition_tsv(part: Partition, path) -> None:
+    _check_writable_ids(part.ids.ids)
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(part.n):
             fh.write(f"{part.ids.ids[i]}\t{int(part.labels[i])}\n")

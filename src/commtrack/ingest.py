@@ -15,18 +15,20 @@ construction.
 
 Record format (header optional, UTF-8):
     origin,target,timestamp,kind,duration_s
-with ISO-8601 timestamps, kind one of call|sms, integer seconds.
+with ISO-8601 timestamps, kind one of call|sms, integer seconds (0 for sms).
+Kind and duration are validated but not kept: an edge's weight is 1 or its
+record count.
 """
 
 from __future__ import annotations
 
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone, tzinfo
-from enum import Enum
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -34,38 +36,16 @@ from .errors import InputError
 from .graph import Graph, IdMap, graph_from_distinct_edges
 
 __all__ = [
-    "CdrKind",
-    "CdrRecord",
     "WindowSpec",
-    "PairCounts",
-    "DirectedCounts",
     "RejectionReport",
     "FilterReport",
     "IngestReport",
-    "parse_cdr",
     "iter_parse_cdr",
     "aggregate_window",
     "symmetrize",
     "filter_high_degree",
     "ingest_pipeline",
 ]
-
-
-class CdrKind(Enum):
-    CALL = "call"
-    SMS = "sms"
-
-
-@dataclass(frozen=True)
-class CdrRecord:
-    """One validated communication event. Self-records never survive parsing,
-    and sms records always carry duration 0."""
-
-    origin: str
-    target: str
-    timestamp: datetime
-    kind: CdrKind
-    duration_s: int
 
 
 @dataclass
@@ -109,12 +89,12 @@ def _valid_records(
     lines: Iterable[str],
     report: RejectionReport,
     stamp: Callable[[str], object],
-) -> Iterator[Tuple[str, str, object, CdrKind, int]]:
+) -> Iterator[Tuple[str, str, object]]:
     """The line validator behind :func:`iter_parse_cdr` and
-    :func:`ingest_pipeline`: yields ``(origin, target, stamp(timestamp),
-    kind, duration_s)`` per valid line and counts every other non-blank line
-    in ``report`` under its reason. ``stamp`` returns None for a timestamp it
-    rejects.
+    :func:`ingest_pipeline`: yields ``(origin, target, stamp(timestamp))``
+    per valid line and counts every other non-blank line in ``report`` under
+    its reason. ``stamp`` returns None for a timestamp it rejects. Kind and
+    duration are checked, then dropped: no graph reads them.
     """
     first_content = True
     for lineno, raw in enumerate(lines, start=1):
@@ -146,12 +126,8 @@ def _valid_records(
         if ts is None:
             report.note("bad_timestamp", lineno)
             continue
-        kind_lower = kind_text.lower()
-        if kind_lower == "call":
-            kind = CdrKind.CALL
-        elif kind_lower == "sms":
-            kind = CdrKind.SMS
-        else:
+        kind = kind_text.lower()
+        if kind not in ("call", "sms"):
             report.note("bad_kind", lineno)
             continue
         try:
@@ -162,54 +138,24 @@ def _valid_records(
         if duration < 0:
             report.note("bad_duration", lineno)
             continue
-        if kind is CdrKind.SMS and duration != 0:
+        if kind == "sms" and duration != 0:
             report.note("sms_nonzero_duration", lineno)
             continue
         report.n_valid += 1
-        yield origin, target, ts, kind, duration
+        yield origin, target, ts
 
 
 def iter_parse_cdr(
     lines: Iterable[str],
     report: RejectionReport,
-) -> Iterator[CdrRecord]:
-    """Validate lines one at a time, updating ``report`` in place.
+) -> Iterator[Tuple[str, str, datetime]]:
+    """Validate lines one at a time, updating ``report`` in place, and yield
+    ``(origin, target, timestamp)`` per valid record.
 
     A leading header line (first field "origin", second "target") is skipped
     without counting as a rejection; blank lines are ignored.
     """
-    for fields in _valid_records(lines, report, _parse_timestamp):
-        yield CdrRecord(*fields)
-
-
-def _check_fraction(max_rejected_fraction: float) -> None:
-    if not 0.0 <= max_rejected_fraction <= 1.0:
-        raise InputError("max_rejected_fraction must lie in [0, 1]")
-
-
-def _check_rejections(report: RejectionReport, max_rejected_fraction: float) -> None:
-    if report.rejected_fraction() > max_rejected_fraction:
-        raise InputError(
-            f"rejected {report.n_rejected} of {report.n_lines} lines "
-            f"({report.rejected_fraction():.1%}), above the allowed "
-            f"{max_rejected_fraction:.1%}; reasons: {report.reasons}"
-        )
-
-
-def parse_cdr(
-    lines: Iterable[str],
-    max_rejected_fraction: float = 1.0,
-) -> Tuple[List[CdrRecord], RejectionReport]:
-    """Parse a record stream; malformed lines are counted, not fatal.
-
-    Raises only when the rejected fraction strictly exceeds
-    ``max_rejected_fraction`` (the default 1.0 can never be exceeded).
-    """
-    _check_fraction(max_rejected_fraction)
-    report = RejectionReport()
-    records = list(iter_parse_cdr(lines, report))
-    _check_rejections(report, max_rejected_fraction)
-    return records, report
+    return _valid_records(lines, report, _parse_timestamp)
 
 
 # --- window aggregation -------------------------------------------------------
@@ -296,44 +242,10 @@ def _window_test(window: WindowSpec) -> Callable[[str], Optional[bool]]:
     return test
 
 
-@dataclass
-class PairCounts:
-    """Traffic totals for one ordered (origin, target) pair."""
-
-    __slots__ = ("calls", "smses", "duration_s")
-
-    calls: int
-    smses: int
-    duration_s: int
-
-    @property
-    def comms(self) -> int:
-        return self.calls + self.smses
-
-    def add(self, record: CdrRecord) -> None:
-        if record.kind is CdrKind.CALL:
-            self.calls += 1
-            self.duration_s += record.duration_s
-        else:
-            self.smses += 1
-
-
-DirectedCounts = Dict[Tuple[str, str], PairCounts]
-
-
-def aggregate_window(records: Iterable[CdrRecord], window: WindowSpec) -> DirectedCounts:
-    """Directed pair totals over exactly the records inside the window."""
-    counts: DirectedCounts = {}
-    for rec in records:
-        if not window.contains(rec.timestamp):
-            continue
-        key = (rec.origin, rec.target)
-        pc = counts.get(key)
-        if pc is None:
-            pc = PairCounts(0, 0, 0)
-            counts[key] = pc
-        pc.add(rec)
-    return counts
+def aggregate_window(records: Iterable[Tuple[str, str, datetime]], window: WindowSpec) -> Counter:
+    """Record count per directed (origin, target) pair over exactly the
+    records inside the window."""
+    return Counter((origin, target) for origin, target, ts in records if window.contains(ts))
 
 
 # --- graph construction -------------------------------------------------------
@@ -392,8 +304,9 @@ def _mutual_graph(
     )
 
 
-def symmetrize(counts: DirectedCounts, weight_mode: str = "unit") -> Graph:
-    """Undirected graph with an edge (A,B) iff traffic flowed A→B and B→A.
+def symmetrize(counts: Mapping[Tuple[str, str], int], weight_mode: str = "unit") -> Graph:
+    """Undirected graph with an edge (A,B) iff traffic flowed A→B and B→A,
+    from a record count per directed pair.
 
     Weight is 1.0 in "unit" mode or the total communication count in both
     directions in "comm_count" mode. The node set is the endpoints of the
@@ -405,7 +318,7 @@ def symmetrize(counts: DirectedCounts, weight_mode: str = "unit") -> Graph:
     index: Dict[str, int] = {}
     intern = index.setdefault
     ends = np.fromiter((intern(x, len(index)) for pair in counts for x in pair), np.int64, 2 * len(counts))
-    comms = np.fromiter((pc.comms for pc in counts.values()), np.int64, len(counts))
+    comms = np.fromiter(counts.values(), np.int64, len(counts))
     return _mutual_graph(list(index), ends[0::2], ends[1::2], comms, weight_mode)
 
 
@@ -488,7 +401,8 @@ def ingest_pipeline(
     pairs as int64 keys and counts, plus one chunk of pairs not folded yet.
     Arguments are checked before the first line is read.
     """
-    _check_fraction(max_rejected_fraction)
+    if not 0.0 <= max_rejected_fraction <= 1.0:
+        raise InputError("max_rejected_fraction must lie in [0, 1]")
     _check_weight_mode(weight_mode)
     _check_cap(cap)
     rejections = RejectionReport()
@@ -501,7 +415,7 @@ def ingest_pipeline(
     n_out = 0
     fold_s = 0.0
     t0 = time.perf_counter()
-    for origin, target, inside, _, _ in _valid_records(lines, rejections, _window_test(window)):
+    for origin, target, inside in _valid_records(lines, rejections, _window_test(window)):
         if not inside:
             n_out += 1
             continue
@@ -515,7 +429,12 @@ def ingest_pipeline(
     t1 = time.perf_counter()
     keys, counts = _fold_pairs(keys, counts, chunk)
     del chunk
-    _check_rejections(rejections, max_rejected_fraction)
+    if rejections.rejected_fraction() > max_rejected_fraction:
+        raise InputError(
+            f"rejected {rejections.n_rejected} of {rejections.n_lines} lines "
+            f"({rejections.rejected_fraction():.1%}), above the allowed "
+            f"{max_rejected_fraction:.1%}; reasons: {rejections.reasons}"
+        )
     t2 = time.perf_counter()
     g = _mutual_graph(list(index), keys // _KEY_BASE, keys % _KEY_BASE, counts, weight_mode)
     n_pairs = len(keys)

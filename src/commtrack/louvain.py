@@ -40,6 +40,7 @@ __all__ = [
     "louvain_static",
     "louvain_dynamic",
     "seeded_init",
+    "renumber_partition",
     "round_half_up",
     "derive_seed",
 ]

@@ -20,7 +20,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, Partition, build_graph
+from .graph import Graph, IdMap, Partition, graph_from_distinct_edges
 from .louvain import round_half_up
 
 __all__ = ["SynthSpec", "generate"]
@@ -80,24 +80,26 @@ def _decode_pairs(t: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _sample_intra_edges(members: np.ndarray, p_in: float, rng: np.random.Generator) -> List[Tuple[int, int]]:
-    """All same-community pairs of one block, each kept with probability p_in."""
+def _sample_intra_edges(
+    members: np.ndarray, p_in: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """All same-community pairs of one block, each kept with probability p_in,
+    as two arrays of node indices."""
     s = len(members)
     n_pairs = s * (s - 1) // 2
-    if n_pairs == 0 or p_in == 0.0:
-        return []
-    count = rng.binomial(n_pairs, p_in)
+    count = rng.binomial(n_pairs, p_in) if n_pairs and p_in else 0
     if count == 0:
-        return []
+        return members[:0], members[:0]
     t = np.sort(rng.choice(n_pairs, size=count, replace=False))
     i, j = _decode_pairs(t, s)
-    return list(zip(members[i].tolist(), members[j].tolist()))
+    return members[i], members[j]
 
 
 def _sample_inter_edges(
     labels: np.ndarray, p_out: float, rng: np.random.Generator
-) -> List[Tuple[int, int]]:
-    """Cross-community pairs, each kept with probability p_out.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cross-community pairs, each kept with probability p_out, as two arrays
+    of node indices, smaller index first.
 
     Draws the edge count from the exact binomial, then fills it with distinct
     uniformly random cross-community pairs by rejection (cheap because p_out
@@ -108,47 +110,40 @@ def _sample_inter_edges(
     _, counts = np.unique(labels, return_counts=True)
     intra_pairs = int(np.sum(counts * (counts - 1) // 2))
     inter_pairs = total_pairs - intra_pairs
-    if inter_pairs == 0 or p_out == 0.0:
-        return []
-    count = rng.binomial(inter_pairs, p_out)
-    if count == 0:
-        return []
+    count = rng.binomial(inter_pairs, p_out) if inter_pairs and p_out else 0
 
     chosen: set = set()
-    out: List[Tuple[int, int]] = []
-    while len(out) < count:
-        need = count - len(out)
+    keys: List[int] = []
+    while len(keys) < count:
+        need = count - len(keys)
         u = rng.integers(0, n, size=2 * need + 16)
         v = rng.integers(0, n, size=2 * need + 16)
         ok = (u != v) & (labels[u] != labels[v])
-        lo = np.minimum(u[ok], v[ok])
-        hi = np.maximum(u[ok], v[ok])
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            key = a * n + b
+        for key in (np.minimum(u[ok], v[ok]) * n + np.maximum(u[ok], v[ok])).tolist():
             if key not in chosen:
                 chosen.add(key)
-                out.append((a, b))
-                if len(out) == count:
+                keys.append(key)
+                if len(keys) == count:
                     break
-    out.sort()
-    return out
+    pairs = np.array(keys, dtype=np.int64)
+    return pairs // n, pairs % n
 
 
 def _snapshot(ids: List[str], labels: np.ndarray, p_in: float, p_out: float,
               rng_intra: np.random.Generator, rng_inter: np.random.Generator) -> Graph:
     order = np.argsort(labels, kind="stable")
-    edges: List[Tuple[str, str, float]] = []
+    parts: List[Tuple[np.ndarray, np.ndarray]] = []
     start = 0
     labs = labels[order]
     for end in range(1, len(order) + 1):
         if end == len(order) or labs[end] != labs[start]:
-            block = order[start:end]
-            for u, v in _sample_intra_edges(block, p_in, rng_intra):
-                edges.append((ids[u], ids[v], 1.0))
+            parts.append(_sample_intra_edges(order[start:end], p_in, rng_intra))
             start = end
-    for u, v in _sample_inter_edges(labels, p_out, rng_inter):
-        edges.append((ids[u], ids[v], 1.0))
-    return build_graph(edges, nodes=ids)
+    parts.append(_sample_inter_edges(labels, p_out, rng_inter))
+    # distinct and loop-free by construction: intra pairs have i < j inside one
+    # block, inter pairs are deduplicated and join two labels
+    u, v = (np.concatenate(ends) for ends in zip(*parts))
+    return graph_from_distinct_edges(IdMap(ids), u, v, np.ones(len(u)), np.zeros(len(ids)))
 
 
 def generate(spec: SynthSpec) -> List[Tuple[Graph, Partition]]:

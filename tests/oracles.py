@@ -218,7 +218,7 @@ def oracle_symmetrize(counts, weight_mode: str = "unit"):
     for (a, b), fwd in counts.items():
         if a < b and (b, a) in counts:
             rev = counts[(b, a)]
-            w = 1.0 if weight_mode == "unit" else float(fwd.comms + rev.comms)
+            w = 1.0 if weight_mode == "unit" else float(fwd + rev)
             edges.append((a, b, w))
     edges.sort()
     return build_graph(edges)
@@ -256,7 +256,7 @@ def oracle_ingest(lines, window, cap: int, weight_mode: str):
     counts = aggregate_window(records, window)
     mutual = oracle_symmetrize(counts, weight_mode)
     g, removed = oracle_degree_cap(mutual, cap)
-    n_in = sum(1 for r in records if window.contains(r.timestamp))
+    n_in = sum(1 for r in records if window.contains(r[2]))
     return g, {
         "n_lines": rejections.n_lines,
         "n_valid": rejections.n_valid,

@@ -177,7 +177,9 @@ def test_track_builds_timeline(tmp_path):
     assert meta["n_steps"] == 3
 
 
-@pytest.mark.parametrize("flags", [["--p", "0.5"], ["--q", "0.9"], ["--p", "0", "--q", "0"]])
+@pytest.mark.parametrize("flags", [
+    ["--p", "0.5"], ["--q", "0.9"], ["--p", "0", "--q", "0"], ["--r", "0.6"], ["--r", "0.2"],
+])
 def test_track_rejects_stability_flags_on_first_call(tmp_path, flags):
     syn = tmp_path / "syn"
     _synth_steps(syn, 1)
@@ -265,6 +267,23 @@ def test_ingest_timestamp_converting_outside_years_1_to_9999(tmp_path, capsys):
     assert main(["ingest", "--cdr", str(cdr), "--month", "2012-03", "-o", str(out)]) == 0
     assert "2 records kept (0 rejected, 2 outside window)" in capsys.readouterr().err
     assert read_edge_tsv(out).n == 0
+
+
+@pytest.mark.parametrize("bad", ["#a", "a\tb"])
+def test_ingest_id_that_cannot_be_read_back_exits_2(tmp_path, capsys, bad):
+    # read_edge_tsv would take "#a<TAB>b<TAB>1" for a comment and split "a<TAB>b"
+    cdr = tmp_path / "x.csv"
+    cdr.write_text(
+        f"{bad},b,2012-03-05T10:00:00,call,62\n"
+        f"b,{bad},2012-03-06T10:00:00,sms,0\n"
+        "c,d,2012-03-05T10:00:00,call,1\n"
+        "d,c,2012-03-07T10:00:00,call,1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "g.tsv"
+    assert main(["ingest", "--cdr", str(cdr), "--month", "2012-03", "-o", str(out)]) == 2
+    assert not out.exists()
+    assert repr(bad) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("month", ["10000-01", "0-12"])

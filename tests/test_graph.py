@@ -292,6 +292,24 @@ def test_partition_tsv_rejects_labels_outside_int64(tmp_path, label):
         read_partition_tsv(path)
 
 
+@pytest.mark.parametrize("bad", ["", "a\tb", "a\rb", "a\nb", "#a"])
+def test_tsv_writers_reject_ids_that_do_not_read_back(tmp_path, bad):
+    g = build_graph([("x", bad), ("x", "y")])
+    for write, obj in ((write_edge_tsv, g), (write_partition_tsv, Partition.singletons(g))):
+        path = tmp_path / "out.tsv"
+        with pytest.raises(InputError, match=re.escape(repr(bad))):
+            write(obj, path)
+        assert not path.exists()
+
+
+def test_tsv_writers_keep_ids_with_inner_hash_and_spaces(tmp_path):
+    g = build_graph([("a#b", " s "), ("a#b", "x")], nodes=["lone "])
+    write_edge_tsv(g, tmp_path / "g.tsv")
+    write_partition_tsv(Partition.singletons(g), tmp_path / "p.tsv")
+    assert read_edge_tsv(tmp_path / "g.tsv").ids == g.ids
+    assert read_partition_tsv(tmp_path / "p.tsv").ids == g.ids
+
+
 def test_modularity_matches_oracle_small_random():
     rng = np.random.default_rng(3)
     for _ in range(40):
