@@ -15,11 +15,12 @@ community.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from itertools import chain, repeat
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import InputError, reading_text
+from .errors import InputError, InternalInvariantError, reading_text
 
 __all__ = [
     "IdMap",
@@ -111,9 +112,7 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Weighted degree per node; a self-loop counts twice its stored weight."""
         if self._degrees is None:
-            n = self.n
-            rows = np.repeat(np.arange(n), np.diff(self.indptr))
-            deg = np.bincount(rows, weights=self.wgt, minlength=n)
+            deg = np.bincount(self._rows(), weights=self.wgt, minlength=self.n)
             self._degrees = deg + 2.0 * self.self_loops
         return self._degrees
 
@@ -125,19 +124,26 @@ class Graph:
         lo, hi = self.indptr[u], self.indptr[u + 1]
         return self.nbr[lo:hi], self.wgt[lo:hi]
 
+    def _rows(self) -> np.ndarray:
+        """The row (source node index) of every CSR entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def _upper_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each undirected non-loop edge once as index arrays (u, v, w) with
+        u < v, in CSR order."""
+        rows = self._rows()
+        half = rows < self.nbr
+        return rows[half], self.nbr[half], self.wgt[half]
+
     def edges(self) -> Iterator[Tuple[ExternalId, ExternalId, float]]:
         """Yield each undirected edge once (u index <= v index), then self-loops."""
         ids = self.ids.ids
-        indptr = self.indptr
-        for u in range(self.n):
-            for e in range(indptr[u], indptr[u + 1]):
-                v = int(self.nbr[e])
-                if u < v:
-                    yield ids[u], ids[v], float(self.wgt[e])
-        for u in range(self.n):
-            w = float(self.self_loops[u])
-            if w != 0.0:
-                yield ids[u], ids[u], w
+        u, v, w = self._upper_edges()
+        for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()):
+            yield ids[a], ids[b], x
+        loops = np.flatnonzero(self.self_loops != 0.0)
+        for a, x in zip(loops.tolist(), self.self_loops[loops].tolist()):
+            yield ids[a], ids[a], x
 
     def subgraph(self, keep_mask: np.ndarray) -> "Graph":
         """The subgraph induced by the nodes where ``keep_mask`` is true.
@@ -149,7 +155,7 @@ class Graph:
         if keep.shape != (self.n,):
             raise InputError(f"subgraph mask has shape {keep.shape} for {self.n} nodes")
         new_index = np.cumsum(keep) - 1
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        rows = self._rows()
         edge_mask = keep[rows] & keep[self.nbr]
         kept = np.flatnonzero(keep)
         indptr = np.zeros(len(kept) + 1, dtype=np.int64)
@@ -176,22 +182,7 @@ def build_graph(edges: Iterable[EdgeInput], nodes: Iterable[ExternalId] = ()) ->
     orientation; (u, u) entries accumulate into the node's self-loop. Weights
     default to 1 and must be finite and non-negative.
     """
-    ext_ids: list = []
-    index: dict = {}
-
-    def intern(x: ExternalId) -> int:
-        i = index.get(x)
-        if i is None:
-            i = len(ext_ids)
-            index[x] = i
-            ext_ids.append(x)
-        return i
-
-    for x in nodes:
-        intern(x)
-
-    us: list = []
-    vs: list = []
+    ends: list = []
     ws: list = []
     for edge in edges:
         if len(edge) == 2:
@@ -200,35 +191,43 @@ def build_graph(edges: Iterable[EdgeInput], nodes: Iterable[ExternalId] = ()) ->
         else:
             a, b, w = edge  # type: ignore[misc]
             w = float(w)
-        us.append(intern(a))
-        vs.append(intern(b))
+        ends.append(a)
+        ends.append(b)
         ws.append(w)
+    id_map, idx = _intern(nodes, ends)
+    return _graph_from_index_arrays(id_map, idx[0::2], idx[1::2], np.asarray(ws, dtype=np.float64))
 
-    n = len(ext_ids)
-    id_map = IdMap(ext_ids)
-    loops = np.zeros(n, dtype=np.float64)
-    ua = np.asarray(us, dtype=np.int64)
-    va = np.asarray(vs, dtype=np.int64)
-    wa = np.asarray(ws, dtype=np.float64)
-    bad = ~((wa >= 0.0) & (wa < np.inf))  # NaN fails both comparisons
+
+def _intern(nodes: Iterable[ExternalId], ends: list) -> Tuple[IdMap, np.ndarray]:
+    """Index ids in first-seen order, ``nodes`` first, then ``ends``; returns
+    the ids and the index of each of ``ends``."""
+    id_map = IdMap(dict.fromkeys(chain(nodes, ends)))
+    return id_map, np.fromiter(map(id_map.index.__getitem__, ends), dtype=np.int64, count=len(ends))
+
+
+def _graph_from_index_arrays(id_map: IdMap, ua: np.ndarray, va: np.ndarray, w: np.ndarray) -> Graph:
+    """:func:`build_graph` of the edges ``(ua[i], va[i], w[i])``, given as
+    indices into ``id_map``."""
+    n = len(id_map)
+    bad = ~((w >= 0.0) & (w < np.inf))  # NaN fails both comparisons
     if bad.any():
         i = int(np.argmax(bad))
+        ids = id_map.ids
         raise InputError(
-            f"edge weight on ({ext_ids[us[i]]!r}, {ext_ids[vs[i]]!r}) must be finite "
-            f"and non-negative, got {ws[i]}"
+            f"edge weight on ({ids[ua[i]]!r}, {ids[va[i]]!r}) must be finite "
+            f"and non-negative, got {float(w[i])}"
         )
 
+    loops = np.zeros(n, dtype=np.float64)
     loop_mask = ua == va
     if loop_mask.any():
-        np.add.at(loops, ua[loop_mask], wa[loop_mask])
+        np.add.at(loops, ua[loop_mask], w[loop_mask])
         keep = ~loop_mask
-        ua, va, wa = ua[keep], va[keep], wa[keep]
+        ua, va, w = ua[keep], va[keep], w[keep]
 
-    lo = np.minimum(ua, va)
-    hi = np.maximum(ua, va)
-    keys = lo * n + hi
+    keys = np.minimum(ua, va) * n + np.maximum(ua, va)
     uniq, inv = np.unique(keys, return_inverse=True)
-    merged_w = np.bincount(inv, weights=wa, minlength=len(uniq))
+    merged_w = np.bincount(inv, weights=w, minlength=len(uniq))
     return graph_from_distinct_edges(id_map, uniq // n, uniq % n, merged_w, loops)
 
 
@@ -241,7 +240,11 @@ def graph_from_distinct_edges(
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
     w2 = np.concatenate([w, w], dtype=np.float64)  # bincount sums come back int64 when empty
-    order = np.lexsort((cols, rows))
+    # the entries are distinct, so one sort of this key orders them by (row, col)
+    key = rows.astype(np.int64) * n
+    key += cols
+    order = np.argsort(key)
+    del key
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return Graph(ids, indptr, cols[order], w2[order], self_loops)
@@ -341,7 +344,7 @@ def aggregate_by_partition(g: Graph, part: Partition) -> Graph:
     new_loops = np.zeros(c, dtype=np.float64)
     np.add.at(new_loops, dense, g.self_loops)
 
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    rows = g._rows()
     cu = dense[rows]
     cv = dense[g.nbr]
 
@@ -360,70 +363,144 @@ def aggregate_by_partition(g: Graph, part: Partition) -> Graph:
 
 
 # --- text formats -----------------------------------------------------------
-# Edge list: one edge per line, "u<TAB>v<TAB>w" (w optional, default 1);
-# lines starting with '#' are comments. Partition: "node_id<TAB>label".
+# Edge list: one edge per line, "u<TAB>v<TAB>w" (w optional, default 1), or a
+# lone "u" for a node without edges; lines starting with '#' are comments.
+# Partition: "node_id<TAB>label". Readers take a whole file as text and parse
+# it column by column; when a column does not parse, the file is scanned line
+# by line for the first bad line, which the error names.
+
+_WRITE_ROWS = 4096  # lines formatted per write; bounds the writers' memory
 
 
 def _format_weight(w: float) -> str:
     return str(int(w)) if w == int(w) else repr(w)
 
 
-def _check_writable_ids(ids: Iterable[ExternalId]) -> None:
-    """Raise unless every id reads back from a TSV line as itself: it must be
+def _as_text(values: np.ndarray, fmt: Callable[[object], str] = str) -> list:
+    """``fmt`` of each value, called once per distinct value."""
+    uniq, inv = np.unique(values, return_inverse=True)
+    return np.array([fmt(x) for x in uniq.tolist()], dtype=object)[inv].tolist()
+
+
+def _weights_as_text(w: np.ndarray) -> list:
+    return _as_text(w, _format_weight)
+
+
+def _writable_ids(ids: Iterable[ExternalId]) -> np.ndarray:
+    """The ids as strings (an object array, to gather by index), raising
+    unless every one reads back from a TSV line as itself: it must be
     non-empty, hold no tab, CR or LF, and not start with '#'."""
-    for x in ids:
-        s = str(x)
+    out = [str(x) for x in ids]
+    for s in out:
         if not s or s[0] == "#" or "\t" in s or "\r" in s or "\n" in s:
             raise InputError(
                 f"node id {s!r} cannot be written to a TSV file: ids must be non-empty, "
                 "hold no tab, CR or LF, and not start with '#'"
             )
+    return np.array(out, dtype=object)
+
+
+def _write_lines(fh, *columns: Tuple[np.ndarray, Callable[[np.ndarray], list]]) -> None:
+    """Write one line per row of the ``(array, to_text)`` columns, fields
+    joined by tabs, formatting ``_WRITE_ROWS`` rows at a time."""
+    for lo in range(0, len(columns[0][0]), _WRITE_ROWS):
+        hi = lo + _WRITE_ROWS
+        rows = zip(*(to_text(a[lo:hi]) for a, to_text in columns))
+        fh.write("\n".join(map("\t".join, rows)) + "\n")
 
 
 def write_edge_tsv(g: Graph, path) -> None:
-    _check_writable_ids(g.ids.ids)
+    """Write ``g`` as an edge list: each edge once in index order (u < v), then
+    self-loops, then nodes with neither as one-column lines."""
+    ids = _writable_ids(g.ids.ids)
+
+    def names(idx: np.ndarray) -> list:
+        return ids[idx].tolist()
+
+    u, v, w = g._upper_edges()
+    loops = np.flatnonzero(g.self_loops != 0.0)
+    lone = np.flatnonzero((g.neighbor_counts() == 0) & (g.self_loops == 0.0))
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v, w in g.edges():
-            fh.write(f"{u}\t{v}\t{_format_weight(w)}\n")
-        # isolated nodes kept as degenerate one-column lines
-        counts = g.neighbor_counts()
-        for i in range(g.n):
-            if counts[i] == 0 and g.self_loops[i] == 0.0:
-                fh.write(f"{g.ids.ids[i]}\n")
-
-
-def read_edge_tsv(path) -> Graph:
-    edges: list = []
-    nodes: list = []
-    with open(path, "r", encoding="utf-8") as fh, reading_text(path):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                nodes.append(parts[0])
-                continue
-            if len(parts) == 2:
-                u, v = parts
-                w = 1.0
-            elif len(parts) == 3:
-                u, v = parts[0], parts[1]
-                try:
-                    w = float(parts[2])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
-            else:
-                raise InputError(f"{path}:{lineno}: expected 1-3 tab-separated fields")
-            edges.append((u, v, w))
-    return build_graph(edges, nodes=nodes)
+        _write_lines(fh, (u, names), (v, names), (w, _weights_as_text))
+        _write_lines(fh, (loops, names), (loops, names), (g.self_loops[loops], _weights_as_text))
+        _write_lines(fh, (lone, names))
 
 
 def write_partition_tsv(part: Partition, path) -> None:
-    _check_writable_ids(part.ids.ids)
+    ids = _writable_ids(part.ids.ids)
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(part.n):
-            fh.write(f"{part.ids.ids[i]}\t{int(part.labels[i])}\n")
+        _write_lines(fh, (ids, np.ndarray.tolist), (part.labels, _as_text))
+
+
+def _data_lines(path) -> list:
+    """The lines of a TSV file that hold data, in file order.
+
+    The file is read whole in text mode, so CRLF and a lone CR end lines as
+    LF does; blank lines and lines starting with '#' are left out.
+    """
+    with open(path, "r", encoding="utf-8") as fh, reading_text(path):
+        text = fh.read()
+    lines = text.split("\n")
+    if text[:1] in ("#", "\n") or "\n#" in text or "\n\n" in text:
+        return [ln for ln in lines if ln and ln[0] != "#"]
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _raise_first_bad_line(path, problem: Callable[[list], Optional[str]]) -> NoReturn:
+    """Raise an :class:`InputError` naming the first data line of ``path``
+    for which ``problem`` (given the line's tab-separated fields) returns a
+    message."""
+    with open(path, "r", encoding="utf-8") as fh, reading_text(path):
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line and line[0] != "#":
+                message = problem(line.split("\t"))
+                if message is not None:
+                    raise InputError(f"{path}:{lineno}: {message}")
+    raise InternalInvariantError(f"{path}: a column failed to parse but no line is bad")
+
+
+def _edge_line_problem(parts: list) -> Optional[str]:
+    if len(parts) > 3:
+        return "expected 1-3 tab-separated fields"
+    if len(parts) == 3:
+        try:
+            float(parts[2])
+        except ValueError:
+            return f"bad weight {parts[2]!r}"
+    return None
+
+
+def read_edge_tsv(path) -> Graph:
+    """Read an edge list written by :func:`write_edge_tsv` or by hand.
+
+    Ids are indexed in first-seen order, one-column lines first, as
+    :func:`build_graph` does with them as ``nodes`` and the edges in file
+    order.
+    """
+    lines = _data_lines(path)
+    tabs = list(map(str.count, lines, repeat("\t", len(lines))))
+    if max(tabs, default=0) > 2:
+        _raise_first_bad_line(path, _edge_line_problem)
+    nodes: list = []
+    if min(tabs, default=2) < 2:  # a weight of 1 for two-column lines
+        nodes = [ln for ln, t in zip(lines, tabs) if t == 0]
+        lines = [ln if t == 2 else ln + "\t1" for ln, t in zip(lines, tabs) if t]
+    del tabs
+    joined = "\t".join(lines)
+    del lines
+    fields = joined.split("\t") if joined else []
+    del joined
+    try:
+        w = np.array(fields[2::3], dtype=np.float64)
+    except ValueError:
+        _raise_first_bad_line(path, _edge_line_problem)
+    del fields[2::3]
+    id_map, idx = _intern(nodes, fields)
+    del nodes, fields
+    return _graph_from_index_arrays(id_map, idx[0::2], idx[1::2], w)
 
 
 def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
@@ -432,26 +509,39 @@ def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
     Standalone partitions build their own IdMap in file order, which is how
     a previous snapshot's partition is compared against a newer graph.
     """
-    assignment: dict = {}
-    with open(path, "r", encoding="utf-8") as fh, reading_text(path):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'node<TAB>label'")
-            node, label_s = parts
-            try:
-                label = int(label_s)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: bad label {label_s!r}") from exc
-            if not -INT64_MAX - 1 <= label <= INT64_MAX:
-                raise InputError(f"{path}:{lineno}: label {label_s!r} is outside the int64 range")
-            if node in assignment:
-                raise InputError(f"{path}:{lineno}: node {node!r} listed twice")
-            assignment[node] = label
-    if graph is not None:
-        return Partition.from_mapping(graph, assignment)
-    id_map = IdMap(assignment.keys())
-    return Partition(id_map, np.fromiter(assignment.values(), dtype=np.int64, count=len(assignment)))
+    lines = _data_lines(path)
+    seen: set = set()
+
+    def problem(parts: list) -> Optional[str]:
+        if len(parts) != 2:
+            return "expected 'node<TAB>label'"
+        node, label_s = parts
+        try:
+            label = int(label_s)
+        except ValueError:
+            return f"bad label {label_s!r}"
+        if not -INT64_MAX - 1 <= label <= INT64_MAX:
+            return f"label {label_s!r} is outside the int64 range"
+        if node in seen:
+            return f"node {node!r} listed twice"
+        seen.add(node)
+        return None
+
+    if any(ln.count("\t") != 1 for ln in lines):
+        _raise_first_bad_line(path, problem)
+    joined = "\t".join(lines)
+    del lines
+    fields = joined.split("\t") if joined else []
+    del joined
+    try:
+        labels = np.array(fields[1::2], dtype=np.int64)
+    except (ValueError, OverflowError):
+        _raise_first_bad_line(path, problem)
+    del fields[1::2]
+    try:
+        ids = IdMap(fields)
+    except InputError:  # a node listed twice
+        _raise_first_bad_line(path, problem)
+    if graph is None:
+        return Partition(ids, labels)
+    return Partition.from_mapping(graph, dict(zip(ids.ids, labels.tolist())))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from typing import List, Sequence, TextIO
 
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, Partition
 from .louvain import (
     DynamicContext,
     LouvainConfig,
@@ -63,6 +63,9 @@ def run_sweep(
     """One baseline detection on the first snapshot per seed, then one
     stability run per (p, q, seed), measured against that baseline.
 
+    With ``node_order="index"`` the seed cannot change a static detection, so
+    one baseline, run with the first seed, serves every seed.
+
     Rows come back ordered by (p, q, seed). Node sets must overlap, otherwise
     the measures are undefined.
     """
@@ -71,10 +74,16 @@ def run_sweep(
         raise InputError("the two snapshots share no nodes; sweep measures are undefined")
 
     match_cfg = MatchConfig(spec.r)
-    baselines = {}
-    for s in spec.seeds:
+
+    def baseline(s: int) -> Partition:
         base, _ = louvain_static(g_t, replace(cfg, rng_seed=int(s)))
-        baselines[s] = renumber_partition(base)
+        return renumber_partition(base)
+
+    if cfg.node_order == "index":  # the seed orders no visit: one baseline serves every seed
+        shared = baseline(spec.seeds[0])
+        baselines = {s: shared for s in spec.seeds}
+    else:
+        baselines = {s: baseline(s) for s in spec.seeds}
 
     results: List[SweepResult] = []
     for p in spec.p_values:

@@ -12,7 +12,8 @@ comparison report per transition, and ``meta.json`` for the label counter and
 per-step bookkeeping. ``meta.json`` is the commit point: it names the
 committed step count, and everything past that count is ignored on load.
 Committed step files are written once, so an append writes the same amount
-whatever the timeline's length, and stored graphs are read only when used.
+whatever the timeline's length; a load reads the last partition, and other
+stored files only when they are used.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from .errors import InputError
 from .graph import (
     Graph,
     Partition,
-    build_graph,
+    graph_from_distinct_edges,
     read_edge_tsv,
     read_partition_tsv,
     write_edge_tsv,
@@ -59,31 +62,41 @@ __all__ = [
 class TimelineStep:
     """One snapshot of a timeline: its id, graph and partition.
 
-    A step loaded from a timeline directory holds the path of its stored graph
-    and reads it on first access to ``graph``, indexing its nodes in the
-    partition's order so that the partition covers it, as for a step made in
-    memory.
+    A step loaded from a timeline directory holds the paths of its stored
+    files and reads each on first access: the partition as it is, the graph
+    with its nodes indexed in the partition's order, so that the partition
+    covers it as for a step made in memory.
     """
 
-    __slots__ = ("snapshot_id", "partition", "_graph")
+    __slots__ = ("snapshot_id", "_partition", "_graph")
 
-    def __init__(self, snapshot_id: str, graph: Union[Graph, Path], partition: Partition):
+    def __init__(self, snapshot_id: str, graph: Union[Graph, Path], partition: Union[Partition, Path]):
         self.snapshot_id = snapshot_id
-        self.partition = partition
+        self._partition = partition
         self._graph = graph
+
+    @property
+    def partition(self) -> Partition:
+        if not isinstance(self._partition, Partition):
+            self._partition = read_partition_tsv(self._partition)
+        return self._partition
 
     @property
     def graph(self) -> Graph:
         if not isinstance(self._graph, Graph):
+            ids = self.partition.ids
             stored = read_edge_tsv(self._graph)
-            g = build_graph(stored.edges(), nodes=self.partition.ids.ids)
-            if not g.n == stored.n == self.partition.n:
+            order = np.fromiter((ids.index.get(x, -1) for x in stored.ids.ids), dtype=np.int64, count=stored.n)
+            if stored.n != len(ids) or (order < 0).any():
                 raise InputError(f"partition of step {self.snapshot_id!r} does not cover {self._graph}")
-            self._graph = g
+            u, v, w = stored._upper_edges()
+            loops = np.empty(stored.n, dtype=np.float64)
+            loops[order] = stored.self_loops
+            self._graph = graph_from_distinct_edges(ids, order[u], order[v], w, loops)
         return self._graph
 
     def __repr__(self) -> str:
-        return f"TimelineStep({self.snapshot_id!r}, {self._graph!r}, {self.partition!r})"
+        return f"TimelineStep({self.snapshot_id!r}, {self._graph!r}, {self._partition!r})"
 
 
 @dataclass
@@ -214,8 +227,8 @@ def save_timeline(tl: Timeline, directory) -> None:
 
     Steps this timeline already committed in that directory (it was loaded
     from it or last saved to it) are never written again; only new steps'
-    files and history rows are. A stored graph that was never read is copied
-    byte for byte. ``meta.json`` is the commit point: it is
+    files and history rows are. A stored graph or partition that was never
+    read is copied byte for byte. ``meta.json`` is the commit point: it is
     replaced atomically once everything it names is on disk, so a save
     interrupted before that leaves the previous commit loadable, and the next
     save overwrites the uncommitted files.
@@ -227,13 +240,13 @@ def save_timeline(tl: Timeline, directory) -> None:
     start = stored.n_steps if stored else 0
     history_start = stored.history_bytes if stored else 0
     for k in range(start, len(tl.steps)):
+        st = tl.steps[k]
         gpath, ppath = _step_paths(d, k)
-        stored_graph = tl.steps[k]._graph
-        if isinstance(stored_graph, Graph):
-            write_edge_tsv(stored_graph, gpath)
-        elif stored_graph.resolve() != gpath.resolve():
-            shutil.copyfile(stored_graph, gpath)  # never read: keep its bytes
-        write_partition_tsv(tl.steps[k].partition, ppath)
+        for held, path, write in ((st._graph, gpath, write_edge_tsv), (st._partition, ppath, write_partition_tsv)):
+            if not isinstance(held, Path):
+                write(held, path)
+            elif held.resolve() != path.resolve():
+                shutil.copyfile(held, path)  # never read: keep its bytes
     rows = b"".join(r.to_json().encode("utf-8") + b"\n" for r in tl.history[max(start - 1, 0):])
     with open(d / _HISTORY, "ab") as fh:
         fh.truncate(history_start)  # drops rows an interrupted save left behind
@@ -300,8 +313,8 @@ def load_timeline(directory) -> Timeline:
     """Load what ``meta.json`` in ``directory`` commits.
 
     History rows and step files past the committed step count are left out.
-    Each step's partition is read on its own (see :class:`TimelineStep`);
-    its graph is read on first use.
+    The last step's partition is read here; every other stored file is read
+    on first use (see :class:`TimelineStep`).
     """
     d = Path(directory)
     tl, snapshot_ids = _read_meta(d)
@@ -309,7 +322,9 @@ def load_timeline(directory) -> Timeline:
         gpath, ppath = _step_paths(d, k)
         if not gpath.exists() or not ppath.exists():
             raise InputError(f"timeline in {d} is missing files for step {k}")
-        tl.steps.append(TimelineStep(snapshot_id, gpath, read_partition_tsv(ppath)))
+        tl.steps.append(TimelineStep(snapshot_id, gpath, ppath))
+    if tl.steps:
+        tl.last.partition  # an append starts from it
     n_rows = max(0, len(tl.steps) - 1)
     history_bytes = 0
     history_path = d / _HISTORY

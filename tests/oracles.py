@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive: dense matrices, exhaustive
 enumeration, dictionary counting. Nothing is shared with the package code, so
-the same bug would have to be written twice to slip through. The one
-exception is the ingest reference at the end, which composes the package's
-record-level parser and tuple-based ``build_graph`` with per-pair dictionary
-symmetrization and a tuple-based degree cap.
+the same bug would have to be written twice to slip through. Two references
+at the end reuse package parts: the TSV reference builds its graphs and
+partitions in the package's containers (``IdMap``, ``Graph``, ``Partition``),
+and the ingest reference composes the package's record-level parser and
+tuple-based ``build_graph`` with per-pair dictionary symmetrization and a
+tuple-based degree cap.
 
 Node convention: graphs are (n, edges) with integer nodes 0..n-1 and edges as
 (u, v, w) tuples, possibly repeated (weights accumulate). A self entry
@@ -271,3 +273,146 @@ def oracle_ingest(lines, window, cap: int, weight_mode: str):
         "n_edges_before": mutual.n_edges,
         "n_edges_after": g.n_edges,
     }
+
+
+# --- TSV reference -------------------------------------------------------------
+# The line-by-line readers and writers the columnar ones replaced: one line at a
+# time, one dictionary entry per id and per node pair.
+
+
+def oracle_build_graph(edges, nodes=()):
+    """``build_graph`` by dictionaries: ids in first-seen order (``nodes``
+    first), weights summed per unordered pair and per loop in input order,
+    CSR rows sorted by neighbour."""
+    import numpy as np
+
+    from commtrack.errors import InputError
+    from commtrack.graph import Graph, IdMap
+
+    index: Dict = {}
+    for x in nodes:
+        index.setdefault(x, len(index))
+    triples = []
+    for edge in edges:
+        w = float(edge[2]) if len(edge) == 3 else 1.0
+        triples.append((index.setdefault(edge[0], len(index)), index.setdefault(edge[1], len(index)), w))
+    ids = list(index)
+    for a, b, w in triples:
+        if not 0.0 <= w < math.inf:
+            raise InputError(f"edge weight on ({ids[a]!r}, {ids[b]!r}) must be finite and non-negative, got {w}")
+    n = len(ids)
+    loops = [0.0] * n
+    pair_w: Dict[Tuple[int, int], float] = {}
+    for a, b, w in triples:
+        if a == b:
+            loops[a] += w
+        else:
+            key = (min(a, b), max(a, b))
+            pair_w[key] = pair_w.get(key, 0.0) + w
+    rows: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
+    for (a, b), w in pair_w.items():
+        rows[a].append((b, w))
+        rows[b].append((a, w))
+    indptr = [0]
+    nbr: List[int] = []
+    wgt: List[float] = []
+    for row in rows:
+        for b, w in sorted(row):
+            nbr.append(b)
+            wgt.append(w)
+        indptr.append(len(nbr))
+    return Graph(
+        IdMap(ids),
+        np.array(indptr, dtype=np.int64),
+        np.array(nbr, dtype=np.int64),
+        np.array(wgt, dtype=np.float64),
+        np.array(loops, dtype=np.float64),
+    )
+
+
+def oracle_read_edge_tsv(path):
+    from commtrack.errors import InputError, reading_text
+
+    edges: list = []
+    nodes: list = []
+    with open(path, "r", encoding="utf-8") as fh, reading_text(path):
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) == 1:
+                nodes.append(parts[0])
+                continue
+            if len(parts) == 2:
+                u, v = parts
+                w = 1.0
+            elif len(parts) == 3:
+                u, v = parts[0], parts[1]
+                try:
+                    w = float(parts[2])
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
+            else:
+                raise InputError(f"{path}:{lineno}: expected 1-3 tab-separated fields")
+            edges.append((u, v, w))
+    return oracle_build_graph(edges, nodes=nodes)
+
+
+def oracle_read_partition_tsv(path, graph=None):
+    import numpy as np
+
+    from commtrack.errors import InputError, reading_text
+    from commtrack.graph import IdMap, Partition
+
+    assignment: dict = {}
+    with open(path, "r", encoding="utf-8") as fh, reading_text(path):
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise InputError(f"{path}:{lineno}: expected 'node<TAB>label'")
+            node, label_s = parts
+            try:
+                label = int(label_s)
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: bad label {label_s!r}") from exc
+            if not -(2**63) <= label < 2**63:
+                raise InputError(f"{path}:{lineno}: label {label_s!r} is outside the int64 range")
+            if node in assignment:
+                raise InputError(f"{path}:{lineno}: node {node!r} listed twice")
+            assignment[node] = label
+    if graph is not None:
+        return Partition.from_mapping(graph, assignment)
+    return Partition(IdMap(assignment.keys()), np.array(list(assignment.values()), dtype=np.int64))
+
+
+def _oracle_weight_text(w: float) -> str:
+    return str(int(w)) if w == int(w) else repr(w)
+
+
+def oracle_write_edge_tsv(g, path) -> None:
+    """Edges once (u < v) walking the CSR, then self-loops, then nodes with
+    neither; ids are not checked."""
+    ids = g.ids.ids
+    with open(path, "w", encoding="utf-8") as fh:
+        for u in range(g.n):
+            for e in range(int(g.indptr[u]), int(g.indptr[u + 1])):
+                v = int(g.nbr[e])
+                if u < v:
+                    fh.write(f"{ids[u]}\t{ids[v]}\t{_oracle_weight_text(float(g.wgt[e]))}\n")
+        for u in range(g.n):
+            w = float(g.self_loops[u])
+            if w != 0.0:
+                fh.write(f"{ids[u]}\t{ids[u]}\t{_oracle_weight_text(w)}\n")
+        for u in range(g.n):
+            if g.indptr[u] == g.indptr[u + 1] and g.self_loops[u] == 0.0:
+                fh.write(f"{ids[u]}\n")
+
+
+def oracle_write_partition_tsv(part, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(part.n):
+            fh.write(f"{part.ids.ids[i]}\t{int(part.labels[i])}\n")

@@ -149,6 +149,23 @@ def test_sweep_baseline_row_matches_library(tmp_path):
     assert report.mi_nats == pytest.approx(mi_csv, abs=1e-15)
 
 
+@pytest.mark.parametrize("order, baselines", [("index", 1), ("shuffled", 3)])
+def test_sweep_runs_one_baseline_unless_order_is_shuffled(monkeypatch, order, baselines):
+    import commtrack.sweep as sweep
+
+    spec = SynthSpec(n_nodes=60, n_communities=3, p_in=0.4, p_out=0.02, churn_rate=0.1, steps=2, seed=4)
+    (g0, _), (g1, _) = generate(spec)
+    calls = []
+    real = sweep.louvain_static
+    monkeypatch.setattr(sweep, "louvain_static", lambda g, cfg: calls.append(cfg.rng_seed) or real(g, cfg))
+    results = run_sweep(g0, g1, SweepSpec([0.0, 1.0], [0.0], [3, 1, 2]), LouvainConfig(node_order=order))
+    assert len(calls) == baselines and calls[0] == 3
+    assert [(r.p, r.seed) for r in results] == [(p, s) for p in (0.0, 1.0) for s in (3, 1, 2)]
+    if order == "index":  # the shared baseline is the one each seed would have run
+        labels = {s: louvain_static(g0, LouvainConfig(rng_seed=s))[0].labels.tolist() for s in (3, 1, 2)}
+        assert labels[3] == labels[1] == labels[2]
+
+
 def test_sweep_rejects_disjoint_graphs(tmp_path):
     a = tmp_path / "a.tsv"
     b = tmp_path / "b.tsv"

@@ -258,6 +258,45 @@ def test_load_and_append_read_no_stored_graph(tmp_path, monkeypatch):
         assert modularity(st.graph, st.partition) == pytest.approx(modularity(ref.graph, ref.partition))
 
 
+def test_load_reads_only_the_last_partition(tmp_path, monkeypatch):
+    graphs = _stored_sequence(tmp_path, steps=4)
+    d = tmp_path / "tl"
+    for k in range(4):
+        _append(d, graphs, k)
+    calls = []
+    real_read = tracker.read_partition_tsv
+    monkeypatch.setattr(tracker, "read_partition_tsv", lambda path: calls.append(path) or real_read(path))
+    tl = load_timeline(d)
+    assert calls == [d / "step_3.partition.tsv"]
+    # saved elsewhere, the unread partitions are copied, not read
+    save_timeline(tl, tmp_path / "copy")
+    assert len(calls) == 1
+    assert _files(tmp_path / "copy") == _files(d)
+    # each is read once, on first use, and equals the one saved
+    built = _in_memory_timeline(graphs)
+    for st, ref in zip(tl.steps, built.steps):
+        assert st.partition == ref.partition
+        assert st.partition is st.partition
+    assert sorted(p.name for p in calls) == [f"step_{k}.partition.tsv" for k in range(4)]
+
+
+def test_corrupt_earlier_partition_raises_when_used(tmp_path):
+    graphs = _stored_sequence(tmp_path, steps=3)
+    d = tmp_path / "tl"
+    for k in range(2):
+        _append(d, graphs, k)
+    ppath = d / "step_0.partition.tsv"
+    ppath.write_text("n0\tnot-a-label\n", encoding="utf-8")
+    tl = load_timeline(d)
+    with pytest.raises(InputError, match=r"step_0\.partition\.tsv:1: bad label 'not-a-label'"):
+        tl.steps[0].partition
+    with pytest.raises(InputError, match="bad label"):
+        tl.steps[0].graph
+    save_timeline(tl, tmp_path / "copy")  # copied unread, as it is
+    with pytest.raises(InputError, match="bad label"):
+        load_timeline(tmp_path / "copy").steps[0].partition
+
+
 def test_stored_graph_not_covered_by_partition_rejected(tmp_path):
     graphs = _stored_sequence(tmp_path, steps=2)
     d = tmp_path / "tl"
