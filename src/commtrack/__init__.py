@@ -40,9 +40,6 @@ from .metrics import (
     ComparisonReport,
     MatchConfig,
     compare,
-    matching_communities,
-    mutual_information,
-    partition_entropy,
 )
 from .synth import SynthSpec, generate
 from .tracker import Timeline, bootstrap, load_timeline, save_timeline, step
@@ -80,9 +77,6 @@ __all__ = [
     "ComparisonReport",
     "MatchConfig",
     "compare",
-    "matching_communities",
-    "mutual_information",
-    "partition_entropy",
     "SynthSpec",
     "generate",
     "Timeline",

@@ -241,6 +241,9 @@ def _cmd_track(args) -> int:
             file=sys.stderr,
         )
     else:
+        if g.n == 0:
+            # no later snapshot could share a node with it, so no append could succeed
+            raise InputError(f"{args.add}: the first snapshot has no nodes; a timeline cannot start from it")
         tl = bootstrap(g, LouvainConfig(rng_seed=derive_step_seed(args.seed, 0)))
         print(
             f"track: timeline started with {len(set(tl.last.partition.labels.tolist()))} communities",

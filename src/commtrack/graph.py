@@ -120,10 +120,6 @@ class Graph:
         """Number of distinct neighbors per node (self-loops excluded)."""
         return np.diff(self.indptr)
 
-    def neighbors(self, u: int) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        return self.nbr[lo:hi], self.wgt[lo:hi]
-
     def _rows(self) -> np.ndarray:
         """The row (source node index) of every CSR entry."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -148,24 +144,20 @@ class Graph:
     def subgraph(self, keep_mask: np.ndarray) -> "Graph":
         """The subgraph induced by the nodes where ``keep_mask`` is true.
 
-        Kept nodes keep their relative order and their self-loops; rows stay
-        sorted because the index map is monotone.
+        Kept nodes keep their relative order and their self-loops.
         """
         keep = np.asarray(keep_mask, dtype=bool)
         if keep.shape != (self.n,):
             raise InputError(f"subgraph mask has shape {keep.shape} for {self.n} nodes")
         new_index = np.cumsum(keep) - 1
-        rows = self._rows()
-        edge_mask = keep[rows] & keep[self.nbr]
-        kept = np.flatnonzero(keep)
-        indptr = np.zeros(len(kept) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(new_index[rows[edge_mask]], minlength=len(kept)), out=indptr[1:])
+        u, v, w = self._upper_edges()
+        edge_mask = keep[u] & keep[v]
         ids = self.ids.ids
-        return Graph(
-            IdMap([ids[i] for i in kept.tolist()]),
-            indptr,
-            new_index[self.nbr[edge_mask]],
-            self.wgt[edge_mask],
+        return graph_from_distinct_edges(
+            IdMap([ids[i] for i in np.flatnonzero(keep).tolist()]),
+            new_index[u[edge_mask]],
+            new_index[v[edge_mask]],
+            w[edge_mask],
             self.self_loops[keep],
         )
 
@@ -297,21 +289,6 @@ class Partition:
         if i is None:
             raise InputError(f"node {external_id!r} is not covered by this partition")
         return int(self.labels[i])
-
-    def communities(self) -> dict:
-        """Map label -> array of member internal indices."""
-        order = np.argsort(self.labels, kind="stable")
-        sorted_labels = self.labels[order]
-        uniq, starts = np.unique(sorted_labels, return_index=True)
-        out = {}
-        bounds = list(starts) + [len(order)]
-        for k, lab in enumerate(uniq.tolist()):
-            out[lab] = order[bounds[k]:bounds[k + 1]]
-        return out
-
-    def community_sizes(self) -> dict:
-        uniq, counts = np.unique(self.labels, return_counts=True)
-        return dict(zip(uniq.tolist(), counts.tolist()))
 
     def covers(self, g: Graph) -> bool:
         return self.ids is g.ids or self.ids == g.ids

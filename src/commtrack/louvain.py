@@ -166,7 +166,7 @@ def _community_sums(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np
     """in_c and tot_c (see :func:`modularity`) for community indices ``dense`` in [0, c)."""
     # bincount yields int64 on empty input; force the float accumulators
     tot = np.bincount(dense, weights=g.degrees, minlength=c).astype(np.float64)
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    rows = g._rows()
     same = dense[rows] == dense[g.nbr]
     internal = np.bincount(dense[rows[same]], weights=g.wgt[same], minlength=c).astype(np.float64)
     internal += 2.0 * np.bincount(dense, weights=g.self_loops, minlength=c)
@@ -186,19 +186,13 @@ class DynamicContext:
 
     All node references are internal indices of the *next* graph. ``init_labels``
     is the seeded starting partition: previous labels on surviving nodes, fresh
-    singleton labels (from ``fresh_label_start`` upward, in index order) on new
-    nodes.
+    singleton labels, counting up in index order, on new nodes.
     """
 
-    remaining: np.ndarray  # sorted indices present in both snapshots
     prev_labels: FrozenSet[int]  # labels alive at the previous step
-    fixed: np.ndarray  # sorted, subset of remaining
+    fixed: np.ndarray  # sorted surviving nodes pinned to their previous label
     pref: np.ndarray  # sorted, subset of all nodes
-    p: float
-    q: float
-    seed: int
     init_labels: np.ndarray  # int64, one label per node of the next graph
-    fresh_label_start: int
 
     @classmethod
     def from_previous(
@@ -210,6 +204,10 @@ class DynamicContext:
         seed: int,
         fresh_label_start: Optional[int] = None,
     ) -> "DynamicContext":
+        """Seed ``g_next`` from ``prev_partition`` and sample the fixed (``p`` of
+        the surviving nodes) and preferential (``q`` of all nodes) sets. Fresh
+        labels start at ``fresh_label_start``, by default one past the largest
+        previous label."""
         if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
             raise InputError(f"p and q must be in [0, 1], got p={p}, q={q}")
         prev_index = prev_partition.ids.index
@@ -234,36 +232,20 @@ class DynamicContext:
         fixed = _sample_without_replacement(remaining_arr, p, derive_seed(seed, 0))
         pref = _sample_without_replacement(range(n), q, derive_seed(seed, 1))
         return cls(
-            remaining=remaining_arr,
             prev_labels=frozenset(np.unique(prev_label_arr).tolist()),
             fixed=fixed,
             pref=pref,
-            p=p,
-            q=q,
-            seed=seed,
             init_labels=init,
-            fresh_label_start=fresh_label_start,
         )
 
     def validate(self, g_next: Graph) -> None:
+        """Reject a context whose node references do not fit ``g_next``."""
         n = g_next.n
         if len(self.init_labels) != n:
             raise InputError(f"context built for {len(self.init_labels)} nodes, graph has {n}")
-        for name, arr in (("remaining", self.remaining), ("fixed", self.fixed), ("pref", self.pref)):
+        for name, arr in (("fixed", self.fixed), ("pref", self.pref)):
             if len(arr) and (arr.min() < 0 or arr.max() >= n):
                 raise InputError(f"context {name} set references nodes outside the graph")
-        remaining_set = set(self.remaining.tolist())
-        if not set(self.fixed.tolist()) <= remaining_set:
-            raise InputError("fixed set is not a subset of the remaining set")
-        if not 0.0 <= self.p <= 1.0 or not 0.0 <= self.q <= 1.0:
-            raise InputError("p and q must be in [0, 1]")
-        if len(self.fixed) != round_half_up(self.p * len(self.remaining)):
-            raise InputError("fixed-set size does not equal round(p * |remaining|)")
-        if len(self.pref) != round_half_up(self.q * n):
-            raise InputError("pref-set size does not equal round(q * n)")
-        for i in self.remaining.tolist():
-            if int(self.init_labels[i]) not in self.prev_labels:
-                raise InputError("a remaining node is seeded with a label unknown at the previous step")
 
     @property
     def frozen_labels(self) -> FrozenSet[int]:

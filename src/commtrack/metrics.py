@@ -22,9 +22,6 @@ from .louvain import modularity
 __all__ = [
     "MatchConfig",
     "ComparisonReport",
-    "mutual_information",
-    "partition_entropy",
-    "matching_communities",
     "compare",
 ]
 
@@ -113,19 +110,6 @@ def _contingency(la: np.ndarray, lb: np.ndarray):
     return uniq_a, uniq_b, cells // nb, cells % nb, counts
 
 
-def mutual_information(a: Partition, b: Partition) -> float:
-    """Mutual information between two partitions, in nats.
-
-    Probabilities are empirical frequencies over the node intersection; nodes
-    unique to either side do not contribute. An empty shared set leaves the
-    measure undefined and is rejected. Never negative.
-    """
-    la, lb = _common_label_arrays(a, b)
-    if len(la) == 0:
-        raise InputError("mutual information is undefined for an empty common node set")
-    return _mutual_information(len(la), _contingency(la, lb))
-
-
 def _mutual_information(n: int, table) -> float:
     """MI in nats from a :func:`_contingency` table over ``n`` shared nodes."""
     uniq_a, uniq_b, ia, ib, counts = table
@@ -137,40 +121,22 @@ def _mutual_information(n: int, table) -> float:
     return max(0.0, mi)
 
 
-def partition_entropy(part: Partition) -> float:
-    """Shannon entropy of community sizes in nats; 0 for an empty partition."""
-    return _entropy_of_labels(part.labels)
-
-
 def _entropy_of_labels(labels: np.ndarray) -> float:
-    n = len(labels)
-    if n == 0:
-        return 0.0
+    """Shannon entropy of the community sizes among ``labels``, in nats."""
     _, counts = np.unique(labels, return_counts=True)
-    p = counts / n
+    p = counts / len(labels)
     return float(-np.sum(p * np.log(p)))
 
 
-def matching_communities(
-    a: Partition,
-    b: Partition,
-    cfg: MatchConfig = MatchConfig(),
-) -> List[Tuple[int, int]]:
+def _matching(a: Partition, b: Partition, table, cfg: MatchConfig) -> List[Tuple[int, int]]:
     """Pairs of community labels that overlap enough to count as the same.
 
-    (label_a, label_b) is reported when the number of shared nodes strictly
-    exceeds r * |C_a| and r * |C_b|, with community sizes taken from each
-    partition's full node set. With r > 0.5 each label appears in at most
-    one pair; pairs are sorted by label_a.
+    (label_a, label_b) is reported when the number of shared nodes (counted
+    in the :func:`_contingency` table) strictly exceeds r * |C_a| and
+    r * |C_b|, with community sizes taken from each partition's full node
+    set. With r > 0.5 each label appears in at most one pair; pairs are
+    sorted by label_a.
     """
-    la, lb = _common_label_arrays(a, b)
-    if len(la) == 0:
-        return []
-    return _matching(a, b, _contingency(la, lb), cfg)
-
-
-def _matching(a: Partition, b: Partition, table, cfg: MatchConfig) -> List[Tuple[int, int]]:
-    """:func:`matching_communities` from a :func:`_contingency` table."""
     uniq_a, uniq_b, ia, ib, counts = table
     size_a: Dict[int, int] = dict(zip(*(arr.tolist() for arr in np.unique(a.labels, return_counts=True))))
     size_b: Dict[int, int] = dict(zip(*(arr.tolist() for arr in np.unique(b.labels, return_counts=True))))

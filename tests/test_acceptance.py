@@ -29,7 +29,7 @@ from commtrack.louvain import (
     renumber_partition,
     seeded_init,
 )
-from commtrack.metrics import matching_communities, MatchConfig, mutual_information, partition_entropy
+from commtrack.metrics import MatchConfig, compare
 from commtrack.synth import SynthSpec, generate
 
 from oracles import (
@@ -118,8 +118,8 @@ def test_criterion_03_mutual_information_oracle_equivalence():
         ids = list(range(n))
         a = Partition(build_graph([], nodes=ids).ids, np.asarray(la))
         b = Partition(build_graph([], nodes=ids).ids, np.asarray(lb))
-        worst = max(worst, abs(mutual_information(a, b) - oracle_mutual_information(la, lb)))
-        worst_self = max(worst_self, abs(mutual_information(a, a) - oracle_entropy(la)))
+        worst = max(worst, abs(compare(a, b).mi_nats - oracle_mutual_information(la, lb)))
+        worst_self = max(worst_self, abs(compare(a, a).mi_nats - oracle_entropy(la)))
     ok = worst <= 1e-12 and worst_self <= 1e-12
     _verdict(3, "mutual information matches contingency oracle on 200 pairs",
              ok, f"max |dMI|={worst:.2e}, max |MI(a,a)-H(a)|={worst_self:.2e}")
@@ -258,7 +258,7 @@ def test_criterion_10_matching_uniqueness():
         a = Partition(id_map, rng.integers(0, 9, size=n))
         b = Partition(id_map, rng.integers(0, 9, size=n))
         r = 0.501 + 0.499 * float(rng.random())
-        pairs = matching_communities(a, b, MatchConfig(r=r))
+        pairs = compare(a, b, cfg=MatchConfig(r=r)).matching
         lefts = [x for x, _ in pairs]
         rights = [y for _, y in pairs]
         if len(set(lefts)) != len(pairs) or len(set(rights)) != len(pairs):

@@ -206,6 +206,16 @@ def test_track_rejects_stability_flags_on_first_call(tmp_path, flags):
     assert not (tl_dir / "meta.json").exists()
 
 
+def test_track_rejects_empty_first_snapshot(tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no edges\n", encoding="utf-8")
+    tl_dir = tmp_path / "tl"
+    rc = main(["track", "--timeline", str(tl_dir), "--add", str(empty)])
+    assert rc == 2
+    assert "no nodes" in capsys.readouterr().err
+    assert not tl_dir.exists()
+
+
 def _track_run(tl_dir, syn, steps):
     for k in steps:
         extra = [] if k == 0 else ["--p", "0.5", "--q", "0.25"]

@@ -192,11 +192,10 @@ def test_context_from_previous_shapes():
     prev = renumber_partition(prev)
     g1 = build_graph([(0, 1), (1, 2), (0, 2), (3, 4), (6, 3)], nodes=[0, 1, 2, 3, 4, 6])
     ctx = DynamicContext.from_previous(prev, g1, p=0.5, q=0.5, seed=3)
-    remaining_ext = {g1.ids.ids[int(i)] for i in ctx.remaining}
-    assert remaining_ext == {0, 1, 2, 3, 4}
-    assert len(ctx.fixed) == round_half_up(0.5 * 5)
+    survivors = {0, 1, 2, 3, 4}
+    assert len(ctx.fixed) == round_half_up(0.5 * len(survivors))
     assert len(ctx.pref) == round_half_up(0.5 * 6)
-    assert set(ctx.fixed.tolist()) <= set(ctx.remaining.tolist())
+    assert {g1.ids.ids[int(i)] for i in ctx.fixed} <= survivors
     # new node 6 got a fresh singleton label beyond the previous ones
     lab6 = int(ctx.init_labels[g1.ids.index[6]])
     assert lab6 not in ctx.prev_labels
@@ -324,8 +323,18 @@ def test_dynamic_validates_context_against_graph():
     prev, _ = louvain_static(g0)
     other = build_graph([(0, 1)], nodes=[0, 1])
     ctx = DynamicContext.from_previous(prev, g0, 0.5, 0.0, seed=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="context built for 6 nodes, graph has 2"):
         louvain_dynamic(other, ctx)
+
+
+@pytest.mark.parametrize("field,index", [("fixed", 6), ("pref", 6), ("fixed", -1), ("pref", -1)])
+def test_dynamic_rejects_context_indices_outside_graph(field, index):
+    g = two_triangles()
+    prev, _ = louvain_static(g)
+    ctx = DynamicContext.from_previous(prev, g, 0.5, 0.5, seed=0)
+    setattr(ctx, field, np.append(getattr(ctx, field)[:-1], index).astype(np.int64))
+    with pytest.raises(InputError, match=f"context {field} set references nodes outside the graph"):
+        louvain_dynamic(g, ctx)
 
 
 def test_renumber_partition_first_seen():
@@ -403,7 +412,7 @@ def _check_active_sweeps(g, run, monkeypatch):
         active = np.zeros(g.n, dtype=bool)
         active[moved] = True
         for u in moved.tolist():
-            active[g.neighbors(u)[0]] = True
+            active[g.nbr[g.indptr[u]:g.indptr[u + 1]]] = True
         assert stats.sweep_visited[t] == int((active & movable).sum())
         before = after
     assert np.array_equal(before, full["keys"])

@@ -11,9 +11,6 @@ from commtrack.metrics import (
     ComparisonReport,
     MatchConfig,
     compare,
-    matching_communities,
-    mutual_information,
-    partition_entropy,
 )
 
 from oracles import oracle_entropy, oracle_mutual_information
@@ -36,26 +33,26 @@ def test_match_config_range():
 
 def test_mi_of_identical_halves_is_ln2():
     a = _part([1, 2, 3, 4], [0, 0, 1, 1])
-    assert mutual_information(a, a) == pytest.approx(math.log(2), abs=1e-12)
+    assert compare(a, a).mi_nats == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_mi_against_constant_partition_is_zero():
     a = _part([1, 2, 3, 4], [0, 0, 1, 1])
     b = _part([1, 2, 3, 4], [7, 7, 7, 7])
-    assert mutual_information(a, b) == 0.0
+    assert compare(a, b).mi_nats == 0.0
 
 
 def test_mi_uses_only_common_nodes():
     a = _part([1, 2, 3, 4], [0, 0, 1, 1])
     b = _part([3, 4, 5, 6], [5, 5, 9, 9])  # common: {3, 4}, both constant there
-    assert mutual_information(a, b) == pytest.approx(0.0, abs=1e-12)
+    assert compare(a, b).mi_nats == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_empty_intersection_rejected():
     a = _part([1, 2], [0, 0])
     b = _part([3, 4], [0, 0])
     with pytest.raises(InputError):
-        mutual_information(a, b)
+        compare(a, b)
 
 
 def test_mi_matches_oracle_random_pairs():
@@ -66,12 +63,12 @@ def test_mi_matches_oracle_random_pairs():
         lb = rng.integers(0, max(1, n // 4) + 1, size=n).tolist()
         ids = list(range(n))
         a, b = _part(ids, la), _part(ids, lb)
-        got = mutual_information(a, b)
+        got = compare(a, b).mi_nats
         want = oracle_mutual_information(la, lb)
         assert got == pytest.approx(want, abs=1e-12)
         # symmetry and self-information
-        assert mutual_information(b, a) == pytest.approx(got, abs=1e-12)
-        assert mutual_information(a, a) == pytest.approx(oracle_entropy(la), abs=1e-12)
+        assert compare(b, a).mi_nats == pytest.approx(got, abs=1e-12)
+        assert compare(a, a).mi_nats == pytest.approx(oracle_entropy(la), abs=1e-12)
         # bounded by the smaller entropy
         assert got <= min(oracle_entropy(la), oracle_entropy(lb)) + 1e-12
         assert got >= 0.0
@@ -79,8 +76,7 @@ def test_mi_matches_oracle_random_pairs():
 
 def test_entropy_of_community_sizes():
     a = _part([1, 2, 3, 4], [0, 0, 1, 1])
-    assert partition_entropy(a) == pytest.approx(math.log(2), abs=1e-12)
-    assert partition_entropy(_part([], [])) == 0.0
+    assert compare(a, a).entropy_a == pytest.approx(math.log(2), abs=1e-12)
 
 
 # --- matching ------------------------------------------------------------------
@@ -88,7 +84,7 @@ def test_entropy_of_community_sizes():
 
 def test_matching_identity_counts_all_communities():
     a = _part(list(range(10)), [0, 0, 0, 1, 1, 1, 2, 2, 2, 2])
-    pairs = matching_communities(a, a)
+    pairs = compare(a, a).matching
     assert pairs == [(0, 0), (1, 1), (2, 2)]
 
 
@@ -96,7 +92,7 @@ def test_matching_requires_both_inequalities():
     # C = {1,2,3,4} vs C' = {1,2}: overlap 2 > 0.51*2 but not > 0.51*4
     a = _part([1, 2, 3, 4], [0, 0, 0, 0])
     b = _part([1, 2], [5, 5])
-    assert matching_communities(a, b) == []
+    assert compare(a, b).matching == []
 
 
 def test_matching_spec_sizes_on_full_node_sets():
@@ -106,7 +102,7 @@ def test_matching_spec_sizes_on_full_node_sets():
     ids_b = list(range(52)) + [f"x{i}" for i in range(10)]
     b = _part(ids_b, [3] * 62)
     # 52 > 51 and 52 > 0.51*62 = 31.62 -> match
-    assert matching_communities(a, b) == [(0, 3)]
+    assert compare(a, b).matching == [(0, 3)]
 
 
 def test_matching_boundary_strictness():
@@ -116,7 +112,7 @@ def test_matching_boundary_strictness():
     b = _part(ids, [1] * 50 + [2] * 50)
     cfg = MatchConfig(r=0.5000000001)
     # each half overlaps by 50 = 0.5*100; never strictly above half of a
-    assert matching_communities(a, b, cfg) == []
+    assert compare(a, b, cfg=cfg).matching == []
 
 
 def test_matching_transposes_when_arguments_swap():
@@ -126,8 +122,8 @@ def test_matching_transposes_when_arguments_swap():
         ids = list(range(n))
         a = _part(ids, rng.integers(0, 5, size=n))
         b = _part(ids, rng.integers(0, 5, size=n))
-        ab = matching_communities(a, b)
-        ba = matching_communities(b, a)
+        ab = compare(a, b).matching
+        ba = compare(b, a).matching
         assert sorted((y, x) for x, y in ab) == sorted(ba)
 
 
@@ -138,7 +134,7 @@ def test_matching_uniqueness_random():
         ids = list(range(n))
         a = _part(ids, rng.integers(0, 8, size=n))
         b = _part(ids, rng.integers(0, 8, size=n))
-        pairs = matching_communities(a, b)
+        pairs = compare(a, b).matching
         lefts = [x for x, _ in pairs]
         rights = [y for _, y in pairs]
         assert len(set(lefts)) == len(pairs)
