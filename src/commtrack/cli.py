@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--prev", required=True, help="earlier partition TSV")
     p_cmp.add_argument("--next", dest="next_", required=True, help="later partition TSV")
     p_cmp.add_argument("--graph", default=None, help="graph of the later snapshot (adds its modularity)")
-    p_cmp.add_argument("--r", type=float, default=0.51, help="matching overlap threshold (>0.5)")
+    p_cmp.add_argument("--r", type=float, default=0.51, help="matching overlap threshold, 0.5 < r < 1")
     p_cmp.add_argument("-o", "--output", default=None, help="report JSON (default: stdout)")
 
     p_trk = sub.add_parser("track", help="append a snapshot to a timeline directory")
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trk.add_argument("--seed", type=int, default=0,
                        help="base seed; each step uses a sub-seed derived from it and the step index")
     p_trk.add_argument("--r", type=float, default=None,
-                       help="matching overlap threshold (>0.5, default 0.51); not allowed on the first call")
+                       help="matching overlap threshold, 0.5 < r < 1 (default 0.51); not allowed on the first call")
 
     p_syn = sub.add_parser("synth", help="generate an evolving planted-partition sequence")
     p_syn.add_argument("--nodes", type=int, required=True)
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--p", default="0", help="comma list of percentages (default 0)")
     p_swp.add_argument("--q", default="0", help="comma list of percentages (default 0)")
     p_swp.add_argument("--seeds", default="0", help='"lo..hi" range or comma list')
-    p_swp.add_argument("--r", type=float, default=0.51)
+    p_swp.add_argument("--r", type=float, default=0.51, help="matching overlap threshold, 0.5 < r < 1")
     p_swp.add_argument("--order", choices=["index", "shuffled"], default="index")
     p_swp.add_argument("-o", "--output", required=True, help="output CSV")
 

@@ -4,6 +4,13 @@ The graph is stored in CSR form (``indptr``/``nbr``/``wgt``) so algorithm hot
 loops work on contiguous integer indices while external node ids (strings or
 ints from source data) stay available through an :class:`IdMap`.
 
+Snapshots meet through two functions. :meth:`IdMap.positions` is the one
+id join: the index of each given id in a map, or -1 where it is absent.
+:func:`project` is the one graph projection: it maps each node to a node of
+a new id set, or drops it, summing the edges that land together; it backs
+:func:`aggregate_by_partition`, :meth:`Graph.subgraph` and the re-indexing
+of a stored graph into its partition's node order.
+
 Self-loop convention: ``self_loops[u]`` stores the loop weight once; a loop of
 stored weight ``w`` contributes ``2*w`` to the degree of ``u`` and ``2*w`` to
 ``total_weight_2m``. Under this convention collapsing a graph by a partition
@@ -15,8 +22,8 @@ community.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Tuple, Union
+from itertools import chain, compress, repeat
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +36,7 @@ __all__ = [
     "graph_from_distinct_edges",
     "Partition",
     "aggregate_by_partition",
+    "project",
     "write_edge_tsv",
     "read_edge_tsv",
     "write_partition_tsv",
@@ -62,6 +70,10 @@ class IdMap:
         if self is other:
             return True
         return isinstance(other, IdMap) and self.ids == other.ids
+
+    def positions(self, ids: Sequence[ExternalId]) -> np.ndarray:
+        """The index of each of ``ids`` in this map, -1 where it is absent."""
+        return np.fromiter(map(self.index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
 
     def __repr__(self) -> str:
         return f"IdMap(n={len(self.ids)})"
@@ -149,17 +161,8 @@ class Graph:
         keep = np.asarray(keep_mask, dtype=bool)
         if keep.shape != (self.n,):
             raise InputError(f"subgraph mask has shape {keep.shape} for {self.n} nodes")
-        new_index = np.cumsum(keep) - 1
-        u, v, w = self._upper_edges()
-        edge_mask = keep[u] & keep[v]
-        ids = self.ids.ids
-        return graph_from_distinct_edges(
-            IdMap([ids[i] for i in np.flatnonzero(keep).tolist()]),
-            new_index[u[edge_mask]],
-            new_index[v[edge_mask]],
-            w[edge_mask],
-            self.self_loops[keep],
-        )
+        new_index = np.where(keep, np.cumsum(keep) - 1, -1)
+        return project(self, IdMap(compress(self.ids.ids, keep)), new_index)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.n_edges}, 2m={self.total_weight_2m:g})"
@@ -264,16 +267,15 @@ class Partition:
 
     @classmethod
     def from_mapping(cls, g: Graph, assignment: Mapping[ExternalId, int]) -> "Partition":
+        nodes = list(assignment)
+        pos = g.ids.positions(nodes)
+        unknown = np.flatnonzero(pos < 0)
+        if len(unknown):
+            raise InputError(f"partition assigns unknown node {nodes[unknown[0]]!r}")
+        if len(nodes) != g.n:
+            raise InputError(f"partition covers {len(nodes)} of {g.n} nodes")
         labels = np.empty(g.n, dtype=np.int64)
-        seen = 0
-        for x, lab in assignment.items():
-            i = g.ids.index.get(x)
-            if i is None:
-                raise InputError(f"partition assigns unknown node {x!r}")
-            labels[i] = int(lab)
-            seen += 1
-        if seen != g.n:
-            raise InputError(f"partition covers {seen} of {g.n} nodes")
+        labels[pos] = np.fromiter(map(int, assignment.values()), dtype=np.int64, count=g.n)
         return cls(g.ids, labels)
 
     @property
@@ -316,27 +318,36 @@ def aggregate_by_partition(g: Graph, part: Partition) -> Graph:
     if not part.covers(g):
         raise InputError("partition does not cover the graph")
     uniq, dense = np.unique(part.labels, return_inverse=True)
-    c = len(uniq)
+    return project(g, IdMap(uniq.tolist()), dense)
 
+
+def project(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
+    """The graph on ``ids`` that node ``u`` of ``g`` maps to as node
+    ``new_index[u]``, or leaves out where that is -1.
+
+    Parallel edges sum. An edge inside one new node, counted once, becomes
+    that node's self-loop together with its members' self-loops.
+    """
+    c = len(ids)
+    kept = new_index >= 0
     new_loops = np.zeros(c, dtype=np.float64)
-    np.add.at(new_loops, dense, g.self_loops)
+    np.add.at(new_loops, new_index[kept], g.self_loops[kept])
 
-    rows = g._rows()
-    cu = dense[rows]
-    cv = dense[g.nbr]
+    cu = new_index[g._rows()]
+    cv = new_index[g.nbr]
 
-    internal = cu == cv
+    internal = (cu == cv) & (cu >= 0)
     if internal.any():
         # each internal edge appears in both directions -> sum/2 counts it once
         np.add.at(new_loops, cu[internal], g.wgt[internal] * 0.5)
 
     # each crossing edge appears in both directions; keep one so both
     # orientations get the same merged weight
-    half = cu < cv
+    half = (cu >= 0) & (cu < cv)
     keys = cu[half] * c + cv[half]
     uniq_keys, inv = np.unique(keys, return_inverse=True)
     merged_w = np.bincount(inv, weights=g.wgt[half], minlength=len(uniq_keys))
-    return graph_from_distinct_edges(IdMap(uniq.tolist()), uniq_keys // c, uniq_keys % c, merged_w, new_loops)
+    return graph_from_distinct_edges(ids, uniq_keys // c, uniq_keys % c, merged_w, new_loops)
 
 
 # --- text formats -----------------------------------------------------------

@@ -13,7 +13,7 @@ pairs, not by the line count. The record-level :func:`iter_parse_cdr` shares
 its line validator, and :func:`symmetrize` its mutual-pair graph
 construction.
 
-Record format (header optional, UTF-8):
+Record format (header optional, on any line, UTF-8):
     origin,target,timestamp,kind,duration_s
 with ISO-8601 timestamps, kind one of call|sms, integer seconds (0 for sms).
 Kind and duration are validated but not kept: an edge's weight is 1 or its
@@ -96,22 +96,14 @@ def _valid_records(
     its reason. ``stamp`` returns None for a timestamp it rejects. Kind and
     duration are checked, then dropped: no graph reads them.
     """
-    first_content = True
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        report.n_lines += 1
         fields = list(map(str.strip, line.split(",")))
-        if first_content:
-            first_content = False
-            if (
-                len(fields) >= 2
-                and fields[0].lower() == _HEADER_FIELDS[0]
-                and fields[1].lower() == _HEADER_FIELDS[1]
-            ):
-                report.n_lines -= 1
-                continue
+        if fields[0].lower() == _HEADER_FIELDS[0] and len(fields) > 1 and fields[1].lower() == _HEADER_FIELDS[1]:
+            continue
+        report.n_lines += 1
         if len(fields) != 5:
             report.note("field_count", lineno)
             continue
@@ -152,8 +144,9 @@ def iter_parse_cdr(
     """Validate lines one at a time, updating ``report`` in place, and yield
     ``(origin, target, timestamp)`` per valid record.
 
-    A leading header line (first field "origin", second "target") is skipped
-    without counting as a rejection; blank lines are ignored.
+    A header line (first field "origin", second "target", any case) is
+    skipped wherever it appears, so concatenated files may each start with
+    one; blank lines are ignored. Neither counts as a line.
     """
     return _valid_records(lines, report, _parse_timestamp)
 

@@ -132,9 +132,10 @@ def derive_seed(*parts: int) -> int:
 
 
 def _sample_without_replacement(population: Sequence[int], fraction: float, seed: int) -> np.ndarray:
+    """A sorted sample of ``fraction`` of the sorted ``population``."""
     if not 0.0 <= fraction <= 1.0:
         raise InputError(f"sampling fraction must be in [0, 1], got {fraction}")
-    pop = np.asarray(sorted(population), dtype=np.int64)
+    pop = np.asarray(population, dtype=np.int64)
     k = round_half_up(fraction * len(pop))
     if k >= len(pop):
         return pop
@@ -210,27 +211,21 @@ class DynamicContext:
         previous label."""
         if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
             raise InputError(f"p and q must be in [0, 1], got p={p}, q={q}")
-        prev_index = prev_partition.ids.index
         prev_label_arr = prev_partition.labels
-        n = g_next.n
-        init = np.empty(n, dtype=np.int64)
-        remaining = []
-        if fresh_label_start is None:
-            fresh_label_start = int(prev_label_arr.max()) + 1 if len(prev_label_arr) else 0
-        next_fresh = fresh_label_start
-        for i, x in enumerate(g_next.ids.ids):
-            j = prev_index.get(x)
-            if j is None:
-                if next_fresh > INT64_MAX:
-                    raise InputError(f"fresh community label {next_fresh} is outside the int64 range")
-                init[i] = next_fresh
-                next_fresh += 1
-            else:
-                init[i] = prev_label_arr[j]
-                remaining.append(i)
-        remaining_arr = np.asarray(remaining, dtype=np.int64)
-        fixed = _sample_without_replacement(remaining_arr, p, derive_seed(seed, 0))
-        pref = _sample_without_replacement(range(n), q, derive_seed(seed, 1))
+        pos = prev_partition.ids.positions(g_next.ids.ids)
+        remaining = np.flatnonzero(pos >= 0)
+        new = np.flatnonzero(pos < 0)
+        init = np.empty(g_next.n, dtype=np.int64)
+        init[remaining] = prev_label_arr[pos[remaining]]
+        if len(new):
+            if fresh_label_start is None:
+                fresh_label_start = int(prev_label_arr.max()) + 1 if len(prev_label_arr) else 0
+            if fresh_label_start + len(new) - 1 > INT64_MAX:
+                first_bad = max(fresh_label_start, INT64_MAX + 1)
+                raise InputError(f"fresh community label {first_bad} is outside the int64 range")
+            init[new] = fresh_label_start + np.arange(len(new), dtype=np.int64)
+        fixed = _sample_without_replacement(remaining, p, derive_seed(seed, 0))
+        pref = _sample_without_replacement(np.arange(g_next.n), q, derive_seed(seed, 1))
         return cls(
             prev_labels=frozenset(np.unique(prev_label_arr).tolist()),
             fixed=fixed,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,15 +31,16 @@ class MatchConfig:
     """Overlap threshold for declaring two communities the same.
 
     A pair matches when the shared-node count strictly exceeds ``r`` times
-    the size of each community. Any r > 0.5 makes matches one-to-one; the
+    the size of each community. Any r > 0.5 makes matches one-to-one, and
+    r must stay below 1, where no overlap can exceed a full community; the
     default 0.51 adds a little slack against near-even splits.
     """
 
     r: float = 0.51
 
     def __post_init__(self):
-        if not 0.5 < self.r <= 1.0:
-            raise InputError(f"matching threshold r must be in (0.5, 1.0], got {self.r}")
+        if not 0.5 < self.r < 1.0:
+            raise InputError(f"matching threshold r must be in (0.5, 1), got {self.r}")
 
 
 @dataclass
@@ -82,26 +83,17 @@ class ComparisonReport:
 
 
 def _common_label_arrays(a: Partition, b: Partition) -> Tuple[np.ndarray, np.ndarray]:
-    """Label pairs (a-label, b-label) over the shared node set.
-
-    The intersection of the two node sets is taken, ordered by a's node order
-    for determinism.
-    """
+    """Label pairs (a-label, b-label) over the shared nodes, in a's node order."""
     if a.ids is b.ids or a.ids == b.ids:
         return a.labels, b.labels
-    b_index = b.ids.index
-    rows_a = []
-    rows_b = []
-    for i, x in enumerate(a.ids.ids):
-        j = b_index.get(x)
-        if j is not None:
-            rows_a.append(i)
-            rows_b.append(j)
-    return a.labels[rows_a], b.labels[rows_b]
+    pos = b.ids.positions(a.ids.ids)
+    shared = pos >= 0
+    return a.labels[shared], b.labels[pos[shared]]
 
 
 def _contingency(la: np.ndarray, lb: np.ndarray):
-    """Sparse contingency counts over paired label arrays."""
+    """Sparse contingency counts over paired label arrays: each side's distinct
+    labels, then the row, column and count of each nonzero cell, in label order."""
     uniq_a, dense_a = np.unique(la, return_inverse=True)
     uniq_b, dense_b = np.unique(lb, return_inverse=True)
     nb = len(uniq_b)
@@ -110,50 +102,36 @@ def _contingency(la: np.ndarray, lb: np.ndarray):
     return uniq_a, uniq_b, cells // nb, cells % nb, counts
 
 
-def _mutual_information(n: int, table) -> float:
-    """MI in nats from a :func:`_contingency` table over ``n`` shared nodes."""
-    uniq_a, uniq_b, ia, ib, counts = table
-    row = np.bincount(ia, weights=counts, minlength=len(uniq_a))
-    col = np.bincount(ib, weights=counts, minlength=len(uniq_b))
+def _mutual_information(n: int, table, row: np.ndarray, col: np.ndarray) -> float:
+    """MI in nats from a :func:`_contingency` table over ``n`` shared nodes and its margins."""
+    _, _, ia, ib, counts = table
     mi = 0.0
     for i, j, nij in zip(ia.tolist(), ib.tolist(), counts.tolist()):
         mi += (nij / n) * math.log(nij * n / (row[i] * col[j]))
     return max(0.0, mi)
 
 
-def _entropy_of_labels(labels: np.ndarray) -> float:
-    """Shannon entropy of the community sizes among ``labels``, in nats."""
-    _, counts = np.unique(labels, return_counts=True)
-    p = counts / len(labels)
+def _entropy(p: np.ndarray) -> float:
+    """Shannon entropy of the distribution ``p``, in nats."""
     return float(-np.sum(p * np.log(p)))
 
 
-def _matching(a: Partition, b: Partition, table, cfg: MatchConfig) -> List[Tuple[int, int]]:
+def _matching(table, size_a: np.ndarray, size_b: np.ndarray, r: float) -> List[Tuple[int, int]]:
     """Pairs of community labels that overlap enough to count as the same.
 
     (label_a, label_b) is reported when the number of shared nodes (counted
     in the :func:`_contingency` table) strictly exceeds r * |C_a| and
-    r * |C_b|, with community sizes taken from each partition's full node
-    set. With r > 0.5 each label appears in at most one pair; pairs are
-    sorted by label_a.
+    r * |C_b|, with ``size_a``/``size_b`` the size of each table row's and
+    column's community in its partition's full node set. With r > 0.5 each
+    label appears in at most one pair; pairs come in label order, as the
+    cells do.
     """
     uniq_a, uniq_b, ia, ib, counts = table
-    size_a: Dict[int, int] = dict(zip(*(arr.tolist() for arr in np.unique(a.labels, return_counts=True))))
-    size_b: Dict[int, int] = dict(zip(*(arr.tolist() for arr in np.unique(b.labels, return_counts=True))))
-
-    pairs: List[Tuple[int, int]] = []
-    for i, j, nij in zip(ia.tolist(), ib.tolist(), counts.tolist()):
-        lab_a = int(uniq_a[i])
-        lab_b = int(uniq_b[j])
-        if nij > cfg.r * size_a[lab_a] and nij > cfg.r * size_b[lab_b]:
-            pairs.append((lab_a, lab_b))
-    pairs.sort()
-
-    seen_a = {p[0] for p in pairs}
-    seen_b = {p[1] for p in pairs}
-    if len(seen_a) != len(pairs) or len(seen_b) != len(pairs):
+    hit = (counts > r * size_a[ia]) & (counts > r * size_b[ib])
+    pairs_a, pairs_b = uniq_a[ia[hit]].tolist(), uniq_b[ib[hit]].tolist()
+    if len(set(pairs_a)) != len(pairs_a) or len(set(pairs_b)) != len(pairs_b):
         raise InternalInvariantError("matching produced a duplicated community label")
-    return pairs
+    return list(zip(pairs_a, pairs_b))
 
 
 def compare(
@@ -168,20 +146,27 @@ def compare(
     Rejects partition pairs with no shared nodes (MI is undefined there).
     """
     la, lb = _common_label_arrays(a, b)
-    if len(la) == 0:
+    n = len(la)
+    if n == 0:
         raise InputError("partitions share no nodes; comparison is undefined")
-    table = _contingency(la, lb)
+    table = uniq_a, uniq_b, ia, ib, counts = _contingency(la, lb)
+    row = np.bincount(ia, weights=counts, minlength=len(uniq_a))
+    col = np.bincount(ib, weights=counts, minlength=len(uniq_b))
+    labels_a, sizes_a = np.unique(a.labels, return_counts=True)
+    labels_b, sizes_b = np.unique(b.labels, return_counts=True)
+    size_a = sizes_a[np.searchsorted(labels_a, uniq_a)]
+    size_b = sizes_b[np.searchsorted(labels_b, uniq_b)]
 
     return ComparisonReport(
-        mi_nats=_mutual_information(len(la), table),
-        entropy_a=_entropy_of_labels(la),
-        entropy_b=_entropy_of_labels(lb),
-        n_common=len(la),
+        mi_nats=_mutual_information(n, table, row, col),
+        entropy_a=_entropy(row / n),
+        entropy_b=_entropy(col / n),
+        n_common=n,
         n_a=len(a.labels),
         n_b=len(b.labels),
-        n_communities_a=len(np.unique(a.labels)),
-        n_communities_b=len(np.unique(b.labels)),
+        n_communities_a=len(labels_a),
+        n_communities_b=len(labels_b),
         r=cfg.r,
-        matching=_matching(a, b, table, cfg),
+        matching=_matching(table, size_a, size_b, cfg.r),
         modularity_next=None if g_next is None else modularity(g_next, b),
     )

@@ -69,8 +69,7 @@ def run_sweep(
     Rows come back ordered by (p, q, seed). Node sets must overlap, otherwise
     the measures are undefined.
     """
-    common = set(g_t.ids.ids) & set(g_t1.ids.ids)
-    if not common:
+    if not (g_t.ids.positions(g_t1.ids.ids) >= 0).any():
         raise InputError("the two snapshots share no nodes; sweep measures are undefined")
 
     match_cfg = MatchConfig(spec.r)

@@ -25,13 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from .errors import InputError
 from .graph import (
     Graph,
     Partition,
-    graph_from_distinct_edges,
+    project,
     read_edge_tsv,
     read_partition_tsv,
     write_edge_tsv,
@@ -86,13 +84,10 @@ class TimelineStep:
         if not isinstance(self._graph, Graph):
             ids = self.partition.ids
             stored = read_edge_tsv(self._graph)
-            order = np.fromiter((ids.index.get(x, -1) for x in stored.ids.ids), dtype=np.int64, count=stored.n)
+            order = ids.positions(stored.ids.ids)
             if stored.n != len(ids) or (order < 0).any():
                 raise InputError(f"partition of step {self.snapshot_id!r} does not cover {self._graph}")
-            u, v, w = stored._upper_edges()
-            loops = np.empty(stored.n, dtype=np.float64)
-            loops[order] = stored.self_loops
-            self._graph = graph_from_distinct_edges(ids, order[u], order[v], w, loops)
+            self._graph = project(stored, ids, order)
         return self._graph
 
     def __repr__(self) -> str:

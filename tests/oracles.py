@@ -209,6 +209,19 @@ def random_labels(rng, n: int, max_comms: int = 0) -> List[int]:
     return [int(x) for x in rng.integers(0, k, size=n)]
 
 
+def random_churned_ids(rng, str_ids: bool, max_nodes: int = 40) -> Tuple[list, list]:
+    """Two snapshots' node lists: random subsets of one id universe, each in
+    its own shuffled order, so that they overlap in part, fully or not at all."""
+    universe = [f"v{k}" if str_ids else int(k) * 7 - 50 for k in range(int(rng.integers(1, max_nodes + 1)))]
+
+    def snapshot() -> list:
+        rate = rng.uniform(0.3, 1.0)
+        keep = [x for x in universe if rng.random() < rate]
+        return [keep[i] for i in rng.permutation(len(keep))]
+
+    return snapshot(), snapshot()
+
+
 # --- ingest reference --------------------------------------------------------
 
 

@@ -206,6 +206,24 @@ def test_track_rejects_stability_flags_on_first_call(tmp_path, flags):
     assert not (tl_dir / "meta.json").exists()
 
 
+@pytest.mark.parametrize("command", ["compare", "track", "sweep"])
+def test_match_threshold_of_one_exits_2(tmp_path, capsys, command):
+    # at r = 1 no overlap can exceed a full community, so nothing could ever match
+    p0, p1, _, _ = _write_pair(tmp_path)
+    part, tl = tmp_path / "part.tsv", tmp_path / "tl"
+    assert main(["detect", "--graph", str(p0), "-o", str(part)]) == 0
+    assert main(["track", "--timeline", str(tl), "--add", str(p0)]) == 0
+    argv = {
+        "compare": ["compare", "--prev", str(part), "--next", str(part)],
+        "track": ["track", "--timeline", str(tl), "--add", str(p1)],
+        "sweep": ["sweep", "--graph-t", str(p0), "--graph-t1", str(p1), "-o", str(tmp_path / "s.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--r", "1.0"]) == 2
+    assert "matching threshold r must be in (0.5, 1), got 1.0" in capsys.readouterr().err
+    assert json.loads((tl / "meta.json").read_text())["n_steps"] == 1
+
+
 def test_track_rejects_empty_first_snapshot(tmp_path, capsys):
     empty = tmp_path / "empty.tsv"
     empty.write_text("# no edges\n", encoding="utf-8")
@@ -280,6 +298,18 @@ def test_ingest_command(tmp_path):
     g = read_edge_tsv(out)
     assert sorted(g.ids.ids) == ["A", "B"]
     assert g.n_edges == 1
+
+
+def test_ingest_skips_the_header_of_every_input_file(tmp_path, capsys):
+    header = "origin,target,timestamp,kind,duration_s\n"
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(header + "A,B,2012-03-05T10:00:00,call,62\nB,A,2012-02-10T09:00:00,sms,0\n", encoding="utf-8")
+    b.write_text(header + "A,C,2012-03-01T08:00:00,call,10\nC,A,2012-03-02T08:00:00,sms,0\n", encoding="utf-8")
+    out = tmp_path / "g.tsv"
+    rc = main(["ingest", "--cdr", str(a), str(b), "--month", "2012-03", "--max-rejected", "0", "-o", str(out)])
+    assert rc == 0
+    assert "4 records kept (0 rejected, 0 outside window)" in capsys.readouterr().err
+    assert read_edge_tsv(out).n_edges == 2
 
 
 def test_ingest_timestamp_converting_outside_years_1_to_9999(tmp_path, capsys):

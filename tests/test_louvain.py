@@ -24,7 +24,14 @@ from commtrack.louvain import (
 from commtrack.metrics import compare
 from commtrack.synth import SynthSpec, generate
 
-from oracles import canonical_blocks, oracle_renumber, oracle_sweep, random_graph, random_labels
+from oracles import (
+    canonical_blocks,
+    oracle_renumber,
+    oracle_sweep,
+    random_churned_ids,
+    random_graph,
+    random_labels,
+)
 
 
 def two_triangles():
@@ -200,6 +207,37 @@ def test_context_from_previous_shapes():
     lab6 = int(ctx.init_labels[g1.ids.index[6]])
     assert lab6 not in ctx.prev_labels
     ctx.validate(g1)
+
+
+@pytest.mark.parametrize("str_ids", [False, True], ids=["int", "str"])
+def test_context_from_previous_matches_dict_reference_on_churned_node_sets(str_ids):
+    rng = np.random.default_rng(31 + str_ids)
+    for trial in range(80):
+        prev_ids, next_ids = random_churned_ids(rng, str_ids)
+        prev_labels = [int(x) for x in rng.integers(-5, 40, size=len(prev_ids))]
+        prev = Partition(IdMap(prev_ids), np.array(prev_labels, dtype=np.int64))
+        g_next = build_graph([], nodes=next_ids)
+        start = None if trial % 3 else int(rng.integers(100, 200))
+        p, q, seed = float(rng.random()), float(rng.random()), int(rng.integers(0, 1000))
+        ctx = DynamicContext.from_previous(prev, g_next, p, q, seed, fresh_label_start=start)
+
+        label_of = dict(zip(prev_ids, prev_labels))
+        fresh = start if start is not None else max(prev_labels, default=-1) + 1
+        init, survivors = [], []
+        for i, x in enumerate(next_ids):
+            if x in label_of:
+                init.append(label_of[x])
+                survivors.append(i)
+            else:
+                init.append(fresh)
+                fresh += 1
+        assert ctx.init_labels.tolist() == init
+        assert ctx.init_labels.dtype == np.int64
+        sample = louvain._sample_without_replacement
+        assert ctx.fixed.tolist() == sample(survivors, p, derive_seed(seed, 0)).tolist()
+        assert set(ctx.fixed.tolist()) <= set(survivors)
+        assert ctx.pref.tolist() == sample(list(range(len(next_ids))), q, derive_seed(seed, 1)).tolist()
+        assert ctx.prev_labels == frozenset(prev_labels)
 
 
 def test_context_rejects_bad_fractions():

@@ -13,7 +13,7 @@ from commtrack.metrics import (
     compare,
 )
 
-from oracles import oracle_entropy, oracle_mutual_information
+from oracles import oracle_entropy, oracle_modularity, oracle_mutual_information, random_churned_ids
 
 
 def _part(ids, labels):
@@ -22,8 +22,8 @@ def _part(ids, labels):
 
 def test_match_config_range():
     MatchConfig(0.51)
-    MatchConfig(1.0)
-    for bad in (0.5, 0.0, 1.2, -1.0):
+    MatchConfig(0.99)
+    for bad in (0.5, 0.0, 1.0, 1.2, -1.0):
         with pytest.raises(InputError):
             MatchConfig(bad)
 
@@ -142,6 +142,71 @@ def test_matching_uniqueness_random():
 
 
 # --- compare -------------------------------------------------------------------
+
+
+def _reference_report(ids_a, la, ids_b, lb, r):
+    """Every :class:`ComparisonReport` count and measure but modularity, by
+    dictionary: the shared nodes in a's order, overlaps against full sizes."""
+    label_a, label_b = dict(zip(ids_a, la)), dict(zip(ids_b, lb))
+    shared = [x for x in ids_a if x in label_b]
+    sa = [label_a[x] for x in shared]
+    sb = [label_b[x] for x in shared]
+    size_a = {lab: la.count(lab) for lab in la}
+    size_b = {lab: lb.count(lab) for lab in lb}
+    overlap = {}
+    for pair in zip(sa, sb):
+        overlap[pair] = overlap.get(pair, 0) + 1
+    matching = sorted(
+        (x, y) for (x, y), nxy in overlap.items() if nxy > r * size_a[x] and nxy > r * size_b[y]
+    )
+    return {
+        "mi_nats": oracle_mutual_information(sa, sb),
+        "entropy_a": oracle_entropy(sa),
+        "entropy_b": oracle_entropy(sb),
+        "n_common": len(shared),
+        "n_a": len(ids_a),
+        "n_b": len(ids_b),
+        "n_communities_a": len(size_a),
+        "n_communities_b": len(size_b),
+        "r": r,
+        "matching": matching,
+    }
+
+
+@pytest.mark.parametrize("str_ids", [False, True], ids=["int", "str"])
+def test_compare_matches_dict_reference_on_churned_node_sets(str_ids):
+    rng = np.random.default_rng(29 + str_ids)
+    disjoint = matched = 0
+    for trial in range(120):
+        ids_a, ids_b = random_churned_ids(rng, str_ids)
+        la = [int(x) for x in rng.integers(-3, 6, size=len(ids_a))]
+        # b mostly keeps a's communities (shifted by 10) on shared nodes, so some match
+        label_a = dict(zip(ids_a, la))
+        lb = [
+            label_a[x] + 10 if x in label_a and rng.random() < 0.9 else int(rng.integers(7, 20))
+            for x in ids_b
+        ]
+        a, b = _part(ids_a, la), _part(ids_b, lb)
+        r = float(rng.choice([0.51, 2 / 3, 0.75, rng.uniform(0.501, 0.99)]))
+        want = _reference_report(ids_a, la, ids_b, lb, r)
+        matched += len(want["matching"])
+        if want["n_common"] == 0:
+            disjoint += 1
+            with pytest.raises(InputError, match="share no nodes"):
+                compare(a, b)
+            continue
+        edges = [(int(u), int(v), 1.0) for u, v in rng.integers(0, len(ids_b), size=(len(ids_b), 2))]
+        g = build_graph([(ids_b[u], ids_b[v]) for u, v, _ in edges], nodes=ids_b)
+        got = compare(a, b, g if trial % 2 else None, MatchConfig(r)).__dict__
+        for key in ("mi_nats", "entropy_a", "entropy_b"):
+            assert got[key] == pytest.approx(want[key], abs=1e-12), key
+        for key in ("n_common", "n_a", "n_b", "n_communities_a", "n_communities_b", "r", "matching"):
+            assert got[key] == want[key], key
+        if trial % 2:
+            assert got["modularity_next"] == pytest.approx(oracle_modularity(len(ids_b), edges, lb), abs=1e-12)
+        else:
+            assert got["modularity_next"] is None
+    assert 0 < disjoint < 120 and matched > 100
 
 
 def test_compare_assembles_all_measures():
