@@ -17,16 +17,28 @@ Two stability knobs on top of the seeded variant:
   existed at the previous step (falling back to the normal rule when it has
   no such neighbor). Staying put is always allowed; no move with
   non-positive gain is ever forced.
+
+Each level-1 sweep, where nearly all the time goes, is one call of a C body
+(``_sweep.c``, compiled into the user cache at first import) or, when no
+compiler, build or load succeeds, of its pure-Python twin. Both produce the
+same bits; :data:`KERNEL` says which one runs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import platform
 import random
+import sys
+import zlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import InputError, InternalInvariantError
 from .graph import INT64_MAX, Graph, Partition, aggregate_by_partition
@@ -43,6 +55,7 @@ __all__ = [
     "renumber_partition",
     "round_half_up",
     "derive_seed",
+    "KERNEL",
 ]
 
 
@@ -254,14 +267,233 @@ def seeded_init(prev_partition: Partition, g_next: Graph, fresh_label_start: Opt
     return Partition(g_next.ids, ctx.init_labels.copy())
 
 
+# --- the level-1 sweep ----------------------------------------------------------
+
+
+def _sweep_py(
+    visit: np.ndarray,
+    indptr: np.ndarray,
+    nbr: np.ndarray,
+    wgt: np.ndarray,
+    self_loops: np.ndarray,
+    degrees: np.ndarray,
+    node_slot: np.ndarray,
+    com_in: np.ndarray,
+    com_tot: np.ndarray,
+    movable: np.ndarray,
+    pref: np.ndarray,
+    slot_is_prev: np.ndarray,
+    two_m: float,
+    min_diff: float,
+) -> Tuple[int, np.ndarray]:
+    """One sweep over the nodes of ``visit``; returns the moves and the next visit list.
+
+    This is the package's one move rule. A visited node, taken out of its
+    community, scores each candidate community s by ``w_s * 2m - k_u * tot_s``
+    (its link weight into s, less its expected share of s's degree, scaled
+    by 2m). It moves to the best-scoring neighbouring community (for a
+    preferential node, the best one alive at the previous step, if any),
+    equal scores going to the smallest key, only when the score difference
+    over staying exceeds ``min_diff`` (:data:`MIN_GAIN` times (2m)^2 / 2).
+    For integer weights every score is an integer, exact while (2m)^2 stays
+    below 2**53, so the tie-break is exact too.
+
+    Communities are slots numbered in ascending key order, so the smallest
+    key is the smallest slot. ``node_slot``, ``com_in`` and ``com_tot`` are
+    updated in place; the masks are uint8. The next visit list holds, once
+    each and in no set order, the movable nodes that moved or neighbour a
+    node that did. :func:`_sweep_c` is the same arithmetic in the same order.
+    """
+    # whole lists of what every node reads or writes; each visited node's
+    # own row is sliced out as it comes, so a sweep over few nodes stays cheap
+    ptr = indptr.tolist()
+    slot, tot, inn = node_slot.tolist(), com_tot.tolist(), com_in.tolist()
+    movable_l, is_prev = movable.tolist(), slot_is_prev.tolist()
+    # per-slot link weight of the visited node; stamp[s] == u marks it as
+    # written for u (each node is visited at most once per sweep)
+    weight = [0.0] * len(tot)
+    stamp = [-1] * len(tot)
+    queued = [False] * len(slot)
+    nxt: List[int] = []
+    moved = 0
+    for u in visit.tolist():
+        su = slot[u]
+        ku = float(degrees[u])
+        lo, hi = ptr[u], ptr[u + 1]
+        row = nbr[lo:hi].tolist()
+        touched = []
+        for v, w in zip(row, wgt[lo:hi].tolist()):
+            s = slot[v]
+            if stamp[s] != u:
+                stamp[s] = u
+                weight[s] = 0.0
+                touched.append(s)
+            weight[s] += w
+
+        w_own = weight[su] if stamp[su] == u else 0.0
+        tot[su] -= ku
+
+        cand = touched
+        if pref[u]:
+            cand = [s for s in touched if is_prev[s]] or touched
+
+        stay_score = w_own * two_m - ku * tot[su]
+        best = su
+        best_score = stay_score
+        for s in cand:
+            if s == su:
+                continue
+            score = weight[s] * two_m - ku * tot[s]
+            if score > best_score or (score == best_score and s < best):
+                best = s
+                best_score = score
+
+        if best != su and best_score - stay_score > min_diff:
+            loop_u = float(self_loops[u])
+            slot[u] = best
+            tot[best] += ku
+            inn[su] -= 2.0 * w_own + 2.0 * loop_u
+            inn[best] += 2.0 * weight[best] + 2.0 * loop_u
+            moved += 1
+            for v in (u, *row):
+                if movable_l[v] and not queued[v]:
+                    queued[v] = True
+                    nxt.append(v)
+        else:
+            tot[su] += ku
+
+    node_slot[:] = slot
+    com_tot[:] = tot
+    com_in[:] = inn
+    return moved, np.array(nxt, dtype=np.int64)
+
+
+def _sweep_c(
+    visit: np.ndarray,
+    indptr: np.ndarray,
+    nbr: np.ndarray,
+    wgt: np.ndarray,
+    self_loops: np.ndarray,
+    degrees: np.ndarray,
+    node_slot: np.ndarray,
+    com_in: np.ndarray,
+    com_tot: np.ndarray,
+    movable: np.ndarray,
+    pref: np.ndarray,
+    slot_is_prev: np.ndarray,
+    two_m: float,
+    min_diff: float,
+) -> Tuple[int, np.ndarray]:
+    """:func:`_sweep_py` compiled from ``_sweep.c``; the caller guarantees
+    C-contiguous int64, float64 and uint8 arrays and valid CSR bounds."""
+    n, c = len(degrees), len(com_tot)
+    scratch = (
+        np.empty(c, dtype=np.float64),  # weight
+        np.full(c, -1, dtype=np.int64),  # stamp
+        np.empty(c, dtype=np.int64),  # touched
+        np.zeros(n, dtype=np.uint8),  # queued
+        np.empty(n, dtype=np.int64),  # nxt
+    )
+    n_nxt = ctypes.c_int64()
+    moved = _KERNEL_FN(
+        len(visit),
+        *(a.ctypes.data for a in (visit, indptr, nbr, wgt, self_loops, degrees, node_slot,
+                                  com_in, com_tot, movable, pref, slot_is_prev)),
+        two_m,
+        min_diff,
+        *(a.ctypes.data for a in scratch),
+        ctypes.byref(n_nxt),
+    )
+    return moved, scratch[4][: n_nxt.value]
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_sweep.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no FMA, no reassociation
+_BUILD_TIMEOUT_S = 120
+
+
+def _bind_kernel(path: str):
+    fn = ctypes.CDLL(path).commtrack_sweep
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        [ctypes.c_int64] + [ctypes.c_void_p] * 12 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 6
+    )
+    return fn
+
+
+def _compile_kernel(directory: str, name: str) -> str:
+    """Compile ``_sweep.c`` to ``directory/name`` through a temporary file."""
+    import shlex
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
+    os.close(fd)
+    try:
+        cmd = [*shlex.split(os.environ.get("CC") or "cc"), *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)]
+        subprocess.run(cmd, check=True, timeout=_BUILD_TIMEOUT_S,
+                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        path = os.path.join(directory, name)
+        os.replace(tmp, path)
+        return path
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _kernel_cache_path() -> str:
+    """Where the kernel built from this source, these flags and this
+    interpreter and machine is cached; OSError if the source is missing."""
+    # zlib, not hashlib: importing hashlib loads OpenSSL, 3.5 MB of RSS in
+    # every process that imports the package
+    key = _KERNEL_SOURCE.read_bytes() + repr((_CFLAGS, sys.implementation.cache_tag, platform.machine())).encode()
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    return os.path.join(cache, "commtrack", f"_sweep-{zlib.crc32(key):08x}.so")
+
+
+def _load_kernel():
+    """The compiled sweep, loaded from the user cache and built there on a
+    miss; None when no compiler, build or load succeeds."""
+    try:
+        path = _kernel_cache_path()
+    except OSError:
+        return None
+    try:
+        return _bind_kernel(path)
+    except (OSError, AttributeError):
+        pass  # not built yet, or not a loadable library: build it afresh
+    import subprocess  # only on a build: it adds 0.5 MB of RSS to every import
+    import tempfile
+
+    cache, name = os.path.split(path)
+    try:
+        os.makedirs(cache, exist_ok=True)
+        writable = os.access(cache, os.W_OK)
+    except OSError:
+        writable = False
+    try:
+        if writable:
+            return _bind_kernel(_compile_kernel(cache, name))
+        with tempfile.TemporaryDirectory() as scratch:
+            return _bind_kernel(_compile_kernel(scratch, name))
+    except (OSError, AttributeError, ValueError, subprocess.SubprocessError):
+        return None
+
+
+_KERNEL_FN = _load_kernel()
+# which body runs each sweep, "c" or "python"; both compute the same bits
+KERNEL = "python" if _KERNEL_FN is None else "c"
+_sweep = _sweep_py if _KERNEL_FN is None else _sweep_c
+
+
 # --- the optimizer ------------------------------------------------------------
 
 
 def _one_level(
     lg: Graph,
     keys: np.ndarray,
-    movable: List[bool],
-    pref_flags: Optional[List[bool]],
+    movable: ArrayLike,
+    pref_flags: Optional[ArrayLike],
     prev_labels: FrozenSet[int],
     cfg: LouvainConfig,
     rng: random.Random,
@@ -269,28 +501,21 @@ def _one_level(
 ) -> Tuple[np.ndarray, LevelStats]:
     """Phase 1 on one level graph; returns final key per node and stats.
 
-    This is the package's one move rule. A visited node, taken out of its
-    community, scores each candidate community s by ``w_s * 2m - k_u * tot_s``
-    (its link weight into s, less its expected share of s's degree, scaled
-    by 2m). It moves to the best-scoring neighbouring community (for a
-    preferential node, the best one alive at the previous step, if any),
-    equal scores going to the smallest key, only when the modularity gain
-    over staying, twice the score difference over (2m)^2, exceeds
-    :data:`MIN_GAIN`. For integer weights every score is an integer, exact
-    while (2m)^2 stays below 2**53, so the tie-break is exact too.
-
-    The first sweep visits every movable node; each later sweep visits, in
-    the same order, only the movable nodes that moved in the previous sweep
-    or neighbour a node that did. The level ends when a sweep moves nothing.
+    ``movable`` and ``pref_flags`` are per-node boolean masks (``pref_flags``
+    is None when no node is preferential). Each sweep is one call of
+    :func:`_sweep`, whose Python body documents the move rule. The first sweep
+    visits every movable node; each later sweep visits, in the same order,
+    only the movable nodes that moved in the previous sweep or neighbour a
+    node that did. The level ends when a sweep moves nothing.
     """
     n = lg.n
     two_m = lg.total_weight_2m
 
-    slot_key_arr, node_slot_arr = np.unique(keys, return_inverse=True)
-    c = len(slot_key_arr)
-    com_in_arr, com_tot_arr = _community_sums(lg, node_slot_arr, c)
+    slot_key, node_slot = np.unique(keys, return_inverse=True)
+    c = len(slot_key)
+    com_in, com_tot = _community_sums(lg, node_slot, c)
 
-    q_start = _q_from_sums(com_in_arr, com_tot_arr, two_m) if two_m > 0.0 else 0.0
+    q_start = _q_from_sums(com_in, com_tot, two_m) if two_m > 0.0 else 0.0
     stats = LevelStats(
         level=level,
         n_nodes=n,
@@ -304,78 +529,48 @@ def _one_level(
     if two_m <= 0.0 or n == 0:
         return keys, stats
 
-    indptr = lg.indptr.tolist()
-    nbr = lg.nbr.tolist()
-    wgt = lg.wgt.tolist()
-    loops = lg.self_loops.tolist()
-    k = lg.degrees.tolist()
-    slot_key = slot_key_arr.tolist()
-    node_slot = node_slot_arr.tolist()
-    com_tot = com_tot_arr.tolist()
-    com_in = com_in_arr.tolist()
-    slot_is_prev = [key in prev_labels for key in slot_key] if pref_flags is not None else None
+    # the compiled sweep reads these through raw pointers: fix dtype and
+    # layout here, and check the CSR bounds it trusts
+    indptr = np.ascontiguousarray(lg.indptr, dtype=np.int64)
+    nbr = np.ascontiguousarray(lg.nbr, dtype=np.int64)
+    if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(nbr) or len(lg.wgt) != len(nbr)
+            or np.any(np.diff(indptr) < 0) or (len(nbr) and (nbr.min() < 0 or nbr.max() >= n))):
+        raise InternalInvariantError("level graph is not a valid CSR adjacency")
+    wgt = np.ascontiguousarray(lg.wgt, dtype=np.float64)
+    loops = np.ascontiguousarray(lg.self_loops, dtype=np.float64)
+    k = np.ascontiguousarray(lg.degrees, dtype=np.float64)
+    node_slot = np.ascontiguousarray(node_slot, dtype=np.int64)
+    movable = np.asarray(movable, dtype=np.uint8)
+    if pref_flags is None:
+        pref = np.zeros(n, dtype=np.uint8)
+        slot_is_prev = np.zeros(c, dtype=np.uint8)
+    else:
+        pref = np.asarray(pref_flags, dtype=np.uint8)
+        prev = np.fromiter(prev_labels, dtype=np.int64, count=len(prev_labels))
+        slot_is_prev = np.isin(slot_key, prev).astype(np.uint8)
+    if len(movable) != n or len(pref) != n:
+        raise InternalInvariantError("node masks do not match the level graph")
 
     order = list(range(n))
     if cfg.node_order == "shuffled":
         rng.shuffle(order)
-    position = [0] * n
-    for i, u in enumerate(order):
-        position[u] = i
-    visit = [u for u in order if movable[u]]
-    queued = [False] * n  # u is already in the next sweep's visit list
+    order = np.asarray(order, dtype=np.int64)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n, dtype=np.int64)
+    visit = order[movable[order] != 0]
 
     min_diff = MIN_GAIN * two_m * two_m / 2.0
     q_prev = q_start
     while stats.sweeps < cfg.max_passes_per_level:
-        moved = 0
-        nxt: List[int] = []
-        for u in visit:
-            su = node_slot[u]
-            ku = k[u]
-            lo, hi = indptr[u], indptr[u + 1]
-            links: Dict[int, float] = {}
-            for e in range(lo, hi):
-                s = node_slot[nbr[e]]
-                links[s] = links.get(s, 0.0) + wgt[e]
-
-            w_own = links.get(su, 0.0)
-            com_tot[su] -= ku
-
-            cand = links
-            if pref_flags is not None and pref_flags[u]:
-                cand = [s for s in links if slot_is_prev[s]] or links
-
-            stay_score = w_own * two_m - ku * com_tot[su]
-            best_slot = su
-            best_score = stay_score
-            best_key = slot_key[su]
-            for s in cand:
-                if s == su:
-                    continue
-                score = links[s] * two_m - ku * com_tot[s]
-                if score > best_score or (score == best_score and slot_key[s] < best_key):
-                    best_slot = s
-                    best_score = score
-                    best_key = slot_key[s]
-
-            if best_slot != su and best_score - stay_score > min_diff:
-                node_slot[u] = best_slot
-                com_tot[best_slot] += ku
-                com_in[su] -= 2.0 * w_own + 2.0 * loops[u]
-                com_in[best_slot] += 2.0 * links.get(best_slot, 0.0) + 2.0 * loops[u]
-                moved += 1
-                for v in (u, *nbr[lo:hi]):
-                    if movable[v] and not queued[v]:
-                        queued[v] = True
-                        nxt.append(v)
-            else:
-                com_tot[su] += ku
-
+        moved, nxt = _sweep(
+            visit, indptr, nbr, wgt, loops, k, node_slot, com_in, com_tot,
+            movable, pref, slot_is_prev, two_m, min_diff,
+        )
         stats.sweeps += 1
         stats.moves += moved
         stats.sweep_visited.append(len(visit))
         stats.sweep_moves.append(moved)
-        q_now = _q_from_sums(np.asarray(com_in), np.asarray(com_tot), two_m)
+        q_now = _q_from_sums(com_in, com_tot, two_m)
         stats.sweep_q.append(q_now)
         if q_now < q_prev - 1e-9:
             raise InternalInvariantError(
@@ -384,15 +579,11 @@ def _one_level(
         q_prev = q_now
         if moved == 0:
             break
-        for u in nxt:
-            queued[u] = False
-        nxt.sort(key=position.__getitem__)
-        visit = nxt
+        visit = nxt[np.argsort(position[nxt])]
 
     stats.q_end = q_prev
-    final = np.asarray(node_slot, dtype=np.int64)
-    stats.n_communities_end = len(np.unique(final))
-    return slot_key_arr[final], stats
+    stats.n_communities_end = len(np.unique(node_slot))
+    return slot_key[node_slot], stats
 
 
 def _run(
@@ -411,14 +602,13 @@ def _run(
     rng = random.Random(cfg.rng_seed)
     flat = np.asarray(init_keys, dtype=np.int64).copy()
 
-    movable = [True] * g.n
-    for u in fixed.tolist():
-        movable[u] = False
-    pref_flags: Optional[List[bool]] = None
+    movable = np.ones(g.n, dtype=bool)
+    movable[fixed] = False
+    pref_flags: Optional[np.ndarray] = None
     if len(pref):
-        pref_flags = [False] * g.n
-        for u in pref.tolist():
-            pref_flags[u] = True
+        pref_flags = np.zeros(g.n, dtype=bool)
+        pref_flags[pref] = True
+    frozen = np.fromiter(frozen_labels, dtype=np.int64, count=len(frozen_labels))
 
     lg = g
     keys = flat
@@ -436,7 +626,7 @@ def _run(
 
         lg = aggregate_by_partition(lg, Partition(lg.ids, keys))
         keys = np.asarray(lg.ids.ids, dtype=np.int64)  # supernode external id == its community key
-        movable = [key not in frozen_labels for key in lg.ids.ids]
+        movable = ~np.isin(keys, frozen)
         pref_flags = None  # preferential rule applies to the first level only
         level += 1
 

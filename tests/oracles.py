@@ -18,7 +18,7 @@ the package's degree convention for stored loops.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Edge = Tuple[int, int, float]
 
@@ -185,6 +185,17 @@ def canonical_blocks(labels: Sequence[int]) -> List[Tuple[int, ...]]:
     for i, lab in enumerate(labels):
         groups.setdefault(lab, []).append(i)
     return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def sweep_backends() -> Dict[str, Callable]:
+    """Every level-1 sweep body this machine runs, by name: the Python body
+    always, the compiled one when it was built and loaded."""
+    import commtrack.louvain as louvain
+
+    backends = {"python": louvain._sweep_py}
+    if louvain.KERNEL == "c":
+        backends["c"] = louvain._sweep_c
+    return backends
 
 
 def random_graph(rng, max_nodes: int = 12, max_edges: int = 50, loops: bool = True) -> Tuple[int, List[Edge]]:

@@ -1,6 +1,10 @@
 """Optimizer behavior: gains, seeding, pinning, steering, termination."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 import commtrack.louvain as louvain
 from commtrack.errors import InputError
-from commtrack.graph import IdMap, Partition, build_graph
+from commtrack.graph import IdMap, Partition, build_graph, write_edge_tsv
 from commtrack.louvain import (
     DynamicContext,
     LouvainConfig,
@@ -31,6 +35,7 @@ from oracles import (
     random_churned_ids,
     random_graph,
     random_labels,
+    sweep_backends,
 )
 
 
@@ -79,42 +84,44 @@ def test_derive_seed_is_stable_and_sensitive():
 # --- level-1 sweep vs full recomputation ------------------------------------------
 
 
-def test_level_one_sweep_matches_oracle():
-    # pinned, preferential and shuffled-order nodes in one production sweep;
-    # criterion 02 covers the plain rule on more cases. Every other case is a
-    # simple unit-weight graph started from singletons, where equal scores are
-    # common and test the tie-break.
-    rng = np.random.default_rng(11)
-    cfg = LouvainConfig(max_passes_per_level=1, node_order="shuffled", rng_seed=5)
-    restricted = 0
-    done = 0
-    while done < 120:
-        n, edges = random_graph(rng, max_nodes=10, max_edges=25)
-        if n < 2:
-            continue
-        if done % 2 == 0:
-            edges = sorted({(min(u, v), max(u, v), 1.0) for u, v, _ in edges if u != v})
-        g = build_graph(edges, nodes=range(n))
-        labels = random_labels(rng, n) if done % 2 else list(range(n))
-        movable = (rng.random(n) >= 0.2).tolist()
-        pref = (rng.random(n) < 0.5).tolist()
-        prev = set(rng.choice(max(labels) + 1, size=max(1, max(labels) // 2), replace=False).tolist())
-        keys, stats = louvain._one_level(
-            g, np.asarray(labels, dtype=np.int64), movable, pref, frozenset(prev),
-            cfg, random.Random(cfg.rng_seed), 1,
-        )
-        order = list(range(n))
-        random.Random(cfg.rng_seed).shuffle(order)
-        want, moves, steered = oracle_sweep(n, edges, labels, movable, order, louvain.MIN_GAIN, pref, prev)
-        assert keys.tolist() == want
-        q_after = stats.sweep_q[0] if stats.sweep_q else stats.q_start
-        assert q_after - stats.q_start == pytest.approx(sum(m[2] for m in moves), abs=1e-12)
-        restricted += steered
-        done += 1
-    assert restricted > 0
+def test_level_one_sweep_matches_oracle(monkeypatch):
+    # pinned, preferential and shuffled-order nodes in one production sweep,
+    # on every sweep backend; criterion 02 covers the plain rule on more
+    # cases. Every other case is a simple unit-weight graph started from
+    # singletons, where equal scores are common and test the tie-break.
+    for sweep in sweep_backends().values():
+        monkeypatch.setattr(louvain, "_sweep", sweep)
+        rng = np.random.default_rng(11)
+        cfg = LouvainConfig(max_passes_per_level=1, node_order="shuffled", rng_seed=5)
+        restricted = 0
+        done = 0
+        while done < 120:
+            n, edges = random_graph(rng, max_nodes=10, max_edges=25)
+            if n < 2:
+                continue
+            if done % 2 == 0:
+                edges = sorted({(min(u, v), max(u, v), 1.0) for u, v, _ in edges if u != v})
+            g = build_graph(edges, nodes=range(n))
+            labels = random_labels(rng, n) if done % 2 else list(range(n))
+            movable = (rng.random(n) >= 0.2).tolist()
+            pref = (rng.random(n) < 0.5).tolist()
+            prev = set(rng.choice(max(labels) + 1, size=max(1, max(labels) // 2), replace=False).tolist())
+            keys, stats = louvain._one_level(
+                g, np.asarray(labels, dtype=np.int64), movable, pref, frozenset(prev),
+                cfg, random.Random(cfg.rng_seed), 1,
+            )
+            order = list(range(n))
+            random.Random(cfg.rng_seed).shuffle(order)
+            want, moves, steered = oracle_sweep(n, edges, labels, movable, order, louvain.MIN_GAIN, pref, prev)
+            assert keys.tolist() == want
+            q_after = stats.sweep_q[0] if stats.sweep_q else stats.q_start
+            assert q_after - stats.q_start == pytest.approx(sum(m[2] for m in moves), abs=1e-12)
+            restricted += steered
+            done += 1
+        assert restricted > 0
 
 
-def test_equal_scores_go_to_smallest_key():
+def test_equal_scores_go_to_smallest_key(monkeypatch):
     # node 7's best candidates, the communities of nodes 6 and 8, score the
     # same in exact arithmetic; a score computed as w - k * tot / 2m splits
     # them by rounding and picks label 8
@@ -124,15 +131,17 @@ def test_equal_scores_go_to_smallest_key():
     n = 10
     g = build_graph(edges, nodes=range(n))
     cfg = LouvainConfig(max_passes_per_level=1, node_order="shuffled", rng_seed=5)
-    keys, _ = louvain._one_level(
-        g, np.arange(n, dtype=np.int64), [True] * n, None, frozenset(),
-        cfg, random.Random(cfg.rng_seed), 1,
-    )
     order = list(range(n))
     random.Random(cfg.rng_seed).shuffle(order)
     want, _, _ = oracle_sweep(n, edges, list(range(n)), [True] * n, order, louvain.MIN_GAIN)
     assert want[7] == 6
-    assert keys.tolist() == want
+    for sweep in sweep_backends().values():
+        monkeypatch.setattr(louvain, "_sweep", sweep)
+        keys, _ = louvain._one_level(
+            g, np.arange(n, dtype=np.int64), [True] * n, None, frozenset(),
+            cfg, random.Random(cfg.rng_seed), 1,
+        )
+        assert keys.tolist() == want
 
 
 # --- static optimization -----------------------------------------------------------
@@ -342,7 +351,7 @@ def test_pref_restriction_only_targets_previous_labels(monkeypatch):
         assert len(seen) > 1
         level, pref_flags, prev_labels = seen[0]
         assert level == 1 and prev_labels == ctx.prev_labels
-        assert pref_flags == [True] * g1.n
+        assert np.array_equal(pref_flags, np.ones(g1.n, bool))
         assert all(flags is None for _, flags, _ in seen[1:])
 
 
@@ -500,3 +509,91 @@ def test_planted_quality_holds():
         part, report = louvain_static(g, LouvainConfig(rng_seed=seed))
         assert report.final_q >= modularity(g, planted) - 1e-3
         assert compare(planted, part).normalized_mi() >= 0.99
+
+
+# --- sweep backends ------------------------------------------------------------------
+
+
+def _runs_of_every_shape(seed):
+    """Labels and report repr of static and dynamic runs, in both node orders,
+    on a 4000-node planted transition and on random float-weight graphs."""
+    out = []
+    (g0, _), (g1, _) = _planted(seed, nodes=4000, steps=2, churn=0.05, migrate=0.03)
+    rng = np.random.default_rng(seed)
+    graphs = [(g0, g1)]
+    for _ in range(10):
+        n = int(rng.integers(50, 400))
+        u, v = rng.integers(0, n, size=(2, 4 * n))
+        edges = list(zip(u.tolist(), v.tolist(), (rng.random(4 * n) * 3).tolist()))
+        g = build_graph(edges, nodes=range(n))
+        graphs.append((g, g))
+    for g_t, g_t1 in graphs:
+        for order in ("index", "shuffled"):
+            cfg = LouvainConfig(rng_seed=seed, node_order=order)
+            part, report = louvain_static(g_t, cfg)
+            out.append((part.labels.tolist(), repr(report)))
+            prev = renumber_partition(part)
+            for p, q in ((0.0, 0.0), (0.5, 0.25), (0.0, 1.0), (1.0, 1.0)):
+                part, report = louvain_dynamic(g_t1, DynamicContext.from_previous(prev, g_t1, p, q, seed), cfg)
+                out.append((part.labels.tolist(), repr(report)))
+    return out
+
+
+def test_sweep_backends_are_bit_identical(monkeypatch):
+    # labels, every LevelStats field and final_q, compared through repr,
+    # which round-trips every float bit
+    backends = sweep_backends()
+    if len(backends) < 2:
+        pytest.skip("only the Python sweep is available")
+    runs = {}
+    for name, sweep in backends.items():
+        monkeypatch.setattr(louvain, "_sweep", sweep)
+        runs[name] = [_runs_of_every_shape(seed) for seed in (1, 2)]
+    assert runs["c"] == runs["python"]
+
+
+SRC = str(Path(louvain.__file__).resolve().parents[1])
+KERNEL_PROBE = "import commtrack.louvain as louvain; print(louvain.KERNEL)"
+
+
+def _python(args, **env):
+    """Run the interpreter on ``args`` with warnings as errors and the package
+    on the path; returns (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", *args], env=dict(os.environ, PYTHONPATH=SRC, **env),
+        capture_output=True, text=True, timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_kernel_fallback_and_cache(tmp_path, monkeypatch):
+    (g, _), = _planted(5, nodes=1000)
+    graph = tmp_path / "g.tsv"
+    write_edge_tsv(g, graph)
+
+    # no compiler and an empty cache: the Python sweep runs, silently, and
+    # detect writes the bytes the kernel writes
+    no_cc = {"CC": "false", "XDG_CACHE_HOME": str(tmp_path / "empty")}
+    assert _python(["-c", KERNEL_PROBE], **no_cc) == (0, "python\n", "")
+    code, out, err = _python(["-m", "commtrack.cli", "--help"], **no_cc)
+    assert (code, out.startswith("usage:"), err) == (0, True, "")
+    runs = {}
+    for name, env in (("python", no_cc), ("kernel", {})):
+        part_file = tmp_path / f"{name}.tsv"
+        detect = ["-m", "commtrack.cli", "detect", "--graph", str(graph), "--seed", "1", "-o", str(part_file)]
+        runs[name] = _python(detect, **env), part_file.read_bytes()
+    assert runs["python"] == runs["kernel"]
+    assert runs["python"][0][0] == 0
+
+    # a corrupt file at the cache path is rebuilt when a compiler exists, and
+    # never loaded when none does
+    cache_home = str(tmp_path / "corrupt")
+    monkeypatch.setenv("XDG_CACHE_HOME", cache_home)
+    path = Path(louvain._kernel_cache_path())
+    path.parent.mkdir(parents=True)
+    if louvain.KERNEL == "c":
+        path.write_bytes(b"not a shared library")
+        assert _python(["-c", KERNEL_PROBE], XDG_CACHE_HOME=cache_home) == (0, "c\n", "")
+        assert path.read_bytes()[:4] == b"\x7fELF"
+    path.write_bytes(b"not a shared library")
+    assert _python(["-c", KERNEL_PROBE], CC="false", XDG_CACHE_HOME=cache_home) == (0, "python\n", "")
