@@ -34,7 +34,6 @@ from .louvain import (
     louvain_static,
     modularity,
     renumber_partition,
-    seeded_init,
 )
 from .metrics import (
     ComparisonReport,
@@ -73,7 +72,6 @@ __all__ = [
     "louvain_static",
     "modularity",
     "renumber_partition",
-    "seeded_init",
     "ComparisonReport",
     "MatchConfig",
     "compare",

@@ -35,7 +35,7 @@ import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -51,7 +51,6 @@ __all__ = [
     "modularity",
     "louvain_static",
     "louvain_dynamic",
-    "seeded_init",
     "renumber_partition",
     "round_half_up",
     "derive_seed",
@@ -196,14 +195,17 @@ def _q_from_sums(com_in: np.ndarray, com_tot: np.ndarray, two_m: float) -> float
 
 @dataclass
 class DynamicContext:
-    """Everything a stability-aware detection run needs about the previous step.
+    """Everything a detection run starts from; the one input of every run.
 
-    All node references are internal indices of the *next* graph. ``init_labels``
-    is the seeded starting partition: previous labels on surviving nodes, fresh
-    singleton labels, counting up in index order, on new nodes.
+    All four fields are int64 arrays, and all node references are internal
+    indices of the *next* graph. ``init_labels`` is the seeded starting
+    partition: previous labels on surviving nodes, fresh singleton labels,
+    counting up in index order, on new nodes. ``prev_labels`` holds the
+    labels alive at the previous step, sorted and distinct. A static run is
+    a run whose context has only ``init_labels``.
     """
 
-    prev_labels: FrozenSet[int]  # labels alive at the previous step
+    prev_labels: np.ndarray  # sorted distinct labels alive at the previous step
     fixed: np.ndarray  # sorted surviving nodes pinned to their previous label
     pref: np.ndarray  # sorted, subset of all nodes
     init_labels: np.ndarray  # int64, one label per node of the next graph
@@ -240,7 +242,7 @@ class DynamicContext:
         fixed = _sample_without_replacement(remaining, p, derive_seed(seed, 0))
         pref = _sample_without_replacement(np.arange(g_next.n), q, derive_seed(seed, 1))
         return cls(
-            prev_labels=frozenset(np.unique(prev_label_arr).tolist()),
+            prev_labels=np.unique(prev_label_arr),
             fixed=fixed,
             pref=pref,
             init_labels=init,
@@ -254,17 +256,6 @@ class DynamicContext:
         for name, arr in (("fixed", self.fixed), ("pref", self.pref)):
             if len(arr) and (arr.min() < 0 or arr.max() >= n):
                 raise InputError(f"context {name} set references nodes outside the graph")
-
-    @property
-    def frozen_labels(self) -> FrozenSet[int]:
-        """Labels of communities that contain at least one fixed node."""
-        return frozenset(self.init_labels[self.fixed].tolist())
-
-
-def seeded_init(prev_partition: Partition, g_next: Graph, fresh_label_start: Optional[int] = None) -> Partition:
-    """The seeded starting partition: previous labels on survivors, fresh singletons elsewhere."""
-    ctx = DynamicContext.from_previous(prev_partition, g_next, 0.0, 0.0, 0, fresh_label_start)
-    return Partition(g_next.ids, ctx.init_labels.copy())
 
 
 # --- the level-1 sweep ----------------------------------------------------------
@@ -493,20 +484,20 @@ def _one_level(
     lg: Graph,
     keys: np.ndarray,
     movable: ArrayLike,
-    pref_flags: Optional[ArrayLike],
-    prev_labels: FrozenSet[int],
+    pref: ArrayLike,
+    prev_labels: ArrayLike,
     cfg: LouvainConfig,
     rng: random.Random,
     level: int,
 ) -> Tuple[np.ndarray, LevelStats]:
     """Phase 1 on one level graph; returns final key per node and stats.
 
-    ``movable`` and ``pref_flags`` are per-node boolean masks (``pref_flags``
-    is None when no node is preferential). Each sweep is one call of
-    :func:`_sweep`, whose Python body documents the move rule. The first sweep
-    visits every movable node; each later sweep visits, in the same order,
-    only the movable nodes that moved in the previous sweep or neighbour a
-    node that did. The level ends when a sweep moves nothing.
+    ``movable`` and ``pref`` are per-node boolean masks; a ``pref`` node is
+    steered toward the communities keyed in ``prev_labels``. Each sweep is
+    one call of :func:`_sweep`, whose Python body documents the move rule.
+    The first sweep visits every movable node; each later sweep visits, in
+    the same order, only the movable nodes that moved in the previous sweep
+    or neighbour a node that did. The level ends when a sweep moves nothing.
     """
     n = lg.n
     two_m = lg.total_weight_2m
@@ -541,13 +532,8 @@ def _one_level(
     k = np.ascontiguousarray(lg.degrees, dtype=np.float64)
     node_slot = np.ascontiguousarray(node_slot, dtype=np.int64)
     movable = np.asarray(movable, dtype=np.uint8)
-    if pref_flags is None:
-        pref = np.zeros(n, dtype=np.uint8)
-        slot_is_prev = np.zeros(c, dtype=np.uint8)
-    else:
-        pref = np.asarray(pref_flags, dtype=np.uint8)
-        prev = np.fromiter(prev_labels, dtype=np.int64, count=len(prev_labels))
-        slot_is_prev = np.isin(slot_key, prev).astype(np.uint8)
+    pref = np.asarray(pref, dtype=np.uint8)
+    slot_is_prev = np.isin(slot_key, prev_labels).astype(np.uint8)
     if len(movable) != n or len(pref) != n:
         raise InternalInvariantError("node masks do not match the level graph")
 
@@ -586,35 +572,26 @@ def _one_level(
     return slot_key[node_slot], stats
 
 
-def _run(
-    g: Graph,
-    init_keys: np.ndarray,
-    cfg: LouvainConfig,
-    fixed: np.ndarray,
-    pref: np.ndarray,
-    prev_labels: FrozenSet[int],
-    frozen_labels: FrozenSet[int],
-) -> Tuple[Partition, RunReport]:
-    report = RunReport(n_fixed=len(fixed), n_pref=len(pref))
+def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, RunReport]:
+    report = RunReport(n_fixed=len(ctx.fixed), n_pref=len(ctx.pref))
     if g.n == 0:
         return Partition(g.ids, np.empty(0, dtype=np.int64)), report
 
     rng = random.Random(cfg.rng_seed)
-    flat = np.asarray(init_keys, dtype=np.int64).copy()
+    flat = np.array(ctx.init_labels, dtype=np.int64)
+    frozen = np.unique(flat[ctx.fixed])  # communities holding a pinned node
 
     movable = np.ones(g.n, dtype=bool)
-    movable[fixed] = False
-    pref_flags: Optional[np.ndarray] = None
-    if len(pref):
-        pref_flags = np.zeros(g.n, dtype=bool)
-        pref_flags[pref] = True
-    frozen = np.fromiter(frozen_labels, dtype=np.int64, count=len(frozen_labels))
+    movable[ctx.fixed] = False
+    pref = np.zeros(g.n, dtype=bool)
+    pref[ctx.pref] = True
+    prev_labels = ctx.prev_labels
 
     lg = g
     keys = flat
     level = 1
     while True:
-        keys, stats = _one_level(lg, keys, movable, pref_flags, prev_labels, cfg, rng, level)
+        keys, stats = _one_level(lg, keys, movable, pref, prev_labels, cfg, rng, level)
         report.levels.append(stats)
         if level == 1:
             flat = keys
@@ -627,7 +604,9 @@ def _run(
         lg = aggregate_by_partition(lg, Partition(lg.ids, keys))
         keys = np.asarray(lg.ids.ids, dtype=np.int64)  # supernode external id == its community key
         movable = ~np.isin(keys, frozen)
-        pref_flags = None  # preferential rule applies to the first level only
+        # the preferential rule applies to the first level only
+        pref = np.zeros(lg.n, dtype=bool)
+        prev_labels = np.empty(0, dtype=np.int64)
         level += 1
 
     return Partition(g.ids, flat), report
@@ -640,18 +619,20 @@ def louvain_static(
 ) -> Tuple[Partition, RunReport]:
     """Louvain on one snapshot; ``init`` seeds phase 1 from a previous partition.
 
-    Without ``init`` every node starts alone (labels are then engine-internal;
-    callers wanting stable labels renumber the result). Greedy moves never
-    decrease modularity, so the output never scores below the seed.
+    A static run is the one detection run over a context with no previous
+    labels, no pinned and no steered node. Without ``init`` every node starts
+    alone (labels are then engine-internal; callers wanting stable labels
+    renumber the result). Greedy moves never decrease modularity, so the
+    output never scores below the seed.
     """
     if init is not None:
         if not init.covers(g):
             raise InputError("init partition does not cover the graph")
-        init_keys = init.labels
+        init_labels = init.labels
     else:
-        init_keys = np.arange(g.n, dtype=np.int64)
+        init_labels = np.arange(g.n, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
-    return _run(g, init_keys, cfg, empty, empty, frozenset(), frozenset())
+    return _run(g, DynamicContext(empty, empty, empty, init_labels), cfg)
 
 
 def louvain_dynamic(
@@ -667,15 +648,7 @@ def louvain_dynamic(
     first level. With p=q=0 this is exactly seeded :func:`louvain_static`.
     """
     ctx.validate(g_next)
-    return _run(
-        g_next,
-        ctx.init_labels,
-        cfg,
-        ctx.fixed,
-        ctx.pref,
-        ctx.prev_labels,
-        ctx.frozen_labels,
-    )
+    return _run(g_next, ctx, cfg)
 
 
 def renumber_partition(part: Partition, start: int = 0) -> Partition:

@@ -113,7 +113,8 @@ def _mutual_information(n: int, table, row: np.ndarray, col: np.ndarray) -> floa
 
 def _entropy(p: np.ndarray) -> float:
     """Shannon entropy of the distribution ``p``, in nats."""
-    return float(-np.sum(p * np.log(p)))
+    # 0.0 - s, not -s: a single community (s == 0.0) gives 0.0, never -0.0
+    return float(0.0 - np.sum(p * np.log(p)))
 
 
 def _matching(table, size_a: np.ndarray, size_b: np.ndarray, r: float) -> List[Tuple[int, int]]:

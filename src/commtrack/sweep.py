@@ -110,8 +110,10 @@ def run_sweep(
 
 
 def _fmt_pct(v: float) -> str:
-    pct = v * 100.0
-    return str(int(pct)) if pct == int(pct) else repr(pct)
+    """A fraction as the percentage it was given as: ``v * 100`` rounds in the
+    last bit (0.07 * 100 is 7.000000000000001), and 15 significant digits
+    drop that error."""
+    return f"{v * 100.0:.15g}"
 
 
 def write_sweep_csv(results: List[SweepResult], fh: TextIO) -> None:

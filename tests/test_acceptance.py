@@ -27,7 +27,6 @@ from commtrack.louvain import (
     louvain_static,
     modularity,
     renumber_partition,
-    seeded_init,
 )
 from commtrack.metrics import MatchConfig, compare
 from commtrack.synth import SynthSpec, generate
@@ -98,7 +97,7 @@ def test_criterion_02_gain_oracle_equivalence(monkeypatch):
             labels = random_labels(rng, n)
             movable = (rng.random(n) >= 0.2).tolist()
             keys, stats = louvain._one_level(
-                g, np.asarray(labels, dtype=np.int64), movable, None, frozenset(),
+                g, np.asarray(labels, dtype=np.int64), movable, [False] * n, (),
                 cfg, random.Random(0), 1,
             )
             want, moves, _ = oracle_sweep(n, edges, labels, movable, range(n), louvain.MIN_GAIN)
@@ -163,7 +162,7 @@ def test_criterion_05_baseline_identity_p0_q0():
         prev = renumber_partition(louvain_static(g0, cfg)[0])
         ctx = DynamicContext.from_previous(prev, g1, 0.0, 0.0, seed=i)
         dyn, _ = louvain_dynamic(g1, ctx, cfg)
-        sta, _ = louvain_static(g1, cfg, init=seeded_init(prev, g1))
+        sta, _ = louvain_static(g1, cfg, init=Partition(g1.ids, ctx.init_labels))
         if dyn != sta:
             mismatches += 1
     ok = mismatches == 0

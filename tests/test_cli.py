@@ -11,6 +11,7 @@ from commtrack.cli import SweepSpec, _parse_pct_list, _parse_seeds, main, run_sw
 from commtrack.errors import InputError, InternalInvariantError
 from commtrack.graph import read_edge_tsv, read_partition_tsv
 from commtrack.louvain import LouvainConfig, louvain_static, renumber_partition
+from commtrack.sweep import _fmt_pct
 from commtrack.metrics import MatchConfig, compare
 from commtrack.synth import SynthSpec, generate
 
@@ -124,6 +125,19 @@ def test_sweep_csv_shape_and_determinism(tmp_path):
     # deterministic row order: (p, q, seed)
     keys = [(float(r[0]), float(r[1]), int(r[2])) for r in rows1[1:]]
     assert keys == sorted(keys)
+
+
+def test_sweep_percent_columns_print_values_as_given(tmp_path):
+    # 0.07 * 100 is 7.000000000000001 in floating point
+    p0, p1, _, _ = _write_pair(tmp_path)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--graph-t", str(p0), "--graph-t1", str(p1),
+                 "--p", "7,57", "--q", "14,12.5", "--seeds", "1", "-o", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert [r[:2] for r in rows] == [["7", "14"], ["7", "12.5"], ["57", "14"], ["57", "12.5"]]
+    for tenths in range(1001):
+        text = f"{tenths / 10:g}"
+        assert _fmt_pct(_parse_pct_list(text, "p")[0]) == text
 
 
 def test_sweep_baseline_row_matches_library(tmp_path):

@@ -23,7 +23,6 @@ from commtrack.louvain import (
     modularity,
     renumber_partition,
     round_half_up,
-    seeded_init,
 )
 from commtrack.metrics import compare
 from commtrack.synth import SynthSpec, generate
@@ -107,7 +106,7 @@ def test_level_one_sweep_matches_oracle(monkeypatch):
             pref = (rng.random(n) < 0.5).tolist()
             prev = set(rng.choice(max(labels) + 1, size=max(1, max(labels) // 2), replace=False).tolist())
             keys, stats = louvain._one_level(
-                g, np.asarray(labels, dtype=np.int64), movable, pref, frozenset(prev),
+                g, np.asarray(labels, dtype=np.int64), movable, pref, sorted(prev),
                 cfg, random.Random(cfg.rng_seed), 1,
             )
             order = list(range(n))
@@ -138,7 +137,7 @@ def test_equal_scores_go_to_smallest_key(monkeypatch):
     for sweep in sweep_backends().values():
         monkeypatch.setattr(louvain, "_sweep", sweep)
         keys, _ = louvain._one_level(
-            g, np.arange(n, dtype=np.int64), [True] * n, None, frozenset(),
+            g, np.arange(n, dtype=np.int64), [True] * n, [False] * n, (),
             cfg, random.Random(cfg.rng_seed), 1,
         )
         assert keys.tolist() == want
@@ -246,7 +245,8 @@ def test_context_from_previous_matches_dict_reference_on_churned_node_sets(str_i
         assert ctx.fixed.tolist() == sample(survivors, p, derive_seed(seed, 0)).tolist()
         assert set(ctx.fixed.tolist()) <= set(survivors)
         assert ctx.pref.tolist() == sample(list(range(len(next_ids))), q, derive_seed(seed, 1)).tolist()
-        assert ctx.prev_labels == frozenset(prev_labels)
+        assert ctx.prev_labels.tolist() == sorted(set(prev_labels))
+        assert ctx.prev_labels.dtype == np.int64
 
 
 def test_context_rejects_bad_fractions():
@@ -264,14 +264,16 @@ def test_context_rejects_fresh_labels_past_int64():
     with pytest.raises(InputError, match="int64"):
         DynamicContext.from_previous(prev, g_next, 0.0, 0.0, seed=0)
     with pytest.raises(InputError, match="int64"):
-        seeded_init(Partition(g.ids, np.array([0, 1])), g_next, fresh_label_start=2**63)
+        DynamicContext.from_previous(Partition(g.ids, np.array([0, 1])), g_next, 0.0, 0.0, seed=0,
+                                     fresh_label_start=2**63)
 
 
 def test_seeded_init_matches_context():
     g0 = two_triangles()
     prev, _ = louvain_static(g0)
     g1 = build_graph([(0, 1), (5, 7)], nodes=[0, 1, 5, 7])
-    init = seeded_init(prev, g1)
+    ctx = DynamicContext.from_previous(prev, g1, 0.0, 0.0, seed=0)
+    init = Partition(g1.ids, ctx.init_labels)
     assert init.label_of(0) == prev.label_of(0)
     assert init.label_of(5) == prev.label_of(5)
     fresh = init.label_of(7)
@@ -297,7 +299,7 @@ def test_baseline_identity_p0_q0():
         ctx = DynamicContext.from_previous(prev, g1, 0.0, 0.0, seed=seed)
         cfg = LouvainConfig(rng_seed=seed)
         dyn, _ = louvain_dynamic(g1, ctx, cfg)
-        sta, _ = louvain_static(g1, cfg, init=seeded_init(prev, g1))
+        sta, _ = louvain_static(g1, cfg, init=Partition(g1.ids, ctx.init_labels))
         assert dyn == sta
 
 
@@ -350,9 +352,9 @@ def test_pref_restriction_only_targets_previous_labels(monkeypatch):
         louvain_dynamic(g1, ctx)
         assert len(seen) > 1
         level, pref_flags, prev_labels = seen[0]
-        assert level == 1 and prev_labels == ctx.prev_labels
+        assert level == 1 and np.array_equal(prev_labels, ctx.prev_labels)
         assert np.array_equal(pref_flags, np.ones(g1.n, bool))
-        assert all(flags is None for _, flags, _ in seen[1:])
+        assert all(not flags.any() and len(labels) == 0 for _, flags, labels in seen[1:])
 
 
 def test_pref_never_forces_a_move():

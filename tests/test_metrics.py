@@ -79,6 +79,15 @@ def test_entropy_of_community_sizes():
     assert compare(a, a).entropy_a == pytest.approx(math.log(2), abs=1e-12)
 
 
+def test_one_community_entropy_is_positive_zero():
+    # -sum(p log p) over p = [1.0] is -0.0, which JSON writes as "-0.0"
+    a = _part([1, 2, 3], [4, 4, 4])
+    b = _part([1, 2, 3], [9, 9, 9])
+    report = compare(a, b)
+    assert math.copysign(1.0, report.entropy_a) == math.copysign(1.0, report.entropy_b) == 1.0
+    assert "-0.0" not in report.to_json()
+
+
 # --- matching ------------------------------------------------------------------
 
 
