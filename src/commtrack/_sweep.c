@@ -7,9 +7,10 @@
  * scores is "smallest slot".
  *
  * Scratch, all allocated by the caller for this one call: weight and stamp
- * hold one entry per slot (stamp filled with -1), touched one per slot,
- * queued one zeroed byte per node, nxt one entry per node. Returns the number
- * of moves; the next sweep's visit list, unordered, is nxt[0 .. *n_nxt).
+ * hold one entry per slot (stamp filled with -1), touched one per slot, and
+ * active one zeroed byte per node. Returns the number of moves; on return
+ * active[v] is 1 for every node v that moved or neighbours a node that did.
+ * Which nodes the next sweep visits, and in what order, is the caller's.
  */
 #include <stdint.h>
 
@@ -18,12 +19,11 @@ int64_t commtrack_sweep(
     const int64_t *indptr, const int64_t *nbr, const double *wgt,
     const double *loops, const double *k,
     int64_t *node_slot, double *com_in, double *com_tot,
-    const uint8_t *movable, const uint8_t *pref, const uint8_t *slot_is_prev,
+    const uint8_t *pref, const uint8_t *slot_is_prev,
     double two_m, double min_diff,
-    double *weight, int64_t *stamp, int64_t *touched, uint8_t *queued,
-    int64_t *nxt, int64_t *n_nxt)
+    double *weight, int64_t *stamp, int64_t *touched, uint8_t *active)
 {
-    int64_t moved = 0, n_out = 0;
+    int64_t moved = 0;
     for (int64_t i = 0; i < n_visit; i++) {
         const int64_t u = visit[i], su = node_slot[u];
         const int64_t lo = indptr[u], hi = indptr[u + 1];
@@ -66,21 +66,12 @@ int64_t commtrack_sweep(
             com_in[su] -= 2.0 * w_own + 2.0 * loops[u];
             com_in[best] += 2.0 * weight[best] + 2.0 * loops[u];
             moved++;
-            if (movable[u] && !queued[u]) {
-                queued[u] = 1;
-                nxt[n_out++] = u;
-            }
-            for (int64_t e = lo; e < hi; e++) {
-                const int64_t v = nbr[e];
-                if (movable[v] && !queued[v]) {
-                    queued[v] = 1;
-                    nxt[n_out++] = v;
-                }
-            }
+            active[u] = 1;
+            for (int64_t e = lo; e < hi; e++)
+                active[nbr[e]] = 1;
         } else {
             com_tot[su] += ku;
         }
     }
-    *n_nxt = n_out;
     return moved;
 }

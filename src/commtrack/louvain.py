@@ -271,13 +271,12 @@ def _sweep_py(
     node_slot: np.ndarray,
     com_in: np.ndarray,
     com_tot: np.ndarray,
-    movable: np.ndarray,
     pref: np.ndarray,
     slot_is_prev: np.ndarray,
     two_m: float,
     min_diff: float,
 ) -> Tuple[int, np.ndarray]:
-    """One sweep over the nodes of ``visit``; returns the moves and the next visit list.
+    """One sweep over the nodes of ``visit``; returns the moves and the active mask.
 
     This is the package's one move rule. A visited node, taken out of its
     community, scores each candidate community s by ``w_s * 2m - k_u * tot_s``
@@ -291,21 +290,20 @@ def _sweep_py(
 
     Communities are slots numbered in ascending key order, so the smallest
     key is the smallest slot. ``node_slot``, ``com_in`` and ``com_tot`` are
-    updated in place; the masks are uint8. The next visit list holds, once
-    each and in no set order, the movable nodes that moved or neighbour a
-    node that did. :func:`_sweep_c` is the same arithmetic in the same order.
+    updated in place; the masks are uint8, and so is the returned one: 1 for
+    every node that moved or neighbours a node that did. :func:`_sweep_c` is
+    the same arithmetic in the same order.
     """
     # whole lists of what every node reads or writes; each visited node's
     # own row is sliced out as it comes, so a sweep over few nodes stays cheap
     ptr = indptr.tolist()
     slot, tot, inn = node_slot.tolist(), com_tot.tolist(), com_in.tolist()
-    movable_l, is_prev = movable.tolist(), slot_is_prev.tolist()
+    is_prev = slot_is_prev.tolist()
     # per-slot link weight of the visited node; stamp[s] == u marks it as
     # written for u (each node is visited at most once per sweep)
     weight = [0.0] * len(tot)
     stamp = [-1] * len(tot)
-    queued = [False] * len(slot)
-    nxt: List[int] = []
+    active = bytearray(len(slot))
     moved = 0
     for u in visit.tolist():
         su = slot[u]
@@ -346,17 +344,16 @@ def _sweep_py(
             inn[su] -= 2.0 * w_own + 2.0 * loop_u
             inn[best] += 2.0 * weight[best] + 2.0 * loop_u
             moved += 1
-            for v in (u, *row):
-                if movable_l[v] and not queued[v]:
-                    queued[v] = True
-                    nxt.append(v)
+            active[u] = 1
+            for v in row:
+                active[v] = 1
         else:
             tot[su] += ku
 
     node_slot[:] = slot
     com_tot[:] = tot
     com_in[:] = inn
-    return moved, np.array(nxt, dtype=np.int64)
+    return moved, np.frombuffer(active, dtype=np.uint8)
 
 
 def _sweep_c(
@@ -369,7 +366,6 @@ def _sweep_c(
     node_slot: np.ndarray,
     com_in: np.ndarray,
     com_tot: np.ndarray,
-    movable: np.ndarray,
     pref: np.ndarray,
     slot_is_prev: np.ndarray,
     two_m: float,
@@ -382,20 +378,17 @@ def _sweep_c(
         np.empty(c, dtype=np.float64),  # weight
         np.full(c, -1, dtype=np.int64),  # stamp
         np.empty(c, dtype=np.int64),  # touched
-        np.zeros(n, dtype=np.uint8),  # queued
-        np.empty(n, dtype=np.int64),  # nxt
+        np.zeros(n, dtype=np.uint8),  # active
     )
-    n_nxt = ctypes.c_int64()
     moved = _KERNEL_FN(
         len(visit),
         *(a.ctypes.data for a in (visit, indptr, nbr, wgt, self_loops, degrees, node_slot,
-                                  com_in, com_tot, movable, pref, slot_is_prev)),
+                                  com_in, com_tot, pref, slot_is_prev)),
         two_m,
         min_diff,
         *(a.ctypes.data for a in scratch),
-        ctypes.byref(n_nxt),
     )
-    return moved, scratch[4][: n_nxt.value]
+    return moved, scratch[3]
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_sweep.c")
@@ -407,7 +400,7 @@ def _bind_kernel(path: str):
     fn = ctypes.CDLL(path).commtrack_sweep
     fn.restype = ctypes.c_int64
     fn.argtypes = (
-        [ctypes.c_int64] + [ctypes.c_void_p] * 12 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 6
+        [ctypes.c_int64] + [ctypes.c_void_p] * 11 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
     )
     return fn
 
@@ -494,10 +487,11 @@ def _one_level(
 
     ``movable`` and ``pref`` are per-node boolean masks; a ``pref`` node is
     steered toward the communities keyed in ``prev_labels``. Each sweep is
-    one call of :func:`_sweep`, whose Python body documents the move rule.
-    The first sweep visits every movable node; each later sweep visits, in
-    the same order, only the movable nodes that moved in the previous sweep
-    or neighbour a node that did. The level ends when a sweep moves nothing.
+    one call of :func:`_sweep`, whose Python body documents the move rule;
+    who is visited, and in what order, is decided here alone. The level's
+    order keeps only the movable nodes; the first sweep visits them all, each
+    later one, in that order, those the last sweep marked active. The level
+    ends when a sweep moves nothing.
     """
     n = lg.n
     two_m = lg.total_weight_2m
@@ -531,7 +525,7 @@ def _one_level(
     loops = np.ascontiguousarray(lg.self_loops, dtype=np.float64)
     k = np.ascontiguousarray(lg.degrees, dtype=np.float64)
     node_slot = np.ascontiguousarray(node_slot, dtype=np.int64)
-    movable = np.asarray(movable, dtype=np.uint8)
+    movable = np.asarray(movable, dtype=bool)
     pref = np.asarray(pref, dtype=np.uint8)
     slot_is_prev = np.isin(slot_key, prev_labels).astype(np.uint8)
     if len(movable) != n or len(pref) != n:
@@ -541,16 +535,16 @@ def _one_level(
     if cfg.node_order == "shuffled":
         rng.shuffle(order)
     order = np.asarray(order, dtype=np.int64)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n, dtype=np.int64)
-    visit = order[movable[order] != 0]
+    order = order[movable[order]]
+    active = np.ones(n, dtype=np.uint8)
 
     min_diff = MIN_GAIN * two_m * two_m / 2.0
     q_prev = q_start
     while stats.sweeps < cfg.max_passes_per_level:
-        moved, nxt = _sweep(
+        visit = order[active[order] != 0]
+        moved, active = _sweep(
             visit, indptr, nbr, wgt, loops, k, node_slot, com_in, com_tot,
-            movable, pref, slot_is_prev, two_m, min_diff,
+            pref, slot_is_prev, two_m, min_diff,
         )
         stats.sweeps += 1
         stats.moves += moved
@@ -565,7 +559,6 @@ def _one_level(
         q_prev = q_now
         if moved == 0:
             break
-        visit = nxt[np.argsort(position[nxt])]
 
     stats.q_end = q_prev
     stats.n_communities_end = len(np.unique(node_slot))
@@ -573,13 +566,19 @@ def _one_level(
 
 
 def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, RunReport]:
+    """Phase 1 and aggregation, level by level, from ``ctx``; ``node_of`` maps
+    each node of ``g`` to its node in the current level graph."""
+    two_m = g.total_weight_2m
+    # move scores are products of two weights; past this bound they round to 0
+    if 0.0 < two_m and two_m * two_m < sys.float_info.min:
+        raise InputError(f"total edge weight 2m = {two_m:g} is too small: (2m)^2 underflows")
     report = RunReport(n_fixed=len(ctx.fixed), n_pref=len(ctx.pref))
     if g.n == 0:
         return Partition(g.ids, np.empty(0, dtype=np.int64)), report
 
     rng = random.Random(cfg.rng_seed)
-    flat = np.array(ctx.init_labels, dtype=np.int64)
-    frozen = np.unique(flat[ctx.fixed])  # communities holding a pinned node
+    keys = np.array(ctx.init_labels, dtype=np.int64)
+    frozen = np.unique(keys[ctx.fixed])  # communities holding a pinned node
 
     movable = np.ones(g.n, dtype=bool)
     movable[ctx.fixed] = False
@@ -588,28 +587,26 @@ def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, 
     prev_labels = ctx.prev_labels
 
     lg = g
-    keys = flat
+    node_of = np.arange(g.n, dtype=np.int64)
     level = 1
     while True:
         keys, stats = _one_level(lg, keys, movable, pref, prev_labels, cfg, rng, level)
         report.levels.append(stats)
-        if level == 1:
-            flat = keys
-        else:  # supernode ids are the previous level's keys, sorted
-            flat = keys[np.searchsorted(np.asarray(lg.ids.ids, dtype=np.int64), flat)]
         report.final_q = stats.q_end
         if stats.moves == 0 or stats.q_end - stats.q_start < MIN_GAIN:
             break
 
         lg = aggregate_by_partition(lg, Partition(lg.ids, keys))
-        keys = np.asarray(lg.ids.ids, dtype=np.int64)  # supernode external id == its community key
+        supernode_keys = np.asarray(lg.ids.ids, dtype=np.int64)  # sorted; external id == community key
+        node_of = np.searchsorted(supernode_keys, keys)[node_of]
+        keys = supernode_keys
         movable = ~np.isin(keys, frozen)
         # the preferential rule applies to the first level only
         pref = np.zeros(lg.n, dtype=bool)
         prev_labels = np.empty(0, dtype=np.int64)
         level += 1
 
-    return Partition(g.ids, flat), report
+    return Partition(g.ids, keys[node_of]), report
 
 
 def louvain_static(

@@ -145,16 +145,12 @@ def derive_step_seed(base_seed: int, step_index: int) -> int:
     return derive_seed(base_seed, step_index)
 
 
-def bootstrap(
-    g0: Graph,
-    cfg: LouvainConfig = LouvainConfig(),
-    snapshot_id: Optional[str] = None,
-) -> Timeline:
+def bootstrap(g0: Graph, cfg: LouvainConfig = LouvainConfig()) -> Timeline:
     """Start a timeline: plain detection on the first snapshot, labels 0..c-1."""
     part, _report = louvain_static(g0, cfg)
     part = renumber_partition(part, start=0)
     tl = Timeline()
-    tl.steps.append(TimelineStep(snapshot_id if snapshot_id is not None else "0", g0, part))
+    tl.steps.append(TimelineStep("0", g0, part))
     tl._register_labels(part, 0)
     return tl
 
@@ -167,7 +163,6 @@ def step(
     seed: int,
     cfg: LouvainConfig = LouvainConfig(),
     match_cfg: MatchConfig = MatchConfig(),
-    snapshot_id: Optional[str] = None,
 ) -> Timeline:
     """Detect on the next snapshot with stability (p, q) and append the result.
 
@@ -198,9 +193,7 @@ def step(
         fixed_ids=tuple(g_next.ids.ids[int(i)] for i in ctx.fixed),
     )
 
-    tl.steps.append(
-        TimelineStep(snapshot_id if snapshot_id is not None else str(step_index), g_next, part)
-    )
+    tl.steps.append(TimelineStep(str(step_index), g_next, part))
     tl.history.append(report)
     tl.events.append(events)
     tl._register_labels(part, step_index)

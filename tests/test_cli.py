@@ -401,6 +401,37 @@ def test_weight_sum_whose_square_overflows_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _joined_triangles(path, w):
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+    path.write_text("".join(f"{u}\t{v}\t{w!r}\n" for u, v in edges), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["detect", "track", "sweep"])
+def test_weight_sum_whose_square_underflows_exits_2(tmp_path, capsys, command):
+    # every move score w_s*2m - k_u*tot_s would round to 0, so detection
+    # would return singletons with exit 0
+    graph = tmp_path / "tiny.tsv"
+    _joined_triangles(graph, 1e-200)
+    out = tmp_path / "out"
+    args = {
+        "detect": ["detect", "--graph", str(graph), "-o", str(out)],
+        "track": ["track", "--timeline", str(out), "--add", str(graph)],
+        "sweep": ["sweep", "--graph-t", str(graph), "--graph-t1", str(graph), "--p", "0,50", "--q", "0",
+                  "--seeds", "1", "-o", str(out)],
+    }[command]
+    assert main(args) == 2
+    assert "2m = 1.4e-199" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_small_weights_above_the_underflow_bound_still_detect(tmp_path, capsys):
+    graph = tmp_path / "small.tsv"
+    _joined_triangles(graph, 1e-153)
+    out = tmp_path / "part.tsv"
+    assert main(["detect", "--graph", str(graph), "-o", str(out)]) == 0
+    assert len(set(read_partition_tsv(out).labels.tolist())) == 2
+
+
 @pytest.mark.parametrize("command", ["detect", "compare"])
 def test_partition_label_outside_int64_exits_2(tmp_path, capsys, command):
     p0, _, g0, _ = _write_pair(tmp_path)

@@ -478,6 +478,52 @@ def test_active_sweeps_dynamic_pinned(monkeypatch):
     _check_active_sweeps(g1, run, monkeypatch)
 
 
+def test_sweep_bodies_keep_only_the_move_rule(monkeypatch):
+    # _one_level alone schedules: each visit is the level's order less the
+    # pinned nodes, cut to what the last sweep marked; a body's returned
+    # mask marks exactly the nodes whose slot it changed and their neighbours
+    (planted, _), = _planted(8, nodes=600)
+    rng = np.random.default_rng(13)
+    graphs = [planted] + [build_graph(random_graph(rng, 40, 120)[1], nodes=range(40)) for _ in range(4)]
+    for body in sweep_backends().values():
+        calls = []
+
+        def spy(visit, indptr, nbr, wgt, loops, k, node_slot, *rest):
+            before = node_slot.copy()
+            moved, active = body(visit, indptr, nbr, wgt, loops, k, node_slot, *rest)
+            calls.append((visit.tolist(), before, node_slot.copy(), moved, np.array(active)))
+            return moved, active
+
+        monkeypatch.setattr(louvain, "_sweep", spy)
+        for i, g in enumerate(graphs):
+            for order_kind in ("index", "shuffled"):
+                n = g.n
+                cfg = LouvainConfig(node_order=order_kind, rng_seed=i)
+                labels = np.asarray(random_labels(rng, n) if i % 2 else range(n), dtype=np.int64)
+                movable = rng.random(n) >= 0.3
+                pref = rng.random(n) < 0.5
+                prev = np.unique(labels[rng.random(n) < 0.5])
+                calls.clear()
+                _, stats = louvain._one_level(g, labels, movable, pref, prev, cfg, random.Random(i), 1)
+                order = list(range(n))
+                if order_kind == "shuffled":
+                    random.Random(i).shuffle(order)
+                level_order = [u for u in order if movable[u]]
+                assert len(calls) == stats.sweeps > 1
+                marked = np.ones(n, dtype=bool)
+                for visit, before, after, moved, active in calls:
+                    assert all(movable[u] for u in visit)
+                    assert visit == [u for u in level_order if marked[u]]
+                    changed = np.flatnonzero(before != after)
+                    assert moved == len(changed)
+                    want = np.zeros(n, dtype=np.uint8)
+                    want[changed] = 1
+                    for u in changed.tolist():
+                        want[g.nbr[g.indptr[u]:g.indptr[u + 1]]] = 1
+                    assert active.dtype == np.uint8 and active.tolist() == want.tolist()
+                    marked = active != 0
+
+
 def test_report_lists_visits_per_level():
     (g, _), = _planted(5)
     _, report = louvain_static(g)
