@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from itertools import chain, compress, repeat
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, Iterable, Mapping, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _native
 from .errors import InputError, InternalInvariantError, reading_text
 
 __all__ = [
@@ -143,16 +144,6 @@ class Graph:
         half = rows < self.nbr
         return rows[half], self.nbr[half], self.wgt[half]
 
-    def edges(self) -> Iterator[Tuple[ExternalId, ExternalId, float]]:
-        """Yield each undirected edge once (u index <= v index), then self-loops."""
-        ids = self.ids.ids
-        u, v, w = self._upper_edges()
-        for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()):
-            yield ids[a], ids[b], x
-        loops = np.flatnonzero(self.self_loops != 0.0)
-        for a, x in zip(loops.tolist(), self.self_loops[loops].tolist()):
-            yield ids[a], ids[a], x
-
     def subgraph(self, keep_mask: np.ndarray) -> "Graph":
         """The subgraph induced by the nodes where ``keep_mask`` is true.
 
@@ -262,10 +253,6 @@ class Partition:
         self.labels = labels
 
     @classmethod
-    def singletons(cls, g: Graph) -> "Partition":
-        return cls(g.ids, np.arange(g.n, dtype=np.int64))
-
-    @classmethod
     def from_mapping(cls, g: Graph, assignment: Mapping[ExternalId, int]) -> "Partition":
         nodes = list(assignment)
         pos = g.ids.positions(nodes)
@@ -353,9 +340,12 @@ def project(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
 # --- text formats -----------------------------------------------------------
 # Edge list: one edge per line, "u<TAB>v<TAB>w" (w optional, default 1), or a
 # lone "u" for a node without edges; lines starting with '#' are comments.
-# Partition: "node_id<TAB>label". Readers take a whole file as text and parse
-# it column by column; when a column does not parse, the file is scanned line
-# by line for the first bad line, which the error names.
+# Partition: "node_id<TAB>label". The partition reader takes a whole file as
+# text and parses it column by column. The edge reader reads the bytes once,
+# has a tokenizer body (C in the package's compiled library, or its columnar
+# Python twin) number the distinct ids and weight texts, then decodes each id
+# and parses each weight text once. When a field does not parse, the file is
+# scanned line by line for the first bad line, which the error names.
 
 _WRITE_ROWS = 4096  # lines formatted per write; bounds the writers' memory
 
@@ -461,34 +451,122 @@ def _edge_line_problem(parts: list) -> Optional[str]:
     return None
 
 
+def _edge_file_bytes(path) -> bytes:
+    """The bytes of ``path``, checked as UTF-8, with CRLF and a lone CR
+    translated to LF as text mode does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        with reading_text(path):
+            data.decode("utf-8")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+EdgeTokens = Tuple[bytes, np.ndarray, np.ndarray, np.ndarray, bytes]
+
+
+def _edge_tokens_py(data: bytes) -> Optional[EdgeTokens]:
+    """Tokenize and intern the LF-terminated lines of an edge TSV; None when
+    a line holds more than two tabs.
+
+    Blank lines and lines starting with '#' are skipped. One-field lines are
+    interned first, then the endpoints of each edge line in file order, so
+    ids are numbered in first-seen order; third fields are interned in a
+    table of their own. Returns the distinct ids as one text, each followed
+    by a tab; per edge the index arrays ``u`` and ``v`` of its endpoints and
+    ``wi`` of its weight text, -1 on a two-field line; and the distinct
+    weight texts, again each followed by a tab. :func:`_edge_tokens_c` is
+    the same contract in C.
+    """
+    lines = data.split(b"\n")
+    if data[:1] in (b"#", b"\n") or b"\n#" in data or b"\n\n" in data:
+        lines = [ln for ln in lines if ln and ln[0] != 0x23]  # '#'
+    elif not lines[-1]:
+        lines.pop()
+    tabs = list(map(bytes.count, lines, repeat(b"\t", len(lines))))
+    if max(tabs, default=0) > 2:
+        return None
+    nodes: list = []
+    if min(tabs, default=2) < 2:  # two-field lines get the weight text "\n", which no field holds
+        nodes = [ln for ln, t in zip(lines, tabs) if t == 0]
+        lines = [ln if t == 2 else ln + b"\t\n" for ln, t in zip(lines, tabs) if t]
+    del tabs
+    joined = b"\t".join(lines)
+    del lines
+    fields = joined.split(b"\t") if joined else []
+    del joined
+    w_fields = fields[2::3]
+    del fields[2::3]
+    index = {x: i for i, x in enumerate(dict.fromkeys(chain(nodes, fields)))}
+    del nodes
+    idx = np.fromiter(map(index.__getitem__, fields), dtype=np.int64, count=len(fields))
+    del fields
+    w_first = dict.fromkeys(w_fields)
+    w_first.pop(b"\n", None)
+    w_index = {x: i for i, x in enumerate(w_first)}
+    w_index[b"\n"] = -1
+    wi = np.fromiter(map(w_index.__getitem__, w_fields), dtype=np.int64, count=len(w_fields))
+    return b"\t".join([*index, b""]), idx[0::2], idx[1::2], wi, b"\t".join([*w_first, b""])
+
+
+# the C id table's uint32 slots number up to two ids per line; files with
+# more lines than this go to the Python body
+_TABLE_MAX_LINES = 2**31
+
+
+def _edge_tokens_c(data: bytes) -> Optional[EdgeTokens]:
+    """:func:`_edge_tokens_py` compiled from ``_native.c``. Every array is
+    sized from the line count; only the parts written cost memory."""
+    lines = data.count(b"\n") + 1
+    if lines >= _TABLE_MAX_LINES:
+        return _edge_tokens_py(data)
+    id_slots = np.zeros(1 << (4 * lines - 1).bit_length(), dtype=np.uint32)
+    w_slots = np.zeros(1 << (2 * lines - 1).bit_length(), dtype=np.uint32)
+    id_off = np.empty(2 * lines + 1, dtype=np.int64)
+    w_off = np.empty(lines + 1, dtype=np.int64)
+    id_text = np.empty(len(data) + 1, dtype=np.uint8)
+    w_text = np.empty(len(data) + 1, dtype=np.uint8)
+    u, v, wi = (np.empty(lines, dtype=np.int64) for _ in range(3))
+    text_len = np.zeros(2, dtype=np.int64)
+    m = _native.LIB.commtrack_edge_tokens(
+        data, len(data),
+        id_slots.ctypes.data, len(id_slots) - 1, id_off.ctypes.data, id_text.ctypes.data,
+        w_slots.ctypes.data, len(w_slots) - 1, w_off.ctypes.data, w_text.ctypes.data,
+        u.ctypes.data, v.ctypes.data, wi.ctypes.data, text_len.ctypes.data,
+    )
+    if m < 0:
+        return None
+    id_len, w_len = text_len.tolist()
+    return id_text[:id_len].tobytes(), u[:m], v[:m], wi[:m], w_text[:w_len].tobytes()
+
+
+_edge_tokens = _edge_tokens_py if _native.LIB is None else _edge_tokens_c
+
+
+def _texts(joined: bytes) -> list:
+    """The strings of a text that holds each followed by a tab."""
+    return joined.decode("utf-8").split("\t")[:-1]
+
+
 def read_edge_tsv(path) -> Graph:
     """Read an edge list written by :func:`write_edge_tsv` or by hand.
 
     Ids are indexed in first-seen order, one-column lines first, as
     :func:`build_graph` does with them as ``nodes`` and the edges in file
-    order.
+    order. Each distinct weight text is parsed once by ``float``.
     """
-    lines = _data_lines(path)
-    tabs = list(map(str.count, lines, repeat("\t", len(lines))))
-    if max(tabs, default=0) > 2:
+    tokens = _edge_tokens(_edge_file_bytes(path))
+    if tokens is None:
         _raise_first_bad_line(path, _edge_line_problem)
-    nodes: list = []
-    if min(tabs, default=2) < 2:  # a weight of 1 for two-column lines
-        nodes = [ln for ln, t in zip(lines, tabs) if t == 0]
-        lines = [ln if t == 2 else ln + "\t1" for ln, t in zip(lines, tabs) if t]
-    del tabs
-    joined = "\t".join(lines)
-    del lines
-    fields = joined.split("\t") if joined else []
-    del joined
+    id_text, u, v, wi, w_text = tokens
     try:
-        w = np.array(fields[2::3], dtype=np.float64)
+        weights = list(map(float, _texts(w_text)))
     except ValueError:
         _raise_first_bad_line(path, _edge_line_problem)
-    del fields[2::3]
-    id_map, idx = _intern(nodes, fields)
-    del nodes, fields
-    return _graph_from_index_arrays(id_map, idx[0::2], idx[1::2], w)
+    w = np.array([*weights, 1.0], dtype=np.float64)[wi]  # -1 picks the 1.0 of a two-field line
+    return _graph_from_index_arrays(IdMap(_texts(id_text)), u, v, w)
 
 
 def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:

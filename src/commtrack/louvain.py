@@ -19,27 +19,24 @@ Two stability knobs on top of the seeded variant:
   non-positive gain is ever forced.
 
 Each level-1 sweep, where nearly all the time goes, is one call of a C body
-(``_sweep.c``, compiled into the user cache at first import) or, when no
-compiler, build or load succeeds, of its pure-Python twin. Both produce the
-same bits; :data:`KERNEL` says which one runs.
+(in the package's one compiled library, :mod:`commtrack._native`) or, when
+no compiler, build or load succeeds, of its pure-Python twin. Both produce
+the same bits; :data:`KERNEL` says which one runs, here and in the edge-TSV
+reader.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import platform
 import random
 import sys
-import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
+from . import _native
 from .errors import InputError, InternalInvariantError
 from .graph import INT64_MAX, Graph, Partition, aggregate_by_partition
 
@@ -371,7 +368,7 @@ def _sweep_c(
     two_m: float,
     min_diff: float,
 ) -> Tuple[int, np.ndarray]:
-    """:func:`_sweep_py` compiled from ``_sweep.c``; the caller guarantees
+    """:func:`_sweep_py` compiled from ``_native.c``; the caller guarantees
     C-contiguous int64, float64 and uint8 arrays and valid CSR bounds."""
     n, c = len(degrees), len(com_tot)
     scratch = (
@@ -380,7 +377,7 @@ def _sweep_c(
         np.empty(c, dtype=np.int64),  # touched
         np.zeros(n, dtype=np.uint8),  # active
     )
-    moved = _KERNEL_FN(
+    moved = _native.LIB.commtrack_sweep(
         len(visit),
         *(a.ctypes.data for a in (visit, indptr, nbr, wgt, self_loops, degrees, node_slot,
                                   com_in, com_tot, pref, slot_is_prev)),
@@ -391,83 +388,11 @@ def _sweep_c(
     return moved, scratch[3]
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_sweep.c")
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no FMA, no reassociation
-_BUILD_TIMEOUT_S = 120
-
-
-def _bind_kernel(path: str):
-    fn = ctypes.CDLL(path).commtrack_sweep
-    fn.restype = ctypes.c_int64
-    fn.argtypes = (
-        [ctypes.c_int64] + [ctypes.c_void_p] * 11 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
-    )
-    return fn
-
-
-def _compile_kernel(directory: str, name: str) -> str:
-    """Compile ``_sweep.c`` to ``directory/name`` through a temporary file."""
-    import shlex
-    import subprocess
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
-    os.close(fd)
-    try:
-        cmd = [*shlex.split(os.environ.get("CC") or "cc"), *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)]
-        subprocess.run(cmd, check=True, timeout=_BUILD_TIMEOUT_S,
-                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        path = os.path.join(directory, name)
-        os.replace(tmp, path)
-        return path
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _kernel_cache_path() -> str:
-    """Where the kernel built from this source, these flags and this
-    interpreter and machine is cached; OSError if the source is missing."""
-    # zlib, not hashlib: importing hashlib loads OpenSSL, 3.5 MB of RSS in
-    # every process that imports the package
-    key = _KERNEL_SOURCE.read_bytes() + repr((_CFLAGS, sys.implementation.cache_tag, platform.machine())).encode()
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    return os.path.join(cache, "commtrack", f"_sweep-{zlib.crc32(key):08x}.so")
-
-
-def _load_kernel():
-    """The compiled sweep, loaded from the user cache and built there on a
-    miss; None when no compiler, build or load succeeds."""
-    try:
-        path = _kernel_cache_path()
-    except OSError:
-        return None
-    try:
-        return _bind_kernel(path)
-    except (OSError, AttributeError):
-        pass  # not built yet, or not a loadable library: build it afresh
-    import subprocess  # only on a build: it adds 0.5 MB of RSS to every import
-    import tempfile
-
-    cache, name = os.path.split(path)
-    try:
-        os.makedirs(cache, exist_ok=True)
-        writable = os.access(cache, os.W_OK)
-    except OSError:
-        writable = False
-    try:
-        if writable:
-            return _bind_kernel(_compile_kernel(cache, name))
-        with tempfile.TemporaryDirectory() as scratch:
-            return _bind_kernel(_compile_kernel(scratch, name))
-    except (OSError, AttributeError, ValueError, subprocess.SubprocessError):
-        return None
-
-
-_KERNEL_FN = _load_kernel()
-# which body runs each sweep, "c" or "python"; both compute the same bits
-KERNEL = "python" if _KERNEL_FN is None else "c"
-_sweep = _sweep_py if _KERNEL_FN is None else _sweep_c
+# which body runs each sweep, "c" or "python"; both compute the same bits.
+# The same library also holds graph's edge-TSV tokenizer, so this names the
+# body of both.
+KERNEL = "python" if _native.LIB is None else "c"
+_sweep = _sweep_py if _native.LIB is None else _sweep_c
 
 
 # --- the optimizer ------------------------------------------------------------

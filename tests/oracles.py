@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: dense matrices, exhaustive
 enumeration, dictionary counting. Nothing is shared with the package code, so
-the same bug would have to be written twice to slip through. Two references
-at the end reuse package parts: the TSV reference builds its graphs and
-partitions in the package's containers (``IdMap``, ``Graph``, ``Partition``),
-and the ingest reference composes the package's record-level parser and
-tuple-based ``build_graph`` with per-pair dictionary symmetrization and a
-tuple-based degree cap.
+the same bug would have to be written twice to slip through. The helpers
+after ``canonical_blocks`` hand tests package objects: the bodies of each
+compiled kernel, a graph's edge list and the singleton partition. Two
+references at the end reuse package parts: the TSV reference builds its
+graphs and partitions in the package's containers (``IdMap``, ``Graph``,
+``Partition``), and the ingest reference composes the package's
+record-level parser and tuple-based ``build_graph`` with per-pair
+dictionary symmetrization and a tuple-based degree cap.
 
 Node convention: graphs are (n, edges) with integer nodes 0..n-1 and edges as
 (u, v, w) tuples, possibly repeated (weights accumulate). A self entry
@@ -196,6 +198,38 @@ def sweep_backends() -> Dict[str, Callable]:
     if louvain.KERNEL == "c":
         backends["c"] = louvain._sweep_c
     return backends
+
+
+def tsv_backends() -> Dict[str, Callable]:
+    """Every edge-TSV tokenizer body this machine runs, by name: the Python
+    body always, the compiled one when the library was built and loaded."""
+    import commtrack.graph as graph
+    import commtrack.louvain as louvain
+
+    backends = {"python": graph._edge_tokens_py}
+    if louvain.KERNEL == "c":
+        backends["c"] = graph._edge_tokens_c
+    return backends
+
+
+def edge_list(g) -> List[tuple]:
+    """Each undirected edge of a package ``Graph`` once, as (u, v, w) in
+    external ids with u's index below v's, walking the CSR rows in order;
+    then each self-loop (u, u, w) in index order."""
+    ids = g.ids.ids
+    ptr, nbr, wgt = g.indptr.tolist(), g.nbr.tolist(), g.wgt.tolist()
+    out = [(ids[u], ids[nbr[e]], wgt[e]) for u in range(g.n) for e in range(ptr[u], ptr[u + 1]) if u < nbr[e]]
+    out += [(x, x, w) for x, w in zip(ids, g.self_loops.tolist()) if w != 0.0]
+    return out
+
+
+def singleton_partition(g):
+    """The package ``Partition`` of ``g`` that puts every node alone, labelled by its index."""
+    import numpy as np
+
+    from commtrack.graph import Partition
+
+    return Partition(g.ids, np.arange(g.n, dtype=np.int64))
 
 
 def random_graph(rng, max_nodes: int = 12, max_edges: int = 50, loops: bool = True) -> Tuple[int, List[Edge]]:

@@ -19,7 +19,7 @@ from commtrack.graph import (
 )
 from commtrack.louvain import modularity
 
-from oracles import oracle_modularity, random_graph, random_labels
+from oracles import edge_list, oracle_modularity, random_graph, random_labels, singleton_partition
 
 
 def test_idmap_bijection_and_duplicates():
@@ -103,7 +103,7 @@ def test_first_seen_order_is_deterministic():
 
 def test_partition_singletons_and_from_mapping():
     g = build_graph([("a", "b"), ("b", "c")])
-    p = Partition.singletons(g)
+    p = singleton_partition(g)
     assert p.labels.tolist() == [0, 1, 2]
     q = Partition.from_mapping(g, {"a": 5, "b": 5, "c": 9})
     assert q.label_of("a") == 5 and q.label_of("c") == 9
@@ -143,7 +143,7 @@ def test_modularity_two_triangles_half():
 
 def test_modularity_triangle_singletons():
     g = build_graph([(0, 1), (1, 2), (0, 2)], nodes=range(3))
-    assert modularity(g, Partition.singletons(g)) == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    assert modularity(g, singleton_partition(g)) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
 # --- aggregation ---------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_aggregate_preserves_modularity_on_random_graphs():
         part = Partition(g.ids, labels)
         q1 = modularity(g, part)
         agg = aggregate_by_partition(g, part)
-        q2 = modularity(agg, Partition.singletons(agg))
+        q2 = modularity(agg, singleton_partition(agg))
         assert q2 == pytest.approx(q1, abs=1e-12)
 
 
@@ -214,7 +214,7 @@ def test_aggregate_rejects_foreign_partition():
     g = two_triangles()
     other = build_graph([(0, 1)], nodes=range(2))
     with pytest.raises(InputError):
-        aggregate_by_partition(g, Partition.singletons(other))
+        aggregate_by_partition(g, singleton_partition(other))
 
 
 # --- text round-trips -----------------------------------------------------------
@@ -228,7 +228,7 @@ def test_edge_tsv_roundtrip(tmp_path):
     write_edge_tsv(g, path)
     h = read_edge_tsv(path)
     assert set(h.ids.ids) == {"a", "b", "c", "d", "lonely"}
-    assert sorted(h.edges()) == sorted(g.edges())
+    assert sorted(edge_list(h)) == sorted(edge_list(g))
     assert h.total_weight_2m == g.total_weight_2m
 
 
@@ -237,7 +237,7 @@ def test_edge_tsv_comments_and_default_weight(tmp_path):
     path.write_text("# header\na\tb\nb\tc\t2\n\nloner\n", encoding="utf-8")
     g = read_edge_tsv(path)
     assert g.n == 4
-    assert ("b", "c", 2.0) in list(g.edges())
+    assert ("b", "c", 2.0) in edge_list(g)
     assert g.neighbor_counts()[g.ids.index["loner"]] == 0
 
 
@@ -287,7 +287,7 @@ def test_partition_tsv_rejects_labels_outside_int64(tmp_path, label):
 @pytest.mark.parametrize("bad", ["", "a\tb", "a\rb", "a\nb", "#a"])
 def test_tsv_writers_reject_ids_that_do_not_read_back(tmp_path, bad):
     g = build_graph([("x", bad), ("x", "y")])
-    for write, obj in ((write_edge_tsv, g), (write_partition_tsv, Partition.singletons(g))):
+    for write, obj in ((write_edge_tsv, g), (write_partition_tsv, singleton_partition(g))):
         path = tmp_path / "out.tsv"
         with pytest.raises(InputError, match=re.escape(repr(bad))):
             write(obj, path)
@@ -297,7 +297,7 @@ def test_tsv_writers_reject_ids_that_do_not_read_back(tmp_path, bad):
 def test_tsv_writers_keep_ids_with_inner_hash_and_spaces(tmp_path):
     g = build_graph([("a#b", " s "), ("a#b", "x")], nodes=["lone "])
     write_edge_tsv(g, tmp_path / "g.tsv")
-    write_partition_tsv(Partition.singletons(g), tmp_path / "p.tsv")
+    write_partition_tsv(singleton_partition(g), tmp_path / "p.tsv")
     assert read_edge_tsv(tmp_path / "g.tsv").ids == g.ids
     assert read_partition_tsv(tmp_path / "p.tsv").ids == g.ids
 
@@ -321,7 +321,7 @@ def test_subgraph_matches_build_graph_on_kept_edges():
         keep = rng.random(g.n) < rng.random()
         sub = g.subgraph(keep)
         kept = [x for x, k in zip(g.ids.ids, keep) if k]
-        want = build_graph([(u, v, w) for u, v, w in g.edges() if u in kept and v in kept], nodes=kept)
+        want = build_graph([(u, v, w) for u, v, w in edge_list(g) if u in kept and v in kept], nodes=kept)
         assert sub.ids.ids == want.ids.ids
         for got_a, want_a in zip((sub.indptr, sub.nbr, sub.wgt, sub.self_loops),
                                  (want.indptr, want.nbr, want.wgt, want.self_loops)):

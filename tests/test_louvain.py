@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commtrack.louvain as louvain
+from commtrack import _native
 from commtrack.errors import InputError
 from commtrack.graph import IdMap, Partition, build_graph, write_edge_tsv
 from commtrack.louvain import (
@@ -34,6 +35,7 @@ from oracles import (
     random_churned_ids,
     random_graph,
     random_labels,
+    singleton_partition,
     sweep_backends,
 )
 
@@ -537,7 +539,7 @@ def test_final_q_matches_modularity_static():
         (g, _), = _planted(seed, nodes=1000)
         part, report = louvain_static(g, LouvainConfig(rng_seed=seed))
         assert report.final_q == pytest.approx(modularity(g, part), abs=1e-9)
-        singletons = Partition.singletons(g)
+        singletons = singleton_partition(g)
         assert report.levels[0].q_start == pytest.approx(modularity(g, singletons), abs=1e-9)
 
 
@@ -637,7 +639,7 @@ def test_kernel_fallback_and_cache(tmp_path, monkeypatch):
     # never loaded when none does
     cache_home = str(tmp_path / "corrupt")
     monkeypatch.setenv("XDG_CACHE_HOME", cache_home)
-    path = Path(louvain._kernel_cache_path())
+    path = Path(_native.cache_path())
     path.parent.mkdir(parents=True)
     if louvain.KERNEL == "c":
         path.write_bytes(b"not a shared library")

@@ -17,7 +17,7 @@ from commtrack.tracker import (
     step,
 )
 
-from oracles import best_partition_exhaustive, canonical_blocks
+from oracles import best_partition_exhaustive, canonical_blocks, edge_list
 
 
 def two_triangles():
@@ -212,7 +212,7 @@ def _in_memory_timeline(graphs):
 
 
 def _edge_set(g):
-    return {(min(u, v), max(u, v), w) for u, v, w in g.edges()}
+    return {(min(u, v), max(u, v), w) for u, v, w in edge_list(g)}
 
 
 def _files(d):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import commtrack.graph as graph
 from commtrack.errors import InputError
 from commtrack.graph import (
     Partition,
@@ -20,14 +21,18 @@ from commtrack.graph import (
 from commtrack.synth import SynthSpec, generate
 
 from oracles import (
+    edge_list,
     oracle_read_edge_tsv,
     oracle_read_partition_tsv,
     oracle_write_edge_tsv,
     oracle_write_partition_tsv,
+    tsv_backends,
 )
 
-_IDS = st.sampled_from(["a", "b", "c", "a#b", "b ", " c", "1", "01", "x y", "é", " ", "\x0b", ""]) | st.text(
-    alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=3
+_IDS = (
+    st.sampled_from(["a", "b", "c", "a#b", "b ", " c", "1", "01", "x y", "é", " ", "\x0b", "", "\x00", "a\x00b", "\ufeff", "\ufeffa"])
+    | st.text(alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=3)
+    | st.integers(0, 3).map(lambda k: "x" * 300 + "é" * k)  # long ids that share a 300-byte prefix
 )
 _WEIGHTS = st.sampled_from([
     "1", "2", "0", "0.5", "1_0", "1__0", "５", "٣", "1e3", "-0", "-1", " 1", "1 ", "nan", "inf", "-inf",
@@ -89,16 +94,26 @@ def _graph_key(g):
     return g.ids.ids, [(a.dtype.str, a.tobytes()) for a in arrays], g.total_weight_2m
 
 
+def _tokens_key(tokens):
+    return tokens if tokens is None else [t if isinstance(t, bytes) else (t.dtype.str, t.tobytes()) for t in tokens]
+
+
 def _partition_key(p):
     return p if isinstance(p, str) else (p.ids.ids, p.labels.dtype.str, p.labels.tobytes())
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_edge_files())
-def test_read_edge_tsv_matches_line_reader(tmp_path, text):
+def test_read_edge_tsv_matches_line_reader(tmp_path, text, monkeypatch):
     path = tmp_path / "g.tsv"
     path.write_bytes(text.encode("utf-8"))
-    assert _graph_key(_outcome(read_edge_tsv, path)) == _graph_key(_outcome(oracle_read_edge_tsv, path))
+    want = _graph_key(_outcome(oracle_read_edge_tsv, path))
+    bodies = tsv_backends()
+    tokens = {name: _tokens_key(body(graph._edge_file_bytes(path))) for name, body in bodies.items()}
+    assert all(t == tokens["python"] for t in tokens.values())
+    for body in bodies.values():
+        monkeypatch.setattr(graph, "_edge_tokens", body)
+        assert _graph_key(_outcome(read_edge_tsv, path)) == want
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -124,31 +139,67 @@ def test_read_partition_tsv_matches_line_reader(tmp_path, text, graph_ids):
         ("a\tb\t-0\nb\tc\t-inf\n", "edge weight on ('b', 'c') must be finite and non-negative, got -inf"),
     ],
 )
-def test_edge_reader_errors_name_the_line(tmp_path, text, message):
+def test_edge_reader_errors_name_the_line(tmp_path, text, message, monkeypatch):
     path = tmp_path / "g.tsv"
     path.write_bytes(text.encode("utf-8"))
-    with pytest.raises(InputError) as got:
-        read_edge_tsv(path)
-    assert str(got.value).endswith(message)
     with pytest.raises(InputError) as want:
         oracle_read_edge_tsv(path)
-    assert str(got.value) == str(want.value)
+    for body in tsv_backends().values():
+        monkeypatch.setattr(graph, "_edge_tokens", body)
+        with pytest.raises(InputError) as got:
+            read_edge_tsv(path)
+        assert str(got.value).endswith(message)
+        assert str(got.value) == str(want.value)
 
 
-def test_edge_reader_takes_what_float_takes(tmp_path):
+@pytest.mark.parametrize("data", [
+    b"a\tb\t1\n\xff\tc\n", b"a\tb\xc3", b"a\t\xc3(\n", b"\xed\xa0\x80\tb\n", b"\xc0\xaf\n", b"a\tb\tx\n\x80\n",
+])
+def test_non_utf8_edge_file_fails_as_line_reader(tmp_path, data, monkeypatch):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(data)
+    with pytest.raises(InputError) as want:
+        oracle_read_edge_tsv(path)
+    assert "not UTF-8 text" in str(want.value)
+    for body in tsv_backends().values():
+        monkeypatch.setattr(graph, "_edge_tokens", body)
+        with pytest.raises(InputError) as got:
+            read_edge_tsv(path)
+        assert str(got.value) == str(want.value)
+
+
+def test_many_distinct_ids_read_as_line_reader(tmp_path, monkeypatch):
+    # 50k ids fill the id table enough that lookups probe past their first slot
+    n = 50_000
+    lines = [f"n{i}\tn{(i * 7919 + 13) % n}\t{1 + i % 3}" for i in range(n)] + [f"lone{i}" for i in range(0, n, 97)]
+    path = tmp_path / "g.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = _graph_key(oracle_read_edge_tsv(path))
+    for body in tsv_backends().values():
+        monkeypatch.setattr(graph, "_edge_tokens", body)
+        g = read_edge_tsv(path)
+        assert g.n > n
+        assert _graph_key(g) == want
+
+
+def test_edge_reader_takes_what_float_takes(tmp_path, monkeypatch):
     path = tmp_path / "g.tsv"
     path.write_text("# w\na\tb\t1_0\r\nb\tc\t５\nc\ta\t1e3\n\nd\td\t-0\n e\t#f\t 2 \nlone\n", encoding="utf-8")
-    g = read_edge_tsv(path)
-    assert g.ids.ids == ["lone", "a", "b", "c", "d", " e", "#f"]
-    assert sorted(g.edges()) == [(" e", "#f", 2.0), ("a", "b", 10.0), ("a", "c", 1000.0), ("b", "c", 5.0)]
-    assert _graph_key(g) == _graph_key(oracle_read_edge_tsv(path))
+    for body in tsv_backends().values():
+        monkeypatch.setattr(graph, "_edge_tokens", body)
+        g = read_edge_tsv(path)
+        assert g.ids.ids == ["lone", "a", "b", "c", "d", " e", "#f"]
+        assert sorted(edge_list(g)) == [(" e", "#f", 2.0), ("a", "b", 10.0), ("a", "c", 1000.0), ("b", "c", 5.0)]
+        assert _graph_key(g) == _graph_key(oracle_read_edge_tsv(path))
 
 
-def test_empty_files_read_as_empty(tmp_path):
+def test_empty_files_read_as_empty(tmp_path, monkeypatch):
     path = tmp_path / "empty.tsv"
     path.write_bytes(b"")
-    assert _graph_key(read_edge_tsv(path)) == _graph_key(oracle_read_edge_tsv(path))
-    assert read_edge_tsv(path).n == 0
+    for body in tsv_backends().values():
+        monkeypatch.setattr(graph, "_edge_tokens", body)
+        assert _graph_key(read_edge_tsv(path)) == _graph_key(oracle_read_edge_tsv(path))
+        assert read_edge_tsv(path).n == 0
     assert _partition_key(read_partition_tsv(path)) == _partition_key(oracle_read_partition_tsv(path))
 
 
