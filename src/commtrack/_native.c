@@ -5,6 +5,10 @@
  * caller allocates every array, checks its dtype, layout and bounds, and
  * passes raw pointers. The library is built with -ffp-contract=off so no
  * multiply-add is fused.
+ *
+ * Three kernels: the level-1 Louvain sweep, the edge-TSV tokenizer and the
+ * CDR line tokenizer. The CDR tokenizer decides only the lines it can decide
+ * exactly and marks every other line for the Python validator.
  */
 #include <stdint.h>
 #include <string.h>
@@ -171,5 +175,154 @@ int64_t commtrack_edge_tokens(
     }
     text_len[0] = id_off[ids.n];
     text_len[1] = w_off[ws.n];
+    return m;
+}
+
+/* Line statuses of commtrack_cdr_tokens, in the order of ingest._STATUSES. */
+enum {
+    CDR_IN_WINDOW, CDR_OUT_OF_WINDOW, CDR_BLANK, CDR_HEADER,
+    CDR_FIELD_COUNT, CDR_EMPTY_ID, CDR_SELF_RECORD, CDR_BAD_TIMESTAMP,
+    CDR_BAD_KIND, CDR_BAD_DURATION, CDR_SMS_NONZERO_DURATION, CDR_DEFER
+};
+
+/* Whether s[0 .. len) is the lower-case ASCII word in any letter case. */
+static int is_word(const char *s, int64_t len, const char *word)
+{
+    int64_t i = 0;
+    for (; i < len && word[i] != '\0'; i++)
+        if ((s[i] | 0x20) != word[i])
+            return 0;
+    return i == len && word[i] == '\0';
+}
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+static int two_digits(const char *s)
+{
+    return (s[0] - '0') * 10 + (s[1] - '0');
+}
+
+/* year * 12 + month - 1 of a timestamp in ingest._CANONICAL_TS form
+ * (YYYY-MM-DDTHH:MM:SS, ASCII digits, hour 00-23, minute and second 00-59);
+ * -1 when it names no date, -2 when the text is not in that form. */
+static int64_t canonical_month(const char *s, int64_t len)
+{
+    static const char shape[] = "dddd-dd-ddTdd:dd:dd";
+    static const int days[12] = {31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
+    if (len != 19)
+        return -2;
+    for (int i = 0; i < 19; i++)
+        if (shape[i] == 'd' ? !is_digit(s[i]) : s[i] != shape[i])
+            return -2;
+    if (two_digits(s + 11) > 23 || two_digits(s + 14) > 59 || two_digits(s + 17) > 59)
+        return -2;
+    const int year = two_digits(s) * 100 + two_digits(s + 2);
+    const int month = two_digits(s + 5), day = two_digits(s + 8);
+    const int leap = year % 4 == 0 && (year % 100 != 0 || year % 400 == 0);
+    if (year < 1 || month < 1 || month > 12 || day < 1 || day > days[month - 1] + (month == 2 && leap))
+        return -1;
+    return (int64_t)year * 12 + month - 1;
+}
+
+/* Judge and intern a block of CDR lines: ingest._cdr_tokens_py, apart from
+ * the lines it marks CDR_DEFER for the Python validator.
+ *
+ * Line i is buf[bounds[i] .. bounds[i + 1]). A line is decided here only
+ * when all its bytes, but one trailing LF, lie in 0x21-0x7E, so no strip()
+ * can change it; then the checks run in the validator's order. Its
+ * timestamp must be in canonical form, its duration at most 18 ASCII
+ * digits; anything else (offsets, signs, underscores, long digit runs) is
+ * deferred. status[i] receives the line's status. The origin and target of
+ * each in-window line are interned in line order into u[j] and v[j].
+ * A month index idx lies in the window when lo < idx <= hi.
+ *
+ * Capacities, for n lines: off 2n + 1 entries, text bounds[n] + 1 bytes,
+ * status, u and v n each; slots is a zeroed power of two of at least 4n
+ * entries (mask is its size - 1). Returns the number of in-window lines;
+ * text_len receives the length of the id text.
+ */
+int64_t commtrack_cdr_tokens(
+    const char *buf, int64_t n, const int64_t *bounds, int64_t lo, int64_t hi,
+    uint32_t *slots, int64_t mask, int64_t *off, char *text,
+    uint8_t *status, int64_t *u, int64_t *v, int64_t *text_len)
+{
+    interner ids = {slots, (uint64_t)mask, off, text, 0};
+    int64_t m = 0;
+    off[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const char *p = buf + bounds[i], *end = buf + bounds[i + 1];
+        if (end > p && end[-1] == '\n')
+            end--;
+        /* field k starts at f[k]; the first six starts are kept */
+        const char *f[6] = {p};
+        int n_fields = 1, plain = 1;
+        for (const char *q = p; q < end && plain; q++) {
+            plain = *q >= 0x21 && *q <= 0x7E;
+            if (*q == ',' && n_fields++ < 6)
+                f[n_fields - 1] = q + 1;
+        }
+        if (!plain) {
+            status[i] = CDR_DEFER;
+            continue;
+        }
+        if (p == end) {
+            status[i] = CDR_BLANK;
+            continue;
+        }
+        int64_t len[5];
+        for (int k = 0; k < 5 && k < n_fields; k++)
+            len[k] = (k + 1 < n_fields ? f[k + 1] - 1 : end) - f[k];
+        if (n_fields > 1 && is_word(f[0], len[0], "origin") && is_word(f[1], len[1], "target")) {
+            status[i] = CDR_HEADER;
+            continue;
+        }
+        if (n_fields != 5) {
+            status[i] = CDR_FIELD_COUNT;
+            continue;
+        }
+        if (len[0] == 0 || len[1] == 0) {
+            status[i] = CDR_EMPTY_ID;
+            continue;
+        }
+        if (len[0] == len[1] && memcmp(f[0], f[1], (size_t)len[0]) == 0) {
+            status[i] = CDR_SELF_RECORD;
+            continue;
+        }
+        const int64_t month = canonical_month(f[2], len[2]);
+        if (month < 0) {
+            status[i] = month == -1 ? CDR_BAD_TIMESTAMP : CDR_DEFER;
+            continue;
+        }
+        const int sms = is_word(f[3], len[3], "sms");
+        if (!sms && !is_word(f[3], len[3], "call")) {
+            status[i] = CDR_BAD_KIND;
+            continue;
+        }
+        int digits = len[4] >= 1 && len[4] <= 18, zero = 1;
+        for (int64_t k = 0; k < len[4] && digits; k++) {
+            digits = is_digit(f[4][k]);
+            zero &= f[4][k] == '0';
+        }
+        if (!digits) {
+            status[i] = CDR_DEFER;
+            continue;
+        }
+        if (sms && !zero) {
+            status[i] = CDR_SMS_NONZERO_DURATION;
+            continue;
+        }
+        if (month <= lo || month > hi) {
+            status[i] = CDR_OUT_OF_WINDOW;
+            continue;
+        }
+        status[i] = CDR_IN_WINDOW;
+        u[m] = intern(&ids, f[0], len[0]);
+        v[m] = intern(&ids, f[1], len[1]);
+        m++;
+    }
+    text_len[0] = off[ids.n];
     return m;
 }

@@ -1,8 +1,10 @@
 """The package's one compiled library, built from ``_native.c`` at first import.
 
-It holds the level-1 sweep (``commtrack_sweep``, behind
-:func:`commtrack.louvain._sweep_c`) and the edge-TSV tokenizer
-(``commtrack_edge_tokens``, behind :func:`commtrack.graph._edge_tokens_c`).
+It holds three kernels: the level-1 sweep (``commtrack_sweep``, behind
+:func:`commtrack.louvain._sweep_c`), the edge-TSV tokenizer
+(``commtrack_edge_tokens``, behind :func:`commtrack.graph._edge_tokens_c`)
+and the CDR line tokenizer (``commtrack_cdr_tokens``, behind
+:func:`commtrack.ingest._cdr_tokens_c`).
 The library is compiled with ``$CC`` (default ``cc``) into
 ``${XDG_CACHE_HOME:-~/.cache}/commtrack/``, under a name keyed by the source,
 the flags, the interpreter and the machine, and loaded from there through
@@ -33,6 +35,8 @@ def _bind(path: str) -> ctypes.CDLL:
     lib.commtrack_sweep.argtypes = [i64] + [ptr] * 11 + [f64] * 2 + [ptr] * 4
     lib.commtrack_edge_tokens.restype = i64
     lib.commtrack_edge_tokens.argtypes = [ptr, i64] + [ptr, i64, ptr, ptr] * 2 + [ptr] * 4
+    lib.commtrack_cdr_tokens.restype = i64
+    lib.commtrack_cdr_tokens.argtypes = [ptr, i64, ptr, i64, i64, ptr, i64] + [ptr] * 6
     return lib
 
 

@@ -5,13 +5,18 @@ months, count directed traffic per ordered pair, keep an undirected edge only
 where traffic flowed in both directions, then drop nodes whose connection
 count exceeds a cap (call centers, spam farms) in one pass.
 
-:func:`ingest_pipeline` runs this columnar: ids are interned to dense ints as
-lines stream by, in-window (origin, target) pairs are folded chunk by chunk
-into sorted distinct int64 keys with counts, and mutual pairs are found by
-sorting unordered pair keys once. Memory is bounded by the distinct directed
-pairs, not by the line count. The record-level :func:`iter_parse_cdr` shares
-its line validator, and :func:`symmetrize` its mutual-pair graph
-construction.
+:func:`ingest_pipeline` runs this columnar: lines are judged a block at a
+time by a tokenizer body that gives each line a status and interns the ids
+of in-window records, block ids are mapped to dense global ints, in-window
+(origin, target) pairs are folded block by block into sorted distinct int64
+keys with counts, and mutual pairs are found by sorting unordered pair keys
+once. Memory is bounded by the distinct directed pairs and one block, not by
+the line count. The tokenizer body is C (:func:`_cdr_tokens_c`), which
+decides plain ASCII lines in canonical form and hands every other line to
+the line validator, or Python (:func:`_cdr_tokens_py`), the validator on
+every line; both return the same tokens. The record-level
+:func:`iter_parse_cdr` shares the validator, and :func:`symmetrize` the
+mutual-pair graph construction.
 
 Record format (header optional, on any line, UTF-8):
     origin,target,timestamp,kind,duration_s
@@ -28,10 +33,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone, tzinfo
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from itertools import count, islice
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, MutableSequence, Optional, Tuple
 
 import numpy as np
 
+from . import _native
 from .errors import InputError
 from .graph import Graph, IdMap, graph_from_distinct_edges
 
@@ -65,8 +72,9 @@ class RejectionReport:
     def rejected_fraction(self) -> float:
         return self.n_rejected / self.n_lines if self.n_lines else 0.0
 
-    def note(self, reason: str, lineno: int) -> None:
-        self.reasons[reason] = self.reasons.get(reason, 0) + 1
+    def note(self, reason: str, lineno: int, n: int = 1) -> None:
+        """Count ``n`` lines under ``reason``, the first of them at ``lineno``."""
+        self.reasons[reason] = self.reasons.get(reason, 0) + n
         self.first_line.setdefault(reason, lineno)
 
 
@@ -84,57 +92,54 @@ def _parse_timestamp(text: str) -> Optional[datetime]:
 
 _HEADER_FIELDS = ("origin", "target")
 
+# The status of a line: a record in or out of the window, one of the two
+# kinds of line that are not counted, one of the seven rejection reasons, or
+# "defer", which only the compiled tokenizer gives, to a line it leaves to
+# the validator. A status code is its index here.
+_STATUSES = (
+    "in_window", "out_of_window", "blank", "header",
+    "field_count", "empty_id", "self_record", "bad_timestamp", "bad_kind", "bad_duration",
+    "sms_nonzero_duration", "defer",
+)
+(_IN, _OUT, _BLANK, _HEADER, _FIELD_COUNT, _EMPTY_ID, _SELF_RECORD, _BAD_TIMESTAMP, _BAD_KIND,
+ _BAD_DURATION, _SMS_NONZERO_DURATION, _DEFER) = range(len(_STATUSES))
 
-def _valid_records(
-    lines: Iterable[str],
-    report: RejectionReport,
-    stamp: Callable[[str], object],
-) -> Iterator[Tuple[str, str, object]]:
-    """The line validator behind :func:`iter_parse_cdr` and
-    :func:`ingest_pipeline`: yields ``(origin, target, stamp(timestamp))``
-    per valid line and counts every other non-blank line in ``report`` under
-    its reason. ``stamp`` returns None for a timestamp it rejects. Kind and
-    duration are checked, then dropped: no graph reads them.
+
+def _judge_line(raw: str, stamp: Callable[[str], object]) -> Tuple[int, Optional[Tuple[str, str, object]]]:
+    """The line validator: the status code of one line and, for a record,
+    ``(origin, target, stamp(timestamp))``, its status then ``_IN``.
+
+    ``stamp`` returns None for a timestamp it rejects. Kind and duration are
+    checked, then dropped: no graph reads them.
     """
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = list(map(str.strip, line.split(",")))
-        if fields[0].lower() == _HEADER_FIELDS[0] and len(fields) > 1 and fields[1].lower() == _HEADER_FIELDS[1]:
-            continue
-        report.n_lines += 1
-        if len(fields) != 5:
-            report.note("field_count", lineno)
-            continue
-        origin, target, ts_text, kind_text, dur_text = fields
-        if not origin or not target:
-            report.note("empty_id", lineno)
-            continue
-        if origin == target:
-            report.note("self_record", lineno)
-            continue
-        ts = stamp(ts_text)
-        if ts is None:
-            report.note("bad_timestamp", lineno)
-            continue
-        kind = kind_text.lower()
-        if kind not in ("call", "sms"):
-            report.note("bad_kind", lineno)
-            continue
-        try:
-            duration = int(dur_text)
-        except ValueError:
-            report.note("bad_duration", lineno)
-            continue
-        if duration < 0:
-            report.note("bad_duration", lineno)
-            continue
-        if kind == "sms" and duration != 0:
-            report.note("sms_nonzero_duration", lineno)
-            continue
-        report.n_valid += 1
-        yield origin, target, ts
+    line = raw.strip()
+    if not line:
+        return _BLANK, None
+    fields = list(map(str.strip, line.split(",")))
+    if fields[0].lower() == _HEADER_FIELDS[0] and len(fields) > 1 and fields[1].lower() == _HEADER_FIELDS[1]:
+        return _HEADER, None
+    if len(fields) != 5:
+        return _FIELD_COUNT, None
+    origin, target, ts_text, kind_text, dur_text = fields
+    if not origin or not target:
+        return _EMPTY_ID, None
+    if origin == target:
+        return _SELF_RECORD, None
+    ts = stamp(ts_text)
+    if ts is None:
+        return _BAD_TIMESTAMP, None
+    kind = kind_text.lower()
+    if kind not in ("call", "sms"):
+        return _BAD_KIND, None
+    try:
+        duration = int(dur_text)
+    except ValueError:
+        return _BAD_DURATION, None
+    if duration < 0:
+        return _BAD_DURATION, None
+    if kind == "sms" and duration != 0:
+        return _SMS_NONZERO_DURATION, None
+    return _IN, (origin, target, ts)
 
 
 def iter_parse_cdr(
@@ -146,9 +151,19 @@ def iter_parse_cdr(
 
     A header line (first field "origin", second "target", any case) is
     skipped wherever it appears, so concatenated files may each start with
-    one; blank lines are ignored. Neither counts as a line.
+    one; blank lines are ignored. Neither counts as a line. Every other line
+    that is not a record is counted under its reason.
     """
-    return _valid_records(lines, report, _parse_timestamp)
+    for lineno, raw in enumerate(lines, start=1):
+        code, record = _judge_line(raw, _parse_timestamp)
+        if code == _BLANK or code == _HEADER:
+            continue
+        report.n_lines += 1
+        if record is None:
+            report.note(_STATUSES[code], lineno)
+            continue
+        report.n_valid += 1
+        yield record
 
 
 # --- window aggregation -------------------------------------------------------
@@ -265,23 +280,28 @@ def _mutual_graph(
     ``build_graph`` gives a sorted edge list.
     """
     n = len(ids)
-    lo = np.minimum(origin, target)
-    hi = np.maximum(origin, target)
-    order = np.argsort(lo * n + hi)
-    lo, hi, comms = lo[order], hi[order], comms[order]
+    key = np.minimum(origin, target)  # unordered pair key: smaller index * n + larger
+    key *= n
+    key += np.maximum(origin, target)
+    order = np.argsort(key)
+    key = key[order]
     # the pairs are distinct, so an unordered pair seen twice is the two
     # directions of one mutual pair, side by side once sorted
-    twin = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
-    a, b = lo[twin], hi[twin]
+    twin = np.flatnonzero(key[1:] == key[:-1])
+    a, b = np.divmod(key[twin], n)
+    del key
+    if weight_mode == "unit":
+        w = np.ones(len(a), dtype=np.float64)
+    else:
+        w = comms[order[twin]]
+        w += comms[order[twin + 1]]
+        w = w.astype(np.float64)
+    del order, twin
     named = np.unique(np.concatenate([a, b]))
     rank = np.zeros(n, dtype=np.int64)
     rank[sorted(named.tolist(), key=ids.__getitem__)] = np.arange(len(named))
     swap = rank[a] > rank[b]
     a, b = np.where(swap, b, a), np.where(swap, a, b)
-    if weight_mode == "unit":
-        w = np.ones(len(a), dtype=np.float64)
-    else:
-        w = (comms[twin] + comms[twin + 1]).astype(np.float64)
     by_text = np.argsort(rank[a] * len(named) + rank[b])
     a, b, w = a[by_text], b[by_text], w[by_text]
     seen, first_at = np.unique(np.column_stack((a, b)).ravel(), return_index=True)
@@ -365,13 +385,113 @@ class IngestReport:
     seconds: Dict[str, float] = field(default_factory=dict)
 
 
-_CHUNK = 1 << 16  # in-window pairs buffered before they are folded into the totals
+_CHUNK = 1 << 16  # lines judged, and their in-window pairs folded, per block
 _KEY_BASE = 1 << 32  # pair key = origin index * _KEY_BASE + target index
 
+# per block: one status code per line; the origin and target numbers of each
+# in-window line, in line order; the block's distinct ids of in-window lines
+# in first-seen order, origin before target
+CdrTokens = Tuple[np.ndarray, np.ndarray, np.ndarray, List[str]]
 
-def _fold_pairs(keys: np.ndarray, counts: np.ndarray, chunk: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+
+def _judge_lines(
+    lines: List[str], positions: Iterable[int], window: WindowSpec, status: MutableSequence[int], ids: List[str]
+) -> Tuple[List[int], List[int], List[int]]:
+    """Judge ``lines[i]`` for each ``i`` of ``positions`` in turn with the
+    line validator and store its status in ``status[i]``. The origin and
+    target of each in-window line are interned in ``ids``, which may already
+    hold ids and grows by the new ones. Returns the in-window lines'
+    positions and their origin and target numbers."""
+    test = _window_test(window)
+    index = {x: k for k, x in enumerate(ids)}
+    intern = index.setdefault
+    at: List[int] = []
+    u: List[int] = []
+    v: List[int] = []
+    for i in positions:
+        code, record = _judge_line(lines[i], test)
+        if record is not None:
+            origin, target, inside = record
+            code = _IN if inside else _OUT
+            if inside:
+                at.append(i)
+                u.append(intern(origin, len(index)))
+                v.append(intern(target, len(index)))
+        status[i] = code
+    ids.extend(islice(index, len(ids), None))
+    return at, u, v
+
+
+def _cdr_tokens_py(lines: List[str], window: WindowSpec) -> CdrTokens:
+    """Judge a block of CDR lines, each element one line, with the line
+    validator, and intern the ids of its in-window records.
+
+    Returns one ``_STATUSES`` code per line (never ``_DEFER``), the origin
+    and target numbers of each in-window line in line order, and the
+    distinct ids of those lines numbered in first-seen order, origin before
+    target. :func:`_cdr_tokens_c` returns the same tokens.
+    """
+    status = bytearray(len(lines))
+    ids: List[str] = []
+    _, u, v = _judge_lines(lines, range(len(lines)), window, status, ids)
+    return np.frombuffer(status, dtype=np.uint8), np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), ids
+
+
+def _first_seen(u: np.ndarray, v: np.ndarray, ids: List[str]) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """``u``, ``v`` and ``ids`` with the ids renumbered in first-seen order
+    over the pairs (u[0], v[0]), (u[1], v[1]), ...; every id occurs."""
+    seen, first = np.unique(np.column_stack((u, v)).ravel(), return_index=True)
+    old = seen[np.argsort(first)]
+    new = np.empty(len(ids), dtype=np.int64)
+    new[old] = np.arange(len(old))
+    return new[u], new[v], [ids[k] for k in old.tolist()]
+
+
+def _cdr_tokens_c(lines: List[str], window: WindowSpec) -> CdrTokens:
+    """:func:`_cdr_tokens_py` compiled from ``_native.c`` for the lines it
+    can decide exactly: those of printable ASCII in canonical form (see
+    ``commtrack_cdr_tokens``). The line validator judges every line it
+    defers, with the ids numbered as the Python body numbers them."""
+    n = len(lines)
+    text = "".join(lines)
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, lines), dtype=np.int64, count=n), out=bounds[1:])
+    if text.isascii():
+        data = text.encode("ascii")
+    else:  # character to byte offsets: a character starts at each byte that is no UTF-8 continuation
+        data = text.encode("utf-8", "surrogatepass")
+        starts = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) & 0xC0 != 0x80)
+        bounds = np.append(starts, len(data))[bounds]
+    del text
+    slots = np.zeros(1 << (4 * n - 1).bit_length(), dtype=np.uint32)
+    off = np.empty(2 * n + 1, dtype=np.int64)
+    id_text = np.empty(len(data) + 1, dtype=np.uint8)
+    status = np.empty(n, dtype=np.uint8)
+    u, v = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    text_len = np.zeros(1, dtype=np.int64)
+    m = _native.LIB.commtrack_cdr_tokens(
+        data, n, bounds.ctypes.data, window._anchor_index - window.span_months, window._anchor_index,
+        slots.ctypes.data, len(slots) - 1, off.ctypes.data, id_text.ctypes.data,
+        status.ctypes.data, u.ctypes.data, v.ctypes.data, text_len.ctypes.data,
+    )
+    ids = id_text[: text_len[0]].tobytes().decode("ascii").split("\t")[:-1]
+    u, v = u[:m], v[:m]
+    deferred = np.flatnonzero(status == _DEFER)
+    if len(deferred):
+        decided = np.flatnonzero(status == _IN)
+        at, du, dv = _judge_lines(lines, deferred.tolist(), window, status, ids)
+        if at:
+            order = np.argsort(np.concatenate((decided, at)), kind="stable")
+            u, v, ids = _first_seen(np.concatenate((u, du))[order], np.concatenate((v, dv))[order], ids)
+    return status, u, v, ids
+
+
+_cdr_tokens = _cdr_tokens_py if _native.LIB is None else _cdr_tokens_c
+
+
+def _fold_pairs(keys: np.ndarray, counts: np.ndarray, chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Add a chunk of pair keys to the sorted distinct ``keys`` and their ``counts``."""
-    new_keys, new_counts = np.unique(np.array(chunk, dtype=np.int64), return_counts=True)
+    new_keys, new_counts = np.unique(chunk, return_counts=True)
     pos = np.searchsorted(keys, new_keys)
     known = np.zeros(len(new_keys), dtype=bool)
     inside = pos < len(keys)
@@ -379,6 +499,19 @@ def _fold_pairs(keys: np.ndarray, counts: np.ndarray, chunk: List[int]) -> Tuple
     counts[pos[known]] += new_counts[known]
     fresh = ~known
     return np.insert(keys, pos[fresh], new_keys[fresh]), np.insert(counts, pos[fresh], new_counts[fresh])
+
+
+def _note_block(report: RejectionReport, status: np.ndarray, start: int) -> None:
+    """Count a block's lines in ``report``; its first line is line ``start + 1``.
+    New reasons are added in the order of their first line."""
+    tally = np.bincount(status, minlength=len(_STATUSES)).tolist()
+    report.n_lines += len(status) - tally[_BLANK] - tally[_HEADER]
+    report.n_valid += tally[_IN] + tally[_OUT]
+    if sum(tally[_FIELD_COUNT:]):
+        codes, first = np.unique(status, return_index=True)
+        for at, code in sorted(zip(first.tolist(), codes.tolist())):
+            if code >= _FIELD_COUNT:
+                report.note(_STATUSES[code], start + at + 1, tally[code])
 
 
 def ingest_pipeline(
@@ -390,9 +523,10 @@ def ingest_pipeline(
 ) -> Tuple[Graph, IngestReport]:
     """Streamed parse → window filter → aggregate → symmetrize → degree cap.
 
-    One pass over the input. Held memory is the distinct in-window directed
-    pairs as int64 keys and counts, plus one chunk of pairs not folded yet.
-    Arguments are checked before the first line is read.
+    One pass over the input, each element of ``lines`` one line. Held memory
+    is the distinct in-window directed pairs as int64 keys and counts, plus
+    one block of ``_CHUNK`` lines. Arguments are checked before the first
+    line is read.
     """
     if not 0.0 <= max_rejected_fraction <= 1.0:
         raise InputError("max_rejected_fraction must lie in [0, 1]")
@@ -403,25 +537,24 @@ def ingest_pipeline(
     intern = index.setdefault
     keys = np.empty(0, dtype=np.int64)
     counts = np.empty(0, dtype=np.int64)
-    chunk: List[int] = []
     n_in = 0
-    n_out = 0
     fold_s = 0.0
+    source = iter(lines)
     t0 = time.perf_counter()
-    for origin, target, inside in _valid_records(lines, rejections, _window_test(window)):
-        if not inside:
-            n_out += 1
-            continue
-        n_in += 1
-        chunk.append(intern(origin, len(index)) * _KEY_BASE + intern(target, len(index)))
-        if len(chunk) == _CHUNK:
+    for start in count(0, _CHUNK):
+        block = list(islice(source, _CHUNK))
+        if not block:
+            break
+        status, u, v, ids = _cdr_tokens(block, window)
+        del block
+        _note_block(rejections, status, start)
+        n_in += len(u)
+        if len(u):
+            number = np.array([intern(x, len(index)) for x in ids], dtype=np.int64)
             t = time.perf_counter()
-            keys, counts = _fold_pairs(keys, counts, chunk)
-            chunk = []
+            keys, counts = _fold_pairs(keys, counts, number[u] * _KEY_BASE + number[v])
             fold_s += time.perf_counter() - t
     t1 = time.perf_counter()
-    keys, counts = _fold_pairs(keys, counts, chunk)
-    del chunk
     if rejections.rejected_fraction() > max_rejected_fraction:
         raise InputError(
             f"rejected {rejections.n_rejected} of {rejections.n_lines} lines "
@@ -429,16 +562,18 @@ def ingest_pipeline(
             f"{max_rejected_fraction:.1%}; reasons: {rejections.reasons}"
         )
     t2 = time.perf_counter()
-    g = _mutual_graph(list(index), keys // _KEY_BASE, keys % _KEY_BASE, counts, weight_mode)
     n_pairs = len(keys)
-    del keys, counts, index
+    origin, target = np.divmod(keys, _KEY_BASE)
+    del keys
+    g = _mutual_graph(list(index), origin, target, counts, weight_mode)
+    del origin, target, counts, index
     t3 = time.perf_counter()
     g, filter_report = filter_high_degree(g, cap)
     t4 = time.perf_counter()
     return g, IngestReport(
         rejections=rejections,
         n_in_window=n_in,
-        n_out_of_window=n_out,
+        n_out_of_window=rejections.n_valid - n_in,
         n_directed_pairs=n_pairs,
         filter=filter_report,
         seconds={

@@ -212,6 +212,18 @@ def tsv_backends() -> Dict[str, Callable]:
     return backends
 
 
+def cdr_backends() -> Dict[str, Callable]:
+    """Every CDR line tokenizer body this machine runs, by name: the Python
+    body always, the compiled one when the library was built and loaded."""
+    import commtrack.ingest as ingest
+    import commtrack.louvain as louvain
+
+    backends = {"python": ingest._cdr_tokens_py}
+    if louvain.KERNEL == "c":
+        backends["c"] = ingest._cdr_tokens_c
+    return backends
+
+
 def edge_list(g) -> List[tuple]:
     """Each undirected edge of a package ``Graph`` once, as (u, v, w) in
     external ids with u's index below v's, walking the CSR rows in order;

@@ -23,12 +23,21 @@ from commtrack.ingest import (
     symmetrize,
 )
 
-from oracles import edge_list, oracle_ingest, oracle_symmetrize
+from oracles import cdr_backends, edge_list, oracle_ingest, oracle_symmetrize
 
 
 def _parse(lines):
     report = RejectionReport()
     return list(iter_parse_cdr(lines, report)), report
+
+
+def _pipeline_reports(lines, window):
+    """``ingest_pipeline``'s ``IngestReport`` on each CDR tokenizer body."""
+    reports = []
+    for body in cdr_backends().values():
+        with mock.patch.object(ingest, "_cdr_tokens", body):
+            reports.append(ingest_pipeline(iter(lines), window)[1])
+    return reports
 
 
 def test_parse_single_call_record():
@@ -49,11 +58,13 @@ def test_parse_empty_input():
 
 
 def test_parse_header_and_blank_lines_skipped():
-    records, report = _parse(
-        ["origin,target,timestamp,kind,duration_s", "", "A,B,2012-01-01T00:00:00,sms,0"]
-    )
+    lines = ["origin,target,timestamp,kind,duration_s", "", "A,B,2012-01-01T00:00:00,sms,0",
+             "ORIGIN,Target\n", " Origin , TARGET ,x", "\n", "\r\n", "  "]
+    records, report = _parse(lines)
     assert len(records) == 1
     assert report.n_lines == 1  # header and blank not counted
+    for got in _pipeline_reports(lines, WindowSpec.from_label("2012-01")):
+        assert (got.rejections.n_lines, got.rejections.n_valid, got.n_in_window) == (1, 1, 1)
 
 
 def test_parse_rejection_reasons():
@@ -78,6 +89,11 @@ def test_parse_rejection_reasons():
         "sms_nonzero_duration": 1,
     }
     assert report.first_line["bad_timestamp"] == 3
+    for got in _pipeline_reports(lines, WindowSpec.from_label("2012-01")):
+        rej = got.rejections
+        assert list(rej.reasons.items()) == list(report.reasons.items())
+        assert list(rej.first_line.items()) == list(report.first_line.items())
+        assert (rej.n_lines, rej.n_valid) == (report.n_lines, report.n_valid)
 
 
 def test_parse_accepts_utc_suffix_and_offsets():
@@ -91,10 +107,12 @@ def test_parse_accepts_utc_suffix_and_offsets():
 def test_parse_rejected_fraction_threshold():
     lines = ["junk"] * 3 + ["A,B,2012-01-01T00:00:00,call,1"]
     window = WindowSpec.from_label("2012-01")
-    with pytest.raises(InputError):
-        ingest_pipeline(lines, window, max_rejected_fraction=0.5)
-    _, report = ingest_pipeline(lines, window, max_rejected_fraction=0.75)
-    assert report.rejections.n_valid == 1 and report.rejections.n_rejected == 3
+    for body in cdr_backends().values():
+        with mock.patch.object(ingest, "_cdr_tokens", body):
+            with pytest.raises(InputError):
+                ingest_pipeline(lines, window, max_rejected_fraction=0.5)
+            _, report = ingest_pipeline(lines, window, max_rejected_fraction=0.75)
+        assert report.rejections.n_valid == 1 and report.rejections.n_rejected == 3
 
 
 # --- windows -------------------------------------------------------------------
@@ -388,7 +406,8 @@ def test_window_fast_path_cases(text, inside):
 
 # --- pipeline against the record-by-record reference ---------------------------------
 
-_NODE_IDS = ["a", "b", "c", "d", "e", "B", "\u00e4", "a0", "hub"]
+_ASCII_IDS = ["a", "b", "c", "d", "e", "B", "a0", "hub"]
+_NODE_IDS = _ASCII_IDS + ["\u00e4", "\u00e9", "x\u00e9"]
 _MALFORMED = [
     "a,b,2012-03-05T10:00:00",
     ",b,2012-03-05T10:00:00,call,1",
@@ -400,30 +419,63 @@ _MALFORMED = [
     "a,a,2012-03-05T10:00:00,call,3",
     "a,b,2012-02-30T10:00:00,call,3",
     "a,b,c,d,e,f",
+    "a,b,0000-03-05T10:00:00,call,1",
+    "a,b,1900-02-29T10:00:00,call,1",
+    "a,b,2000-02-29T10:00:00,call,1",
+    "a,b,2012-03-05T24:00:00,call,1",
+    "a,b,2012-03-05t10:00:00,call,1",
+    "a,,2012-03-05T10:00:00,call,1",
+    "origin",
 ]
+# kinds in any case, and durations that int() reads although no digit run
+# does (signs, spaces, underscores, other scripts' digits, Unicode space
+# around them), with digit runs on both sides of 18 digits
+_KINDS = ["call", "sms", "CALL", "Sms"]
+_DURATIONS = ["0", "7", "42", "+5", " 5", "\uff15", "1_0", "-0", "-7", "x", "", "9" * 18, "1" * 19]
+_SMS_DURATIONS = ["0", "00", "-0", "+0", "0_0", "\uff10", "0" * 18, "0" * 19, "3", "+3"]
+_WRAPS = ["\u00a0", "\u001c", " ", "\t"]
 
 
 @st.composite
 def _cdr_lines(draw):
+    """CDR elements as an ``Iterable[str]`` may hold them: each one line,
+    ending in LF, CRLF or nothing, now and then two lines joined by an inner
+    LF, and empty strings."""
     lines = []
     if draw(st.booleans()):
-        lines.append(draw(st.sampled_from(["origin,target,timestamp,kind,duration_s", " Origin , TARGET ,x"])))
+        lines.append(draw(st.sampled_from(["origin,target,timestamp,kind,duration_s", " Origin , TARGET ,x",
+                                           "ORIGIN,TARGET,timestamp,kind,duration_s", "origin,target"])))
     for _ in range(draw(st.integers(0, 80))):
         roll = draw(st.integers(0, 19))
         if roll == 0:
             lines.append(draw(st.sampled_from(_MALFORMED)))
         elif roll == 1:
-            lines.append(draw(st.sampled_from(["", "  "])))
+            lines.append(draw(st.sampled_from(["", "  ", "\n", "\r\n"])))
         else:
-            origin = "hub" if roll < 5 else draw(st.sampled_from(_NODE_IDS))
-            target = draw(st.sampled_from(_NODE_IDS))
+            # most records are plain printable ASCII in canonical form, which
+            # the compiled body decides itself; the odd ones it defers
+            odd = draw(st.integers(0, 3)) == 0
+            ids = _NODE_IDS if odd else _ASCII_IDS
+            origin = "hub" if roll < 5 else draw(st.sampled_from(ids))
+            target = draw(st.sampled_from(ids))
             month = draw(st.sampled_from(["2011-12", "2012-01", "2012-02", "2012-03", "2012-04"]))
             day = draw(st.sampled_from(["01", "15", "31"]))
-            zone = draw(st.sampled_from(["", "", "", "Z", "+02:00", "-03:00"]))
+            zone = draw(st.sampled_from(["", "", "Z", "+02:00", "-03:00"])) if odd else ""
             stamp = f"{month}-{day if month != '2012-02' else '15'}T{draw(st.sampled_from(['00', '12', '23']))}:30:00{zone}"
-            kind = draw(st.sampled_from(["call", "sms", "CALL"]))
-            duration = 0 if kind == "sms" else draw(st.integers(0, 99))
-            lines.append(f"{origin}, {target},{stamp},{kind},{duration}")
+            kind = draw(st.sampled_from(_KINDS))
+            if not odd or draw(st.booleans()):
+                duration = "0" if kind.lower() == "sms" else str(draw(st.integers(0, 99)))
+            else:
+                duration = draw(st.sampled_from(_SMS_DURATIONS if kind.lower() == "sms" else _DURATIONS))
+            fields = [origin, target, stamp, kind, duration]
+            if odd and draw(st.booleans()):
+                k = draw(st.integers(0, 4))
+                wrap = draw(st.sampled_from(_WRAPS))
+                fields[k] = wrap + fields[k] + wrap
+            lines.append(",".join(fields))
+        lines[-1] += draw(st.sampled_from(["", "\n", "\n", "\r\n"] if roll < 2 or odd else ["", "\n"]))
+        if len(lines) > 1 and not lines[-2].endswith("\n") and draw(st.integers(0, 9)) == 0:
+            lines[-2:] = [lines[-2] + "\n" + lines[-1]]
     return lines
 
 
@@ -431,31 +483,62 @@ def _arrays(g):
     return [g.ids.ids] + [(a.dtype.str, a.tobytes()) for a in (g.indptr, g.nbr, g.wgt, g.self_loops)]
 
 
+def _tokens_key(tokens):
+    status, u, v, ids = tokens
+    return status.dtype.str, status.tobytes(), u.dtype.str, u.tobytes(), v.dtype.str, v.tobytes(), ids
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_cdr_lines(), st.integers(1, 4), st.sampled_from(["unit", "comm_count"]), st.sampled_from([1, 2, 5, 1 << 16]))
 def test_pipeline_matches_record_reference(lines, cap, weight_mode, chunk):
     window = WindowSpec.from_label("2012-03", span_months=2)
     want_g, want = oracle_ingest(lines, window, cap, weight_mode)
-    with mock.patch.object(ingest, "_CHUNK", chunk):
-        g, report = ingest_pipeline(iter(lines), window, cap=cap, weight_mode=weight_mode)
-    assert _arrays(g) == _arrays(want_g)
-    rej, flt = report.rejections, report.filter
-    got = {
-        "n_lines": rej.n_lines,
-        "n_valid": rej.n_valid,
-        "reasons": rej.reasons,
-        "first_line": rej.first_line,
-        "n_in_window": report.n_in_window,
-        "n_out_of_window": report.n_out_of_window,
-        "n_directed_pairs": report.n_directed_pairs,
-        "removed": flt.removed,
-        "n_nodes_before": flt.n_nodes_before,
-        "n_nodes_after": flt.n_nodes_after,
-        "n_edges_before": flt.n_edges_before,
-        "n_edges_after": flt.n_edges_after,
-    }
-    assert got == want
-    assert flt.cap == cap
+    bodies = cdr_backends()
+    for i in range(0, len(lines), chunk):
+        tokens = {name: _tokens_key(body(lines[i:i + chunk], window)) for name, body in bodies.items()}
+        assert all(t == tokens["python"] for t in tokens.values())
+    for body in bodies.values():
+        with mock.patch.object(ingest, "_CHUNK", chunk), mock.patch.object(ingest, "_cdr_tokens", body):
+            g, report = ingest_pipeline(iter(lines), window, cap=cap, weight_mode=weight_mode)
+        assert _arrays(g) == _arrays(want_g)
+        rej, flt = report.rejections, report.filter
+        got = {
+            "n_lines": rej.n_lines,
+            "n_valid": rej.n_valid,
+            "reasons": rej.reasons,
+            "first_line": rej.first_line,
+            "n_in_window": report.n_in_window,
+            "n_out_of_window": report.n_out_of_window,
+            "n_directed_pairs": report.n_directed_pairs,
+            "removed": flt.removed,
+            "n_nodes_before": flt.n_nodes_before,
+            "n_nodes_after": flt.n_nodes_after,
+            "n_edges_before": flt.n_edges_before,
+            "n_edges_after": flt.n_edges_after,
+        }
+        assert got == want
+        assert list(rej.reasons) == list(want["reasons"])
+        assert flt.cap == cap
+
+
+def test_durations_past_the_interpreter_digit_limit_are_judged_by_it():
+    # Python 3.11+ refuses int() of more than sys.get_int_max_str_digits()
+    # digits, 3.10 reads them: each body must agree with the running interpreter
+    lines = ["a,b,2012-03-05T10:00:00,call," + "1" * 5000, "b,a,2012-03-05T10:00:00,sms," + "0" * 5000,
+             "a,c,2012-03-05T10:00:00,call,5", "c,a,2012-03-05T10:00:00,sms,0"]
+    window = WindowSpec.from_label("2012-03")
+    want_g, want = oracle_ingest(lines, window, 200, "unit")
+    try:
+        int("1" * 5000)
+        limited = False
+    except ValueError:
+        limited = True
+    assert want["reasons"] == ({"bad_duration": 2} if limited else {})
+    for body in cdr_backends().values():
+        with mock.patch.object(ingest, "_cdr_tokens", body):
+            g, report = ingest_pipeline(lines, window)
+        assert _arrays(g) == _arrays(want_g)
+        assert (report.rejections.reasons, report.rejections.first_line) == (want["reasons"], want["first_line"])
 
 
 def test_pipeline_reference_sees_hubs_and_one_way_contacts():

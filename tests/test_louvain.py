@@ -635,6 +635,44 @@ def test_kernel_fallback_and_cache(tmp_path, monkeypatch):
     assert runs["python"] == runs["kernel"]
     assert runs["python"][0][0] == 0
 
+    # ingest too: every rejection reason, decided in C or deferred to the
+    # validator, in an order that tests the report's insertion order; the
+    # --max-rejected failure prints that report
+    cdr = tmp_path / "calls.csv"
+    cdr.write_text("\n".join([
+        "origin,target,timestamp,kind,duration_s",
+        "a,b,2012-03-05T10:00:00,call,-5",       # bad_duration, deferred
+        "a,b,2012-03-05T10:00:00",               # field_count
+        "b,a,2012-03-05T10:00:00,sms,0",
+        "a,b,2012-03-05T10:00:00,call,7",
+        "a,b,2012-03-05T10:00:00,sms,+3",        # sms_nonzero_duration, deferred
+        "a,\u00e9,2012-03-05T10:00:00,call,1",
+        "\u00e9,a,2012-03-05 10:00:00,call,1",
+        ",b,2012-03-05T10:00:00,call,1",         # empty_id
+        "c,c,2012-03-05T10:00:00,call,1",        # self_record
+        "a,b,2012-02-30T10:00:00,call,1",        # bad_timestamp
+        "a,b,yesterday,call,1",
+        "a,b,2012-03-05T10:00:00,fax,1",         # bad_kind
+        "a,b,2012-03-05T10:00:00,call,soon",
+        "a,b,2012-03-05T10:00:00,sms,12",
+        "",
+        "b,c,2011-03-05T10:00:00,call,1",
+    ]) + "\n", encoding="utf-8")
+    ingests = {}
+    for name, env in (("python", no_cc), ("kernel", {})):
+        for limit in ([], ["--max-rejected", "0"]):
+            graph_file = tmp_path / "social.tsv"
+            graph_file.unlink(missing_ok=True)
+            ingest = ["-m", "commtrack.cli", "ingest", "--cdr", str(cdr), "--month", "2012-03", *limit,
+                      "-o", str(graph_file)]
+            result = _python(ingest, **env)
+            ingests[name, bool(limit)] = result, graph_file.read_bytes() if graph_file.exists() else None
+    for limited in (False, True):
+        assert ingests["python", limited] == ingests["kernel", limited]
+    assert ingests["python", False][0][0] == 0 and ingests["python", False][1]
+    assert ingests["python", True][0][0] == 2 and ingests["python", True][1] is None
+    assert "reasons: {'bad_duration': 2, 'field_count': 1, 'sms_nonzero_duration': 2," in ingests["python", True][0][2]
+
     # a corrupt file at the cache path is rebuilt when a compiler exists, and
     # never loaded when none does
     cache_home = str(tmp_path / "corrupt")
