@@ -205,8 +205,9 @@ static int two_digits(const char *s)
     return (s[0] - '0') * 10 + (s[1] - '0');
 }
 
-/* year * 12 + month - 1 of a timestamp in ingest._CANONICAL_TS form
- * (YYYY-MM-DDTHH:MM:SS, ASCII digits, hour 00-23, minute and second 00-59);
+/* year * 12 + month - 1 of a canonical timestamp: YYYY-MM-DDTHH:MM:SS with
+ * ASCII digits, hour 00-23, minute and second 00-59, a form every supported
+ * Python's datetime.fromisoformat reads as a naive time in that month;
  * -1 when it names no date, -2 when the text is not in that form. */
 static int64_t canonical_month(const char *s, int64_t len)
 {

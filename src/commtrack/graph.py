@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, compress, repeat
-from typing import Callable, Hashable, Iterable, Mapping, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, Iterable, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -251,19 +251,6 @@ class Partition:
             raise InputError(f"partition has {labels.shape[0]} labels for {len(ids)} nodes")
         self.ids = ids
         self.labels = labels
-
-    @classmethod
-    def from_mapping(cls, g: Graph, assignment: Mapping[ExternalId, int]) -> "Partition":
-        nodes = list(assignment)
-        pos = g.ids.positions(nodes)
-        unknown = np.flatnonzero(pos < 0)
-        if len(unknown):
-            raise InputError(f"partition assigns unknown node {nodes[unknown[0]]!r}")
-        if len(nodes) != g.n:
-            raise InputError(f"partition covers {len(nodes)} of {g.n} nodes")
-        labels = np.empty(g.n, dtype=np.int64)
-        labels[pos] = np.fromiter(map(int, assignment.values()), dtype=np.int64, count=g.n)
-        return cls(g.ids, labels)
 
     @property
     def n(self) -> int:
@@ -572,6 +559,8 @@ def read_edge_tsv(path) -> Graph:
 def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
     """Read a partition; align it to ``graph`` when given, else stand alone.
 
+    Aligned, the file must name every node of ``graph`` and no other node.
+
     Standalone partitions build their own IdMap in file order, which is how
     a previous snapshot's partition is compared against a newer graph.
     """
@@ -610,4 +599,12 @@ def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
         _raise_first_bad_line(path, problem)
     if graph is None:
         return Partition(ids, labels)
-    return Partition.from_mapping(graph, dict(zip(ids.ids, labels.tolist())))
+    pos = graph.ids.positions(ids.ids)
+    unknown = np.flatnonzero(pos < 0)
+    if len(unknown):
+        raise InputError(f"partition assigns unknown node {ids.ids[unknown[0]]!r}")
+    if len(ids) != graph.n:
+        raise InputError(f"partition covers {len(ids)} of {graph.n} nodes")
+    aligned = np.empty(graph.n, dtype=np.int64)
+    aligned[pos] = labels
+    return Partition(graph.ids, aligned)

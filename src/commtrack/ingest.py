@@ -12,9 +12,10 @@ of in-window records, block ids are mapped to dense global ints, in-window
 keys with counts, and mutual pairs are found by sorting unordered pair keys
 once. Memory is bounded by the distinct directed pairs and one block, not by
 the line count. The tokenizer body is C (:func:`_cdr_tokens_c`), which
-decides plain ASCII lines in canonical form and hands every other line to
-the line validator, or Python (:func:`_cdr_tokens_py`), the validator on
-every line; both return the same tokens. The record-level
+decides plain ASCII lines with a canonical timestamp and hands every other
+line to the line validator, or Python (:func:`_cdr_tokens_py`), the
+validator on every line, parsing each timestamp in full; both give the same
+statuses and the same in-window pairs. The record-level
 :func:`iter_parse_cdr` shares the validator, and :func:`symmetrize` the
 mutual-pair graph construction.
 
@@ -27,14 +28,13 @@ record count.
 
 from __future__ import annotations
 
-import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone, tzinfo
+from datetime import datetime, timezone, tzinfo
 from functools import lru_cache
 from itertools import count, islice
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, MutableSequence, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, MutableSequence, Optional, Tuple
 
 import numpy as np
 
@@ -105,12 +105,11 @@ _STATUSES = (
  _BAD_DURATION, _SMS_NONZERO_DURATION, _DEFER) = range(len(_STATUSES))
 
 
-def _judge_line(raw: str, stamp: Callable[[str], object]) -> Tuple[int, Optional[Tuple[str, str, object]]]:
+def _judge_line(raw: str) -> Tuple[int, Optional[Tuple[str, str, datetime]]]:
     """The line validator: the status code of one line and, for a record,
-    ``(origin, target, stamp(timestamp))``, its status then ``_IN``.
+    ``(origin, target, timestamp)``, its status then ``_IN``.
 
-    ``stamp`` returns None for a timestamp it rejects. Kind and duration are
-    checked, then dropped: no graph reads them.
+    Kind and duration are checked, then dropped: no graph reads them.
     """
     line = raw.strip()
     if not line:
@@ -125,7 +124,7 @@ def _judge_line(raw: str, stamp: Callable[[str], object]) -> Tuple[int, Optional
         return _EMPTY_ID, None
     if origin == target:
         return _SELF_RECORD, None
-    ts = stamp(ts_text)
+    ts = _parse_timestamp(ts_text)
     if ts is None:
         return _BAD_TIMESTAMP, None
     kind = kind_text.lower()
@@ -155,7 +154,7 @@ def iter_parse_cdr(
     that is not a record is counted under its reason.
     """
     for lineno, raw in enumerate(lines, start=1):
-        code, record = _judge_line(raw, _parse_timestamp)
+        code, record = _judge_line(raw)
         if code == _BLANK or code == _HEADER:
             continue
         report.n_lines += 1
@@ -215,39 +214,6 @@ class WindowSpec:
                 return False
         idx = ts.year * 12 + (ts.month - 1)
         return self._anchor_index - self.span_months < idx <= self._anchor_index
-
-
-# YYYY-MM-DDTHH:MM:SS with ASCII digits: a form every supported Python's
-# fromisoformat reads as a naive time, so its month is its YYYY-MM prefix
-_CANONICAL_TS = re.compile(r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d", re.ASCII)
-
-
-@lru_cache(maxsize=1 << 12)
-def _day_month_index(day: str) -> Optional[int]:
-    """``year * 12 + month - 1`` of a YYYY-MM-DD text, None if no such date."""
-    try:
-        d = date(int(day[:4]), int(day[5:7]), int(day[8:10]))
-    except ValueError:
-        return None
-    return d.year * 12 + d.month - 1
-
-
-def _window_test(window: WindowSpec) -> Callable[[str], Optional[bool]]:
-    """Timestamp text -> whether it lies inside ``window``, None if it is not
-    a timestamp. Same answers as ``_parse_timestamp`` + ``window.contains``;
-    canonical naive timestamps skip the datetime."""
-    lo = window._anchor_index - window.span_months
-    hi = window._anchor_index
-    canonical = _CANONICAL_TS.fullmatch
-
-    def test(text: str) -> Optional[bool]:
-        if canonical(text):
-            idx = _day_month_index(text[:10])
-            return None if idx is None else lo < idx <= hi
-        ts = _parse_timestamp(text)
-        return None if ts is None else window.contains(ts)
-
-    return test
 
 
 def aggregate_window(records: Iterable[Tuple[str, str, datetime]], window: WindowSpec) -> Counter:
@@ -389,37 +355,36 @@ _CHUNK = 1 << 16  # lines judged, and their in-window pairs folded, per block
 _KEY_BASE = 1 << 32  # pair key = origin index * _KEY_BASE + target index
 
 # per block: one status code per line; the origin and target numbers of each
-# in-window line, in line order; the block's distinct ids of in-window lines
-# in first-seen order, origin before target
+# in-window line; the block's distinct ids of in-window lines. Which number
+# an id gets, and the order of the pairs, are the body's own: the graph
+# depends on neither.
 CdrTokens = Tuple[np.ndarray, np.ndarray, np.ndarray, List[str]]
 
 
 def _judge_lines(
     lines: List[str], positions: Iterable[int], window: WindowSpec, status: MutableSequence[int], ids: List[str]
-) -> Tuple[List[int], List[int], List[int]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Judge ``lines[i]`` for each ``i`` of ``positions`` in turn with the
     line validator and store its status in ``status[i]``. The origin and
     target of each in-window line are interned in ``ids``, which may already
-    hold ids and grows by the new ones. Returns the in-window lines'
-    positions and their origin and target numbers."""
-    test = _window_test(window)
+    hold ids and grows by the new ones. Returns the in-window lines' origin
+    and target numbers, in line order."""
     index = {x: k for k, x in enumerate(ids)}
     intern = index.setdefault
-    at: List[int] = []
     u: List[int] = []
     v: List[int] = []
     for i in positions:
-        code, record = _judge_line(lines[i], test)
+        code, record = _judge_line(lines[i])
         if record is not None:
-            origin, target, inside = record
-            code = _IN if inside else _OUT
-            if inside:
-                at.append(i)
+            origin, target, ts = record
+            if window.contains(ts):
                 u.append(intern(origin, len(index)))
                 v.append(intern(target, len(index)))
+            else:
+                code = _OUT
         status[i] = code
     ids.extend(islice(index, len(ids), None))
-    return at, u, v
+    return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
 def _cdr_tokens_py(lines: List[str], window: WindowSpec) -> CdrTokens:
@@ -429,29 +394,21 @@ def _cdr_tokens_py(lines: List[str], window: WindowSpec) -> CdrTokens:
     Returns one ``_STATUSES`` code per line (never ``_DEFER``), the origin
     and target numbers of each in-window line in line order, and the
     distinct ids of those lines numbered in first-seen order, origin before
-    target. :func:`_cdr_tokens_c` returns the same tokens.
+    target. This body is the definition: :func:`_cdr_tokens_c` gives the
+    same statuses and the same in-window ``(ids[u], ids[v])`` pairs.
     """
     status = bytearray(len(lines))
     ids: List[str] = []
-    _, u, v = _judge_lines(lines, range(len(lines)), window, status, ids)
-    return np.frombuffer(status, dtype=np.uint8), np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), ids
-
-
-def _first_seen(u: np.ndarray, v: np.ndarray, ids: List[str]) -> Tuple[np.ndarray, np.ndarray, List[str]]:
-    """``u``, ``v`` and ``ids`` with the ids renumbered in first-seen order
-    over the pairs (u[0], v[0]), (u[1], v[1]), ...; every id occurs."""
-    seen, first = np.unique(np.column_stack((u, v)).ravel(), return_index=True)
-    old = seen[np.argsort(first)]
-    new = np.empty(len(ids), dtype=np.int64)
-    new[old] = np.arange(len(old))
-    return new[u], new[v], [ids[k] for k in old.tolist()]
+    u, v = _judge_lines(lines, range(len(lines)), window, status, ids)
+    return np.frombuffer(status, dtype=np.uint8), u, v, ids
 
 
 def _cdr_tokens_c(lines: List[str], window: WindowSpec) -> CdrTokens:
     """:func:`_cdr_tokens_py` compiled from ``_native.c`` for the lines it
-    can decide exactly: those of printable ASCII in canonical form (see
-    ``commtrack_cdr_tokens``). The line validator judges every line it
-    defers, with the ids numbered as the Python body numbers them."""
+    can decide exactly: those of printable ASCII with a canonical timestamp
+    (see ``commtrack_cdr_tokens``). The line validator judges every line it
+    defers; their pairs follow the compiled ones, and their new ids follow
+    the compiled ones' ids."""
     n = len(lines)
     text = "".join(lines)
     bounds = np.zeros(n + 1, dtype=np.int64)
@@ -478,11 +435,8 @@ def _cdr_tokens_c(lines: List[str], window: WindowSpec) -> CdrTokens:
     u, v = u[:m], v[:m]
     deferred = np.flatnonzero(status == _DEFER)
     if len(deferred):
-        decided = np.flatnonzero(status == _IN)
-        at, du, dv = _judge_lines(lines, deferred.tolist(), window, status, ids)
-        if at:
-            order = np.argsort(np.concatenate((decided, at)), kind="stable")
-            u, v, ids = _first_seen(np.concatenate((u, du))[order], np.concatenate((v, dv))[order], ids)
+        du, dv = _judge_lines(lines, deferred.tolist(), window, status, ids)
+        u, v = np.concatenate((u, du)), np.concatenate((v, dv))
     return status, u, v, ids
 
 

@@ -454,9 +454,14 @@ def oracle_read_partition_tsv(path, graph=None):
             if node in assignment:
                 raise InputError(f"{path}:{lineno}: node {node!r} listed twice")
             assignment[node] = label
-    if graph is not None:
-        return Partition.from_mapping(graph, assignment)
-    return Partition(IdMap(assignment.keys()), np.array(list(assignment.values()), dtype=np.int64))
+    if graph is None:
+        return Partition(IdMap(assignment.keys()), np.array(list(assignment.values()), dtype=np.int64))
+    for node in assignment:
+        if node not in graph.ids.index:
+            raise InputError(f"partition assigns unknown node {node!r}")
+    if len(assignment) != graph.n:
+        raise InputError(f"partition covers {len(assignment)} of {graph.n} nodes")
+    return Partition(graph.ids, np.array([assignment[x] for x in graph.ids.ids], dtype=np.int64))
 
 
 def _oracle_weight_text(w: float) -> str:

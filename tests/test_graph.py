@@ -101,17 +101,26 @@ def test_first_seen_order_is_deterministic():
     assert np.array_equal(g1.nbr, g2.nbr)
 
 
-def test_partition_singletons_and_from_mapping():
+def test_partition_singletons_and_from_mapping(tmp_path):
     g = build_graph([("a", "b"), ("b", "c")])
     p = singleton_partition(g)
     assert p.labels.tolist() == [0, 1, 2]
-    q = Partition.from_mapping(g, {"a": 5, "b": 5, "c": 9})
+    q = Partition(g.ids, np.array([5, 5, 9]))
     assert q.label_of("a") == 5 and q.label_of("c") == 9
     assert q.labels.tolist() == [5, 5, 9]
-    with pytest.raises(InputError):
-        Partition.from_mapping(g, {"a": 1, "b": 1})  # partial cover
-    with pytest.raises(InputError):
-        Partition.from_mapping(g, {"a": 1, "b": 1, "nope": 2})
+    # a partition file read against a graph is aligned to the graph's ids
+    path = tmp_path / "p.tsv"
+    path.write_text("c\t9\na\t5\nb\t5\n", encoding="utf-8")
+    assert read_partition_tsv(path, graph=g) == q
+    path.write_text("a\t1\nb\t1\n", encoding="utf-8")  # partial cover
+    with pytest.raises(InputError, match="covers 2 of 3 nodes"):
+        read_partition_tsv(path, graph=g)
+    path.write_text("a\t1\nb\t1\nnope\t2\n", encoding="utf-8")
+    with pytest.raises(InputError, match="unknown node 'nope'"):
+        read_partition_tsv(path, graph=g)
+    path.write_text("a\t1\nnope\t2\n", encoding="utf-8")  # an unknown node is named before the count
+    with pytest.raises(InputError, match="unknown node 'nope'"):
+        read_partition_tsv(path, graph=g)
 
 
 def test_partition_covers_and_equality():
@@ -254,7 +263,7 @@ def test_edge_tsv_bad_inputs(tmp_path):
 
 def test_partition_tsv_roundtrip(tmp_path):
     g = build_graph([("a", "b"), ("b", "c")])
-    part = Partition.from_mapping(g, {"a": 1, "b": 1, "c": 2})
+    part = Partition(g.ids, np.array([1, 1, 2]))
     path = tmp_path / "p.tsv"
     write_partition_tsv(part, path)
     aligned = read_partition_tsv(path, graph=g)

@@ -1,5 +1,6 @@
 """Record parsing, window arithmetic, symmetrization, degree capping."""
 
+import dataclasses
 import math
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -14,8 +15,6 @@ from commtrack.graph import build_graph
 from commtrack.ingest import (
     RejectionReport,
     WindowSpec,
-    _parse_timestamp,
-    _window_test,
     aggregate_window,
     filter_high_degree,
     ingest_pipeline,
@@ -311,7 +310,10 @@ def test_pipeline_reports_stage_seconds():
     assert all(math.isfinite(v) and v >= 0.0 for v in report.seconds.values())
 
 
-# --- timestamp fast path ------------------------------------------------------------
+# --- timestamps on both tokenizer bodies ------------------------------------------
+# The compiled body's fast path reads the month of a canonical timestamp
+# itself; the Python body, and the compiled one on every other timestamp,
+# parse it in full.
 
 _DIGITS = "0123456789"
 _FOREIGN_DIGITS = ("\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",  # fullwidth
@@ -351,21 +353,60 @@ _windows = st.builds(
 )
 
 
-def _full_parser(text, window):
-    ts = _parse_timestamp(text)
-    return None if ts is None else window.contains(ts)
+_SHIFTED = timezone(timedelta(hours=5))
+
+
+def _reference_tokens(lines, window):
+    """A status code per line and the sorted in-window (origin, target)
+    pairs, as :func:`iter_parse_cdr` and ``WindowSpec.contains`` give them
+    one line at a time."""
+    status, pairs = [], []
+    for line in lines:
+        report = RejectionReport()
+        records = list(iter_parse_cdr([line], report))
+        if records:
+            ((origin, target, ts),) = records
+            inside = window.contains(ts)
+            status.append(ingest._IN if inside else ingest._OUT)
+            if inside:
+                pairs.append((origin, target))
+        elif report.reasons:
+            (reason,) = report.reasons
+            status.append(ingest._STATUSES.index(reason))
+        else:
+            status.append(ingest._HEADER if line.strip() else ingest._BLANK)
+    return status, sorted(pairs)
+
+
+def _body_tokens(body, lines, window):
+    status, u, v, ids = body(lines, window)
+    return status.tolist(), sorted((ids[a], ids[b]) for a, b in zip(u.tolist(), v.tolist()))
+
+
+def _check_timestamp_on_bodies(text, window):
+    """The record lines ``a,b,<text>,call,1`` and ``b,a,<text>,call,1`` get
+    the reference statuses and pairs from each body, in ``window``'s zone
+    and in the +5 h zone. Returns the reference in ``window``'s zone."""
+    lines = [f"a,b,{text},call,1", f"b,a,{text},call,1"]
+    wants = []
+    for w in (window, dataclasses.replace(window, tz=_SHIFTED)):
+        try:
+            wants.append(_reference_tokens(lines, w))
+        except OverflowError:  # an offset that pushes year 1 or 9999 out of range
+            for body in cdr_backends().values():
+                with pytest.raises(OverflowError):
+                    body(lines, w)
+            wants.append(None)
+            continue
+        for body in cdr_backends().values():
+            assert _body_tokens(body, lines, w) == wants[-1]
+    return wants[0]
 
 
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(_timestamp_texts(), st.text(max_size=24)), _windows)
 def test_window_fast_path_matches_full_parser(text, window):
-    try:
-        want = _full_parser(text, window)
-    except OverflowError:  # an offset that pushes year 1 or 9999 out of range
-        with pytest.raises(OverflowError):
-            _window_test(window)(text)
-        return
-    assert _window_test(window)(text) == want
+    _check_timestamp_on_bodies(text, window)
 
 
 # only agreement with the full parser is checked: what fromisoformat makes of
@@ -396,12 +437,55 @@ _ANY = object()
 ])
 def test_window_fast_path_cases(text, inside):
     window = WindowSpec.from_label("2012-03", span_months=3)
+    statuses, pairs = _check_timestamp_on_bodies(text, window)
     if inside is not _ANY:
-        assert _full_parser(text, window) == inside
-    assert _window_test(window)(text) == _full_parser(text, window)
-    # a naive time is read in the window's zone; an aware one is converted to it
-    shifted = WindowSpec.from_label("2012-03", span_months=3, tz=timezone(timedelta(hours=5)))
-    assert _window_test(shifted)(text) == _full_parser(text, shifted)
+        assert statuses == [{True: ingest._IN, False: ingest._OUT, None: ingest._BAD_TIMESTAMP}[inside]] * 2
+        assert pairs == ([("a", "b"), ("b", "a")] if inside else [])
+
+
+def _fromisoformat_status(text, window):
+    try:
+        ts = datetime.fromisoformat(text)
+    except ValueError:
+        return ingest._BAD_TIMESTAMP
+    return ingest._IN if window.contains(ts) else ingest._OUT
+
+
+@pytest.mark.parametrize("text, in_c", [
+    ("2012-02-29T10:00:00", True),   # leap days
+    ("2000-02-29T10:00:00", True),
+    ("1900-02-29T10:00:00", True),   # no leap day in a century year not divisible by 400
+    ("2011-02-29T10:00:00", True),
+    ("2012-02-30T10:00:00", True),
+    ("2012-04-31T10:00:00", True),
+    ("2012-00-01T10:00:00", True),   # months 00 and 13
+    ("2012-13-01T10:00:00", True),
+    ("0000-03-05T10:00:00", True),   # year 0000
+    ("0001-01-01T00:00:00", True),
+    ("9999-12-31T23:59:59", True),
+    ("2012-03-31T23:59:59", True),
+    ("2012-04-01T00:00:00", True),
+    ("2012-03-01T24:00:00", False),  # hour 24 is not canonical: deferred
+    ("\uff12\uff10\uff11\uff12-03-05T10:00:00", False),  # foreign digits
+    ("\u0662\u0660\u0661\u0662-03-05T10:00:00", False),
+    ("2012-03-05T10:00:00+00:00", False),
+])
+def test_compiled_canonical_month_matches_fromisoformat(text, in_c):
+    if "c" not in cdr_backends():
+        pytest.skip("the compiled library is not loaded")
+    windows = [WindowSpec.from_label("2012-03", span_months=3)]
+    try:
+        ts = datetime.fromisoformat(text)
+        windows += [WindowSpec(ts.year, ts.month, 1), WindowSpec(ts.year, ts.month, 1, _SHIFTED)]
+    except ValueError:
+        pass
+    for window in windows:
+        with mock.patch.object(ingest, "_judge_lines", wraps=ingest._judge_lines) as judge:
+            status, u, v, ids = ingest._cdr_tokens_c([f"a,b,{text},call,1"], window)
+        assert judge.called != in_c  # a canonical timestamp is decided in C alone
+        assert status.tolist() == [_fromisoformat_status(text, window)]
+        assert [(ids[a], ids[b]) for a, b in zip(u.tolist(), v.tolist())] == (
+            [("a", "b")] if status[0] == ingest._IN else [])
 
 
 # --- pipeline against the record-by-record reference ---------------------------------
@@ -484,8 +568,14 @@ def _arrays(g):
 
 
 def _tokens_key(tokens):
+    """What the tokenizer bodies agree on: the status bytes, the dtypes and
+    the in-window pairs as sorted id pairs; each body numbers the ids, which
+    are distinct and exactly those of the pairs, and orders the pairs its
+    own way."""
     status, u, v, ids = tokens
-    return status.dtype.str, status.tobytes(), u.dtype.str, u.tobytes(), v.dtype.str, v.tobytes(), ids
+    pairs = sorted((ids[a], ids[b]) for a, b in zip(u.tolist(), v.tolist()))
+    assert len(set(ids)) == len(ids) == len({x for pair in pairs for x in pair})
+    return status.dtype.str, status.tobytes(), u.dtype.str, v.dtype.str, pairs
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -519,6 +609,61 @@ def test_pipeline_matches_record_reference(lines, cap, weight_mode, chunk):
         assert got == want
         assert list(rej.reasons) == list(want["reasons"])
         assert flt.cap == cap
+
+
+# characters that steer the tokenizers: separators, strip() whitespace, NUL,
+# DEL, line ends, timestamp digits and punctuation, non-ASCII letters, an
+# astral character, lone surrogates (the compiled body's caller encodes
+# them with "surrogatepass")
+_FUZZ_CHARS = "ab,:-T0129Z \t\x00\n\r\x1c\x7f\u00a0\u00e9\u4e2d\U0001f600\ud800\udfff"
+_FUZZ_TEXT = st.one_of(st.text(_FUZZ_CHARS, max_size=12), st.text(max_size=12))
+_FUZZ_FIELDS = (
+    ["a", "b", "\u00e9", "a\x00", "x" * 300, ""],
+    ["a", "b", "\u4e2d", "\udfff", "y" * 300, ""],
+    ["2012-03-05T10:00:00", "2012-02-29T23:59:59", "2012-01-31T00:00:00", "2012-03-05T10:00:00Z"],
+    ["call", "sms", "CALL", "fax"],
+    ["0", "5", "1" * 30, ""],
+)
+
+
+@st.composite
+def _fuzz_field(draw, likely):
+    """A likely field value, now and then with one steering character put
+    in, or free text."""
+    text = draw(st.sampled_from(likely))
+    roll = draw(st.integers(0, 5))
+    if roll == 4:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_FUZZ_CHARS)) + text[at:]
+    elif roll == 5:
+        text = draw(_FUZZ_TEXT)
+    return text
+
+
+@st.composite
+def _fuzz_lines(draw):
+    """Arbitrary ``str`` elements: free text, and record-like lines built
+    from :func:`_fuzz_field`, ending in any line end, now and then joined
+    to the next by an inner LF or CR."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            line = draw(_FUZZ_TEXT)
+        else:
+            line = ",".join(draw(_fuzz_field(f)) for f in _FUZZ_FIELDS)
+        line += draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+        if lines and draw(st.integers(0, 5)) == 0:
+            line = lines.pop() + draw(st.sampled_from(["\n", "\r"])) + line
+        lines.append(line)
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_lines())
+def test_cdr_tokenizer_bodies_agree_on_arbitrary_text(lines):
+    window = WindowSpec.from_label("2012-03", span_months=2)
+    tokens = {name: _tokens_key(body(lines, window)) for name, body in cdr_backends().items()}
+    assert all(t == tokens["python"] for t in tokens.values())
 
 
 def test_durations_past_the_interpreter_digit_limit_are_judged_by_it():
