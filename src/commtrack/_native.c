@@ -6,9 +6,12 @@
  * passes raw pointers. The library is built with -ffp-contract=off so no
  * multiply-add is fused.
  *
- * Three kernels: the level-1 Louvain sweep, the edge-TSV tokenizer and the
- * CDR line tokenizer. The CDR tokenizer decides only the lines it can decide
- * exactly and marks every other line for the Python validator.
+ * Five kernels: the level-1 Louvain sweep, the community sums and the graph
+ * projection (Louvain phase 2) around it, the edge-TSV tokenizer and the CDR
+ * line tokenizer. The sums and the projection add in numpy's order, so their
+ * floating-point results are bit-identical to the numpy twins'. The CDR
+ * tokenizer decides only the lines it can decide exactly and marks every
+ * other line for the Python validator.
  */
 #include <stdint.h>
 #include <string.h>
@@ -84,6 +87,134 @@ int64_t commtrack_sweep(
         }
     }
     return moved;
+}
+
+/* in_c and tot_c of each community: louvain._sums_py.
+ *
+ * node_com[u] in [0, c). Each sum runs in numpy's order: tot over the nodes,
+ * in over the same-community CSR entries, then twice the self-loop sum kept
+ * apart. com_in, com_tot and loop_sum hold c zeros on entry.
+ */
+void commtrack_community_sums(
+    int64_t n, const int64_t *indptr, const int64_t *nbr, const double *wgt,
+    const double *loops, const double *k, const int64_t *node_com, int64_t c,
+    double *com_in, double *com_tot, double *loop_sum)
+{
+    for (int64_t u = 0; u < n; u++) {
+        const int64_t s = node_com[u];
+        double in = com_in[s];
+        com_tot[s] += k[u];
+        loop_sum[s] += loops[u];
+        for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+            /* a select, not a branch that about half the entries would
+             * mispredict: a sum that starts at +0.0 is never -0.0, so
+             * adding +0.0 leaves its bits as they are */
+            const double pick[2] = {0.0, wgt[e]};
+            in += pick[node_com[nbr[e]] == s];
+        }
+        com_in[s] = in;
+    }
+    for (int64_t s = 0; s < c; s++)
+        com_in[s] += 2.0 * loop_sum[s];
+}
+
+/* The graph on c nodes that node u maps to as new_index[u] in [-1, c), or
+ * leaves out at -1: graph._project_py.
+ *
+ * The same sums in numpy's order: the new self-loops add the kept
+ * self-loops in node order, then the halves (w * 0.5) of the CSR entries
+ * inside one new node in CSR order. The weight of a new edge (a, b), a < b,
+ * adds its CSR entries from a to b over a's members in node order, each
+ * row in order. Each edge is summed once and mirrored into the CSR, so both
+ * orientations carry the same bits; each row is sorted by neighbour.
+ *
+ * i_scratch holds 4 c + n + 3 + cap int64 and f_scratch c + cap doubles;
+ * out_ptr holds c + 1 zeros and out_loops c zeros; out_nbr and out_wgt have
+ * room for 2 cap entries. Returns the number of CSR entries written, or -1
+ * when the new graph has more than cap edges.
+ */
+int64_t commtrack_project(
+    int64_t n, const int64_t *indptr, const int64_t *nbr, const double *wgt,
+    const double *loops, const int64_t *new_index, int64_t c, int64_t cap,
+    int64_t *i_scratch, double *f_scratch,
+    int64_t *out_ptr, int64_t *out_nbr, double *out_wgt, double *out_loops)
+{
+    /* first[a] .. first[a + 1]: a's members, in node order */
+    int64_t *first = i_scratch, *members = first + c + 2, *stamp = members + n;
+    int64_t *touched = stamp + c, *upper_ptr = touched + c, *upper_nbr = upper_ptr + c + 1;
+    double *acc = f_scratch, *upper_wgt = acc + c;
+
+    memset(first, 0, (size_t)(c + 2) * sizeof *first);
+    for (int64_t u = 0; u < n; u++)
+        if (new_index[u] >= 0)
+            first[new_index[u] + 2]++;
+    for (int64_t a = 0; a < c; a++) {
+        first[a + 2] += first[a + 1];
+        stamp[a] = -1;
+    }
+    for (int64_t u = 0; u < n; u++) {  /* first[a + 1] counts up to a's end */
+        const int64_t a = new_index[u];
+        if (a >= 0) {
+            members[first[a + 1]++] = u;
+            out_loops[a] += loops[u];
+        }
+    }
+
+    int64_t m = 0;
+    upper_ptr[0] = 0;
+    for (int64_t a = 0; a < c; a++) {
+        int64_t n_touched = 0;
+        double loop = out_loops[a];
+        for (int64_t i = first[a]; i < first[a + 1]; i++) {
+            const int64_t u = members[i];
+            for (int64_t e = indptr[u]; e < indptr[u + 1]; e++) {
+                const int64_t b = new_index[nbr[e]];
+                const double half[2] = {0.0, wgt[e] * 0.5};  /* a select, as in the sums */
+                loop += half[b == a];
+                if (b > a) {
+                    if (stamp[b] != a) {
+                        stamp[b] = a;
+                        acc[b] = 0.0;
+                        touched[n_touched++] = b;
+                    }
+                    acc[b] += wgt[e];
+                }
+            }
+        }
+        out_loops[a] = loop;
+        if (n_touched > cap - m)
+            return -1;
+        for (int64_t t = 0; t < n_touched; t++) {
+            const int64_t b = touched[t];
+            upper_nbr[m] = b;
+            upper_wgt[m++] = acc[b];
+            out_ptr[a + 1]++;
+            out_ptr[b + 1]++;
+        }
+        upper_ptr[a + 1] = m;
+    }
+
+    int64_t *next = touched;  /* the next free entry of each row */
+    for (int64_t a = 0; a < c; a++) {
+        out_ptr[a + 1] += out_ptr[a];
+        next[a] = out_ptr[a];
+    }
+    /* two counting-sort passes: each row b takes its entries from lower
+     * nodes in the order of a, then each row a its entries from higher nodes
+     * in the order of the row b that holds them */
+    for (int64_t a = 0; a < c; a++)
+        for (int64_t i = upper_ptr[a]; i < upper_ptr[a + 1]; i++) {
+            const int64_t b = upper_nbr[i];
+            out_nbr[next[b]] = a;
+            out_wgt[next[b]++] = upper_wgt[i];
+        }
+    for (int64_t b = 0; b < c; b++)
+        for (int64_t i = out_ptr[b], end = next[b]; i < end; i++) {
+            const int64_t a = out_nbr[i];
+            out_nbr[next[a]] = b;
+            out_wgt[next[a]++] = out_wgt[i];
+        }
+    return 2 * m;
 }
 
 /* Distinct byte strings numbered in first-seen order: an open-addressing

@@ -1,7 +1,10 @@
 """The package's one compiled library, built from ``_native.c`` at first import.
 
-It holds three kernels: the level-1 sweep (``commtrack_sweep``, behind
-:func:`commtrack.louvain._sweep_c`), the edge-TSV tokenizer
+It holds five kernels: the level-1 sweep (``commtrack_sweep``, behind
+:func:`commtrack.louvain._sweep_c`), the community sums
+(``commtrack_community_sums``, behind :func:`commtrack.louvain._sums_c`),
+the graph projection (``commtrack_project``, behind
+:func:`commtrack.graph._project_c`), the edge-TSV tokenizer
 (``commtrack_edge_tokens``, behind :func:`commtrack.graph._edge_tokens_c`)
 and the CDR line tokenizer (``commtrack_cdr_tokens``, behind
 :func:`commtrack.ingest._cdr_tokens_c`).
@@ -33,6 +36,10 @@ def _bind(path: str) -> ctypes.CDLL:
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.commtrack_sweep.restype = i64
     lib.commtrack_sweep.argtypes = [i64] + [ptr] * 11 + [f64] * 2 + [ptr] * 4
+    lib.commtrack_community_sums.restype = None
+    lib.commtrack_community_sums.argtypes = [i64] + [ptr] * 6 + [i64] + [ptr] * 3
+    lib.commtrack_project.restype = i64
+    lib.commtrack_project.argtypes = [i64] + [ptr] * 5 + [i64] * 2 + [ptr] * 6
     lib.commtrack_edge_tokens.restype = i64
     lib.commtrack_edge_tokens.argtypes = [ptr, i64] + [ptr, i64, ptr, ptr] * 2 + [ptr] * 4
     lib.commtrack_cdr_tokens.restype = i64

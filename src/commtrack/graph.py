@@ -9,7 +9,9 @@ id join: the index of each given id in a map, or -1 where it is absent.
 :func:`project` is the one graph projection: it maps each node to a node of
 a new id set, or drops it, summing the edges that land together; it backs
 :func:`aggregate_by_partition`, :meth:`Graph.subgraph` and the re-indexing
-of a stored graph into its partition's node order.
+of a stored graph into its partition's node order. Its body is C from the
+package's compiled library when that loads, else numpy; both sum in one
+order and give the same bits.
 
 Self-loop convention: ``self_loops[u]`` stores the loop weight once; a loop of
 stored weight ``w`` contributes ``2*w`` to the degree of ``u`` and ``2*w`` to
@@ -26,6 +28,7 @@ from itertools import chain, compress, repeat
 from typing import Callable, Hashable, Iterable, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import _native
 from .errors import InputError, InternalInvariantError, reading_text
@@ -89,7 +92,7 @@ class Graph:
     once built.
     """
 
-    __slots__ = ("ids", "indptr", "nbr", "wgt", "self_loops", "total_weight_2m", "_degrees")
+    __slots__ = ("ids", "indptr", "nbr", "wgt", "self_loops", "total_weight_2m", "_degrees", "_kernel")
 
     def __init__(
         self,
@@ -111,6 +114,7 @@ class Graph:
                 f"total edge weight 2m = {self.total_weight_2m:g} is too large: (2m)^2 overflows"
             )
         self._degrees: Optional[np.ndarray] = None
+        self._kernel: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
     def n(self) -> int:
@@ -137,6 +141,23 @@ class Graph:
         """The row (source node index) of every CSR entry."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
+    def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``indptr``, ``nbr``, ``wgt`` and ``self_loops`` as C-contiguous int64
+        and float64 arrays that a compiled kernel may index unchecked; raises
+        :class:`InternalInvariantError` unless they form a CSR adjacency.
+        Checked once per graph."""
+        if self._kernel is None:
+            n = self.n
+            indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
+            nbr = np.ascontiguousarray(self.nbr, dtype=np.int64)
+            if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(nbr) or len(self.wgt) != len(nbr)
+                    or len(self.self_loops) != n or np.any(np.diff(indptr) < 0)
+                    or (len(nbr) and (nbr.min() < 0 or nbr.max() >= n))):
+                raise InternalInvariantError("graph is not a valid CSR adjacency")
+            wgt = np.ascontiguousarray(self.wgt, dtype=np.float64)
+            self._kernel = indptr, nbr, wgt, np.ascontiguousarray(self.self_loops, dtype=np.float64)
+        return self._kernel
+
     def _upper_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each undirected non-loop edge once as index arrays (u, v, w) with
         u < v, in CSR order."""
@@ -152,6 +173,8 @@ class Graph:
         keep = np.asarray(keep_mask, dtype=bool)
         if keep.shape != (self.n,):
             raise InputError(f"subgraph mask has shape {keep.shape} for {self.n} nodes")
+        if keep.all():  # the graph is immutable, and its stored weights are never -0.0
+            return self
         new_index = np.where(keep, np.cumsum(keep) - 1, -1)
         return project(self, IdMap(compress(self.ids.ids, keep)), new_index)
 
@@ -300,7 +323,30 @@ def project(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
     ``new_index[u]``, or leaves out where that is -1.
 
     Parallel edges sum. An edge inside one new node, counted once, becomes
-    that node's self-loop together with its members' self-loops.
+    that node's self-loop together with its members' self-loops. The sums
+    run in a fixed order, so both bodies (see :func:`_project_py`) give the
+    same bits.
+    """
+    return _project(g, ids, checked_index(new_index, g.n, -1, len(ids), "projection"))
+
+
+def checked_index(index: ArrayLike, n: int, lo: int, hi: int, what: str) -> np.ndarray:
+    """``index`` as a C-contiguous int64 array, checked to hold ``n`` entries
+    in [lo, hi): a compiled kernel indexes with them unchecked."""
+    index = np.ascontiguousarray(index, dtype=np.int64)
+    if index.shape != (n,) or (n and (index.min() < lo or index.max() >= hi)):
+        raise InternalInvariantError(f"{what} index must hold {n} entries in [{lo}, {hi}), got shape {index.shape}")
+    return index
+
+
+def _project_py(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
+    """:func:`project` on a checked ``new_index``.
+
+    Each sum runs in input order: a new self-loop adds the kept self-loops in
+    node order, then half of each CSR entry inside the new node in CSR order;
+    a new edge ``(a, b)``, ``a < b``, adds its CSR entries from ``a`` to
+    ``b`` in CSR order, once for both orientations. :func:`_project_c` is the
+    same sums in C.
     """
     c = len(ids)
     kept = new_index >= 0
@@ -322,6 +368,30 @@ def project(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
     uniq_keys, inv = np.unique(keys, return_inverse=True)
     merged_w = np.bincount(inv, weights=g.wgt[half], minlength=len(uniq_keys))
     return graph_from_distinct_edges(ids, uniq_keys // c, uniq_keys % c, merged_w, new_loops)
+
+
+def _project_c(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
+    """:func:`_project_py` compiled from ``_native.c``; ``new_index`` is checked."""
+    indptr, nbr, wgt, loops = g._kernel_arrays()
+    n, c = g.n, len(ids)
+    cap = len(nbr) // 2  # a symmetric adjacency has at most this many edges
+    scratch = np.empty(4 * c + n + 3 + cap, dtype=np.int64), np.empty(c + cap, dtype=np.float64)
+    out_ptr = np.zeros(c + 1, dtype=np.int64)
+    out_nbr = np.empty(2 * cap, dtype=np.int64)
+    out_wgt = np.empty(2 * cap, dtype=np.float64)
+    out_loops = np.zeros(c, dtype=np.float64)
+    k = _native.LIB.commtrack_project(
+        n, indptr.ctypes.data, nbr.ctypes.data, wgt.ctypes.data, loops.ctypes.data, new_index.ctypes.data,
+        c, cap, *(a.ctypes.data for a in (*scratch, out_ptr, out_nbr, out_wgt, out_loops)),
+    )
+    if k < 0:
+        raise InternalInvariantError("graph adjacency is not symmetric: it projects to too many edges")
+    if k < 2 * cap:  # keep no unused tail alive with the graph
+        out_nbr, out_wgt = out_nbr[:k].copy(), out_wgt[:k].copy()
+    return Graph(ids, out_ptr, out_nbr, out_wgt, out_loops)
+
+
+_project = _project_py if _native.LIB is None else _project_c
 
 
 # --- text formats -----------------------------------------------------------

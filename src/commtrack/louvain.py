@@ -20,9 +20,11 @@ Two stability knobs on top of the seeded variant:
 
 Each level-1 sweep, where nearly all the time goes, is one call of a C body
 (in the package's one compiled library, :mod:`commtrack._native`) or, when
-no compiler, build or load succeeds, of its pure-Python twin. Both produce
-the same bits; :data:`KERNEL` says which one runs, here and in the edge-TSV
-reader.
+no compiler, build or load succeeds, of its pure-Python twin. So are the
+community sums behind every level and :func:`modularity`, and the
+aggregation between levels (:func:`~commtrack.graph.project`). Each pair
+produces the same bits; :data:`KERNEL` says which body runs, here, in
+aggregation and in the two tokenizers.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from numpy.typing import ArrayLike
 
 from . import _native
 from .errors import InputError, InternalInvariantError
-from .graph import INT64_MAX, Graph, Partition, aggregate_by_partition
+from .graph import INT64_MAX, Graph, Partition, aggregate_by_partition, checked_index
 
 __all__ = [
     "LouvainConfig",
@@ -172,8 +174,18 @@ def modularity(g: Graph, part: Partition) -> float:
     return _q_from_sums(*_community_sums(g, dense, len(uniq)), two_m)
 
 
-def _community_sums(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
+def _community_sums(g: Graph, dense: ArrayLike, c: int) -> Tuple[np.ndarray, np.ndarray]:
     """in_c and tot_c (see :func:`modularity`) for community indices ``dense`` in [0, c)."""
+    return _sums(g, checked_index(dense, g.n, 0, c, "community"), c)
+
+
+def _sums_py(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_community_sums` on a checked ``dense``.
+
+    Each sum runs in input order: tot_c over the nodes, in_c over the CSR
+    entries inside c, and then twice the self-loops of c, summed apart over
+    the nodes. :func:`_sums_c` is the same sums in C.
+    """
     # bincount yields int64 on empty input; force the float accumulators
     tot = np.bincount(dense, weights=g.degrees, minlength=c).astype(np.float64)
     rows = g._rows()
@@ -181,6 +193,21 @@ def _community_sums(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np
     internal = np.bincount(dense[rows[same]], weights=g.wgt[same], minlength=c).astype(np.float64)
     internal += 2.0 * np.bincount(dense, weights=g.self_loops, minlength=c)
     return internal, tot
+
+
+def _sums_c(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_sums_py` compiled from ``_native.c``; ``dense`` is checked."""
+    indptr, nbr, wgt, loops = g._kernel_arrays()
+    k = np.ascontiguousarray(g.degrees, dtype=np.float64)
+    com_in, com_tot, loop_sum = np.zeros(c), np.zeros(c), np.zeros(c)
+    _native.LIB.commtrack_community_sums(
+        g.n, *(a.ctypes.data for a in (indptr, nbr, wgt, loops, k, dense)), c,
+        *(a.ctypes.data for a in (com_in, com_tot, loop_sum)),
+    )
+    return com_in, com_tot
+
+
+_sums = _sums_py if _native.LIB is None else _sums_c
 
 
 def _q_from_sums(com_in: np.ndarray, com_tot: np.ndarray, two_m: float) -> float:
@@ -389,8 +416,8 @@ def _sweep_c(
 
 
 # which body runs each sweep, "c" or "python"; both compute the same bits.
-# The same library also holds graph's edge-TSV tokenizer, so this names the
-# body of both.
+# The same library also holds the community sums, graph's projection and the
+# edge-TSV and CDR tokenizers, so this names the body of all five.
 KERNEL = "python" if _native.LIB is None else "c"
 _sweep = _sweep_py if _native.LIB is None else _sweep_c
 
@@ -440,16 +467,10 @@ def _one_level(
         return keys, stats
 
     # the compiled sweep reads these through raw pointers: fix dtype and
-    # layout here, and check the CSR bounds it trusts
-    indptr = np.ascontiguousarray(lg.indptr, dtype=np.int64)
-    nbr = np.ascontiguousarray(lg.nbr, dtype=np.int64)
-    if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(nbr) or len(lg.wgt) != len(nbr)
-            or np.any(np.diff(indptr) < 0) or (len(nbr) and (nbr.min() < 0 or nbr.max() >= n))):
-        raise InternalInvariantError("level graph is not a valid CSR adjacency")
-    wgt = np.ascontiguousarray(lg.wgt, dtype=np.float64)
-    loops = np.ascontiguousarray(lg.self_loops, dtype=np.float64)
+    # layout here, and check the bounds it trusts
+    indptr, nbr, wgt, loops = lg._kernel_arrays()
     k = np.ascontiguousarray(lg.degrees, dtype=np.float64)
-    node_slot = np.ascontiguousarray(node_slot, dtype=np.int64)
+    node_slot = checked_index(node_slot, n, 0, c, "community")
     movable = np.asarray(movable, dtype=bool)
     pref = np.asarray(pref, dtype=np.uint8)
     slot_is_prev = np.isin(slot_key, prev_labels).astype(np.uint8)

@@ -200,6 +200,19 @@ def sweep_backends() -> Dict[str, Callable]:
     return backends
 
 
+def agg_backends() -> Dict[str, Tuple[Callable, Callable]]:
+    """Every body pair of the community sums and the graph projection this
+    machine runs, by name, as ``(sums, project)``: the numpy bodies always,
+    the compiled ones when the library was built and loaded."""
+    import commtrack.graph as graph
+    import commtrack.louvain as louvain
+
+    backends = {"python": (louvain._sums_py, graph._project_py)}
+    if louvain.KERNEL == "c":
+        backends["c"] = (louvain._sums_c, graph._project_c)
+    return backends
+
+
 def tsv_backends() -> Dict[str, Callable]:
     """Every edge-TSV tokenizer body this machine runs, by name: the Python
     body always, the compiled one when the library was built and loaded."""

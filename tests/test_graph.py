@@ -4,14 +4,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from commtrack.errors import InputError
+import commtrack.graph as graph
+import commtrack.louvain as louvain
+from commtrack.errors import InputError, InternalInvariantError
 from commtrack.graph import (
     Graph,
     IdMap,
     Partition,
     aggregate_by_partition,
     build_graph,
+    project,
     read_edge_tsv,
     read_partition_tsv,
     write_edge_tsv,
@@ -19,7 +24,7 @@ from commtrack.graph import (
 )
 from commtrack.louvain import modularity
 
-from oracles import edge_list, oracle_modularity, random_graph, random_labels, singleton_partition
+from oracles import agg_backends, edge_list, oracle_modularity, random_graph, random_labels, singleton_partition
 
 
 def test_idmap_bijection_and_duplicates():
@@ -224,6 +229,76 @@ def test_aggregate_rejects_foreign_partition():
     other = build_graph([(0, 1)], nodes=range(2))
     with pytest.raises(InputError):
         aggregate_by_partition(g, singleton_partition(other))
+
+
+# --- the bodies of the community sums and the projection ---------------------------
+
+
+_WEIGHTS = st.one_of(
+    st.integers(0, 4).map(float),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, 1 / 3, 5e-324, 1e-300]),
+)
+
+
+@st.composite
+def _graph_and_maps(draw):
+    """A random graph with self-loops, isolated nodes and float weights (or
+    none at all), a node map as ``project`` takes it, and community indices
+    as the sums take them."""
+    n = draw(st.integers(0, 14))
+    nodes = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(nodes, nodes, _WEIGHTS), max_size=60)) if n else []
+    g = build_graph(edges, nodes=range(n))
+    kind = draw(st.sampled_from(["any", "kept", "permutation", "one", "none"]))
+    if kind == "permutation":  # a stored step re-indexed into its partition's order
+        c, new_index = n, draw(st.permutations(range(n)))
+    elif kind == "one":
+        c, new_index = 1, [0] * n
+    elif kind == "none":
+        c, new_index = draw(st.integers(0, 3)), [-1] * n
+    else:
+        c = draw(st.integers(1, n + 1))
+        lo = -1 if kind == "any" else 0
+        new_index = draw(st.lists(st.integers(lo, c - 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, n + 1)) if n else 0
+    dense = draw(st.lists(st.integers(0, max(k - 1, 0)), min_size=n, max_size=n))
+    return g, c, np.asarray(new_index, dtype=np.int64), k, np.asarray(dense, dtype=np.int64)
+
+
+def _graph_bytes(g):
+    return g.ids.ids, [(a.dtype.str, a.tobytes()) for a in (g.indptr, g.nbr, g.wgt, g.self_loops)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_graph_and_maps())
+def test_sum_and_projection_bodies_are_bit_identical(case):
+    g, c, new_index, k, dense = case
+    ids = IdMap(range(c))
+    projected, sums = {}, {}
+    for name, (sums_body, project_body) in agg_backends().items():
+        projected[name] = _graph_bytes(project_body(g, ids, new_index))
+        sums[name] = [(a.dtype.str, a.tobytes()) for a in sums_body(g, dense, k)]
+    assert all(x == projected["python"] for x in projected.values())
+    assert all(x == sums["python"] for x in sums.values())
+
+
+def test_projection_and_sums_reject_indices_out_of_bounds(monkeypatch):
+    # a wrong length, or an entry outside [-1, c) for project and [0, c) for
+    # the sums, fails at the kernel boundary on either body
+    g = build_graph([(0, 1), (1, 2), (2, 3)], nodes=range(4))
+    ids = IdMap(range(3))
+    short, long = [0, 1, 2], [0, 1, 2, 0, 1]
+    for sums_body, project_body in agg_backends().values():
+        monkeypatch.setattr(graph, "_project", project_body)
+        monkeypatch.setattr(louvain, "_sums", sums_body)
+        assert project(g, ids, np.array([0, 1, 2, -1])).n_edges == 2
+        for bad in (short, long, [0, 1, 2, -2], [0, 1, 2, 3]):
+            with pytest.raises(InternalInvariantError):
+                project(g, ids, np.array(bad))
+        for bad in (short, long, [0, 1, 2, -1], [0, 1, 2, 3]):
+            with pytest.raises(InternalInvariantError):
+                louvain._community_sums(g, np.array(bad), 3)
 
 
 # --- text round-trips -----------------------------------------------------------

@@ -13,6 +13,7 @@ import commtrack.ingest as ingest
 from commtrack.errors import InputError
 from commtrack.graph import build_graph
 from commtrack.ingest import (
+    FilterReport,
     RejectionReport,
     WindowSpec,
     aggregate_window,
@@ -218,6 +219,10 @@ def test_filter_boundary_degree_equal_cap_survives():
     out, report = filter_high_degree(g, cap=200)
     assert report.removed == []
     assert out.n == g.n and out.n_edges == g.n_edges
+    # nothing is removed, so the immutable input graph is the output
+    assert out is g
+    assert report == FilterReport(cap=200, removed=[], n_nodes_before=201, n_nodes_after=201,
+                                  n_edges_before=200, n_edges_after=200)
 
 
 def test_filter_path_of_three_cap_one():

@@ -29,6 +29,7 @@ from commtrack.metrics import compare
 from commtrack.synth import SynthSpec, generate
 
 from oracles import (
+    agg_backends,
     canonical_blocks,
     oracle_renumber,
     oracle_sweep,
@@ -591,13 +592,17 @@ def _runs_of_every_shape(seed):
 
 def test_sweep_backends_are_bit_identical(monkeypatch):
     # labels, every LevelStats field and final_q, compared through repr,
-    # which round-trips every float bit
+    # which round-trips every float bit; every Louvain kernel switches
+    # together: the sweep, the community sums and the aggregation
     backends = sweep_backends()
     if len(backends) < 2:
         pytest.skip("only the Python sweep is available")
     runs = {}
     for name, sweep in backends.items():
+        sums, project = agg_backends()[name]
         monkeypatch.setattr(louvain, "_sweep", sweep)
+        monkeypatch.setattr(louvain, "_sums", sums)
+        monkeypatch.setattr("commtrack.graph._project", project)
         runs[name] = [_runs_of_every_shape(seed) for seed in (1, 2)]
     assert runs["c"] == runs["python"]
 
