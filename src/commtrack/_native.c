@@ -21,22 +21,25 @@
  * The same arithmetic in the same order. Slots are numbered in ascending
  * community-key order, so "smallest key" on equal scores is "smallest slot".
  *
- * Scratch, all allocated by the caller for this one call: weight and stamp
- * hold one entry per slot (stamp filled with -1), touched one per slot, and
- * active one zeroed byte per node. Returns the number of moves; on return
- * active[v] is 1 for every node v that moved or neighbours a node that did.
- * Which nodes the next sweep visits, and in what order, is the caller's.
+ * Scratch: weight, stamp and touched hold one entry per slot (c slots) and
+ * serve every sweep of a level; stamp is reset to -1 here, so no mark of an
+ * earlier sweep survives. active is one zeroed byte per node, new for each
+ * call. Returns the number of moves; on return active[v] is 1 for every node
+ * v that moved or neighbours a node that did. Which nodes the next sweep
+ * visits, and in what order, is the caller's.
  */
 int64_t commtrack_sweep(
-    int64_t n_visit, const int64_t *visit,
+    int64_t n_visit, const int64_t *visit, uint8_t *active,
     const int64_t *indptr, const int64_t *nbr, const double *wgt,
     const double *loops, const double *k,
-    int64_t *node_slot, double *com_in, double *com_tot,
+    int64_t c, int64_t *node_slot, double *com_in, double *com_tot,
     const uint8_t *pref, const uint8_t *slot_is_prev,
     double two_m, double min_diff,
-    double *weight, int64_t *stamp, int64_t *touched, uint8_t *active)
+    double *weight, int64_t *stamp, int64_t *touched)
 {
     int64_t moved = 0;
+    for (int64_t s = 0; s < c; s++)
+        stamp[s] = -1;
     for (int64_t i = 0; i < n_visit; i++) {
         const int64_t u = visit[i], su = node_slot[u];
         const int64_t lo = indptr[u], hi = indptr[u + 1];

@@ -35,7 +35,7 @@ def _bind(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.commtrack_sweep.restype = i64
-    lib.commtrack_sweep.argtypes = [i64] + [ptr] * 11 + [f64] * 2 + [ptr] * 4
+    lib.commtrack_sweep.argtypes = [i64] + [ptr] * 7 + [i64] + [ptr] * 5 + [f64] * 2 + [ptr] * 3
     lib.commtrack_community_sums.restype = None
     lib.commtrack_community_sums.argtypes = [i64] + [ptr] * 6 + [i64] + [ptr] * 3
     lib.commtrack_project.restype = i64

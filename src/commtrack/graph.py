@@ -56,13 +56,14 @@ EdgeInput = Union[Tuple[ExternalId, ExternalId], Tuple[ExternalId, ExternalId, f
 class IdMap:
     """Bijection between external node ids and dense internal indices [0, n)."""
 
-    __slots__ = ("ids", "index")
+    __slots__ = ("ids", "index", "_joined")
 
     def __init__(self, ids: Iterable[ExternalId]):
         self.ids = list(ids)
         self.index = {x: i for i, x in enumerate(self.ids)}
         if len(self.index) != len(self.ids):
             raise InputError("duplicate external node ids")
+        self._joined: Optional[Tuple[Sequence[ExternalId], np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -76,8 +77,22 @@ class IdMap:
         return isinstance(other, IdMap) and self.ids == other.ids
 
     def positions(self, ids: Sequence[ExternalId]) -> np.ndarray:
-        """The index of each of ``ids`` in this map, -1 where it is absent."""
-        return np.fromiter(map(self.index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+        """The index of each of ``ids`` in this map, -1 where it is absent.
+
+        The map remembers its last join, keyed by the identity of ``ids``:
+        asked again with the same list object, it returns the same array
+        without a second pass, as every cell of a sweep does when it joins
+        the next snapshot against the one baseline. The result is read-only,
+        since callers share it. ``ids`` must not change after the call; the
+        ``ids`` list of an :class:`IdMap` never does.
+        """
+        joined = self._joined
+        if joined is not None and joined[0] is ids:
+            return joined[1]
+        pos = np.fromiter(map(self.index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+        pos.flags.writeable = False
+        self._joined = ids, pos
+        return pos
 
     def __repr__(self) -> str:
         return f"IdMap(n={len(self.ids)})"
@@ -92,7 +107,7 @@ class Graph:
     once built.
     """
 
-    __slots__ = ("ids", "indptr", "nbr", "wgt", "self_loops", "total_weight_2m", "_degrees", "_kernel")
+    __slots__ = ("ids", "indptr", "nbr", "wgt", "self_loops", "total_weight_2m", "_degrees", "_kernel", "_pointers")
 
     def __init__(
         self,
@@ -115,6 +130,7 @@ class Graph:
             )
         self._degrees: Optional[np.ndarray] = None
         self._kernel: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+        self._pointers: Optional[Tuple[int, int, int, int, int]] = None
 
     @property
     def n(self) -> int:
@@ -157,6 +173,15 @@ class Graph:
             wgt = np.ascontiguousarray(self.wgt, dtype=np.float64)
             self._kernel = indptr, nbr, wgt, np.ascontiguousarray(self.self_loops, dtype=np.float64)
         return self._kernel
+
+    def _kernel_pointers(self) -> Tuple[int, int, int, int, int]:
+        """The addresses of the four :meth:`_kernel_arrays` and of
+        :attr:`degrees` as C-contiguous float64, taken once per graph. The
+        graph holds every one of these arrays and never replaces it."""
+        if self._pointers is None:
+            self._degrees = np.ascontiguousarray(self.degrees, dtype=np.float64)
+            self._pointers = tuple(a.ctypes.data for a in (*self._kernel_arrays(), self._degrees))
+        return self._pointers
 
     def _upper_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each undirected non-loop edge once as index arrays (u, v, w) with
@@ -372,16 +397,16 @@ def _project_py(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
 
 def _project_c(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
     """:func:`_project_py` compiled from ``_native.c``; ``new_index`` is checked."""
-    indptr, nbr, wgt, loops = g._kernel_arrays()
+    indptr, nbr, wgt, loops, _ = g._kernel_pointers()
     n, c = g.n, len(ids)
-    cap = len(nbr) // 2  # a symmetric adjacency has at most this many edges
+    cap = len(g.nbr) // 2  # a symmetric adjacency has at most this many edges
     scratch = np.empty(4 * c + n + 3 + cap, dtype=np.int64), np.empty(c + cap, dtype=np.float64)
     out_ptr = np.zeros(c + 1, dtype=np.int64)
     out_nbr = np.empty(2 * cap, dtype=np.int64)
     out_wgt = np.empty(2 * cap, dtype=np.float64)
     out_loops = np.zeros(c, dtype=np.float64)
     k = _native.LIB.commtrack_project(
-        n, indptr.ctypes.data, nbr.ctypes.data, wgt.ctypes.data, loops.ctypes.data, new_index.ctypes.data,
+        n, indptr, nbr, wgt, loops, new_index.ctypes.data,
         c, cap, *(a.ctypes.data for a in (*scratch, out_ptr, out_nbr, out_wgt, out_loops)),
     )
     if k < 0:

@@ -25,6 +25,13 @@ community sums behind every level and :func:`modularity`, and the
 aggregation between levels (:func:`~commtrack.graph.project`). Each pair
 produces the same bits; :data:`KERNEL` says which body runs, here, in
 aggregation and in the two tokenizers.
+
+Fixed work is done once where it is invariant. A level binds its arrays
+once (a :class:`_Level`), so a sweep passes only the nodes it visits. A
+level hands on its labels in dense form, the sorted live keys and each
+node's index into them; the next level takes those keys, sorted and
+distinct, as its communities without ranking them again, as does a static
+first level.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -197,11 +205,9 @@ def _sums_py(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarra
 
 def _sums_c(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_sums_py` compiled from ``_native.c``; ``dense`` is checked."""
-    indptr, nbr, wgt, loops = g._kernel_arrays()
-    k = np.ascontiguousarray(g.degrees, dtype=np.float64)
     com_in, com_tot, loop_sum = np.zeros(c), np.zeros(c), np.zeros(c)
     _native.LIB.commtrack_community_sums(
-        g.n, *(a.ctypes.data for a in (indptr, nbr, wgt, loops, k, dense)), c,
+        g.n, *g._kernel_pointers(), dense.ctypes.data, c,
         *(a.ctypes.data for a in (com_in, com_tot, loop_sum)),
     )
     return com_in, com_tot
@@ -285,21 +291,43 @@ class DynamicContext:
 # --- the level-1 sweep ----------------------------------------------------------
 
 
-def _sweep_py(
-    visit: np.ndarray,
-    indptr: np.ndarray,
-    nbr: np.ndarray,
-    wgt: np.ndarray,
-    self_loops: np.ndarray,
-    degrees: np.ndarray,
-    node_slot: np.ndarray,
-    com_in: np.ndarray,
-    com_tot: np.ndarray,
-    pref: np.ndarray,
-    slot_is_prev: np.ndarray,
-    two_m: float,
-    min_diff: float,
-) -> Tuple[int, np.ndarray]:
+@dataclass(eq=False)
+class _Level:
+    """What every sweep of one level reads and writes, bound once per level.
+
+    ``node_slot`` is each node's slot; slots are the level's communities
+    numbered in ascending key order. ``com_in`` and ``com_tot`` are the
+    slots' sums (see :func:`modularity`); the sweeps update these three in
+    place. ``pref`` (one uint8 per node) marks the preferential nodes and
+    ``slot_is_prev`` (one uint8 per slot) the slots alive at the previous
+    step. ``min_diff`` is :data:`MIN_GAIN` times (2m)^2 / 2.
+    """
+
+    graph: Graph
+    node_slot: np.ndarray
+    com_in: np.ndarray
+    com_tot: np.ndarray
+    pref: np.ndarray
+    slot_is_prev: np.ndarray
+    two_m: float
+    min_diff: float
+
+    @cached_property
+    def c_args(self) -> tuple:
+        """:func:`_sweep_c`'s arguments after ``visit`` and ``active``: the
+        addresses of the graph's and the level's arrays and of a weight,
+        stamp and touched scratch of one entry per slot, which every sweep of
+        the level reuses. The level holds each of them."""
+        c = len(self.com_tot)
+        self._scratch = np.empty(c), np.empty(c, dtype=np.int64), np.empty(c, dtype=np.int64)
+        level = (self.node_slot, self.com_in, self.com_tot, self.pref, self.slot_is_prev)
+        return (
+            *self.graph._kernel_pointers(), c, *(a.ctypes.data for a in level),
+            self.two_m, self.min_diff, *(a.ctypes.data for a in self._scratch),
+        )
+
+
+def _sweep_py(visit: np.ndarray, lv: _Level) -> Tuple[int, np.ndarray]:
     """One sweep over the nodes of ``visit``; returns the moves and the active mask.
 
     This is the package's one move rule. A visited node, taken out of its
@@ -308,21 +336,23 @@ def _sweep_py(
     by 2m). It moves to the best-scoring neighbouring community (for a
     preferential node, the best one alive at the previous step, if any),
     equal scores going to the smallest key, only when the score difference
-    over staying exceeds ``min_diff`` (:data:`MIN_GAIN` times (2m)^2 / 2).
-    For integer weights every score is an integer, exact while (2m)^2 stays
-    below 2**53, so the tie-break is exact too.
+    over staying exceeds ``lv.min_diff``. For integer weights every score is
+    an integer, exact while (2m)^2 stays below 2**53, so the tie-break is
+    exact too.
 
-    Communities are slots numbered in ascending key order, so the smallest
-    key is the smallest slot. ``node_slot``, ``com_in`` and ``com_tot`` are
-    updated in place; the masks are uint8, and so is the returned one: 1 for
-    every node that moved or neighbours a node that did. :func:`_sweep_c` is
-    the same arithmetic in the same order.
+    Slots are numbered in ascending key order, so the smallest key is the
+    smallest slot. ``lv.node_slot``, ``lv.com_in`` and ``lv.com_tot`` are
+    updated in place; the returned mask is a new uint8 array: 1 for every
+    node that moved or neighbours a node that did. :func:`_sweep_c` is the
+    same arithmetic in the same order.
     """
+    indptr, nbr, wgt, self_loops = lv.graph._kernel_arrays()
+    degrees, pref, two_m, min_diff = lv.graph.degrees, lv.pref, lv.two_m, lv.min_diff
     # whole lists of what every node reads or writes; each visited node's
     # own row is sliced out as it comes, so a sweep over few nodes stays cheap
     ptr = indptr.tolist()
-    slot, tot, inn = node_slot.tolist(), com_tot.tolist(), com_in.tolist()
-    is_prev = slot_is_prev.tolist()
+    slot, tot, inn = lv.node_slot.tolist(), lv.com_tot.tolist(), lv.com_in.tolist()
+    is_prev = lv.slot_is_prev.tolist()
     # per-slot link weight of the visited node; stamp[s] == u marks it as
     # written for u (each node is visited at most once per sweep)
     weight = [0.0] * len(tot)
@@ -374,45 +404,18 @@ def _sweep_py(
         else:
             tot[su] += ku
 
-    node_slot[:] = slot
-    com_tot[:] = tot
-    com_in[:] = inn
+    lv.node_slot[:] = slot
+    lv.com_tot[:] = tot
+    lv.com_in[:] = inn
     return moved, np.frombuffer(active, dtype=np.uint8)
 
 
-def _sweep_c(
-    visit: np.ndarray,
-    indptr: np.ndarray,
-    nbr: np.ndarray,
-    wgt: np.ndarray,
-    self_loops: np.ndarray,
-    degrees: np.ndarray,
-    node_slot: np.ndarray,
-    com_in: np.ndarray,
-    com_tot: np.ndarray,
-    pref: np.ndarray,
-    slot_is_prev: np.ndarray,
-    two_m: float,
-    min_diff: float,
-) -> Tuple[int, np.ndarray]:
-    """:func:`_sweep_py` compiled from ``_native.c``; the caller guarantees
-    C-contiguous int64, float64 and uint8 arrays and valid CSR bounds."""
-    n, c = len(degrees), len(com_tot)
-    scratch = (
-        np.empty(c, dtype=np.float64),  # weight
-        np.full(c, -1, dtype=np.int64),  # stamp
-        np.empty(c, dtype=np.int64),  # touched
-        np.zeros(n, dtype=np.uint8),  # active
-    )
-    moved = _native.LIB.commtrack_sweep(
-        len(visit),
-        *(a.ctypes.data for a in (visit, indptr, nbr, wgt, self_loops, degrees, node_slot,
-                                  com_in, com_tot, pref, slot_is_prev)),
-        two_m,
-        min_diff,
-        *(a.ctypes.data for a in scratch),
-    )
-    return moved, scratch[3]
+def _sweep_c(visit: np.ndarray, lv: _Level) -> Tuple[int, np.ndarray]:
+    """:func:`_sweep_py` compiled from ``_native.c``; ``visit`` is C-contiguous
+    int64 and ``lv``'s arrays are checked (see :func:`_one_level`)."""
+    active = np.zeros(len(lv.node_slot), dtype=np.uint8)
+    moved = _native.LIB.commtrack_sweep(len(visit), visit.ctypes.data, active.ctypes.data, *lv.c_args)
+    return moved, active
 
 
 # which body runs each sweep, "c" or "python"; both compute the same bits.
@@ -427,19 +430,24 @@ _sweep = _sweep_py if _native.LIB is None else _sweep_c
 
 def _one_level(
     lg: Graph,
-    keys: np.ndarray,
+    keys: ArrayLike,
     movable: ArrayLike,
     pref: ArrayLike,
     prev_labels: ArrayLike,
     cfg: LouvainConfig,
     rng: random.Random,
     level: int,
-) -> Tuple[np.ndarray, LevelStats]:
-    """Phase 1 on one level graph; returns final key per node and stats.
+) -> Tuple[np.ndarray, np.ndarray, LevelStats]:
+    """Phase 1 on one level graph from community ``keys``; returns
+    ``(uniq, dense, stats)``: the keys alive at the end, sorted, and each
+    node's index into them, so node ``u`` ends in community ``uniq[dense[u]]``.
 
-    ``movable`` and ``pref`` are per-node boolean masks; a ``pref`` node is
-    steered toward the communities keyed in ``prev_labels``. Each sweep is
-    one call of :func:`_sweep`, whose Python body documents the move rule;
+    Keys already sorted and distinct, as on a static first level and on
+    every level above the first, are the slots as they stand; others are
+    ranked. ``movable`` and ``pref`` are per-node boolean masks; a ``pref``
+    node is steered toward the communities keyed in ``prev_labels``. The
+    level's arrays are bound once in a :class:`_Level`, and each sweep is one
+    call of :func:`_sweep` on it, whose Python body documents the move rule;
     who is visited, and in what order, is decided here alone. The level's
     order keeps only the movable nodes; the first sweep visits them all, each
     later one, in that order, those the last sweep marked active. The level
@@ -448,9 +456,16 @@ def _one_level(
     n = lg.n
     two_m = lg.total_weight_2m
 
-    slot_key, node_slot = np.unique(keys, return_inverse=True)
+    keys = np.asarray(keys, dtype=np.int64)
+    if np.all(keys[1:] > keys[:-1]):
+        slot_key, node_slot = keys, np.arange(n, dtype=np.int64)
+    else:
+        slot_key, node_slot = np.unique(keys, return_inverse=True)
     c = len(slot_key)
-    com_in, com_tot = _community_sums(lg, node_slot, c)
+    # the compiled sweep reads the level's arrays through raw pointers: fix
+    # dtype and layout here, and check the bounds it trusts
+    node_slot = checked_index(node_slot, n, 0, c, "community")
+    com_in, com_tot = _sums(lg, node_slot, c)
 
     q_start = _q_from_sums(com_in, com_tot, two_m) if two_m > 0.0 else 0.0
     stats = LevelStats(
@@ -464,18 +479,16 @@ def _one_level(
         q_end=q_start,
     )
     if two_m <= 0.0 or n == 0:
-        return keys, stats
+        return slot_key, node_slot, stats
 
-    # the compiled sweep reads these through raw pointers: fix dtype and
-    # layout here, and check the bounds it trusts
-    indptr, nbr, wgt, loops = lg._kernel_arrays()
-    k = np.ascontiguousarray(lg.degrees, dtype=np.float64)
-    node_slot = checked_index(node_slot, n, 0, c, "community")
     movable = np.asarray(movable, dtype=bool)
-    pref = np.asarray(pref, dtype=np.uint8)
-    slot_is_prev = np.isin(slot_key, prev_labels).astype(np.uint8)
+    pref = np.ascontiguousarray(pref, dtype=np.uint8)
     if len(movable) != n or len(pref) != n:
         raise InternalInvariantError("node masks do not match the level graph")
+    lv = _Level(
+        lg, node_slot, com_in, com_tot, pref, np.isin(slot_key, prev_labels).astype(np.uint8),
+        two_m, MIN_GAIN * two_m * two_m / 2.0,
+    )
 
     order = list(range(n))
     if cfg.node_order == "shuffled":
@@ -484,14 +497,10 @@ def _one_level(
     order = order[movable[order]]
     active = np.ones(n, dtype=np.uint8)
 
-    min_diff = MIN_GAIN * two_m * two_m / 2.0
     q_prev = q_start
     while stats.sweeps < cfg.max_passes_per_level:
         visit = order[active[order] != 0]
-        moved, active = _sweep(
-            visit, indptr, nbr, wgt, loops, k, node_slot, com_in, com_tot,
-            pref, slot_is_prev, two_m, min_diff,
-        )
+        moved, active = _sweep(visit, lv)
         stats.sweeps += 1
         stats.moves += moved
         stats.sweep_visited.append(len(visit))
@@ -507,8 +516,11 @@ def _one_level(
             break
 
     stats.q_end = q_prev
-    stats.n_communities_end = len(np.unique(node_slot))
-    return slot_key[node_slot], stats
+    live = np.zeros(c, dtype=bool)
+    live[node_slot] = True
+    uniq = slot_key[live]
+    stats.n_communities_end = len(uniq)
+    return uniq, (np.cumsum(live, dtype=np.int64) - 1)[node_slot], stats
 
 
 def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, RunReport]:
@@ -524,7 +536,7 @@ def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, 
 
     rng = random.Random(cfg.rng_seed)
     keys = np.array(ctx.init_labels, dtype=np.int64)
-    frozen = np.unique(keys[ctx.fixed])  # communities holding a pinned node
+    frozen = keys[ctx.fixed]  # the communities holding a pinned node
 
     movable = np.ones(g.n, dtype=bool)
     movable[ctx.fixed] = False
@@ -536,23 +548,24 @@ def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, 
     node_of = np.arange(g.n, dtype=np.int64)
     level = 1
     while True:
-        keys, stats = _one_level(lg, keys, movable, pref, prev_labels, cfg, rng, level)
+        uniq, dense, stats = _one_level(lg, keys, movable, pref, prev_labels, cfg, rng, level)
         report.levels.append(stats)
         report.final_q = stats.q_end
         if stats.moves == 0 or stats.q_end - stats.q_start < MIN_GAIN:
             break
 
-        lg = aggregate_by_partition(lg, Partition(lg.ids, keys))
-        supernode_keys = np.asarray(lg.ids.ids, dtype=np.int64)  # sorted; external id == community key
-        node_of = np.searchsorted(supernode_keys, keys)[node_of]
-        keys = supernode_keys
+        # supernode dense[u] of the next level is community uniq[dense[u]],
+        # and its external id is that key
+        lg = aggregate_by_partition(lg, Partition(lg.ids, uniq[dense]))
+        node_of = dense[node_of]
+        keys = uniq
         movable = ~np.isin(keys, frozen)
         # the preferential rule applies to the first level only
         pref = np.zeros(lg.n, dtype=bool)
         prev_labels = np.empty(0, dtype=np.int64)
         level += 1
 
-    return Partition(g.ids, keys[node_of]), report
+    return Partition(g.ids, uniq[dense[node_of]]), report
 
 
 def louvain_static(

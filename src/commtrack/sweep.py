@@ -84,15 +84,15 @@ def run_sweep(
     else:
         baselines = {s: baseline(s) for s in spec.seeds}
 
+    context_seed = {s: derive_seed(int(s), 2) for s in spec.seeds}
+    run_cfg = {s: replace(cfg, rng_seed=derive_seed(int(s), 3)) for s in spec.seeds}
     results: List[SweepResult] = []
     for p in spec.p_values:
         for q in spec.q_values:
             for s in spec.seeds:
-                ctx = DynamicContext.from_previous(
-                    baselines[s], g_t1, p, q, seed=derive_seed(int(s), 2)
-                )
+                ctx = DynamicContext.from_previous(baselines[s], g_t1, p, q, seed=context_seed[s])
                 t0 = time.perf_counter()
-                part, _ = louvain_dynamic(g_t1, ctx, replace(cfg, rng_seed=derive_seed(int(s), 3)))
+                part, _ = louvain_dynamic(g_t1, ctx, run_cfg[s])
                 dt_ms = (time.perf_counter() - t0) * 1000.0
                 report = compare(baselines[s], part, g_t1, match_cfg)
                 results.append(

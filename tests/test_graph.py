@@ -36,6 +36,32 @@ def test_idmap_bijection_and_duplicates():
         IdMap(["a", "a"])
 
 
+def test_idmap_positions_remembers_its_last_join():
+    # a repeated join of one list object returns the remembered, read-only
+    # result; any other list, even an equal one, is joined afresh
+    m = IdMap(["a", 3, "c", ("t", 1)])
+
+    def fresh(ids):
+        return np.fromiter((m.index.get(x, -1) for x in ids), dtype=np.int64, count=len(ids))
+
+    first = ["c", "zz", 3, ("t", 1), "a", 4]
+    second = [3, "a", "missing"]
+    pos = m.positions(first)
+    assert pos.tolist() == fresh(first).tolist() == [2, -1, 1, 3, 0, -1]
+    assert m.positions(first) is pos and pos.dtype == np.int64
+    assert not pos.flags.writeable
+    with pytest.raises(ValueError):
+        pos[0] = 7
+    equal = list(first)
+    again = m.positions(equal)
+    assert again is not pos and again.tolist() == pos.tolist()
+    for ids in (first, second, first, second, second, equal, []):
+        got = m.positions(ids)
+        assert got.tolist() == fresh(ids).tolist() and not got.flags.writeable
+    assert m.positions(second).tolist() == [1, 0, -1]
+    assert IdMap([]).positions(second).tolist() == [-1, -1, -1]
+
+
 def test_build_graph_basic_shape():
     g = build_graph([("a", "b"), ("b", "c", 2.0)])
     assert g.n == 3

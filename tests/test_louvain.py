@@ -108,10 +108,11 @@ def test_level_one_sweep_matches_oracle(monkeypatch):
             movable = (rng.random(n) >= 0.2).tolist()
             pref = (rng.random(n) < 0.5).tolist()
             prev = set(rng.choice(max(labels) + 1, size=max(1, max(labels) // 2), replace=False).tolist())
-            keys, stats = louvain._one_level(
+            uniq, dense, stats = louvain._one_level(
                 g, np.asarray(labels, dtype=np.int64), movable, pref, sorted(prev),
                 cfg, random.Random(cfg.rng_seed), 1,
             )
+            keys = uniq[dense]
             order = list(range(n))
             random.Random(cfg.rng_seed).shuffle(order)
             want, moves, steered = oracle_sweep(n, edges, labels, movable, order, louvain.MIN_GAIN, pref, prev)
@@ -139,11 +140,54 @@ def test_equal_scores_go_to_smallest_key(monkeypatch):
     assert want[7] == 6
     for sweep in sweep_backends().values():
         monkeypatch.setattr(louvain, "_sweep", sweep)
-        keys, _ = louvain._one_level(
+        uniq, dense, _ = louvain._one_level(
             g, np.arange(n, dtype=np.int64), [True] * n, [False] * n, (),
             cfg, random.Random(cfg.rng_seed), 1,
         )
+        keys = uniq[dense]
         assert keys.tolist() == want
+
+
+def _level_labels(rng, n, kind):
+    """int64 labels of one of four kinds: sorted and distinct (``_one_level``
+    takes them as its slots), sorted with repeats, distinct in random order,
+    and random with repeats; negative, gapped and near both int64 ends."""
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    pool = np.unique(np.concatenate([[lo, lo + 1, -1, 0, hi - 1, hi], rng.integers(-2**62, 2**62, size=2 * n)]))
+    if kind == "increasing":
+        return np.sort(rng.choice(pool, size=n, replace=False))
+    if kind == "sorted repeats":
+        return np.sort(rng.choice(pool[: max(1, n // 2)], size=n))
+    if kind == "distinct":
+        return rng.permutation(rng.choice(pool, size=n, replace=False))
+    return rng.choice(pool[: max(1, n // 2)], size=n)
+
+
+def test_one_level_hands_on_dense_labels(monkeypatch):
+    # a level's (uniq, dense) is np.unique of the keys it ends with: the live
+    # keys, sorted, and each node's rank among them, on every sweep body,
+    # whether or not the level took its keys as the slots
+    rng = np.random.default_rng(18)
+    for sweep in sweep_backends().values():
+        monkeypatch.setattr(louvain, "_sweep", sweep)
+        for case in range(240):
+            n, edges = random_graph(rng, max_nodes=12, max_edges=30)
+            g = build_graph(edges, nodes=range(n))
+            kind = ("increasing", "sorted repeats", "distinct", "repeats")[case % 4]
+            labels = _level_labels(rng, n, kind)
+            cfg = LouvainConfig(max_passes_per_level=(1, 100)[case // 4 % 2],
+                                node_order=("index", "shuffled")[case // 8 % 2], rng_seed=case)
+            movable = rng.random(n) >= 0.2
+            pref = rng.random(n) < 0.5
+            prev = np.unique(labels[rng.random(n) < 0.5])
+            uniq, dense, stats = louvain._one_level(g, labels.copy(), movable, pref, prev, cfg,
+                                                    random.Random(case), 1)
+            want_uniq, want_dense = np.unique(uniq[dense], return_inverse=True)
+            assert uniq.dtype == dense.dtype == np.int64
+            assert uniq.tolist() == want_uniq.tolist() and dense.tolist() == want_dense.tolist()
+            assert stats.n_communities_end == len(uniq)
+            assert set(uniq.tolist()) <= set(labels.tolist())
+            assert np.array_equal(uniq[dense][~movable], labels[~movable])
 
 
 # --- static optimization -----------------------------------------------------------
@@ -435,10 +479,10 @@ def _level_one(run, cfg, monkeypatch):
     real = louvain._one_level
 
     def spy(lg, keys, movable, *rest):
-        out, stats = real(lg, keys, movable, *rest)
+        uniq, dense, stats = real(lg, keys, movable, *rest)
         if stats.level == 1:
-            seen.update(init=np.array(keys), keys=np.array(out), movable=np.array(movable), stats=stats)
-        return out, stats
+            seen.update(init=np.array(keys), keys=uniq[dense], movable=np.array(movable), stats=stats)
+        return uniq, dense, stats
 
     with monkeypatch.context() as m:
         m.setattr(louvain, "_one_level", spy)
@@ -491,10 +535,10 @@ def test_sweep_bodies_keep_only_the_move_rule(monkeypatch):
     for body in sweep_backends().values():
         calls = []
 
-        def spy(visit, indptr, nbr, wgt, loops, k, node_slot, *rest):
-            before = node_slot.copy()
-            moved, active = body(visit, indptr, nbr, wgt, loops, k, node_slot, *rest)
-            calls.append((visit.tolist(), before, node_slot.copy(), moved, np.array(active)))
+        def spy(visit, lv):
+            before = lv.node_slot.copy()
+            moved, active = body(visit, lv)
+            calls.append((visit.tolist(), before, lv.node_slot.copy(), moved, np.array(active)))
             return moved, active
 
         monkeypatch.setattr(louvain, "_sweep", spy)
@@ -507,7 +551,7 @@ def test_sweep_bodies_keep_only_the_move_rule(monkeypatch):
                 pref = rng.random(n) < 0.5
                 prev = np.unique(labels[rng.random(n) < 0.5])
                 calls.clear()
-                _, stats = louvain._one_level(g, labels, movable, pref, prev, cfg, random.Random(i), 1)
+                _, _, stats = louvain._one_level(g, labels, movable, pref, prev, cfg, random.Random(i), 1)
                 order = list(range(n))
                 if order_kind == "shuffled":
                     random.Random(i).shuffle(order)
@@ -639,6 +683,24 @@ def test_kernel_fallback_and_cache(tmp_path, monkeypatch):
         runs[name] = _python(detect, **env), part_file.read_bytes()
     assert runs["python"] == runs["kernel"]
     assert runs["python"][0][0] == 0
+
+    # sweep too, in both node orders: every column but the runtime is
+    # byte-identical, and so are the exit code, stdout and stderr
+    snapshots = [tmp_path / f"t{k}.tsv" for k in range(2)]
+    for (g_k, _), path in zip(_planted(6, nodes=1000, steps=2, churn=0.1, migrate=0.05), snapshots):
+        write_edge_tsv(g_k, path)
+    sweep_csv = tmp_path / "sweep.csv"
+    for order in ("index", "shuffled"):
+        sweeps = {}
+        for name, env in (("python", no_cc), ("kernel", {})):
+            sweep = ["-m", "commtrack.cli", "sweep", "--graph-t", str(snapshots[0]), "--graph-t1",
+                     str(snapshots[1]), "--p", "0,50,100", "--q", "0,50", "--seeds", "1..2",
+                     "--order", order, "-o", str(sweep_csv)]
+            result = _python(sweep, **env)
+            rows = sweep_csv.read_text(encoding="utf-8").splitlines()
+            sweeps[name] = result, [row.rsplit(",", 1)[0] for row in rows]
+        assert sweeps["python"] == sweeps["kernel"]
+        assert sweeps["python"][0][0] == 0 and len(sweeps["python"][1]) == 1 + 3 * 2 * 2
 
     # ingest too: every rejection reason, decided in C or deferred to the
     # validator, in an order that tests the report's insertion order; the
