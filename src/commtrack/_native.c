@@ -7,11 +7,11 @@
  * multiply-add is fused.
  *
  * Five kernels: the level-1 Louvain sweep, the community sums and the graph
- * projection (Louvain phase 2) around it, the edge-TSV tokenizer and the CDR
- * line tokenizer. The sums and the projection add in numpy's order, so their
- * floating-point results are bit-identical to the numpy twins'. The CDR
- * tokenizer decides only the lines it can decide exactly and marks every
- * other line for the Python validator.
+ * projection (Louvain phase 2) around it, the edge and partition TSV
+ * tokenizer and the CDR line tokenizer. The sums and the projection add in
+ * numpy's order, so their floating-point results are bit-identical to the
+ * numpy twins'. The CDR tokenizer decides only the lines it can decide
+ * exactly and marks every other line for the Python validator.
  */
 #include <stdint.h>
 #include <string.h>
@@ -253,20 +253,23 @@ static int64_t intern(interner *t, const char *s, int64_t len)
     }
 }
 
-/* Tokenize and intern an edge TSV: graph._edge_tokens_py.
+/* Tokenize and intern an edge or partition TSV: graph._edge_tokens_py.
  *
  * buf holds the file with every line ending translated to LF. Blank lines
  * and lines starting with '#' are skipped. One-field lines are interned
- * first, then the endpoints of each edge line in file order, so ids are
- * numbered in first-seen order; the third fields are interned in a table of
- * their own. Per edge i, u[i] and v[i] are the endpoint ids and wi[i] the
- * weight text's number, or -1 on a two-field line.
+ * first, then the first two fields of each line with a tab in file order,
+ * so ids are numbered in first-seen order; the third fields are interned in
+ * a table of their own. Per such line i, u[i] and v[i] are the ids of its
+ * first two fields and wi[i] the third field's number, or -1 on a
+ * two-field line.
  *
  * Capacities, for L = the number of LF bytes + 1: id_off 2L + 1 entries,
  * w_off L + 1, u, v and wi L each, both texts len + 1 bytes; both slot
  * tables are zeroed powers of two over twice their entry counts (masks are
- * size - 1). Returns the number of edges, or -1 when a line holds more than
- * two tabs; text_len receives the lengths of the id and the weight text.
+ * size - 1). Returns the number of lines with a tab, or -1 when a line
+ * holds more than two tabs; text_len[0] and text_len[1] receive the
+ * lengths of the id and the third-field text, text_len[2] the number of
+ * one-field lines.
  */
 int64_t commtrack_edge_tokens(
     const char *buf, int64_t len,
@@ -277,7 +280,7 @@ int64_t commtrack_edge_tokens(
     interner ids = {id_slots, (uint64_t)id_mask, id_off, id_text, 0};
     interner ws = {w_slots, (uint64_t)w_mask, w_off, w_text, 0};
     const char *const end = buf + len;
-    int64_t m = 0;
+    int64_t m = 0, n_lone = 0;
     id_off[0] = w_off[0] = 0;
     /* pass 0 interns the one-field lines, pass 1 the edges */
     for (int pass = 0; pass < 2; pass++) {
@@ -295,8 +298,10 @@ int64_t commtrack_edge_tokens(
                 tab[n_tab++] = q;
             }
             if (pass == 0) {
-                if (n_tab == 0)
+                if (n_tab == 0) {
                     intern(&ids, p, eol - p);
+                    n_lone++;
+                }
                 continue;
             }
             if (n_tab == 0)
@@ -309,6 +314,7 @@ int64_t commtrack_edge_tokens(
     }
     text_len[0] = id_off[ids.n];
     text_len[1] = w_off[ws.n];
+    text_len[2] = n_lone;
     return m;
 }
 

@@ -4,7 +4,7 @@ It holds five kernels: the level-1 sweep (``commtrack_sweep``, behind
 :func:`commtrack.louvain._sweep_c`), the community sums
 (``commtrack_community_sums``, behind :func:`commtrack.louvain._sums_c`),
 the graph projection (``commtrack_project``, behind
-:func:`commtrack.graph._project_c`), the edge-TSV tokenizer
+:func:`commtrack.graph._project_c`), the edge and partition TSV tokenizer
 (``commtrack_edge_tokens``, behind :func:`commtrack.graph._edge_tokens_c`)
 and the CDR line tokenizer (``commtrack_cdr_tokens``, behind
 :func:`commtrack.ingest._cdr_tokens_c`).

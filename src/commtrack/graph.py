@@ -104,24 +104,31 @@ class Graph:
     Adjacency is symmetric (each undirected edge appears in both rows), rows
     are sorted by neighbor index and contain no duplicates and no self
     entries; self-loops live in ``self_loops``. Safe to share across threads
-    once built.
+    once built. The arrays are stored C-contiguous, int64 and float64, and
+    checked to form a CSR adjacency (else :class:`InternalInvariantError`),
+    so a compiled kernel may index any graph's arrays unchecked.
     """
 
-    __slots__ = ("ids", "indptr", "nbr", "wgt", "self_loops", "total_weight_2m", "_degrees", "_kernel", "_pointers")
+    __slots__ = ("ids", "indptr", "nbr", "wgt", "self_loops", "total_weight_2m", "_degrees", "_pointers")
 
     def __init__(
         self,
         ids: IdMap,
-        indptr: np.ndarray,
-        nbr: np.ndarray,
-        wgt: np.ndarray,
-        self_loops: np.ndarray,
+        indptr: ArrayLike,
+        nbr: ArrayLike,
+        wgt: ArrayLike,
+        self_loops: ArrayLike,
     ):
+        n = len(ids)
         self.ids = ids
-        self.indptr = indptr
-        self.nbr = nbr
-        self.wgt = wgt
-        self.self_loops = self_loops
+        self.indptr = indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self.nbr = nbr = np.ascontiguousarray(nbr, dtype=np.int64)
+        self.wgt = wgt = np.ascontiguousarray(wgt, dtype=np.float64)
+        self.self_loops = self_loops = np.ascontiguousarray(self_loops, dtype=np.float64)
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or nbr.shape != (indptr[-1],) or wgt.shape != nbr.shape
+                or self_loops.shape != (n,) or np.any(np.diff(indptr) < 0)
+                or (len(nbr) and (nbr.min() < 0 or nbr.max() >= n))):
+            raise InternalInvariantError("graph is not a valid CSR adjacency")
         self.total_weight_2m = float(wgt.sum() + 2.0 * self_loops.sum())
         # the optimizer's scores reach (2m)^2; past that they overflow
         if not math.isfinite(self.total_weight_2m * self.total_weight_2m):
@@ -129,7 +136,6 @@ class Graph:
                 f"total edge weight 2m = {self.total_weight_2m:g} is too large: (2m)^2 overflows"
             )
         self._degrees: Optional[np.ndarray] = None
-        self._kernel: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
         self._pointers: Optional[Tuple[int, int, int, int, int]] = None
 
     @property
@@ -157,30 +163,13 @@ class Graph:
         """The row (source node index) of every CSR entry."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
-    def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``indptr``, ``nbr``, ``wgt`` and ``self_loops`` as C-contiguous int64
-        and float64 arrays that a compiled kernel may index unchecked; raises
-        :class:`InternalInvariantError` unless they form a CSR adjacency.
-        Checked once per graph."""
-        if self._kernel is None:
-            n = self.n
-            indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-            nbr = np.ascontiguousarray(self.nbr, dtype=np.int64)
-            if (len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(nbr) or len(self.wgt) != len(nbr)
-                    or len(self.self_loops) != n or np.any(np.diff(indptr) < 0)
-                    or (len(nbr) and (nbr.min() < 0 or nbr.max() >= n))):
-                raise InternalInvariantError("graph is not a valid CSR adjacency")
-            wgt = np.ascontiguousarray(self.wgt, dtype=np.float64)
-            self._kernel = indptr, nbr, wgt, np.ascontiguousarray(self.self_loops, dtype=np.float64)
-        return self._kernel
-
     def _kernel_pointers(self) -> Tuple[int, int, int, int, int]:
-        """The addresses of the four :meth:`_kernel_arrays` and of
-        :attr:`degrees` as C-contiguous float64, taken once per graph. The
+        """The addresses of ``indptr``, ``nbr``, ``wgt``, ``self_loops`` and
+        :attr:`degrees` (C-contiguous float64), taken once per graph. The
         graph holds every one of these arrays and never replaces it."""
         if self._pointers is None:
-            self._degrees = np.ascontiguousarray(self.degrees, dtype=np.float64)
-            self._pointers = tuple(a.ctypes.data for a in (*self._kernel_arrays(), self._degrees))
+            arrays = (self.indptr, self.nbr, self.wgt, self.self_loops, self.degrees)
+            self._pointers = tuple(a.ctypes.data for a in arrays)
         return self._pointers
 
     def _upper_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,34 +354,22 @@ def checked_index(index: ArrayLike, n: int, lo: int, hi: int, what: str) -> np.n
 
 
 def _project_py(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
-    """:func:`project` on a checked ``new_index``.
-
-    Each sum runs in input order: a new self-loop adds the kept self-loops in
-    node order, then half of each CSR entry inside the new node in CSR order;
-    a new edge ``(a, b)``, ``a < b``, adds its CSR entries from ``a`` to
-    ``b`` in CSR order, once for both orientations. :func:`_project_c` is the
-    same sums in C.
+    """:func:`project` on a checked ``new_index``: the builder of
+    :func:`build_graph`, which adds in input order, given the kept self-loops
+    in node order, then at half weight each CSR entry inside a new node (an
+    edge is two entries), then each entry from a lower to a higher new node,
+    both in CSR order. :func:`_project_c` is the same sums in C.
     """
-    c = len(ids)
-    kept = new_index >= 0
-    new_loops = np.zeros(c, dtype=np.float64)
-    np.add.at(new_loops, new_index[kept], g.self_loops[kept])
-
+    kept = np.flatnonzero(new_index >= 0)
     cu = new_index[g._rows()]
     cv = new_index[g.nbr]
-
     internal = (cu == cv) & (cu >= 0)
-    if internal.any():
-        # each internal edge appears in both directions -> sum/2 counts it once
-        np.add.at(new_loops, cu[internal], g.wgt[internal] * 0.5)
-
-    # each crossing edge appears in both directions; keep one so both
-    # orientations get the same merged weight
     half = (cu >= 0) & (cu < cv)
-    keys = cu[half] * c + cv[half]
-    uniq_keys, inv = np.unique(keys, return_inverse=True)
-    merged_w = np.bincount(inv, weights=g.wgt[half], minlength=len(uniq_keys))
-    return graph_from_distinct_edges(ids, uniq_keys // c, uniq_keys % c, merged_w, new_loops)
+    loops = new_index[kept]
+    ua = np.concatenate([loops, cu[internal], cu[half]])
+    va = np.concatenate([loops, cu[internal], cv[half]])
+    w = np.concatenate([g.self_loops[kept], g.wgt[internal] * 0.5, g.wgt[half]])
+    return _graph_from_index_arrays(ids, ua, va, w)
 
 
 def _project_c(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
@@ -422,12 +399,12 @@ _project = _project_py if _native.LIB is None else _project_c
 # --- text formats -----------------------------------------------------------
 # Edge list: one edge per line, "u<TAB>v<TAB>w" (w optional, default 1), or a
 # lone "u" for a node without edges; lines starting with '#' are comments.
-# Partition: "node_id<TAB>label". The partition reader takes a whole file as
-# text and parses it column by column. The edge reader reads the bytes once,
-# has a tokenizer body (C in the package's compiled library, or its columnar
-# Python twin) number the distinct ids and weight texts, then decodes each id
-# and parses each weight text once. When a field does not parse, the file is
-# scanned line by line for the first bad line, which the error names.
+# Partition: "node_id<TAB>label". Both readers read the bytes once, have one
+# tokenizer body (C in the package's compiled library, or its columnar Python
+# twin) number the distinct texts of the first two fields and, apart, of the
+# third, and count the one-field lines; then decode each id and parse each
+# weight or label text once. When a line or a field does not parse, the file
+# is scanned line by line for the first bad line, which the error names.
 
 _WRITE_ROWS = 4096  # lines formatted per write; bounds the writers' memory
 
@@ -492,22 +469,6 @@ def write_partition_tsv(part: Partition, path) -> None:
         _write_lines(fh, (ids, np.ndarray.tolist), (part.labels, _as_text))
 
 
-def _data_lines(path) -> list:
-    """The lines of a TSV file that hold data, in file order.
-
-    The file is read whole in text mode, so CRLF and a lone CR end lines as
-    LF does; blank lines and lines starting with '#' are left out.
-    """
-    with open(path, "r", encoding="utf-8") as fh, reading_text(path):
-        text = fh.read()
-    lines = text.split("\n")
-    if text[:1] in ("#", "\n") or "\n#" in text or "\n\n" in text:
-        return [ln for ln in lines if ln and ln[0] != "#"]
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
 def _raise_first_bad_line(path, problem: Callable[[list], Optional[str]]) -> NoReturn:
     """Raise an :class:`InputError` naming the first data line of ``path``
     for which ``problem`` (given the line's tab-separated fields) returns a
@@ -546,21 +507,22 @@ def _edge_file_bytes(path) -> bytes:
     return data
 
 
-EdgeTokens = Tuple[bytes, np.ndarray, np.ndarray, np.ndarray, bytes]
+EdgeTokens = Tuple[bytes, np.ndarray, np.ndarray, np.ndarray, bytes, int]
 
 
 def _edge_tokens_py(data: bytes) -> Optional[EdgeTokens]:
-    """Tokenize and intern the LF-terminated lines of an edge TSV; None when
-    a line holds more than two tabs.
+    """Tokenize and intern the LF-terminated lines of a TSV; None when a
+    line holds more than two tabs.
 
     Blank lines and lines starting with '#' are skipped. One-field lines are
-    interned first, then the endpoints of each edge line in file order, so
-    ids are numbered in first-seen order; third fields are interned in a
-    table of their own. Returns the distinct ids as one text, each followed
-    by a tab; per edge the index arrays ``u`` and ``v`` of its endpoints and
-    ``wi`` of its weight text, -1 on a two-field line; and the distinct
-    weight texts, again each followed by a tab. :func:`_edge_tokens_c` is
-    the same contract in C.
+    interned first, then the first two fields of each other line in file
+    order, so ids are numbered in first-seen order; third fields are
+    interned in a table of their own. Returns the distinct ids as one text,
+    each followed by a tab; per line with a tab the index arrays ``u`` and
+    ``v`` of its first two fields and ``wi`` of its third, -1 on a two-field
+    line; the distinct third fields, again each followed by a tab; and the
+    number of one-field lines, which no array shows (their ids may recur in
+    other lines). :func:`_edge_tokens_c` is the same contract in C.
     """
     lines = data.split(b"\n")
     if data[:1] in (b"#", b"\n") or b"\n#" in data or b"\n\n" in data:
@@ -581,16 +543,16 @@ def _edge_tokens_py(data: bytes) -> Optional[EdgeTokens]:
     del joined
     w_fields = fields[2::3]
     del fields[2::3]
-    index = {x: i for i, x in enumerate(dict.fromkeys(chain(nodes, fields)))}
-    del nodes
-    idx = np.fromiter(map(index.__getitem__, fields), dtype=np.int64, count=len(fields))
-    del fields
+    n_lone = len(nodes)
+    id_map, idx = _intern(nodes, fields)
+    del nodes, fields
     w_first = dict.fromkeys(w_fields)
     w_first.pop(b"\n", None)
     w_index = {x: i for i, x in enumerate(w_first)}
     w_index[b"\n"] = -1
     wi = np.fromiter(map(w_index.__getitem__, w_fields), dtype=np.int64, count=len(w_fields))
-    return b"\t".join([*index, b""]), idx[0::2], idx[1::2], wi, b"\t".join([*w_first, b""])
+    id_text = b"\t".join([*id_map.ids, b""])
+    return id_text, idx[0::2], idx[1::2], wi, b"\t".join([*w_first, b""]), n_lone
 
 
 # the C id table's uint32 slots number up to two ids per line; files with
@@ -611,7 +573,7 @@ def _edge_tokens_c(data: bytes) -> Optional[EdgeTokens]:
     id_text = np.empty(len(data) + 1, dtype=np.uint8)
     w_text = np.empty(len(data) + 1, dtype=np.uint8)
     u, v, wi = (np.empty(lines, dtype=np.int64) for _ in range(3))
-    text_len = np.zeros(2, dtype=np.int64)
+    text_len = np.zeros(3, dtype=np.int64)
     m = _native.LIB.commtrack_edge_tokens(
         data, len(data),
         id_slots.ctypes.data, len(id_slots) - 1, id_off.ctypes.data, id_text.ctypes.data,
@@ -620,8 +582,8 @@ def _edge_tokens_c(data: bytes) -> Optional[EdgeTokens]:
     )
     if m < 0:
         return None
-    id_len, w_len = text_len.tolist()
-    return id_text[:id_len].tobytes(), u[:m], v[:m], wi[:m], w_text[:w_len].tobytes()
+    id_len, w_len, n_lone = text_len.tolist()
+    return id_text[:id_len].tobytes(), u[:m], v[:m], wi[:m], w_text[:w_len].tobytes(), n_lone
 
 
 _edge_tokens = _edge_tokens_py if _native.LIB is None else _edge_tokens_c
@@ -642,7 +604,7 @@ def read_edge_tsv(path) -> Graph:
     tokens = _edge_tokens(_edge_file_bytes(path))
     if tokens is None:
         _raise_first_bad_line(path, _edge_line_problem)
-    id_text, u, v, wi, w_text = tokens
+    id_text, u, v, wi, w_text, _ = tokens
     try:
         weights = list(map(float, _texts(w_text)))
     except ValueError:
@@ -659,7 +621,6 @@ def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
     Standalone partitions build their own IdMap in file order, which is how
     a previous snapshot's partition is compared against a newer graph.
     """
-    lines = _data_lines(path)
     seen: set = set()
 
     def problem(parts: list) -> Optional[str]:
@@ -677,20 +638,17 @@ def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
         seen.add(node)
         return None
 
-    if any(ln.count("\t") != 1 for ln in lines):
+    tokens = _edge_tokens(_edge_file_bytes(path))
+    if tokens is None or tokens[5] or np.any(tokens[3] >= 0):
         _raise_first_bad_line(path, problem)
-    joined = "\t".join(lines)
-    del lines
-    fields = joined.split("\t") if joined else []
-    del joined
+    id_text, u, v = tokens[:3]
+    del tokens  # frees wi
+    texts = _texts(id_text)
+    label_ids, label_at = np.unique(v, return_inverse=True)
     try:
-        labels = np.array(fields[1::2], dtype=np.int64)
-    except (ValueError, OverflowError):
-        _raise_first_bad_line(path, problem)
-    del fields[1::2]
-    try:
-        ids = IdMap(fields)
-    except InputError:  # a node listed twice
+        labels = np.array([int(texts[i]) for i in label_ids.tolist()], dtype=np.int64)[label_at]
+        ids = IdMap([texts[i] for i in u.tolist()])
+    except (ValueError, OverflowError, InputError):  # a bad label, or a node listed twice
         _raise_first_bad_line(path, problem)
     if graph is None:
         return Partition(ids, labels)

@@ -58,7 +58,8 @@ __all__ = [
 @dataclass
 class RejectionReport:
     """Per-reason counts of dropped input lines, plus the first offending
-    line number for each reason (1-based, for error messages)."""
+    line number for each reason (1-based), so a caller can find an example
+    of each rejection in its input; no message of the package prints it."""
 
     n_lines: int = 0
     n_valid: int = 0

@@ -346,11 +346,11 @@ def _sweep_py(visit: np.ndarray, lv: _Level) -> Tuple[int, np.ndarray]:
     node that moved or neighbours a node that did. :func:`_sweep_c` is the
     same arithmetic in the same order.
     """
-    indptr, nbr, wgt, self_loops = lv.graph._kernel_arrays()
-    degrees, pref, two_m, min_diff = lv.graph.degrees, lv.pref, lv.two_m, lv.min_diff
+    g, pref, two_m, min_diff = lv.graph, lv.pref, lv.two_m, lv.min_diff
+    nbr, wgt, self_loops, degrees = g.nbr, g.wgt, g.self_loops, g.degrees
     # whole lists of what every node reads or writes; each visited node's
     # own row is sliced out as it comes, so a sweep over few nodes stays cheap
-    ptr = indptr.tolist()
+    ptr = g.indptr.tolist()
     slot, tot, inn = lv.node_slot.tolist(), lv.com_tot.tolist(), lv.com_in.tolist()
     is_prev = lv.slot_is_prev.tolist()
     # per-slot link weight of the visited node; stamp[s] == u marks it as
@@ -420,7 +420,7 @@ def _sweep_c(visit: np.ndarray, lv: _Level) -> Tuple[int, np.ndarray]:
 
 # which body runs each sweep, "c" or "python"; both compute the same bits.
 # The same library also holds the community sums, graph's projection and the
-# edge-TSV and CDR tokenizers, so this names the body of all five.
+# TSV and CDR tokenizers, so this names the body of all five.
 KERNEL = "python" if _native.LIB is None else "c"
 _sweep = _sweep_py if _native.LIB is None else _sweep_c
 

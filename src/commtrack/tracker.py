@@ -11,9 +11,11 @@ Persistence is one directory per timeline: ``step_<k>.graph.tsv`` and
 comparison report per transition, and ``meta.json`` for the label counter and
 per-step bookkeeping. ``meta.json`` is the commit point: it names the
 committed step count, and everything past that count is ignored on load.
-Committed step files are written once, so an append writes the same amount
-whatever the timeline's length; a load reads the last partition, and other
-stored files only when they are used.
+Committed step files are written once and history rows are appended, so of
+what an append writes only ``meta.json`` grows with the timeline's length:
+it is rewritten whole and holds each step's snapshot id and events and each
+label's origin. A load reads the last partition, and other stored files only
+when they are used.
 """
 
 from __future__ import annotations

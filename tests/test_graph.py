@@ -119,6 +119,49 @@ def test_build_graph_rejects_weight_sum_whose_square_overflows():
     assert build_graph([(u, v, 1e150) for u, v in triangles]).total_weight_2m == 1.2e151
 
 
+# the path 0 - 1 - 2 with a self-loop on 1: indptr, nbr, wgt, self_loops
+_PATH = ([0, 1, 3, 4], [1, 0, 2, 1], [1.0, 1.0, 2.0, 2.0], [0.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (0, [0, 1, 3]),  # indptr of the wrong length
+        (0, [0, 1, 3, 4, 4]),
+        (0, [1, 1, 3, 4]),  # not starting at 0
+        (0, [0, 3, 1, 4]),  # decreasing
+        (0, [0, 1, 3, 3]),  # last entry not len(nbr)
+        (0, [0, 1, 3, 5]),
+        (1, [1, 0, 3, 1]),  # a neighbour outside [0, n)
+        (1, [1, -1, 2, 1]),
+        (2, [1.0, 1.0, 2.0]),  # wgt of the wrong length
+        (3, [0.0, 0.5]),  # self_loops of the wrong length
+        (3, [0.0, 0.5, 0.0, 0.0]),
+    ],
+)
+def test_graph_rejects_an_invalid_csr(field, value):
+    arrays = [np.array(a) for a in _PATH]
+    arrays[field] = np.array(value)
+    with pytest.raises(InternalInvariantError, match="not a valid CSR adjacency"):
+        Graph(IdMap(range(3)), *arrays)
+
+
+def test_graph_stores_c_contiguous_kernel_arrays():
+    strided = np.zeros(8)
+    strided[::2] = _PATH[2]
+    given = np.array(_PATH[0], dtype=np.int32), _PATH[1], strided[::2], np.array(_PATH[3], dtype=np.float32)
+    g = Graph(IdMap(range(3)), *given)
+    arrays = (g.indptr, g.nbr, g.wgt, g.self_loops)
+    assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64, np.float64]
+    assert all(a.flags.c_contiguous for a in arrays)
+    assert [a.tolist() for a in arrays] == list(_PATH)
+    assert g._kernel_pointers() == tuple(a.ctypes.data for a in (*arrays, g.degrees))
+    # arrays that already are C-contiguous int64 and float64 are kept, not copied
+    given = [np.array(a, dtype=np.int64 if i < 2 else np.float64) for i, a in enumerate(_PATH)]
+    h = Graph(IdMap(range(3)), *given)
+    assert all(a is b for a, b in zip((h.indptr, h.nbr, h.wgt, h.self_loops), given))
+
+
 def test_isolated_nodes_via_nodes_argument():
     g = build_graph([("a", "b")], nodes=["z", "a", "b"])
     assert g.ids.ids == ["z", "a", "b"]

@@ -95,7 +95,7 @@ def _graph_key(g):
 
 
 def _tokens_key(tokens):
-    return tokens if tokens is None else [t if isinstance(t, bytes) else (t.dtype.str, t.tobytes()) for t in tokens]
+    return tokens if tokens is None else [t if isinstance(t, (bytes, int)) else (t.dtype.str, t.tobytes()) for t in tokens]
 
 
 def _partition_key(p):
@@ -118,16 +118,45 @@ def test_read_edge_tsv_matches_line_reader(tmp_path, text, monkeypatch):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_partition_files(), graph_ids=st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True))
-def test_read_partition_tsv_matches_line_reader(tmp_path, text, graph_ids):
+def test_read_partition_tsv_matches_line_reader(tmp_path, text, graph_ids, monkeypatch):
     path = tmp_path / "p.tsv"
     path.write_bytes(text.encode("utf-8"))
-    want = _outcome(oracle_read_partition_tsv, path)
-    assert _partition_key(_outcome(read_partition_tsv, path)) == _partition_key(want)
+    want = _partition_key(_outcome(oracle_read_partition_tsv, path))
     g = build_graph([], nodes=graph_ids)
-    aligned = _outcome(read_partition_tsv, path, g)
-    assert _partition_key(aligned) == _partition_key(_outcome(oracle_read_partition_tsv, path, g))
-    if not isinstance(aligned, str):
-        assert aligned.ids is g.ids
+    want_aligned = _partition_key(_outcome(oracle_read_partition_tsv, path, g))
+    bodies = tsv_backends()
+    tokens = {name: _tokens_key(body(graph._edge_file_bytes(path))) for name, body in bodies.items()}
+    assert all(t == tokens["python"] for t in tokens.values())
+    for body in bodies.values():
+        monkeypatch.setattr(graph, "_edge_tokens", body)
+        assert _partition_key(_outcome(read_partition_tsv, path)) == want
+        aligned = _outcome(read_partition_tsv, path, g)
+        assert _partition_key(aligned) == want_aligned
+        if not isinstance(aligned, str):
+            assert aligned.ids is g.ids
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a one-field line whose text is also a node or a label of another line
+        ("a\na\t1\n", "p.tsv:1: expected 'node<TAB>label'"),
+        ("1\na\t1\n", "p.tsv:1: expected 'node<TAB>label'"),
+        ("a\t1\t2\n", "p.tsv:1: expected 'node<TAB>label'"),
+        ("b\t2\r\na\t1\t2\n", "p.tsv:2: expected 'node<TAB>label'"),
+    ],
+)
+def test_partition_reader_errors_name_the_line(tmp_path, text, message, monkeypatch):
+    path = tmp_path / "p.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(InputError) as want:
+        oracle_read_partition_tsv(path)
+    for body in tsv_backends().values():
+        monkeypatch.setattr(graph, "_edge_tokens", body)
+        with pytest.raises(InputError) as got:
+            read_partition_tsv(path)
+        assert str(got.value).endswith(message)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
