@@ -6,11 +6,12 @@
  * passes raw pointers. The library is built with -ffp-contract=off so no
  * multiply-add is fused.
  *
- * Five kernels: the level-1 Louvain sweep, the community sums and the graph
- * projection (Louvain phase 2) around it, the edge and partition TSV
- * tokenizer and the CDR line tokenizer. The sums and the projection add in
- * numpy's order, so their floating-point results are bit-identical to the
- * numpy twins'. The CDR tokenizer decides only the lines it can decide
+ * Seven kernels: the level-1 Louvain sweep, the community sums and the graph
+ * projection (Louvain phase 2) around it, the CSR builder behind every graph
+ * made from an edge list, the edge and partition TSV tokenizer, the TSV row
+ * writer and the CDR line tokenizer. The sums, the projection and the builder
+ * add in numpy's order, so their floating-point results are bit-identical to
+ * the numpy twins'. The CDR tokenizer decides only the lines it can decide
  * exactly and marks every other line for the Python validator.
  */
 #include <stdint.h>
@@ -121,6 +122,38 @@ void commtrack_community_sums(
         com_in[s] += 2.0 * loop_sum[s];
 }
 
+/* Mirror the edges (a, b), a < b, of upper_nbr and upper_wgt into a
+ * symmetric CSR on c nodes whose rows are sorted by neighbour. Node a's edges
+ * are entries upper_ptr[a] .. upper_ptr[a + 1], in any order of b. On entry
+ * out_ptr[a + 1] holds the number of entries of row a; on return out_ptr
+ * holds the row offsets. next is scratch for c entries. Inline: called out
+ * of line, it made commtrack_project about a tenth slower on sweep graphs.
+ */
+static inline void mirror_upper(
+    int64_t c, const int64_t *upper_ptr, const int64_t *upper_nbr, const double *upper_wgt,
+    int64_t *next, int64_t *out_ptr, int64_t *out_nbr, double *out_wgt)
+{
+    for (int64_t a = 0; a < c; a++) {
+        out_ptr[a + 1] += out_ptr[a];
+        next[a] = out_ptr[a];  /* the next free entry of row a */
+    }
+    /* two counting-sort passes: each row b takes its entries from lower
+     * nodes in the order of a, then each row a its entries from higher nodes
+     * in the order of the row b that holds them */
+    for (int64_t a = 0; a < c; a++)
+        for (int64_t i = upper_ptr[a]; i < upper_ptr[a + 1]; i++) {
+            const int64_t b = upper_nbr[i];
+            out_nbr[next[b]] = a;
+            out_wgt[next[b]++] = upper_wgt[i];
+        }
+    for (int64_t b = 0; b < c; b++)
+        for (int64_t i = out_ptr[b], end = next[b]; i < end; i++) {
+            const int64_t a = out_nbr[i];
+            out_nbr[next[a]] = b;
+            out_wgt[next[a]++] = out_wgt[i];
+        }
+}
+
 /* The graph on c nodes that node u maps to as new_index[u] in [-1, c), or
  * leaves out at -1: graph._project_py.
  *
@@ -197,27 +230,79 @@ int64_t commtrack_project(
         upper_ptr[a + 1] = m;
     }
 
-    int64_t *next = touched;  /* the next free entry of each row */
-    for (int64_t a = 0; a < c; a++) {
-        out_ptr[a + 1] += out_ptr[a];
-        next[a] = out_ptr[a];
-    }
-    /* two counting-sort passes: each row b takes its entries from lower
-     * nodes in the order of a, then each row a its entries from higher nodes
-     * in the order of the row b that holds them */
-    for (int64_t a = 0; a < c; a++)
-        for (int64_t i = upper_ptr[a]; i < upper_ptr[a + 1]; i++) {
-            const int64_t b = upper_nbr[i];
-            out_nbr[next[b]] = a;
-            out_wgt[next[b]++] = upper_wgt[i];
-        }
-    for (int64_t b = 0; b < c; b++)
-        for (int64_t i = out_ptr[b], end = next[b]; i < end; i++) {
-            const int64_t a = out_nbr[i];
-            out_nbr[next[a]] = b;
-            out_wgt[next[a]++] = out_wgt[i];
-        }
+    mirror_upper(c, upper_ptr, upper_nbr, upper_wgt, touched, out_ptr, out_nbr, out_wgt);
     return 2 * m;
+}
+
+/* The CSR graph on n nodes of the entries (u[i], v[i], w[i]), i < m:
+ * graph._build_py.
+ *
+ * A loop entry (u[i] == v[i]) adds to loops[u[i]], in input order, as
+ * numpy's add.at does. The other entries are counting-sorted by their smaller
+ * endpoint a, keeping input order within each group. Each distinct edge
+ * (a, b) sums its entries in that order from +0.0, as numpy's bincount does,
+ * in a stamped accumulator; the sum is mirrored into the CSR, so both
+ * orientations carry the same bits, and each row is sorted by neighbour.
+ *
+ * u[i] and v[i] lie in [0, n). i_scratch holds 4 n + 3 + m int64 and
+ * f_scratch n + m doubles; out_ptr holds n + 1 zeros and loops the starting
+ * self-loops; out_nbr and out_wgt have room for 2 m entries. Returns the
+ * number of CSR entries written.
+ */
+int64_t commtrack_build(
+    int64_t n, int64_t m, const int64_t *u, const int64_t *v, const double *w,
+    int64_t *i_scratch, double *f_scratch,
+    int64_t *out_ptr, int64_t *out_nbr, double *out_wgt, double *loops)
+{
+    /* first[a] .. first[a + 1]: group a's entries (b, w), in input order */
+    int64_t *first = i_scratch, *stamp = first + n + 2, *touched = stamp + n;
+    int64_t *upper_ptr = touched + n, *group_nbr = upper_ptr + n + 1;
+    double *acc = f_scratch, *group_wgt = acc + n;
+
+    memset(first, 0, (size_t)(n + 2) * sizeof *first);
+    for (int64_t i = 0; i < m; i++)
+        if (u[i] != v[i])
+            first[(u[i] < v[i] ? u[i] : v[i]) + 2]++;
+    for (int64_t a = 0; a < n; a++) {
+        first[a + 2] += first[a + 1];
+        stamp[a] = -1;
+    }
+    for (int64_t i = 0; i < m; i++) {  /* first[a + 1] counts up to a's end */
+        const int64_t a = u[i] < v[i] ? u[i] : v[i], b = u[i] < v[i] ? v[i] : u[i];
+        if (a == b) {
+            loops[a] += w[i];
+        } else {
+            group_nbr[first[a + 1]] = b;
+            group_wgt[first[a + 1]++] = w[i];
+        }
+    }
+
+    /* the edges of groups up to a are no more than their entries, so each
+     * group's sums overwrite entries already read */
+    int64_t e = 0;
+    upper_ptr[0] = 0;
+    for (int64_t a = 0; a < n; a++) {
+        int64_t n_touched = 0;
+        for (int64_t i = first[a]; i < first[a + 1]; i++) {
+            const int64_t b = group_nbr[i];
+            if (stamp[b] != a) {
+                stamp[b] = a;
+                acc[b] = 0.0;
+                touched[n_touched++] = b;
+            }
+            acc[b] += group_wgt[i];
+        }
+        for (int64_t t = 0; t < n_touched; t++) {
+            const int64_t b = touched[t];
+            group_nbr[e] = b;
+            group_wgt[e++] = acc[b];
+            out_ptr[a + 1]++;
+            out_ptr[b + 1]++;
+        }
+        upper_ptr[a + 1] = e;
+    }
+    mirror_upper(n, upper_ptr, group_nbr, group_wgt, touched, out_ptr, out_nbr, out_wgt);
+    return 2 * e;
 }
 
 /* Distinct byte strings numbered in first-seen order: an open-addressing
@@ -282,7 +367,8 @@ int64_t commtrack_edge_tokens(
     const char *const end = buf + len;
     int64_t m = 0, n_lone = 0;
     id_off[0] = w_off[0] = 0;
-    /* pass 0 interns the one-field lines, pass 1 the edges */
+    /* pass 0 interns the one-field lines, looking no further than a line's
+     * first tab; pass 1 interns the edges and rejects a line with a third tab */
     for (int pass = 0; pass < 2; pass++) {
         for (const char *p = buf, *eol; p < end; p = eol + 1) {
             eol = memchr(p, '\n', (size_t)(end - p));
@@ -290,19 +376,19 @@ int64_t commtrack_edge_tokens(
                 eol = end;
             if (eol == p || *p == '#')
                 continue;
+            if (pass == 0) {
+                if (memchr(p, '\t', (size_t)(eol - p)) == NULL) {
+                    intern(&ids, p, eol - p);
+                    n_lone++;
+                }
+                continue;
+            }
             const char *tab[2] = {eol, eol};
             int n_tab = 0;
             for (const char *q = p; (q = memchr(q, '\t', (size_t)(eol - q))) != NULL; q++) {
                 if (n_tab == 2)
                     return -1;
                 tab[n_tab++] = q;
-            }
-            if (pass == 0) {
-                if (n_tab == 0) {
-                    intern(&ids, p, eol - p);
-                    n_lone++;
-                }
-                continue;
             }
             if (n_tab == 0)
                 continue;
@@ -316,6 +402,32 @@ int64_t commtrack_edge_tokens(
     text_len[1] = w_off[ws.n];
     text_len[2] = n_lone;
     return m;
+}
+
+/* Write rows of table entries as TSV lines: graph._write_rows_py.
+ *
+ * Entry i of the table is text[off[i] .. off[i + 1] - 1), followed by a tab,
+ * the tokenizer's convention. Row r holds the entries numbered
+ * cells[r n_cols .. (r + 1) n_cols), n_cols >= 1; they are written joined by
+ * tabs and the row is ended by LF. Every cell lies in [0, number of entries)
+ * and out has room for the rows' entries with their tabs. Returns the number
+ * of bytes written.
+ */
+int64_t commtrack_write_rows(
+    const char *text, const int64_t *off, int64_t n_rows, int64_t n_cols,
+    const int64_t *cells, char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < n_rows; r++) {
+        for (int64_t j = 0; j < n_cols; j++) {
+            const int64_t c = *cells++;
+            const size_t len = (size_t)(off[c + 1] - off[c]);
+            memcpy(p, text + off[c], len);  /* the entry and its tab */
+            p += len;
+        }
+        p[-1] = '\n';
+    }
+    return p - out;
 }
 
 /* Line statuses of commtrack_cdr_tokens, in the order of ingest._STATUSES. */

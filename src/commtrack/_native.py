@@ -1,13 +1,17 @@
 """The package's one compiled library, built from ``_native.c`` at first import.
 
-It holds five kernels: the level-1 sweep (``commtrack_sweep``, behind
+It holds seven kernels: the level-1 sweep (``commtrack_sweep``, behind
 :func:`commtrack.louvain._sweep_c`), the community sums
 (``commtrack_community_sums``, behind :func:`commtrack.louvain._sums_c`),
 the graph projection (``commtrack_project``, behind
-:func:`commtrack.graph._project_c`), the edge and partition TSV tokenizer
-(``commtrack_edge_tokens``, behind :func:`commtrack.graph._edge_tokens_c`)
-and the CDR line tokenizer (``commtrack_cdr_tokens``, behind
-:func:`commtrack.ingest._cdr_tokens_c`).
+:func:`commtrack.graph._project_c`), the CSR builder that merges an edge
+list's loops and parallel entries in input order (``commtrack_build``,
+behind :func:`commtrack.graph._build_c`), the edge and partition TSV
+tokenizer (``commtrack_edge_tokens``, behind
+:func:`commtrack.graph._edge_tokens_c`), the TSV row writer that copies
+table entries into tab-separated lines (``commtrack_write_rows``, behind
+:func:`commtrack.graph._write_rows_c`) and the CDR line tokenizer
+(``commtrack_cdr_tokens``, behind :func:`commtrack.ingest._cdr_tokens_c`).
 The library is compiled with ``$CC`` (default ``cc``) into
 ``${XDG_CACHE_HOME:-~/.cache}/commtrack/``, under a name keyed by the source,
 the flags, the interpreter and the machine, and loaded from there through
@@ -40,6 +44,10 @@ def _bind(path: str) -> ctypes.CDLL:
     lib.commtrack_community_sums.argtypes = [i64] + [ptr] * 6 + [i64] + [ptr] * 3
     lib.commtrack_project.restype = i64
     lib.commtrack_project.argtypes = [i64] + [ptr] * 5 + [i64] * 2 + [ptr] * 6
+    lib.commtrack_build.restype = i64
+    lib.commtrack_build.argtypes = [i64] * 2 + [ptr] * 9
+    lib.commtrack_write_rows.restype = i64
+    lib.commtrack_write_rows.argtypes = [ptr, ptr, i64, i64, ptr, ptr]
     lib.commtrack_edge_tokens.restype = i64
     lib.commtrack_edge_tokens.argtypes = [ptr, i64] + [ptr, i64, ptr, ptr] * 2 + [ptr] * 4
     lib.commtrack_cdr_tokens.restype = i64

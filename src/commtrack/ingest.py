@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _native
 from .errors import InputError
-from .graph import Graph, IdMap, graph_from_distinct_edges
+from .graph import Graph, IdMap, graph_from_edges
 
 __all__ = [
     "WindowSpec",
@@ -275,7 +275,7 @@ def _mutual_graph(
     nodes = seen[np.argsort(first_at)]
     new_index = np.zeros(n, dtype=np.int64)
     new_index[nodes] = np.arange(len(nodes))
-    return graph_from_distinct_edges(
+    return graph_from_edges(
         IdMap([ids[i] for i in nodes.tolist()]),
         new_index[a],
         new_index[b],

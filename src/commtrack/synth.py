@@ -20,7 +20,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph, IdMap, Partition, graph_from_distinct_edges
+from .graph import Graph, IdMap, Partition, graph_from_edges
 from .louvain import round_half_up
 
 __all__ = ["SynthSpec", "generate"]
@@ -143,7 +143,7 @@ def _snapshot(ids: List[str], labels: np.ndarray, p_in: float, p_out: float,
     # distinct and loop-free by construction: intra pairs have i < j inside one
     # block, inter pairs are deduplicated and join two labels
     u, v = (np.concatenate(ends) for ends in zip(*parts))
-    return graph_from_distinct_edges(IdMap(ids), u, v, np.ones(len(u)), np.zeros(len(ids)))
+    return graph_from_edges(IdMap(ids), u, v, np.ones(len(u)), np.zeros(len(ids)))
 
 
 def generate(spec: SynthSpec) -> List[Tuple[Graph, Partition]]:

@@ -213,6 +213,30 @@ def agg_backends() -> Dict[str, Tuple[Callable, Callable]]:
     return backends
 
 
+def build_backends() -> Dict[str, Callable]:
+    """Every CSR builder body this machine runs, by name: the numpy body
+    always, the compiled one when the library was built and loaded."""
+    import commtrack.graph as graph
+    import commtrack.louvain as louvain
+
+    backends = {"python": graph._build_py}
+    if louvain.KERNEL == "c":
+        backends["c"] = graph._build_c
+    return backends
+
+
+def write_backends() -> Dict[str, Callable]:
+    """Every TSV row writer body this machine runs, by name: the Python body
+    always, the compiled one when the library was built and loaded."""
+    import commtrack.graph as graph
+    import commtrack.louvain as louvain
+
+    backends = {"python": graph._write_rows_py}
+    if louvain.KERNEL == "c":
+        backends["c"] = graph._write_rows_c
+    return backends
+
+
 def tsv_backends() -> Dict[str, Callable]:
     """Every edge-TSV tokenizer body this machine runs, by name: the Python
     body always, the compiled one when the library was built and loaded."""

@@ -16,6 +16,7 @@ from commtrack.graph import (
     Partition,
     aggregate_by_partition,
     build_graph,
+    graph_from_edges,
     project,
     read_edge_tsv,
     read_partition_tsv,
@@ -24,7 +25,16 @@ from commtrack.graph import (
 )
 from commtrack.louvain import modularity
 
-from oracles import agg_backends, edge_list, oracle_modularity, random_graph, random_labels, singleton_partition
+from oracles import (
+    agg_backends,
+    build_backends,
+    edge_list,
+    oracle_build_graph,
+    oracle_modularity,
+    random_graph,
+    random_labels,
+    singleton_partition,
+)
 
 
 def test_idmap_bijection_and_duplicates():
@@ -368,6 +378,62 @@ def test_projection_and_sums_reject_indices_out_of_bounds(monkeypatch):
         for bad in (short, long, [0, 1, 2, -1], [0, 1, 2, 3]):
             with pytest.raises(InternalInvariantError):
                 louvain._community_sums(g, np.array(bad), 3)
+
+
+# --- the bodies of the CSR builder ---------------------------------------------------
+
+
+@st.composite
+def _edge_entries(draw):
+    """Node count, index entries ``(u, v, w)`` with parallel entries in both
+    orientations, loops and isolated nodes (or no entry at all), and the
+    starting self-loops."""
+    n = draw(st.integers(0, 10))
+    nodes = st.integers(0, max(n - 1, 0))
+    weights = _WEIGHTS | st.just(-0.0)
+    entries = draw(st.lists(st.tuples(nodes, nodes, weights), max_size=40)) if n else []
+    entries += [(v, u, w) for u, v, w in draw(st.lists(st.sampled_from(entries), max_size=10))] if entries else []
+    loops = draw(st.lists(st.sampled_from([0.0, 0.5, 1 / 3, 5e-324]), min_size=n, max_size=n))
+    cols = list(zip(*entries)) or [(), (), ()]
+    u, v = (np.array(col, dtype=np.int64) for col in cols[:2])
+    return n, u, v, np.array(cols[2], dtype=np.float64), np.array(loops, dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_edge_entries())
+def test_builder_bodies_are_bit_identical(case):
+    n, u, v, w, loops = case
+    ids = IdMap(range(n))
+    built = {name: _graph_bytes(body(ids, u, v, w, loops.copy())) for name, body in build_backends().items()}
+    assert all(x == built["python"] for x in built.values())
+    if not loops.any():  # the dictionary builder starts every loop at 0.0
+        want = oracle_build_graph(zip(u.tolist(), v.tolist(), w.tolist()), nodes=range(n))
+        assert built["python"] == _graph_bytes(want)
+
+
+def test_builder_sums_parallel_entries_in_input_order():
+    # (1e16 + 1) + 1 != 1e16 + (1 + 1): the order of the sum shows in its bits
+    u, v = np.array([0, 1, 0, 2, 2]), np.array([1, 0, 1, 2, 2])
+    w = np.array([1e16, 1.0, 1.0, 1e16, 1.0])
+    for body in build_backends().values():
+        g = body(IdMap("abc"), u, v, w, np.array([0.0, 0.0, 1.0]))
+        assert g.wgt.tolist() == [1e16, 1e16] and g.self_loops.tolist() == [0.0, 0.0, 1e16 + 1.0 + 1.0]
+        assert g.indptr.tolist() == [0, 1, 2, 2] and g.nbr.tolist() == [1, 0]
+
+
+def test_builder_rejects_indices_out_of_bounds(monkeypatch):
+    # a wrong length, or an endpoint outside [0, n), fails at the kernel
+    # boundary on either body
+    ids = IdMap("abc")
+    w = np.ones(2)
+    for body in build_backends().values():
+        monkeypatch.setattr(graph, "_build", body)
+        assert graph_from_edges(ids, np.array([0, 1]), np.array([1, 2]), w, np.zeros(3)).n_edges == 2
+        for u, v in (([0, 1, 2], [1, 2]), ([0, 3], [1, 2]), ([0, 1], [-1, 2]), ([0, 1], [1, 3])):
+            with pytest.raises(InternalInvariantError):
+                graph_from_edges(ids, np.array(u), np.array(v), w, np.zeros(3))
+        with pytest.raises(InternalInvariantError):
+            graph_from_edges(ids, np.array([0, 1]), np.array([1, 2]), w, np.zeros(2))
 
 
 # --- text round-trips -----------------------------------------------------------

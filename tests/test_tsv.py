@@ -1,6 +1,7 @@
 """The columnar TSV readers and writers against the line-by-line reference in
 ``oracles``: the same arrays, id order and bytes, and the same error text."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import commtrack.graph as graph
-from commtrack.errors import InputError
+from commtrack.errors import InputError, InternalInvariantError
 from commtrack.graph import (
     Partition,
     build_graph,
@@ -27,6 +28,7 @@ from oracles import (
     oracle_write_edge_tsv,
     oracle_write_partition_tsv,
     tsv_backends,
+    write_backends,
 )
 
 _IDS = (
@@ -252,6 +254,50 @@ def test_writers_match_line_writers(tmp_path, edges, lone, as_text, labels):
     write_partition_tsv(part, tmp_path / "got.tsv")
     oracle_write_partition_tsv(part, tmp_path / "want.tsv")
     assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    names=st.lists(st.text(alphabet="aé€😀 #", min_size=1, max_size=3).filter(lambda x: x[0] != "#"),
+                   min_size=8, max_size=8, unique=True),
+    edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.floats(0.0, 1e6) | _WRITE_WEIGHTS), max_size=20),
+    lone=st.lists(st.integers(0, 7), max_size=3),
+)
+def test_writer_bodies_write_the_same_bytes(tmp_path, names, edges, lone, monkeypatch):
+    # non-ASCII ids, repr float weights, self-loops, lone nodes and empty graphs
+    g = build_graph([(names[u], names[v], w) for u, v, w in edges], nodes=[names[i] for i in lone])
+    part = Partition(g.ids, np.arange(g.n, dtype=np.int64) * -7)
+    oracle_write_edge_tsv(g, tmp_path / "g.tsv")
+    oracle_write_partition_tsv(part, tmp_path / "p.tsv")
+    for body in write_backends().values():
+        monkeypatch.setattr(graph, "_write_rows", body)
+        write_edge_tsv(g, tmp_path / "got.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "g.tsv").read_bytes()
+        write_partition_tsv(part, tmp_path / "got.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "p.tsv").read_bytes()
+
+
+def test_writer_rejects_cells_out_of_bounds(tmp_path, monkeypatch):
+    # a cell outside the table fails at the kernel boundary on either body
+    for body in write_backends().values():
+        monkeypatch.setattr(graph, "_write_rows", body)
+        graph._write_tsv(tmp_path / "ok.tsv", "a\tb\t", (np.array([0, 1]), np.array([1, 1])), (np.array([0]),))
+        assert (tmp_path / "ok.tsv").read_bytes() == b"a\tb\nb\tb\na\n"
+        for bad in ([0, 2], [-1, 0]):
+            with pytest.raises(InternalInvariantError):
+                graph._write_tsv(tmp_path / "bad.tsv", "a\tb\t", (np.array([0, 0]), np.array(bad)))
+
+
+@pytest.mark.parametrize("ids, bad", [
+    (["#a", "b"], "#a"), (["\tb", "c"], "\tb"), (["a", "b\t"], "b\t"), (["a", "", "#c"], ""),
+    (["a", "b\r"], "b\r"), (["a\n"], "a\n"), ([""], ""), (["a", "b#", "c\t#"], "c\t#"),
+])
+def test_writers_name_the_first_id_that_does_not_read_back(tmp_path, ids, bad):
+    g = build_graph([], nodes=ids)
+    for write, obj in ((write_edge_tsv, g), (write_partition_tsv, Partition(g.ids, np.zeros(g.n, dtype=np.int64)))):
+        with pytest.raises(InputError, match=f"^node id {re.escape(repr(bad))} cannot be written"):
+            write(obj, tmp_path / "out.tsv")
+        assert not (tmp_path / "out.tsv").exists()
 
 
 def test_writers_format_large_and_fractional_weights_as_line_writer(tmp_path):
