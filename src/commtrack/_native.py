@@ -17,6 +17,7 @@ The library is compiled with ``$CC`` (default ``cc``) into
 the flags, the interpreter and the machine, and loaded from there through
 ctypes. :data:`LIB` is None when no compiler, build or load succeeds; each
 caller then runs its pure-Python twin, which computes the same bytes.
+:data:`KERNEL` says which body of all seven kernels runs, "c" or "python".
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 import zlib
 from pathlib import Path
 
-__all__ = ["LIB", "cache_path"]
+__all__ = ["LIB", "KERNEL", "cache_path"]
 
 _SOURCE = Path(__file__).with_name("_native.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no FMA, no reassociation
@@ -115,3 +116,4 @@ def _load():
 
 
 LIB = _load()
+KERNEL = "python" if LIB is None else "c"

@@ -612,7 +612,7 @@ def _edge_tokens_py(data: bytes) -> Optional[EdgeTokens]:
         else:
             lines = [ln for ln, t in zip(lines, tabs) if t]
     del tabs
-    joined = _tab_joined(lines)
+    joined = b"\t".join(lines)
     del lines
     fields = joined.split(b"\t") if joined else []
     del joined
@@ -633,19 +633,7 @@ def _edge_tokens_py(data: bytes) -> Optional[EdgeTokens]:
         wi = np.fromiter(map(w_index.__getitem__, w_fields), dtype=np.int64, count=len(w_fields))
     else:  # two fields on every edge line
         wi = np.full(len(u), -1, dtype=np.int64)
-    return _tab_joined([*id_map.ids, b""]), u, v, wi, _tab_joined([*w_first, b""]), n_lone
-
-
-# parts per bytes.join in _tab_joined: one join holds an 80-byte buffer record
-# per part while it runs, so 4096 parts hold at most 320 KB; one join over a
-# 40,000-line partition's fields raised the body's tracemalloc peak from 7.05
-# to 9.15 MB, and 16,384 parts gave 7.30 MB
-_JOIN_PARTS = 4096
-
-
-def _tab_joined(parts: list) -> bytes:
-    """``b"\\t".join(parts)``, ``_JOIN_PARTS`` parts at a time."""
-    return b"\t".join([b"\t".join(parts[i:i + _JOIN_PARTS]) for i in range(0, len(parts), _JOIN_PARTS)])
+    return b"\t".join([*id_map.ids, b""]), u, v, wi, b"\t".join([*w_first, b""]), n_lone
 
 
 # the C id table's uint32 slots number up to two ids per line; files with

@@ -6,14 +6,14 @@ where traffic flowed in both directions, then drop nodes whose connection
 count exceeds a cap (call centers, spam farms) in one pass.
 
 :func:`ingest_pipeline` runs this columnar: lines are judged a block at a
-time by a tokenizer body that gives each line a status and interns the ids
-of in-window records, block ids are mapped to dense global ints, in-window
-(origin, target) pairs are folded block by block into sorted distinct int64
-keys with counts, and mutual pairs are found by sorting unordered pair keys
-once. Memory is bounded by the distinct directed pairs and one block, not by
-the line count. The tokenizer body is C (:func:`_cdr_tokens_c`), which
-decides plain ASCII lines with a canonical timestamp and hands every other
-line to the line validator, or Python (:func:`_cdr_tokens_py`), the
+time by a tokenizer body that gives each line a status and numbers the ids
+of in-window records in the run's one id table, in-window (origin, target)
+pairs are folded block by block into sorted distinct int64 keys with counts,
+and mutual pairs are found by sorting unordered pair keys, built on the ids'
+text ranks, once. Memory is bounded by the distinct directed pairs and one
+block, not by the line count. The tokenizer body is C (:func:`_cdr_tokens_c`),
+which decides plain ASCII lines with a canonical timestamp and hands every
+other line to the line validator, or Python (:func:`_cdr_tokens_py`), the
 validator on every line, parsing each timestamp in full; both give the same
 statuses and the same in-window pairs. The record-level
 :func:`iter_parse_cdr` shares the validator, and :func:`symmetrize` the
@@ -247,9 +247,16 @@ def _mutual_graph(
     ``build_graph`` gives a sorted edge list.
     """
     n = len(ids)
-    key = np.minimum(origin, target)  # unordered pair key: smaller index * n + larger
+    by_text = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_text] = np.arange(n)
+    # unordered pair key on the text ranks: smaller rank * n + larger, so
+    # sorted keys are pairs ordered by (smaller text, larger text)
+    lo, hi = rank[origin], rank[target]
+    key = np.minimum(lo, hi)
     key *= n
-    key += np.maximum(origin, target)
+    key += np.maximum(lo, hi, out=hi)
+    del lo, hi, rank
     order = np.argsort(key)
     key = key[order]
     # the pairs are distinct, so an unordered pair seen twice is the two
@@ -264,19 +271,12 @@ def _mutual_graph(
         w += comms[order[twin + 1]]
         w = w.astype(np.float64)
     del order, twin
-    named = np.unique(np.concatenate([a, b]))
-    rank = np.zeros(n, dtype=np.int64)
-    rank[sorted(named.tolist(), key=ids.__getitem__)] = np.arange(len(named))
-    swap = rank[a] > rank[b]
-    a, b = np.where(swap, b, a), np.where(swap, a, b)
-    by_text = np.argsort(rank[a] * len(named) + rank[b])
-    a, b, w = a[by_text], b[by_text], w[by_text]
     seen, first_at = np.unique(np.column_stack((a, b)).ravel(), return_index=True)
     nodes = seen[np.argsort(first_at)]
     new_index = np.zeros(n, dtype=np.int64)
     new_index[nodes] = np.arange(len(nodes))
     return graph_from_edges(
-        IdMap([ids[i] for i in nodes.tolist()]),
+        IdMap([ids[i] for i in by_text[nodes].tolist()]),
         new_index[a],
         new_index[b],
         w,
@@ -355,22 +355,21 @@ class IngestReport:
 _CHUNK = 1 << 16  # lines judged, and their in-window pairs folded, per block
 _KEY_BASE = 1 << 32  # pair key = origin index * _KEY_BASE + target index
 
-# per block: one status code per line; the origin and target numbers of each
-# in-window line; the block's distinct ids of in-window lines. Which number
-# an id gets, and the order of the pairs, are the body's own: the graph
-# depends on neither.
-CdrTokens = Tuple[np.ndarray, np.ndarray, np.ndarray, List[str]]
+# per block: one status code per line, and the origin and target numbers of
+# each in-window line in the run's id table. Which number a new id gets, and
+# the order of the pairs, are the body's own: the graph depends on neither.
+CdrTokens = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _judge_lines(
-    lines: List[str], positions: Iterable[int], window: WindowSpec, status: MutableSequence[int], ids: List[str]
+    lines: List[str], positions: Iterable[int], window: WindowSpec, status: MutableSequence[int],
+    index: Dict[str, int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Judge ``lines[i]`` for each ``i`` of ``positions`` in turn with the
     line validator and store its status in ``status[i]``. The origin and
-    target of each in-window line are interned in ``ids``, which may already
-    hold ids and grows by the new ones. Returns the in-window lines' origin
-    and target numbers, in line order."""
-    index = {x: k for k, x in enumerate(ids)}
+    target of each in-window line are interned in ``index``, which numbers
+    new ids ``len(index)`` on. Returns the in-window lines' origin and
+    target numbers, in line order."""
     intern = index.setdefault
     u: List[int] = []
     v: List[int] = []
@@ -384,32 +383,31 @@ def _judge_lines(
             else:
                 code = _OUT
         status[i] = code
-    ids.extend(islice(index, len(ids), None))
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
-def _cdr_tokens_py(lines: List[str], window: WindowSpec) -> CdrTokens:
+def _cdr_tokens_py(lines: List[str], window: WindowSpec, index: Dict[str, int]) -> CdrTokens:
     """Judge a block of CDR lines, each element one line, with the line
-    validator, and intern the ids of its in-window records.
+    validator, and number the ids of its in-window records in ``index``, the
+    run's id table: ids it holds keep their numbers, and new ids take the
+    next ones, here in first-seen order, origin before target.
 
-    Returns one ``_STATUSES`` code per line (never ``_DEFER``), the origin
-    and target numbers of each in-window line in line order, and the
-    distinct ids of those lines numbered in first-seen order, origin before
-    target. This body is the definition: :func:`_cdr_tokens_c` gives the
-    same statuses and the same in-window ``(ids[u], ids[v])`` pairs.
+    Returns one ``_STATUSES`` code per line (never ``_DEFER``) and the origin
+    and target numbers of each in-window line in line order. This body is the
+    definition: :func:`_cdr_tokens_c` gives the same statuses and the same
+    in-window pairs of ids.
     """
     status = bytearray(len(lines))
-    ids: List[str] = []
-    u, v = _judge_lines(lines, range(len(lines)), window, status, ids)
-    return np.frombuffer(status, dtype=np.uint8), u, v, ids
+    u, v = _judge_lines(lines, range(len(lines)), window, status, index)
+    return np.frombuffer(status, dtype=np.uint8), u, v
 
 
-def _cdr_tokens_c(lines: List[str], window: WindowSpec) -> CdrTokens:
+def _cdr_tokens_c(lines: List[str], window: WindowSpec, index: Dict[str, int]) -> CdrTokens:
     """:func:`_cdr_tokens_py` compiled from ``_native.c`` for the lines it
     can decide exactly: those of printable ASCII with a canonical timestamp
-    (see ``commtrack_cdr_tokens``). The line validator judges every line it
-    defers; their pairs follow the compiled ones, and their new ids follow
-    the compiled ones' ids."""
+    (see ``commtrack_cdr_tokens``), whose block id table is mapped into
+    ``index``. The line validator judges every line it defers straight into
+    ``index``; their pairs follow the compiled ones."""
     n = len(lines)
     text = "".join(lines)
     bounds = np.zeros(n + 1, dtype=np.int64)
@@ -433,12 +431,15 @@ def _cdr_tokens_c(lines: List[str], window: WindowSpec) -> CdrTokens:
         status.ctypes.data, u.ctypes.data, v.ctypes.data, text_len.ctypes.data,
     )
     ids = id_text[: text_len[0]].tobytes().decode("ascii").split("\t")[:-1]
-    u, v = u[:m], v[:m]
+    del data, slots, off, id_text, bounds  # before the table grows, to keep the peak down
+    intern = index.setdefault
+    number = np.array([intern(x, len(index)) for x in ids], dtype=np.int64)
+    u, v = number[u[:m]], number[v[:m]]
     deferred = np.flatnonzero(status == _DEFER)
     if len(deferred):
-        du, dv = _judge_lines(lines, deferred.tolist(), window, status, ids)
+        du, dv = _judge_lines(lines, deferred.tolist(), window, status, index)
         u, v = np.concatenate((u, du)), np.concatenate((v, dv))
-    return status, u, v, ids
+    return status, u, v
 
 
 _cdr_tokens = _cdr_tokens_py if _native.LIB is None else _cdr_tokens_c
@@ -489,7 +490,6 @@ def ingest_pipeline(
     _check_cap(cap)
     rejections = RejectionReport()
     index: Dict[str, int] = {}
-    intern = index.setdefault
     keys = np.empty(0, dtype=np.int64)
     counts = np.empty(0, dtype=np.int64)
     n_in = 0
@@ -500,14 +500,13 @@ def ingest_pipeline(
         block = list(islice(source, _CHUNK))
         if not block:
             break
-        status, u, v, ids = _cdr_tokens(block, window)
+        status, u, v = _cdr_tokens(block, window, index)
         del block
         _note_block(rejections, status, start)
         n_in += len(u)
         if len(u):
-            number = np.array([intern(x, len(index)) for x in ids], dtype=np.int64)
             t = time.perf_counter()
-            keys, counts = _fold_pairs(keys, counts, number[u] * _KEY_BASE + number[v])
+            keys, counts = _fold_pairs(keys, counts, u * _KEY_BASE + v)
             fold_s += time.perf_counter() - t
     t1 = time.perf_counter()
     if rejections.rejected_fraction() > max_rejected_fraction:

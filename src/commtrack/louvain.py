@@ -23,8 +23,8 @@ Each level-1 sweep, where nearly all the time goes, is one call of a C body
 no compiler, build or load succeeds, of its pure-Python twin. So are the
 community sums behind every level and :func:`modularity`, and the
 aggregation between levels (:func:`~commtrack.graph.project`). Each pair
-produces the same bits; :data:`KERNEL` says which body runs, here, in
-aggregation and in the two tokenizers.
+produces the same bits; :data:`KERNEL` (from :mod:`commtrack._native`)
+says which body runs, here and in the library's other kernels.
 
 Fixed work is done once where it is invariant. A level binds its arrays
 once (a :class:`_Level`), so a sweep passes only the nodes it visits. A
@@ -47,6 +47,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import _native
+from ._native import KERNEL
 from .errors import InputError, InternalInvariantError
 from .graph import INT64_MAX, Graph, Partition, aggregate_by_partition, checked_index
 
@@ -418,10 +419,6 @@ def _sweep_c(visit: np.ndarray, lv: _Level) -> Tuple[int, np.ndarray]:
     return moved, active
 
 
-# which body runs each sweep, "c" or "python"; both compute the same bits.
-# The same library also holds the community sums, graph's projection and the
-# TSV and CDR tokenizers, so this names the body of all five.
-KERNEL = "python" if _native.LIB is None else "c"
 _sweep = _sweep_py if _native.LIB is None else _sweep_c
 
 

@@ -189,76 +189,59 @@ def canonical_blocks(labels: Sequence[int]) -> List[Tuple[int, ...]]:
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
+def _bodies(python, c) -> dict:
+    """A kernel's bodies by name: the Python body always, the compiled one
+    when the library was built and loaded."""
+    from commtrack import _native
+
+    bodies = {"python": python}
+    if _native.LIB is not None:
+        bodies["c"] = c
+    return bodies
+
+
 def sweep_backends() -> Dict[str, Callable]:
-    """Every level-1 sweep body this machine runs, by name: the Python body
-    always, the compiled one when it was built and loaded."""
+    """Every level-1 sweep body this machine runs, by name."""
     import commtrack.louvain as louvain
 
-    backends = {"python": louvain._sweep_py}
-    if louvain.KERNEL == "c":
-        backends["c"] = louvain._sweep_c
-    return backends
+    return _bodies(louvain._sweep_py, louvain._sweep_c)
 
 
 def agg_backends() -> Dict[str, Tuple[Callable, Callable]]:
     """Every body pair of the community sums and the graph projection this
-    machine runs, by name, as ``(sums, project)``: the numpy bodies always,
-    the compiled ones when the library was built and loaded."""
+    machine runs, by name, as ``(sums, project)``."""
     import commtrack.graph as graph
     import commtrack.louvain as louvain
 
-    backends = {"python": (louvain._sums_py, graph._project_py)}
-    if louvain.KERNEL == "c":
-        backends["c"] = (louvain._sums_c, graph._project_c)
-    return backends
+    return _bodies((louvain._sums_py, graph._project_py), (louvain._sums_c, graph._project_c))
 
 
 def build_backends() -> Dict[str, Callable]:
-    """Every CSR builder body this machine runs, by name: the numpy body
-    always, the compiled one when the library was built and loaded."""
+    """Every CSR builder body this machine runs, by name."""
     import commtrack.graph as graph
-    import commtrack.louvain as louvain
 
-    backends = {"python": graph._build_py}
-    if louvain.KERNEL == "c":
-        backends["c"] = graph._build_c
-    return backends
+    return _bodies(graph._build_py, graph._build_c)
 
 
 def write_backends() -> Dict[str, Callable]:
-    """Every TSV row writer body this machine runs, by name: the Python body
-    always, the compiled one when the library was built and loaded."""
+    """Every TSV row writer body this machine runs, by name."""
     import commtrack.graph as graph
-    import commtrack.louvain as louvain
 
-    backends = {"python": graph._write_rows_py}
-    if louvain.KERNEL == "c":
-        backends["c"] = graph._write_rows_c
-    return backends
+    return _bodies(graph._write_rows_py, graph._write_rows_c)
 
 
 def tsv_backends() -> Dict[str, Callable]:
-    """Every edge-TSV tokenizer body this machine runs, by name: the Python
-    body always, the compiled one when the library was built and loaded."""
+    """Every edge-TSV tokenizer body this machine runs, by name."""
     import commtrack.graph as graph
-    import commtrack.louvain as louvain
 
-    backends = {"python": graph._edge_tokens_py}
-    if louvain.KERNEL == "c":
-        backends["c"] = graph._edge_tokens_c
-    return backends
+    return _bodies(graph._edge_tokens_py, graph._edge_tokens_c)
 
 
 def cdr_backends() -> Dict[str, Callable]:
-    """Every CDR line tokenizer body this machine runs, by name: the Python
-    body always, the compiled one when the library was built and loaded."""
+    """Every CDR line tokenizer body this machine runs, by name."""
     import commtrack.ingest as ingest
-    import commtrack.louvain as louvain
 
-    backends = {"python": ingest._cdr_tokens_py}
-    if louvain.KERNEL == "c":
-        backends["c"] = ingest._cdr_tokens_c
-    return backends
+    return _bodies(ingest._cdr_tokens_py, ingest._cdr_tokens_c)
 
 
 def edge_list(g) -> List[tuple]:

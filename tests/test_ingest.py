@@ -383,8 +383,15 @@ def _reference_tokens(lines, window):
     return status, sorted(pairs)
 
 
+def _tokens(body, lines, window):
+    """``body``'s tokens of ``lines`` given an empty id table, then the ids
+    in the table in number order."""
+    index = {}
+    return (*body(lines, window, index), list(index))
+
+
 def _body_tokens(body, lines, window):
-    status, u, v, ids = body(lines, window)
+    status, u, v, ids = _tokens(body, lines, window)
     return status.tolist(), sorted((ids[a], ids[b]) for a, b in zip(u.tolist(), v.tolist()))
 
 
@@ -400,7 +407,7 @@ def _check_timestamp_on_bodies(text, window):
         except OverflowError:  # an offset that pushes year 1 or 9999 out of range
             for body in cdr_backends().values():
                 with pytest.raises(OverflowError):
-                    body(lines, w)
+                    body(lines, w, {})
             wants.append(None)
             continue
         for body in cdr_backends().values():
@@ -486,7 +493,7 @@ def test_compiled_canonical_month_matches_fromisoformat(text, in_c):
         pass
     for window in windows:
         with mock.patch.object(ingest, "_judge_lines", wraps=ingest._judge_lines) as judge:
-            status, u, v, ids = ingest._cdr_tokens_c([f"a,b,{text},call,1"], window)
+            status, u, v, ids = _tokens(ingest._cdr_tokens_c, [f"a,b,{text},call,1"], window)
         assert judge.called != in_c  # a canonical timestamp is decided in C alone
         assert status.tolist() == [_fromisoformat_status(text, window)]
         assert [(ids[a], ids[b]) for a, b in zip(u.tolist(), v.tolist())] == (
@@ -590,7 +597,7 @@ def test_pipeline_matches_record_reference(lines, cap, weight_mode, chunk):
     want_g, want = oracle_ingest(lines, window, cap, weight_mode)
     bodies = cdr_backends()
     for i in range(0, len(lines), chunk):
-        tokens = {name: _tokens_key(body(lines[i:i + chunk], window)) for name, body in bodies.items()}
+        tokens = {name: _tokens_key(_tokens(body, lines[i:i + chunk], window)) for name, body in bodies.items()}
         assert all(t == tokens["python"] for t in tokens.values())
     for body in bodies.values():
         with mock.patch.object(ingest, "_CHUNK", chunk), mock.patch.object(ingest, "_cdr_tokens", body):
@@ -667,8 +674,27 @@ def _fuzz_lines(draw):
 @given(_fuzz_lines())
 def test_cdr_tokenizer_bodies_agree_on_arbitrary_text(lines):
     window = WindowSpec.from_label("2012-03", span_months=2)
-    tokens = {name: _tokens_key(body(lines, window)) for name, body in cdr_backends().items()}
+    tokens = {name: _tokens_key(_tokens(body, lines, window)) for name, body in cdr_backends().items()}
     assert all(t == tokens["python"] for t in tokens.values())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_cdr_lines(), st.lists(st.sampled_from(_NODE_IDS + ["p", "p\u00e9"]), unique=True, max_size=6))
+def test_cdr_bodies_number_ids_into_the_run_table(lines, prior):
+    # the id table holds ids of earlier blocks, some of which recur here
+    window = WindowSpec.from_label("2012-03", span_months=2)
+    got = {}
+    for name, body in cdr_backends().items():
+        index = {x: k for k, x in enumerate(prior)}
+        status, u, v = body(lines, window, index)
+        ids = list(index)
+        assert all(index[x] == k for k, x in enumerate(prior))
+        assert list(index.values()) == list(range(len(index)))
+        assert all(0 <= k < len(ids) for k in u.tolist() + v.tolist())
+        pairs = [(ids[a], ids[b]) for a, b in zip(u.tolist(), v.tolist())]
+        assert set(ids[len(prior):]) == {x for pair in pairs for x in pair} - set(prior)
+        got[name] = (status.tobytes(), sorted(pairs))
+    assert all(t == got["python"] for t in got.values())
 
 
 def test_durations_past_the_interpreter_digit_limit_are_judged_by_it():
