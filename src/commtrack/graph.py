@@ -312,17 +312,39 @@ class Partition:
     """Assignment of every node of one graph to an int64 community label.
 
     Shares the graph's :class:`IdMap`, so partitions of different snapshots
-    can be compared through external ids.
+    can be compared through external ids. ``labels`` is its own read-only
+    copy, so its :attr:`ranked` form is derived once, as is ``_seeded``, its
+    last seeding of a next snapshot (:meth:`~commtrack.louvain.DynamicContext.from_previous`).
     """
 
-    __slots__ = ("ids", "labels")
+    __slots__ = ("ids", "labels", "_ranked", "_seeded")
 
-    def __init__(self, ids: IdMap, labels: np.ndarray):
-        labels = np.asarray(labels, dtype=np.int64)
+    def __init__(self, ids: IdMap, labels: ArrayLike):
+        labels = np.array(labels, dtype=np.int64)
         if labels.shape != (len(ids),):
             raise InputError(f"partition has {labels.shape[0]} labels for {len(ids)} nodes")
-        self.ids = ids
-        self.labels = labels
+        labels.flags.writeable = False
+        self.ids, self.labels, self._ranked, self._seeded = ids, labels, None, None
+
+    @classmethod
+    def _from_dense(cls, ids: IdMap, uniq: np.ndarray, dense: np.ndarray) -> "Partition":
+        """The partition labelling node ``u`` ``uniq[dense[u]]``, ranked without a sort: ``uniq``
+        is sorted and distinct, each entry labels a node, and both become the ranking's, read-only."""
+        part = cls(ids, uniq[dense])
+        part._ranked = uniq, dense, np.bincount(dense, minlength=len(uniq))
+        for a in part._ranked:
+            a.flags.writeable = False
+        return part
+
+    @property
+    def ranked(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``np.unique(labels, return_inverse=True, return_counts=True)``, computed once and
+        read-only: the sorted distinct labels, each node's index into them and their sizes."""
+        if self._ranked is None:
+            self._ranked = np.unique(self.labels, return_inverse=True, return_counts=True)
+            for a in self._ranked:
+                a.flags.writeable = False
+        return self._ranked
 
     @property
     def n(self) -> int:
@@ -330,7 +352,7 @@ class Partition:
 
     @property
     def labels_set(self) -> set:
-        return set(np.unique(self.labels).tolist())
+        return set(self.ranked[0].tolist())
 
     def label_of(self, external_id: ExternalId) -> int:
         i = self.ids.index.get(external_id)
@@ -349,7 +371,7 @@ class Partition:
         )
 
     def __repr__(self) -> str:
-        return f"Partition(n={self.n}, communities={len(np.unique(self.labels))})"
+        return f"Partition(n={self.n}, communities={len(self.ranked[0])})"
 
 
 def aggregate_by_partition(g: Graph, part: Partition) -> Graph:
@@ -363,7 +385,7 @@ def aggregate_by_partition(g: Graph, part: Partition) -> Graph:
     """
     if not part.covers(g):
         raise InputError("partition does not cover the graph")
-    uniq, dense = np.unique(part.labels, return_inverse=True)
+    uniq, dense, _ = part.ranked
     return project(g, IdMap(uniq.tolist()), dense)
 
 
@@ -411,7 +433,8 @@ def _project_c(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
     """:func:`_project_py` compiled from ``_native.c``; ``new_index`` is checked."""
     indptr, nbr, wgt, loops, _ = g._kernel_pointers()
     n, c = g.n, len(ids)
-    cap = len(g.nbr) // 2  # a symmetric adjacency has at most this many edges
+    # a symmetric adjacency has at most len(nbr) // 2 edges, and c nodes at most c (c - 1) / 2
+    cap = min(len(g.nbr) // 2, c * (c - 1) // 2)
     scratch = np.empty(4 * c + n + 3 + cap, dtype=np.int64), np.empty(c + cap, dtype=np.float64)
     out_ptr = np.zeros(c + 1, dtype=np.int64)
     out_nbr = np.empty(2 * cap, dtype=np.int64)

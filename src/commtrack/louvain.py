@@ -27,11 +27,12 @@ produces the same bits; :data:`KERNEL` (from :mod:`commtrack._native`)
 says which body runs, here and in the library's other kernels.
 
 Fixed work is done once where it is invariant. A level binds its arrays
-once (a :class:`_Level`), so a sweep passes only the nodes it visits. A
-level hands on its labels in dense form, the sorted live keys and each
-node's index into them; the next level takes those keys, sorted and
-distinct, as its communities without ranking them again, as does a static
-first level.
+once (a :class:`_Level`), so a sweep passes only the nodes it visits, and
+hands on its labels ranked (sorted live keys, each node's index), which the
+next level takes as its slots and the partition keeps. A baseline partition
+keeps its seeding of the next snapshot: the start labels, the surviving
+nodes and the first level's slots, sums and previous marks, which every
+context seeded from it shares read-only and each run copies where it writes.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def modularity(g: Graph, part: Partition) -> float:
     two_m = g.total_weight_2m
     if two_m <= 0.0:
         return 0.0
-    uniq, dense = np.unique(part.labels, return_inverse=True)
+    uniq, dense, _ = part.ranked
     return _q_from_sums(*_community_sums(g, dense, len(uniq)), two_m)
 
 
@@ -240,6 +241,7 @@ class DynamicContext:
     fixed: np.ndarray  # sorted surviving nodes pinned to their previous label
     pref: np.ndarray  # sorted, subset of all nodes
     init_labels: np.ndarray  # int64, one label per node of the next graph
+    _seeding: Optional["_Seeding"] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_previous(
@@ -254,29 +256,21 @@ class DynamicContext:
         """Seed ``g_next`` from ``prev_partition`` and sample the fixed (``p`` of
         the surviving nodes) and preferential (``q`` of all nodes) sets. Fresh
         labels start at ``fresh_label_start``, by default one past the largest
-        previous label."""
+        previous label. Contexts from one (partition, next graph, ``fresh_label_start``) share its seeding."""
         if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
             raise InputError(f"p and q must be in [0, 1], got p={p}, q={q}")
-        prev_label_arr = prev_partition.labels
-        pos = prev_partition.ids.positions(g_next.ids.ids)
-        remaining = np.flatnonzero(pos >= 0)
-        new = np.flatnonzero(pos < 0)
-        init = np.empty(g_next.n, dtype=np.int64)
-        init[remaining] = prev_label_arr[pos[remaining]]
-        if len(new):
-            if fresh_label_start is None:
-                fresh_label_start = int(prev_label_arr.max()) + 1 if len(prev_label_arr) else 0
-            if fresh_label_start + len(new) - 1 > INT64_MAX:
-                first_bad = max(fresh_label_start, INT64_MAX + 1)
-                raise InputError(f"fresh community label {first_bad} is outside the int64 range")
-            init[new] = fresh_label_start + np.arange(len(new), dtype=np.int64)
-        fixed = _sample_without_replacement(remaining, p, derive_seed(seed, 0))
-        pref = _sample_without_replacement(np.arange(g_next.n), q, derive_seed(seed, 1))
+        s = prev_partition._seeded
+        if s is None or s.graph is not g_next or s.fresh_label_start != fresh_label_start:
+            s = prev_partition._seeded = _Seeding(prev_partition, g_next, fresh_label_start)
+        if seed not in s.sampling_seeds:
+            s.sampling_seeds[seed] = derive_seed(seed, 0), derive_seed(seed, 1)
+        fixed_seed, pref_seed = s.sampling_seeds[seed]
         return cls(
-            prev_labels=np.unique(prev_label_arr),
-            fixed=fixed,
-            pref=pref,
-            init_labels=init,
+            prev_labels=s.prev_labels,
+            fixed=_sample_without_replacement(s.remaining, p, fixed_seed),
+            pref=_sample_without_replacement(np.arange(g_next.n), q, pref_seed),
+            init_labels=s.init_labels,
+            _seeding=s,
         )
 
     def validate(self, g_next: Graph) -> None:
@@ -287,6 +281,30 @@ class DynamicContext:
         for name, arr in (("fixed", self.fixed), ("pref", self.pref)):
             if len(arr) and (arr.min() < 0 or arr.max() >= n):
                 raise InputError(f"context {name} set references nodes outside the graph")
+
+
+class _Seeding:
+    """Seeding ``graph`` from the partition ``prev``, fresh labels from ``fresh_label_start``
+    (see :meth:`DynamicContext.from_previous`): what every context of the three shares, read-only."""
+
+    def __init__(self, prev: Partition, graph: Graph, fresh_label_start: Optional[int]):
+        self.graph, self.fresh_label_start, self.prev_labels = graph, fresh_label_start, prev.ranked[0]
+        pos = prev.ids.positions(graph.ids.ids)
+        self.remaining = remaining = np.flatnonzero(pos >= 0)  # the surviving nodes
+        new = np.flatnonzero(pos < 0)
+        self.init_labels = init = np.empty(graph.n, dtype=np.int64)
+        init[remaining] = prev.labels[pos[remaining]]
+        if len(new):
+            if fresh_label_start is None:
+                fresh_label_start = int(self.prev_labels[-1]) + 1 if len(self.prev_labels) else 0
+            if fresh_label_start + len(new) - 1 > INT64_MAX:
+                first_bad = max(fresh_label_start, INT64_MAX + 1)
+                raise InputError(f"fresh community label {first_bad} is outside the int64 range")
+            init[new] = fresh_label_start + np.arange(len(new), dtype=np.int64)
+        self.start = _level_start(graph, init, self.prev_labels)  # the first level's
+        self.sampling_seeds: dict = {}  # a context seed -> the seeds of its two samples
+        for a in (init, remaining, *self.start):
+            a.flags.writeable = False
 
 
 # --- the level-1 sweep ----------------------------------------------------------
@@ -425,24 +443,42 @@ _sweep = _sweep_py if _native.LIB is None else _sweep_c
 # --- the optimizer ------------------------------------------------------------
 
 
+def _level_start(lg: Graph, keys: ArrayLike, prev_labels: ArrayLike) -> Tuple[np.ndarray, ...]:
+    """A level's communities before its first sweep, from its nodes' ``keys``:
+    ``(slot_key, node_slot, com_in, com_tot, slot_is_prev)``, the slots' keys
+    ascending (keys already sorted and distinct, as on a static first level
+    and every level above the first, as they stand), each node's slot, the
+    slots' sums (see :func:`modularity`) and a uint8 mark of the slots whose
+    key ``prev_labels`` holds. The start owns its arrays."""
+    n = lg.n
+    keys = np.array(keys, dtype=np.int64)
+    if np.all(keys[1:] > keys[:-1]):
+        slot_key, node_slot = keys, np.arange(n, dtype=np.int64)
+    else:
+        slot_key, node_slot = np.unique(keys, return_inverse=True)
+    c = len(slot_key)
+    # the compiled sweep reads the level's arrays through raw pointers: fix
+    # dtype and layout here, and check the bounds it trusts
+    node_slot = checked_index(node_slot, n, 0, c, "community")
+    return slot_key, node_slot, *_sums(lg, node_slot, c), np.isin(slot_key, prev_labels).astype(np.uint8)
+
+
 def _one_level(
     lg: Graph,
-    keys: ArrayLike,
+    start: Tuple[np.ndarray, ...],
     movable: ArrayLike,
     pref: ArrayLike,
-    prev_labels: ArrayLike,
     cfg: LouvainConfig,
     rng: random.Random,
     level: int,
 ) -> Tuple[np.ndarray, np.ndarray, LevelStats]:
-    """Phase 1 on one level graph from community ``keys``; returns
+    """Phase 1 on one level graph from its :func:`_level_start`; returns
     ``(uniq, dense, stats)``: the keys alive at the end, sorted, and each
     node's index into them, so node ``u`` ends in community ``uniq[dense[u]]``.
 
-    Keys already sorted and distinct, as on a static first level and on
-    every level above the first, are the slots as they stand; others are
-    ranked. ``movable`` and ``pref`` are per-node boolean masks; a ``pref``
-    node is steered toward the communities keyed in ``prev_labels``. The
+    ``movable`` and ``pref`` are per-node boolean masks; a ``pref`` node is
+    steered toward the slots ``start`` marks as previous. The start may be
+    shared, so the level copies the three arrays its sweeps update. The
     level's arrays are bound once in a :class:`_Level`, and each sweep is one
     call of :func:`_sweep` on it, whose Python body documents the move rule;
     who is visited, and in what order, is decided here alone. The level's
@@ -452,17 +488,8 @@ def _one_level(
     """
     n = lg.n
     two_m = lg.total_weight_2m
-
-    keys = np.asarray(keys, dtype=np.int64)
-    if np.all(keys[1:] > keys[:-1]):
-        slot_key, node_slot = keys, np.arange(n, dtype=np.int64)
-    else:
-        slot_key, node_slot = np.unique(keys, return_inverse=True)
+    slot_key, node_slot, com_in, com_tot, slot_is_prev = start
     c = len(slot_key)
-    # the compiled sweep reads the level's arrays through raw pointers: fix
-    # dtype and layout here, and check the bounds it trusts
-    node_slot = checked_index(node_slot, n, 0, c, "community")
-    com_in, com_tot = _sums(lg, node_slot, c)
 
     q_start = _q_from_sums(com_in, com_tot, two_m) if two_m > 0.0 else 0.0
     stats = LevelStats(
@@ -482,10 +509,8 @@ def _one_level(
     pref = np.ascontiguousarray(pref, dtype=np.uint8)
     if len(movable) != n or len(pref) != n:
         raise InternalInvariantError("node masks do not match the level graph")
-    lv = _Level(
-        lg, node_slot, com_in, com_tot, pref, np.isin(slot_key, prev_labels).astype(np.uint8),
-        two_m, MIN_GAIN * two_m * two_m / 2.0,
-    )
+    node_slot, com_in, com_tot = node_slot.copy(), com_in.copy(), com_tot.copy()
+    lv = _Level(lg, node_slot, com_in, com_tot, pref, slot_is_prev, two_m, MIN_GAIN * two_m * two_m / 2.0)
 
     order = list(range(n))
     if cfg.node_order == "shuffled":
@@ -532,20 +557,21 @@ def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, 
         return Partition(g.ids, np.empty(0, dtype=np.int64)), report
 
     rng = random.Random(cfg.rng_seed)
-    keys = np.array(ctx.init_labels, dtype=np.int64)
-    frozen = keys[ctx.fixed]  # the communities holding a pinned node
+    frozen = ctx.init_labels[ctx.fixed]  # the communities holding a pinned node
 
     movable = np.ones(g.n, dtype=bool)
     movable[ctx.fixed] = False
     pref = np.zeros(g.n, dtype=bool)
     pref[ctx.pref] = True
-    prev_labels = ctx.prev_labels
 
+    s = ctx._seeding  # its start serves while the context holds its arrays
+    shared = s is not None and s.graph is g and s.init_labels is ctx.init_labels and s.prev_labels is ctx.prev_labels
+    start = s.start if shared else _level_start(g, ctx.init_labels, ctx.prev_labels)
     lg = g
     node_of = np.arange(g.n, dtype=np.int64)
     level = 1
     while True:
-        uniq, dense, stats = _one_level(lg, keys, movable, pref, prev_labels, cfg, rng, level)
+        uniq, dense, stats = _one_level(lg, start, movable, pref, cfg, rng, level)
         report.levels.append(stats)
         report.final_q = stats.q_end
         if stats.moves == 0 or stats.q_end - stats.q_start < MIN_GAIN:
@@ -553,16 +579,15 @@ def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, 
 
         # supernode dense[u] of the next level is community uniq[dense[u]],
         # and its external id is that key
-        lg = aggregate_by_partition(lg, Partition(lg.ids, uniq[dense]))
+        lg = aggregate_by_partition(lg, Partition._from_dense(lg.ids, uniq, dense))
         node_of = dense[node_of]
-        keys = uniq
-        movable = ~np.isin(keys, frozen)
+        movable = ~np.isin(uniq, frozen)
         # the preferential rule applies to the first level only
         pref = np.zeros(lg.n, dtype=bool)
-        prev_labels = np.empty(0, dtype=np.int64)
+        start = _level_start(lg, uniq, np.empty(0, dtype=np.int64))
         level += 1
 
-    return Partition(g.ids, uniq[dense[node_of]]), report
+    return Partition._from_dense(g.ids, uniq, dense[node_of]), report
 
 
 def louvain_static(
@@ -608,5 +633,5 @@ def renumber_partition(part: Partition, start: int = 0) -> Partition:
     """Map labels to start, start+1, ... in first-seen node order."""
     uniq, first, inv = np.unique(part.labels, return_index=True, return_inverse=True)
     rank = np.empty(len(uniq), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(start, start + len(uniq), dtype=np.int64)
-    return Partition(part.ids, rank[inv])
+    rank[np.argsort(first)] = np.arange(len(uniq), dtype=np.int64)
+    return Partition._from_dense(part.ids, np.arange(start, start + len(uniq), dtype=np.int64), rank[inv])

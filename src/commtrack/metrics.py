@@ -3,7 +3,7 @@
 Both measures tolerate partitions over different node sets (snapshots churn):
 the contingency table is built over the nodes the two partitions share, while
 community sizes used by the matching rule come from each partition's full
-node set.
+node set. Both read each partition's ranked labels, which it computes once.
 """
 
 from __future__ import annotations
@@ -82,29 +82,24 @@ class ComparisonReport:
         return cls(**d)
 
 
-def _common_label_arrays(a: Partition, b: Partition) -> Tuple[np.ndarray, np.ndarray]:
-    """Label pairs (a-label, b-label) over the shared nodes, in a's node order."""
-    if a.ids is b.ids or a.ids == b.ids:
-        return a.labels, b.labels
-    pos = b.ids.positions(a.ids.ids)
-    shared = pos >= 0
-    return a.labels[shared], b.labels[pos[shared]]
-
-
-def _contingency(la: np.ndarray, lb: np.ndarray):
-    """Sparse contingency counts over paired label arrays: each side's distinct
-    labels, then the row, column and count of each nonzero cell, in label order."""
-    uniq_a, dense_a = np.unique(la, return_inverse=True)
-    uniq_b, dense_b = np.unique(lb, return_inverse=True)
+def _contingency(a: Partition, b: Partition) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse contingency counts over the nodes ``a`` and ``b`` share: the row
+    and column (indices into each side's :attr:`~commtrack.graph.Partition.ranked`
+    labels) and count of each nonzero cell, in label order."""
+    _, dense_a, _ = a.ranked
+    uniq_b, dense_b, _ = b.ranked
+    if not (a.ids is b.ids or a.ids == b.ids):
+        pos = b.ids.positions(a.ids.ids)
+        shared = pos >= 0
+        dense_a, dense_b = dense_a[shared], dense_b[pos[shared]]
     nb = len(uniq_b)
-    keys = dense_a.astype(np.int64) * nb + dense_b
-    cells, counts = np.unique(keys, return_counts=True)
-    return uniq_a, uniq_b, cells // nb, cells % nb, counts
+    cells, counts = np.unique(dense_a * nb + dense_b, return_counts=True)
+    return cells // nb, cells % nb, counts
 
 
 def _mutual_information(n: int, table, row: np.ndarray, col: np.ndarray) -> float:
     """MI in nats from a :func:`_contingency` table over ``n`` shared nodes and its margins."""
-    _, _, ia, ib, counts = table
+    ia, ib, counts = table
     mi = 0.0
     for i, j, nij in zip(ia.tolist(), ib.tolist(), counts.tolist()):
         mi += (nij / n) * math.log(nij * n / (row[i] * col[j]))
@@ -112,22 +107,24 @@ def _mutual_information(n: int, table, row: np.ndarray, col: np.ndarray) -> floa
 
 
 def _entropy(p: np.ndarray) -> float:
-    """Shannon entropy of the distribution ``p``, in nats."""
+    """Shannon entropy of the distribution ``p``, in nats; zeros add nothing."""
+    p = p[p > 0.0]
     # 0.0 - s, not -s: a single community (s == 0.0) gives 0.0, never -0.0
     return float(0.0 - np.sum(p * np.log(p)))
 
 
-def _matching(table, size_a: np.ndarray, size_b: np.ndarray, r: float) -> List[Tuple[int, int]]:
+def _matching(table, a: Partition, b: Partition, r: float) -> List[Tuple[int, int]]:
     """Pairs of community labels that overlap enough to count as the same.
 
     (label_a, label_b) is reported when the number of shared nodes (counted
-    in the :func:`_contingency` table) strictly exceeds r * |C_a| and
-    r * |C_b|, with ``size_a``/``size_b`` the size of each table row's and
-    column's community in its partition's full node set. With r > 0.5 each
-    label appears in at most one pair; pairs come in label order, as the
-    cells do.
+    in the :func:`_contingency` table of ``a`` and ``b``) strictly exceeds
+    r * |C_a| and r * |C_b|, each size counted in its partition's full node
+    set. With r > 0.5 each label appears in at most one pair; pairs come in
+    label order, as the cells do.
     """
-    uniq_a, uniq_b, ia, ib, counts = table
+    ia, ib, counts = table
+    uniq_a, _, size_a = a.ranked
+    uniq_b, _, size_b = b.ranked
     hit = (counts > r * size_a[ia]) & (counts > r * size_b[ib])
     pairs_a, pairs_b = uniq_a[ia[hit]].tolist(), uniq_b[ib[hit]].tolist()
     if len(set(pairs_a)) != len(pairs_a) or len(set(pairs_b)) != len(pairs_b):
@@ -146,17 +143,12 @@ def compare(
 
     Rejects partition pairs with no shared nodes (MI is undefined there).
     """
-    la, lb = _common_label_arrays(a, b)
-    n = len(la)
+    table = ia, ib, counts = _contingency(a, b)
+    n = int(counts.sum())
     if n == 0:
         raise InputError("partitions share no nodes; comparison is undefined")
-    table = uniq_a, uniq_b, ia, ib, counts = _contingency(la, lb)
-    row = np.bincount(ia, weights=counts, minlength=len(uniq_a))
-    col = np.bincount(ib, weights=counts, minlength=len(uniq_b))
-    labels_a, sizes_a = np.unique(a.labels, return_counts=True)
-    labels_b, sizes_b = np.unique(b.labels, return_counts=True)
-    size_a = sizes_a[np.searchsorted(labels_a, uniq_a)]
-    size_b = sizes_b[np.searchsorted(labels_b, uniq_b)]
+    row = np.bincount(ia, weights=counts)
+    col = np.bincount(ib, weights=counts)
 
     return ComparisonReport(
         mi_nats=_mutual_information(n, table, row, col),
@@ -165,9 +157,9 @@ def compare(
         n_common=n,
         n_a=len(a.labels),
         n_b=len(b.labels),
-        n_communities_a=len(labels_a),
-        n_communities_b=len(labels_b),
+        n_communities_a=len(a.ranked[0]),
+        n_communities_b=len(b.ranked[0]),
         r=cfg.r,
-        matching=_matching(table, size_a, size_b, cfg.r),
+        matching=_matching(table, a, b, cfg.r),
         modularity_next=None if g_next is None else modularity(g_next, b),
     )

@@ -187,6 +187,6 @@ def generate(spec: SynthSpec) -> List[Tuple[Graph, Partition]]:
             _step_rng(spec.seed, step, 3),
             _step_rng(spec.seed, step, 4),
         )
-        out.append((g, Partition(g.ids, labels.copy())))
+        out.append((g, Partition(g.ids, labels)))
     return out
 

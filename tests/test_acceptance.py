@@ -97,10 +97,8 @@ def test_criterion_02_gain_oracle_equivalence(monkeypatch):
             g = build_graph(edges, nodes=range(n))
             labels = random_labels(rng, n)
             movable = (rng.random(n) >= 0.2).tolist()
-            uniq, dense, stats = louvain._one_level(
-                g, np.asarray(labels, dtype=np.int64), movable, [False] * n, (),
-                cfg, random.Random(0), 1,
-            )
+            start = louvain._level_start(g, np.asarray(labels, dtype=np.int64), ())
+            uniq, dense, stats = louvain._one_level(g, start, movable, [False] * n, cfg, random.Random(0), 1)
             keys = uniq[dense]
             want, moves, _ = oracle_sweep(n, edges, labels, movable, range(n), louvain.MIN_GAIN)
             wrong += keys.tolist() != want

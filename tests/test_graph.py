@@ -24,6 +24,7 @@ from commtrack.graph import (
     write_partition_tsv,
 )
 from commtrack.louvain import modularity
+from commtrack.synth import SynthSpec, generate
 
 from oracles import (
     agg_backends,
@@ -205,6 +206,35 @@ def test_partition_singletons_and_from_mapping(tmp_path):
     path.write_text("a\t1\nnope\t2\n", encoding="utf-8")  # an unknown node is named before the count
     with pytest.raises(InputError, match="unknown node 'nope'"):
         read_partition_tsv(path, graph=g)
+
+
+def test_partition_ranking_is_np_unique_of_its_own_read_only_labels(tmp_path):
+    # the optimizer and renumber_partition hand their ranking to the
+    # partition; every other partition ranks its labels on first use
+    spec = SynthSpec(n_nodes=300, n_communities=5, p_in=0.2, p_out=0.01, churn_rate=0.1, steps=2, seed=3)
+    (g0, _), (g1, _) = generate(spec)
+    static = louvain.louvain_static(g0)[0]
+    base = louvain.renumber_partition(static, start=7)
+    dynamic = louvain.louvain_dynamic(g1, louvain.DynamicContext.from_previous(base, g1, 0.5, 0.5, seed=1))[0]
+    handed = (static, base, dynamic)
+    assert all(part._ranked is not None for part in handed)
+    path = tmp_path / "p.tsv"
+    write_partition_tsv(dynamic, path)
+    caller = np.array([5, -3, 5, 2**62, -3, 0])
+    plain = Partition(IdMap("abcdef"), caller)
+    parts = handed + (read_partition_tsv(path), read_partition_tsv(path, g1), plain, Partition(IdMap([]), []))
+    for part in parts:
+        want = np.unique(part.labels, return_inverse=True, return_counts=True)
+        got = part.ranked
+        assert part.ranked is got
+        assert [(a.dtype, a.tolist()) for a in got] == [(np.dtype(np.int64), a.tolist()) for a in want]
+        assert not part.labels.flags.writeable and not any(a.flags.writeable for a in got)
+    with pytest.raises(ValueError, match="read-only"):
+        plain.labels[0] = 1
+    assert caller.flags.writeable
+    caller[0] = 6  # the partition holds its own copy
+    assert plain.labels.tolist() == [5, -3, 5, 2**62, -3, 0]
+    assert plain.labels_set == {5, -3, 2**62, 0} and repr(plain) == "Partition(n=6, communities=4)"
 
 
 def test_partition_covers_and_equality():

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import commtrack.ingest as ingest
@@ -575,6 +575,11 @@ def _cdr_lines(draw):
     return lines
 
 
+# Shrinking a failing _cdr_lines() example (up to 80 lines) can take many
+# minutes, so the tests over it report the example as drawn.
+_NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
 def _arrays(g):
     return [g.ids.ids] + [(a.dtype.str, a.tobytes()) for a in (g.indptr, g.nbr, g.wgt, g.self_loops)]
 
@@ -590,7 +595,7 @@ def _tokens_key(tokens):
     return status.dtype.str, status.tobytes(), u.dtype.str, v.dtype.str, pairs
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow], phases=_NO_SHRINK)
 @given(_cdr_lines(), st.integers(1, 4), st.sampled_from(["unit", "comm_count"]), st.sampled_from([1, 2, 5, 1 << 16]))
 def test_pipeline_matches_record_reference(lines, cap, weight_mode, chunk):
     window = WindowSpec.from_label("2012-03", span_months=2)
@@ -678,7 +683,7 @@ def test_cdr_tokenizer_bodies_agree_on_arbitrary_text(lines):
     assert all(t == tokens["python"] for t in tokens.values())
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow], phases=_NO_SHRINK)
 @given(_cdr_lines(), st.lists(st.sampled_from(_NODE_IDS + ["p", "p\u00e9"]), unique=True, max_size=6))
 def test_cdr_bodies_number_ids_into_the_run_table(lines, prior):
     # the id table holds ids of earlier blocks, some of which recur here

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import commtrack.louvain as louvain
 from commtrack import _native
 from commtrack.errors import InputError
-from commtrack.graph import IdMap, Partition, build_graph, write_edge_tsv
+from commtrack.graph import Graph, IdMap, Partition, build_graph, write_edge_tsv
 from commtrack.louvain import (
     DynamicContext,
     LouvainConfig,
@@ -108,10 +109,8 @@ def test_level_one_sweep_matches_oracle(monkeypatch):
             movable = (rng.random(n) >= 0.2).tolist()
             pref = (rng.random(n) < 0.5).tolist()
             prev = set(rng.choice(max(labels) + 1, size=max(1, max(labels) // 2), replace=False).tolist())
-            uniq, dense, stats = louvain._one_level(
-                g, np.asarray(labels, dtype=np.int64), movable, pref, sorted(prev),
-                cfg, random.Random(cfg.rng_seed), 1,
-            )
+            start = louvain._level_start(g, np.asarray(labels, dtype=np.int64), sorted(prev))
+            uniq, dense, stats = louvain._one_level(g, start, movable, pref, cfg, random.Random(cfg.rng_seed), 1)
             keys = uniq[dense]
             order = list(range(n))
             random.Random(cfg.rng_seed).shuffle(order)
@@ -140,16 +139,14 @@ def test_equal_scores_go_to_smallest_key(monkeypatch):
     assert want[7] == 6
     for sweep in sweep_backends().values():
         monkeypatch.setattr(louvain, "_sweep", sweep)
-        uniq, dense, _ = louvain._one_level(
-            g, np.arange(n, dtype=np.int64), [True] * n, [False] * n, (),
-            cfg, random.Random(cfg.rng_seed), 1,
-        )
+        start = louvain._level_start(g, np.arange(n, dtype=np.int64), ())
+        uniq, dense, _ = louvain._one_level(g, start, [True] * n, [False] * n, cfg, random.Random(cfg.rng_seed), 1)
         keys = uniq[dense]
         assert keys.tolist() == want
 
 
 def _level_labels(rng, n, kind):
-    """int64 labels of one of four kinds: sorted and distinct (``_one_level``
+    """int64 labels of one of four kinds: sorted and distinct (``_level_start``
     takes them as its slots), sorted with repeats, distinct in random order,
     and random with repeats; negative, gapped and near both int64 ends."""
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -180,8 +177,8 @@ def test_one_level_hands_on_dense_labels(monkeypatch):
             movable = rng.random(n) >= 0.2
             pref = rng.random(n) < 0.5
             prev = np.unique(labels[rng.random(n) < 0.5])
-            uniq, dense, stats = louvain._one_level(g, labels.copy(), movable, pref, prev, cfg,
-                                                    random.Random(case), 1)
+            start = louvain._level_start(g, labels, prev)
+            uniq, dense, stats = louvain._one_level(g, start, movable, pref, cfg, random.Random(case), 1)
             want_uniq, want_dense = np.unique(uniq[dense], return_inverse=True)
             assert uniq.dtype == dense.dtype == np.int64
             assert uniq.tolist() == want_uniq.tolist() and dense.tolist() == want_dense.tolist()
@@ -327,6 +324,63 @@ def test_seeded_init_matches_context():
     assert fresh not in prev.labels_set
 
 
+@pytest.mark.parametrize("order", ["index", "shuffled"])
+def test_sweep_cells_match_cells_seeded_from_fresh_baselines(order):
+    # run_sweep's cells share each baseline's ranking, seeding and level-1
+    # start; a cell built from a fresh copy of its baseline (labels and ids),
+    # sharing nothing, gives the same row
+    from commtrack.metrics import MatchConfig
+    from commtrack.sweep import SweepSpec, run_sweep
+
+    (g0, _), (g1, _) = _planted(6, nodes=600, steps=2, churn=0.1, migrate=0.05)
+    cfg = LouvainConfig(node_order=order)
+    spec = SweepSpec([0.0, 0.5, 1.0], [0.0, 0.5], [2, 7])
+    got = [(r.p, r.q, r.seed, r.mi_nats, r.matching_count, r.modularity_next) for r in run_sweep(g0, g1, spec, cfg)]
+    base = {s: renumber_partition(louvain_static(g0, LouvainConfig(rng_seed=s, node_order=order))[0])
+            for s in ((2,) if order == "index" else (2, 7))}
+    want = []
+    for p in spec.p_values:
+        for q in spec.q_values:
+            for s in spec.seeds:
+                b = base[s if order == "shuffled" else 2]
+                prev, ref = (Partition(IdMap(b.ids.ids), b.labels) for _ in range(2))
+                ctx = DynamicContext.from_previous(prev, g1, p, q, seed=derive_seed(s, 2))
+                part, _ = louvain_dynamic(g1, ctx, LouvainConfig(rng_seed=derive_seed(s, 3), node_order=order))
+                report = compare(ref, part, g1, MatchConfig(spec.r))
+                want.append((p, q, s, report.mi_nats, report.n_matching, report.modularity_next))
+    assert repr(got) == repr(want)
+
+    # one seeding per (baseline, next graph, fresh_label_start): contexts
+    # from one triple share it, and any other triple seeds afresh
+    b = base[2]
+    first = DynamicContext.from_previous(b, g1, 0.5, 0.5, seed=5)
+    again = DynamicContext.from_previous(b, g1, 0.0, 1.0, seed=9)
+    assert again._seeding is first._seeding and again.init_labels is first.init_labels
+    g1_copy = Graph(g1.ids, g1.indptr, g1.nbr, g1.wgt, g1.self_loops)
+    triples = [(g1, None), (g0, None), (g1_copy, None), (g1, 10**6)]
+    ctx = [DynamicContext.from_previous(b, g, 0.5, 0.5, seed=5, fresh_label_start=f) for g, f in triples]
+    assert len({id(c._seeding) for c in ctx}) == 4
+    for c, (g, f) in zip(ctx, triples):  # each comes back whole after the others
+        d = DynamicContext.from_previous(b, g, 0.5, 0.5, seed=5, fresh_label_start=f)
+        fields = ("prev_labels", "fixed", "pref", "init_labels")
+        assert all(np.array_equal(getattr(c, k), getattr(d, k)) for k in fields)
+        assert not d.init_labels.flags.writeable and not d.prev_labels.flags.writeable
+    surviving = np.isin(g1.ids.ids, b.ids.ids)
+    fresh_start = int(b.labels.max()) + 1
+    assert ctx[0].init_labels.tolist() == ctx[2].init_labels.tolist() == first.init_labels.tolist()
+    assert ctx[1].init_labels.tolist() == b.labels.tolist()
+    assert ctx[0].init_labels[~surviving].tolist() == list(range(fresh_start, fresh_start + (~surviving).sum()))
+    assert ctx[3].init_labels[~surviving].tolist() == list(range(10**6, 10**6 + (~surviving).sum()))
+    assert ctx[3].init_labels[surviving].tolist() == ctx[0].init_labels[surviving].tolist()
+    # the shared level-1 start serves only the graph and the labels it was built from
+    loops_only = Graph(g1.ids, np.zeros(g1.n + 1, dtype=np.int64), [], [], np.ones(g1.n))
+    relabelled = replace(first, init_labels=np.arange(g1.n, dtype=np.int64))
+    for g, c in ((loops_only, first), (g1, relabelled)):
+        unseeded = DynamicContext(c.prev_labels, c.fixed, c.pref, c.init_labels)
+        runs = [louvain_dynamic(g, c), louvain_dynamic(g, unseeded)]
+        assert len({(part.labels.tobytes(), repr(report)) for part, report in runs}) == 1
+
+
 # --- dynamic runs -----------------------------------------------------------------
 
 
@@ -386,9 +440,9 @@ def test_pref_restriction_only_targets_previous_labels(monkeypatch):
     real = louvain._one_level
     seen = []
 
-    def spy(lg, keys, movable, pref_flags, prev_labels, cfg, rng, level):
-        seen.append((level, pref_flags, prev_labels))
-        return real(lg, keys, movable, pref_flags, prev_labels, cfg, rng, level)
+    def spy(lg, start, movable, pref_flags, cfg, rng, level):
+        seen.append((level, pref_flags, start))
+        return real(lg, start, movable, pref_flags, cfg, rng, level)
 
     monkeypatch.setattr(louvain, "_one_level", spy)
     for seed in range(6):
@@ -398,10 +452,10 @@ def test_pref_restriction_only_targets_previous_labels(monkeypatch):
         seen.clear()
         louvain_dynamic(g1, ctx)
         assert len(seen) > 1
-        level, pref_flags, prev_labels = seen[0]
-        assert level == 1 and np.array_equal(prev_labels, ctx.prev_labels)
+        level, pref_flags, (slot_key, *_, slot_is_prev) = seen[0]
+        assert level == 1 and np.array_equal(slot_is_prev, np.isin(slot_key, ctx.prev_labels)) and slot_is_prev.any()
         assert np.array_equal(pref_flags, np.ones(g1.n, bool))
-        assert all(not flags.any() and len(labels) == 0 for _, flags, labels in seen[1:])
+        assert all(not flags.any() and not start[-1].any() for _, flags, start in seen[1:])
 
 
 def test_pref_never_forces_a_move():
@@ -478,10 +532,10 @@ def _level_one(run, cfg, monkeypatch):
     seen = {}
     real = louvain._one_level
 
-    def spy(lg, keys, movable, *rest):
-        uniq, dense, stats = real(lg, keys, movable, *rest)
+    def spy(lg, start, movable, *rest):
+        uniq, dense, stats = real(lg, start, movable, *rest)
         if stats.level == 1:
-            seen.update(init=np.array(keys), keys=uniq[dense], movable=np.array(movable), stats=stats)
+            seen.update(init=start[0][start[1]], keys=uniq[dense], movable=np.array(movable), stats=stats)
         return uniq, dense, stats
 
     with monkeypatch.context() as m:
@@ -551,7 +605,8 @@ def test_sweep_bodies_keep_only_the_move_rule(monkeypatch):
                 pref = rng.random(n) < 0.5
                 prev = np.unique(labels[rng.random(n) < 0.5])
                 calls.clear()
-                _, _, stats = louvain._one_level(g, labels, movable, pref, prev, cfg, random.Random(i), 1)
+                start = louvain._level_start(g, labels, prev)
+                _, _, stats = louvain._one_level(g, start, movable, pref, cfg, random.Random(i), 1)
                 order = list(range(n))
                 if order_kind == "shuffled":
                     random.Random(i).shuffle(order)
