@@ -25,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import os
 import platform
+import re
 import sys
 import zlib
 from pathlib import Path
@@ -36,23 +37,18 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no FMA, no reassoc
 _BUILD_TIMEOUT_S = 120
 
 
+# a kernel's definition in _native.c (result type, name, parameters); _bind
+# types a pointer parameter as c_void_p and an int64_t or double as itself
+_KERNEL_DEF = re.compile(r"^(int64_t|void) (commtrack_\w+)\(([^)]*)\)", re.M)
+
+
 def _bind(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
-    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.commtrack_sweep.restype = i64
-    lib.commtrack_sweep.argtypes = [i64] + [ptr] * 7 + [i64] + [ptr] * 5 + [f64] * 2 + [ptr] * 3
-    lib.commtrack_community_sums.restype = None
-    lib.commtrack_community_sums.argtypes = [i64] + [ptr] * 6 + [i64] + [ptr] * 3
-    lib.commtrack_project.restype = i64
-    lib.commtrack_project.argtypes = [i64] + [ptr] * 5 + [i64] * 2 + [ptr] * 6
-    lib.commtrack_build.restype = i64
-    lib.commtrack_build.argtypes = [i64] * 2 + [ptr] * 9
-    lib.commtrack_write_rows.restype = i64
-    lib.commtrack_write_rows.argtypes = [ptr, ptr, i64, i64, ptr, ptr]
-    lib.commtrack_edge_tokens.restype = i64
-    lib.commtrack_edge_tokens.argtypes = [ptr, i64] + [ptr, i64, ptr, ptr] * 2 + [ptr] * 4
-    lib.commtrack_cdr_tokens.restype = i64
-    lib.commtrack_cdr_tokens.argtypes = [ptr, i64, ptr, i64, i64, ptr, i64] + [ptr] * 6
+    scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    for result, name, params in _KERNEL_DEF.findall(_SOURCE.read_text(encoding="utf-8")):
+        fn = getattr(lib, name)
+        fn.restype = scalar.get(result)  # None for void
+        fn.argtypes = [ctypes.c_void_p if "*" in p else scalar[p.split()[-2]] for p in params.split(",")]
     return lib
 
 

@@ -194,7 +194,7 @@ def _cmd_detect(args) -> int:
         ctx = DynamicContext.from_previous(prev, g, args.p or 0.0, args.q or 0.0, seed=args.seed)
         part, report = louvain_dynamic(g, ctx, cfg)
     write_partition_tsv(part, args.output)
-    n_comms = len(set(part.labels.tolist()))
+    n_comms = len(part.ranked[0])
     print(
         f"detect: {g.n} nodes -> {n_comms} communities, Q={report.final_q:.6f}, "
         f"{len(report.levels)} levels",
@@ -246,7 +246,7 @@ def _cmd_track(args) -> int:
             raise InputError(f"{args.add}: the first snapshot has no nodes; a timeline cannot start from it")
         tl = bootstrap(g, LouvainConfig(rng_seed=derive_step_seed(args.seed, 0)))
         print(
-            f"track: timeline started with {len(set(tl.last.partition.labels.tolist()))} communities",
+            f"track: timeline started with {len(tl.last.partition.ranked[0])} communities",
             file=sys.stderr,
         )
     save_timeline(tl, d)

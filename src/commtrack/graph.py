@@ -84,10 +84,10 @@ class IdMap:
 
         The map remembers its last join, keyed by the identity of ``ids``:
         asked again with the same list object, it returns the same array
-        without a second pass, as every cell of a sweep does when it joins
-        the next snapshot against the one baseline. The result is read-only,
-        since callers share it. ``ids`` must not change after the call; the
-        ``ids`` list of an :class:`IdMap` never does.
+        without a second pass. A seeding, a comparison and a sweep's overlap
+        check all join the later snapshot's ids into the earlier map, so one
+        join serves all three. The result is read-only, since callers share
+        it. ``ids`` must not change; the ``ids`` of an :class:`IdMap` never do.
         """
         joined = self._joined
         if joined is not None and joined[0] is ids:
@@ -313,18 +313,17 @@ class Partition:
 
     Shares the graph's :class:`IdMap`, so partitions of different snapshots
     can be compared through external ids. ``labels`` is its own read-only
-    copy, so its :attr:`ranked` form is derived once, as is ``_seeded``, its
-    last seeding of a next snapshot (:meth:`~commtrack.louvain.DynamicContext.from_previous`).
+    copy, so its :attr:`ranked` form is derived once. It keeps nothing else.
     """
 
-    __slots__ = ("ids", "labels", "_ranked", "_seeded")
+    __slots__ = ("ids", "labels", "_ranked")
 
     def __init__(self, ids: IdMap, labels: ArrayLike):
         labels = np.array(labels, dtype=np.int64)
         if labels.shape != (len(ids),):
-            raise InputError(f"partition has {labels.shape[0]} labels for {len(ids)} nodes")
+            raise InputError(f"partition labels have shape {labels.shape} for {len(ids)} nodes")
         labels.flags.writeable = False
-        self.ids, self.labels, self._ranked, self._seeded = ids, labels, None, None
+        self.ids, self.labels, self._ranked = ids, labels, None
 
     @classmethod
     def _from_dense(cls, ids: IdMap, uniq: np.ndarray, dense: np.ndarray) -> "Partition":

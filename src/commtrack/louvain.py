@@ -29,10 +29,10 @@ says which body runs, here and in the library's other kernels.
 Fixed work is done once where it is invariant. A level binds its arrays
 once (a :class:`_Level`), so a sweep passes only the nodes it visits, and
 hands on its labels ranked (sorted live keys, each node's index), which the
-next level takes as its slots and the partition keeps. A baseline partition
-keeps its seeding of the next snapshot: the start labels, the surviving
-nodes and the first level's slots, sums and previous marks, which every
-context seeded from it shares read-only and each run copies where it writes.
+next level takes as its slots and the partition keeps. A seeding of the
+next snapshot (start labels, surviving nodes, the first level's slots, sums
+and previous marks) belongs to the call that uses it: a tracker step seeds
+once, a sweep once per baseline for all its cells, which share it read-only.
 """
 
 from __future__ import annotations
@@ -256,22 +256,9 @@ class DynamicContext:
         """Seed ``g_next`` from ``prev_partition`` and sample the fixed (``p`` of
         the surviving nodes) and preferential (``q`` of all nodes) sets. Fresh
         labels start at ``fresh_label_start``, by default one past the largest
-        previous label. Contexts from one (partition, next graph, ``fresh_label_start``) share its seeding."""
-        if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
-            raise InputError(f"p and q must be in [0, 1], got p={p}, q={q}")
-        s = prev_partition._seeded
-        if s is None or s.graph is not g_next or s.fresh_label_start != fresh_label_start:
-            s = prev_partition._seeded = _Seeding(prev_partition, g_next, fresh_label_start)
-        if seed not in s.sampling_seeds:
-            s.sampling_seeds[seed] = derive_seed(seed, 0), derive_seed(seed, 1)
-        fixed_seed, pref_seed = s.sampling_seeds[seed]
-        return cls(
-            prev_labels=s.prev_labels,
-            fixed=_sample_without_replacement(s.remaining, p, fixed_seed),
-            pref=_sample_without_replacement(np.arange(g_next.n), q, pref_seed),
-            init_labels=s.init_labels,
-            _seeding=s,
-        )
+        previous label. Each call seeds afresh; a caller that runs many
+        contexts from one seeding asks one :class:`_Seeding` for them all."""
+        return _Seeding(prev_partition, g_next, fresh_label_start).context(p, q, seed)
 
     def validate(self, g_next: Graph) -> None:
         """Reject a context whose node references do not fit ``g_next``."""
@@ -285,10 +272,10 @@ class DynamicContext:
 
 class _Seeding:
     """Seeding ``graph`` from the partition ``prev``, fresh labels from ``fresh_label_start``
-    (see :meth:`DynamicContext.from_previous`): what every context of the three shares, read-only."""
+    (see :meth:`DynamicContext.from_previous`): what every context it gives (:meth:`context`) shares, read-only."""
 
     def __init__(self, prev: Partition, graph: Graph, fresh_label_start: Optional[int]):
-        self.graph, self.fresh_label_start, self.prev_labels = graph, fresh_label_start, prev.ranked[0]
+        self.graph, self.prev_labels = graph, prev.ranked[0]
         pos = prev.ids.positions(graph.ids.ids)
         self.remaining = remaining = np.flatnonzero(pos >= 0)  # the surviving nodes
         new = np.flatnonzero(pos < 0)
@@ -305,6 +292,21 @@ class _Seeding:
         self.sampling_seeds: dict = {}  # a context seed -> the seeds of its two samples
         for a in (init, remaining, *self.start):
             a.flags.writeable = False
+
+    def context(self, p: float, q: float, seed: int) -> DynamicContext:
+        """This seeding's context: ``p`` of the surviving nodes pinned, ``q`` of all nodes steered."""
+        if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
+            raise InputError(f"p and q must be in [0, 1], got p={p}, q={q}")
+        if seed not in self.sampling_seeds:
+            self.sampling_seeds[seed] = derive_seed(seed, 0), derive_seed(seed, 1)
+        fixed_seed, pref_seed = self.sampling_seeds[seed]
+        return DynamicContext(
+            prev_labels=self.prev_labels,
+            fixed=_sample_without_replacement(self.remaining, p, fixed_seed),
+            pref=_sample_without_replacement(np.arange(self.graph.n), q, pref_seed),
+            init_labels=self.init_labels,
+            _seeding=self,
+        )
 
 
 # --- the level-1 sweep ----------------------------------------------------------

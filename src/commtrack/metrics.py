@@ -89,9 +89,9 @@ def _contingency(a: Partition, b: Partition) -> Tuple[np.ndarray, np.ndarray, np
     _, dense_a, _ = a.ranked
     uniq_b, dense_b, _ = b.ranked
     if not (a.ids is b.ids or a.ids == b.ids):
-        pos = b.ids.positions(a.ids.ids)
+        pos = a.ids.positions(b.ids.ids)  # the later nodes into the earlier map, as a seeding joins
         shared = pos >= 0
-        dense_a, dense_b = dense_a[shared], dense_b[pos[shared]]
+        dense_a, dense_b = dense_a[pos[shared]], dense_b[shared]
     nb = len(uniq_b)
     cells, counts = np.unique(dense_a * nb + dense_b, return_counts=True)
     return cells // nb, cells % nb, counts

@@ -7,13 +7,13 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, replace
-from typing import List, Sequence, TextIO
+from typing import List, Sequence, TextIO, Tuple
 
 from .errors import InputError
 from .graph import Graph, Partition
 from .louvain import (
-    DynamicContext,
     LouvainConfig,
+    _Seeding,
     derive_seed,
     louvain_dynamic,
     louvain_static,
@@ -64,7 +64,8 @@ def run_sweep(
     stability run per (p, q, seed), measured against that baseline.
 
     With ``node_order="index"`` the seed cannot change a static detection, so
-    one baseline, run with the first seed, serves every seed.
+    one baseline, run with the first seed, serves every seed. Each baseline
+    seeds the second snapshot once, and its cells share that seeding.
 
     Rows come back ordered by (p, q, seed). Node sets must overlap, otherwise
     the measures are undefined.
@@ -74,9 +75,9 @@ def run_sweep(
 
     match_cfg = MatchConfig(spec.r)
 
-    def baseline(s: int) -> Partition:
-        base, _ = louvain_static(g_t, replace(cfg, rng_seed=int(s)))
-        return renumber_partition(base)
+    def baseline(s: int) -> Tuple[Partition, _Seeding]:
+        base = renumber_partition(louvain_static(g_t, replace(cfg, rng_seed=int(s)))[0])
+        return base, _Seeding(base, g_t1, None)
 
     if cfg.node_order == "index":  # the seed orders no visit: one baseline serves every seed
         shared = baseline(spec.seeds[0])
@@ -90,11 +91,12 @@ def run_sweep(
     for p in spec.p_values:
         for q in spec.q_values:
             for s in spec.seeds:
-                ctx = DynamicContext.from_previous(baselines[s], g_t1, p, q, seed=context_seed[s])
+                base, seeding = baselines[s]
+                ctx = seeding.context(p, q, context_seed[s])
                 t0 = time.perf_counter()
                 part, _ = louvain_dynamic(g_t1, ctx, run_cfg[s])
                 dt_ms = (time.perf_counter() - t0) * 1000.0
-                report = compare(baselines[s], part, g_t1, match_cfg)
+                report = compare(base, part, g_t1, match_cfg)
                 results.append(
                     SweepResult(
                         p=p,

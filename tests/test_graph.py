@@ -193,6 +193,9 @@ def test_partition_singletons_and_from_mapping(tmp_path):
     q = Partition(g.ids, np.array([5, 5, 9]))
     assert q.label_of("a") == 5 and q.label_of("c") == 9
     assert q.labels.tolist() == [5, 5, 9]
+    for bad in (5, [5, 5, 9, 9], [[5, 5, 9]]):  # shapes (), (n + 1,) and (1, n)
+        with pytest.raises(InputError, match=re.escape(f"shape {np.shape(bad)} for 3 nodes")):
+            Partition(g.ids, bad)
     # a partition file read against a graph is aligned to the graph's ids
     path = tmp_path / "p.tsv"
     path.write_text("c\t9\na\t5\nb\t5\n", encoding="utf-8")

@@ -351,20 +351,22 @@ def test_sweep_cells_match_cells_seeded_from_fresh_baselines(order):
     assert repr(got) == repr(want)
 
     # one seeding per (baseline, next graph, fresh_label_start): contexts
-    # from one triple share it, and any other triple seeds afresh
+    # of one seeding share it, and each triple seeds apart
     b = base[2]
-    first = DynamicContext.from_previous(b, g1, 0.5, 0.5, seed=5)
-    again = DynamicContext.from_previous(b, g1, 0.0, 1.0, seed=9)
-    assert again._seeding is first._seeding and again.init_labels is first.init_labels
+    seeding = louvain._Seeding(b, g1, None)
+    first, again = seeding.context(0.5, 0.5, 5), seeding.context(0.0, 1.0, 9)
+    assert again._seeding is first._seeding is seeding and again.init_labels is first.init_labels
     g1_copy = Graph(g1.ids, g1.indptr, g1.nbr, g1.wgt, g1.self_loops)
     triples = [(g1, None), (g0, None), (g1_copy, None), (g1, 10**6)]
-    ctx = [DynamicContext.from_previous(b, g, 0.5, 0.5, seed=5, fresh_label_start=f) for g, f in triples]
+    ctx = [louvain._Seeding(b, g, f).context(0.5, 0.5, 5) for g, f in triples]
     assert len({id(c._seeding) for c in ctx}) == 4
-    for c, (g, f) in zip(ctx, triples):  # each comes back whole after the others
+    for c, (g, f) in zip(ctx, triples):  # each equals a context seeded afresh
         d = DynamicContext.from_previous(b, g, 0.5, 0.5, seed=5, fresh_label_start=f)
+        assert d._seeding is not c._seeding
         fields = ("prev_labels", "fixed", "pref", "init_labels")
         assert all(np.array_equal(getattr(c, k), getattr(d, k)) for k in fields)
-        assert not d.init_labels.flags.writeable and not d.prev_labels.flags.writeable
+        for e in (c, d):
+            assert not e.init_labels.flags.writeable and not e.prev_labels.flags.writeable
     surviving = np.isin(g1.ids.ids, b.ids.ids)
     fresh_start = int(b.labels.max()) + 1
     assert ctx[0].init_labels.tolist() == ctx[2].init_labels.tolist() == first.init_labels.tolist()
@@ -379,6 +381,44 @@ def test_sweep_cells_match_cells_seeded_from_fresh_baselines(order):
         unseeded = DynamicContext(c.prev_labels, c.fixed, c.pref, c.init_labels)
         runs = [louvain_dynamic(g, c), louvain_dynamic(g, unseeded)]
         assert len({(part.labels.tobytes(), repr(report)) for part, report in runs}) == 1
+
+
+def test_seedings_live_only_as_long_as_the_call_that_uses_them(monkeypatch):
+    # no partition keeps a seeding: each tracker step seeds once and a sweep
+    # once per baseline, and every seeding dies with the call that built it
+    import gc
+    import weakref
+
+    from commtrack import tracker
+    from commtrack.sweep import SweepSpec, run_sweep
+
+    built = []
+    init = louvain._Seeding.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(louvain._Seeding, "__init__", recording)
+    assert not hasattr(Partition(IdMap("ab"), [0, 1]), "__dict__")
+    assert all("seed" not in slot for slot in Partition.__slots__)
+
+    def made_by(call):
+        del built[:]
+        call()
+        gc.collect()
+        assert built and all(ref() is None for ref in built)
+        return len(built)
+
+    snapshots = _planted(4, nodes=300, steps=7, churn=0.1, migrate=0.05)
+    tl = tracker.bootstrap(snapshots[0][0])
+    for k, (g, _) in enumerate(snapshots[1:], start=1):
+        assert made_by(lambda: tracker.step(tl, g, 0.5, 0.5, seed=k)) == 1
+    assert len(tl.steps) == 7
+    (g0, _), (g1, _) = snapshots[:2]
+    spec = SweepSpec([0.0, 1.0], [0.0, 0.5], [2, 7, 9])
+    assert made_by(lambda: run_sweep(g0, g1, spec, LouvainConfig(node_order="index"))) == 1
+    assert made_by(lambda: run_sweep(g0, g1, spec, LouvainConfig(node_order="shuffled"))) == 3
 
 
 # --- dynamic runs -----------------------------------------------------------------
@@ -718,6 +758,21 @@ def _python(args, **env):
         capture_output=True, text=True, timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_bound_kernels_are_the_ones_the_wrappers_call():
+    # _bind types each kernel from its definition in _native.c; a definition
+    # its pattern misses would go untyped, so the kernels it finds must be
+    # exactly those the _x_c wrappers call
+    import re
+
+    defs = _native._KERNEL_DEF.findall(_native._SOURCE.read_text(encoding="utf-8"))
+    wrappers = "".join(p.read_text(encoding="utf-8") for p in _native._SOURCE.parent.glob("*.py"))
+    called = set(re.findall(r"_native\.LIB\.(commtrack_\w+)", wrappers))
+    assert sorted(name for _, name, _ in defs) == sorted(called) and len(called) == 7
+    if _native.LIB is not None:
+        for _, name, params in defs:
+            assert len(getattr(_native.LIB, name).argtypes) == params.count(",") + 1
 
 
 def test_kernel_fallback_and_cache(tmp_path, monkeypatch):
