@@ -317,11 +317,12 @@ typedef struct {
     int64_t n;
 } interner;
 
-static int64_t intern(interner *t, const char *s, int64_t len)
+#define FNV_BASIS 14695981039346656037u
+#define FNV_PRIME 1099511628211u
+
+/* The number of s[0 .. len), whose FNV-1a hash is h. */
+static int64_t intern(interner *t, const char *s, int64_t len, uint64_t h)
 {
-    uint64_t h = 14695981039346656037u;
-    for (int64_t i = 0; i < len; i++)
-        h = (h ^ (unsigned char)s[i]) * 1099511628211u;
     for (uint64_t j = (h ^ (h >> 32)) & t->mask;; j = (j + 1) & t->mask) {
         const uint32_t slot = t->slots[j];
         if (slot == 0) {
@@ -338,96 +339,126 @@ static int64_t intern(interner *t, const char *s, int64_t len)
     }
 }
 
+/* The FNV-1a hash of s[0 .. len), as intern takes it. */
+static uint64_t fnv1a(const char *s, int64_t len)
+{
+    uint64_t h = FNV_BASIS;
+    for (int64_t i = 0; i < len; i++)
+        h = (h ^ (unsigned char)s[i]) * FNV_PRIME;
+    return h;
+}
+
 /* Tokenize and intern an edge or partition TSV: graph._edge_tokens_py.
  *
  * buf holds the file with every line ending translated to LF. Blank lines
- * and lines starting with '#' are skipped. One-field lines are interned
- * first, then the first two fields of each line with a tab in file order,
- * so ids are numbered in first-seen order; the third fields are interned in
- * a table of their own. Per such line i, u[i] and v[i] are the ids of its
- * first two fields and wi[i] the third field's number, or -1 on a
- * two-field line.
+ * and lines starting with '#' are skipped. One byte loop finds each line's
+ * tabs and end and hashes its fields. Ids (a one-field line, the first two
+ * fields of a line with a tab) are interned as met, third fields in a table
+ * of their own; u[i], v[i] and wi[i] number the fields of the i-th line with
+ * a tab, wi[i] -1 on a two-field line. When there are one-field lines, the
+ * ids are then renumbered as the Python body numbers them: those of
+ * one-field lines first, in the order of their first such line (lone[id]
+ * counts them as met), then the others in first-seen order; the id text in
+ * that order is copied to id_text + len + 1.
  *
  * Capacities, for L = the number of LF bytes + 1: id_off 2L + 1 entries,
- * w_off L + 1, u, v and wi L each, both texts len + 1 bytes; both slot
- * tables are zeroed powers of two over twice their entry counts (masks are
- * size - 1). Returns the number of lines with a tab, or -1 when a line
- * holds more than two tabs; text_len[0] and text_len[1] receive the
- * lengths of the id and the third-field text, text_len[2] the number of
- * one-field lines.
+ * w_off L + 1, u, v and wi L each, lone 2L zeros, id_text 2 (len + 1) bytes
+ * and w_text len + 1; both slot tables are zeroed powers of two over twice
+ * their entry counts (masks are size - 1). Returns the number of lines with
+ * a tab, or -1 when a line holds more than two tabs. text_len receives the
+ * id text's start and length, the third-field text's length and the number
+ * of one-field lines.
  */
 int64_t commtrack_edge_tokens(
     const char *buf, int64_t len,
     uint32_t *id_slots, int64_t id_mask, int64_t *id_off, char *id_text,
     uint32_t *w_slots, int64_t w_mask, int64_t *w_off, char *w_text,
-    int64_t *u, int64_t *v, int64_t *wi, int64_t *text_len)
+    int64_t *u, int64_t *v, int64_t *wi, uint32_t *lone, int64_t *text_len)
 {
     interner ids = {id_slots, (uint64_t)id_mask, id_off, id_text, 0};
     interner ws = {w_slots, (uint64_t)w_mask, w_off, w_text, 0};
-    const char *const end = buf + len;
-    int64_t m = 0, n_lone = 0;
+    int64_t m = 0, n_lone = 0, lone_ids = 0;
     id_off[0] = w_off[0] = 0;
-    /* pass 0 interns the one-field lines, looking no further than a line's
-     * first tab; pass 1 interns the edges and rejects a line with a third tab */
-    for (int pass = 0; pass < 2; pass++) {
-        for (const char *p = buf, *eol; p < end; p = eol + 1) {
-            eol = memchr(p, '\n', (size_t)(end - p));
-            if (eol == NULL)
-                eol = end;
-            if (eol == p || *p == '#')
-                continue;
-            if (pass == 0) {
-                if (memchr(p, '\t', (size_t)(eol - p)) == NULL) {
-                    intern(&ids, p, eol - p);
-                    n_lone++;
-                }
-                continue;
+    for (int64_t i = 0; i < len; i++) {  /* i: a line's first byte, then its LF */
+        if (buf[i] == '#')  /* a comment: on to its LF */
+            while (i < len && buf[i] != '\n')
+                i++;
+        if (i == len || buf[i] == '\n')
+            continue;
+        /* field k is buf[start[k] .. start[k + 1] - 1); the last one ends at i */
+        int64_t start[3] = {i, 0, 0};
+        uint64_t h[3] = {0, 0, 0}, hash = FNV_BASIS;
+        int n_tab = 0;
+        for (; i < len && buf[i] != '\n'; i++) {
+            if (buf[i] != '\t') {
+                hash = (hash ^ (unsigned char)buf[i]) * FNV_PRIME;
+            } else if (n_tab == 2) {
+                return -1;
+            } else {
+                h[n_tab++] = hash;
+                hash = FNV_BASIS;
+                start[n_tab] = i + 1;
             }
-            const char *tab[2] = {eol, eol};
-            int n_tab = 0;
-            for (const char *q = p; (q = memchr(q, '\t', (size_t)(eol - q))) != NULL; q++) {
-                if (n_tab == 2)
-                    return -1;
-                tab[n_tab++] = q;
-            }
-            if (n_tab == 0)
-                continue;
-            u[m] = intern(&ids, p, tab[0] - p);
-            v[m] = intern(&ids, tab[0] + 1, tab[1] - tab[0] - 1);
-            wi[m] = n_tab == 2 ? intern(&ws, tab[1] + 1, eol - tab[1] - 1) : -1;
-            m++;
         }
+        h[n_tab] = hash;
+        if (n_tab == 0) {
+            const int64_t id = intern(&ids, buf + start[0], i - start[0], h[0]);
+            if (lone[id] == 0)
+                lone[id] = (uint32_t)++lone_ids;
+            n_lone++;
+            continue;
+        }
+        u[m] = intern(&ids, buf + start[0], start[1] - 1 - start[0], h[0]);
+        v[m] = intern(&ids, buf + start[1], (n_tab == 2 ? start[2] - 1 : i) - start[1], h[1]);
+        wi[m++] = n_tab == 2 ? intern(&ws, buf + start[2], i - start[2], h[2]) : -1;
     }
-    text_len[0] = id_off[ids.n];
-    text_len[1] = w_off[ws.n];
-    text_len[2] = n_lone;
+    text_len[0] = lone_ids > 0 ? len + 1 : 0;
+    for (int64_t id = 0; lone_ids > 0 && id < ids.n; id++) {
+        if (lone[id] == 0)
+            lone[id] = (uint32_t)++lone_ids;
+        id_slots[lone[id] - 1] = (uint32_t)id;  /* no longer probed: the slots list the new order */
+    }
+    for (int64_t k = 0, at = 0; text_len[0] > 0 && k < ids.n; k++) {
+        const int64_t *o = id_off + id_slots[k];
+        memcpy(id_text + len + 1 + at, id_text + o[0], (size_t)(o[1] - o[0]));
+        at += o[1] - o[0];
+    }
+    for (int64_t e = 0; text_len[0] > 0 && e < m; e++) {
+        u[e] = (int64_t)lone[u[e]] - 1;
+        v[e] = (int64_t)lone[v[e]] - 1;
+    }
+    text_len[1] = id_off[ids.n];
+    text_len[2] = w_off[ws.n];
+    text_len[3] = n_lone;
     return m;
 }
 
 /* Write rows of table entries as TSV lines: graph._write_rows_py.
  *
  * Entry i of the table is text[off[i] .. off[i + 1] - 1), followed by a tab,
- * the tokenizer's convention. Row r holds the entries numbered
- * cells[r n_cols .. (r + 1) n_cols), n_cols >= 1; they are written joined by
- * tabs and the row is ended by LF. Every cell lies in [0, number of entries)
- * and out has room for the rows' entries with their tabs. Returns the number
- * of bytes written.
- */
+ * the tokenizer's convention. Row r holds the entries cols[0][r], ...,
+ * cols[n_cols - 1][r] (n_cols >= 1, each entry in the table), written joined
+ * by tabs and ended by LF. Rows lo, lo + 1, ... before n_rows go into out, of
+ * cap bytes, while each fits whole. Returns the number written; *size
+ * receives their bytes. */
 int64_t commtrack_write_rows(
-    const char *text, const int64_t *off, int64_t n_rows, int64_t n_cols,
-    const int64_t *cells, char *out)
+    const char *text, const int64_t *off, int64_t lo, int64_t n_rows, int64_t n_cols,
+    const int64_t *const *cols, char *out, int64_t cap, int64_t *size)
 {
-    char *p = out;
-    for (int64_t r = 0; r < n_rows; r++) {
+    int64_t r = lo;
+    for (*size = 0; r < n_rows; r++) {
+        int64_t at = *size;
         for (int64_t j = 0; j < n_cols; j++) {
-            const int64_t c = *cells++;
-            const size_t len = (size_t)(off[c + 1] - off[c]);
-            memcpy(p, text + off[c], len);  /* the entry and its tab */
-            p += len;
+            const int64_t c = cols[j][r], len = off[c + 1] - off[c];
+            if (len > cap - at)
+                return r - lo;  /* row r does not fit */
+            memcpy(out + at, text + off[c], (size_t)len);  /* the entry and its tab */
+            at += len;
         }
-        p[-1] = '\n';
+        out[at - 1] = '\n';
+        *size = at;
     }
-    return p - out;
+    return r - lo;
 }
 
 /* Line statuses of commtrack_cdr_tokens, in the order of ingest._STATUSES. */
@@ -572,8 +603,8 @@ int64_t commtrack_cdr_tokens(
             continue;
         }
         status[i] = CDR_IN_WINDOW;
-        u[m] = intern(&ids, f[0], len[0]);
-        v[m] = intern(&ids, f[1], len[1]);
+        u[m] = intern(&ids, f[0], len[0], fnv1a(f[0], len[0]));
+        v[m] = intern(&ids, f[1], len[1], fnv1a(f[1], len[1]));
         m++;
     }
     text_len[0] = off[ids.n];

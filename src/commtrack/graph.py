@@ -63,7 +63,7 @@ class IdMap:
 
     def __init__(self, ids: Iterable[ExternalId]):
         self.ids = list(ids)
-        self.index = {x: i for i, x in enumerate(self.ids)}
+        self.index = dict(zip(self.ids, range(len(self.ids))))
         if len(self.index) != len(self.ids):
             raise InputError("duplicate external node ids")
         self._joined: Optional[Tuple[Sequence[ExternalId], np.ndarray]] = None
@@ -179,8 +179,10 @@ class Graph:
         """Each undirected non-loop edge once as index arrays (u, v, w) with
         u < v, in CSR order."""
         rows = self._rows()
-        half = rows < self.nbr
-        return rows[half], self.nbr[half], self.wgt[half]
+        upper = np.flatnonzero(rows < self.nbr)
+        u = rows[upper]
+        del rows  # before the other two gathers, which then reuse its memory
+        return u, self.nbr[upper], self.wgt[upper]
 
     def subgraph(self, keep_mask: np.ndarray) -> "Graph":
         """The subgraph induced by the nodes where ``keep_mask`` is true.
@@ -457,45 +459,42 @@ _project = _project_py if _native.LIB is None else _project_c
 # Edge list: one edge per line, "u<TAB>v<TAB>w" (w optional, default 1), or a
 # lone "u" for a node without edges; lines starting with '#' are comments.
 # Partition: "node_id<TAB>label". Both readers read the bytes once, have one
-# tokenizer body (C in the package's compiled library, or its columnar Python
-# twin) number the distinct texts of the first two fields and, apart, of the
-# third, and count the one-field lines; then decode each id and parse each
-# weight or label text once. When a line or a field does not parse, the file
-# is scanned line by line for the first bad line, which the error names. The
-# edge reader hands the numbered fields to the one CSR builder (C or numpy),
-# which adds each loop and each edge's parallel entries in file order.
-# Both writers format each id and each distinct weight or label once, into
-# one table that holds each text followed by a tab, as the tokenizer returns
-# its texts; one row writer body (C, or its Python twin) then copies the
-# table entries that each row names into tab-separated, LF-ended lines,
-# _WRITE_ROWS lines per block into one reused buffer.
+# tokenizer body (C in the package's compiled library, which splits, hashes
+# and interns in one byte loop, or its columnar Python twin) number the
+# distinct texts of the first two fields and, apart, of the third, and count
+# the one-field lines; then decode each id and parse each weight or label
+# text once. When a line or a field does not parse, the file is scanned line
+# by line for the first bad line, which the error names. The edge reader
+# hands the numbered fields to the one CSR builder (C or numpy), which adds
+# each loop and each edge's parallel entries in file order. Both writers
+# format each id and each distinct weight or label once, into one table that
+# holds each text followed by a tab, as the tokenizer returns its texts, and
+# check the ids on that one text; one row writer body (C, or its Python twin)
+# then copies the table entries that each row names into tab-separated,
+# LF-ended lines, a bounded block at a time.
 
-_WRITE_ROWS = 4096  # lines written per block; bounds the writers' memory
+_WRITE_ROWS = 4096  # lines per block of the Python row writer
+_WRITE_BYTES = 1 << 18  # the compiled row writer's buffer
 
 
 def _format_weight(w: float) -> str:
     return str(int(w)) if w == int(w) else repr(w)
 
 
-def _as_text(values: np.ndarray, fmt: Callable[[object], str] = str) -> Tuple[str, np.ndarray]:
-    """``fmt`` of each distinct value, called once per value, as one text
-    holding each followed by a tab; and the number of each value's text."""
-    uniq = np.unique(values)  # its inverse would cost four arrays the size of values
-    return "".join([fmt(x) + "\t" for x in uniq.tolist()]), np.searchsorted(uniq, values)
-
-
 def _writable_ids(ids: Sequence[ExternalId]) -> str:
     """The ids as strings in one text, each followed by a tab, raising
     unless every one reads back from a TSV line as itself: it must be
-    non-empty, hold no tab, CR or LF, and not start with '#'."""
-    out = [str(x) for x in ids]
-    for s in out:
-        if not s or s[0] == "#" or "\t" in s or "\r" in s or "\n" in s:
-            raise InputError(
-                f"node id {s!r} cannot be written to a TSV file: ids must be non-empty, "
-                "hold no tab, CR or LF, and not start with '#'"
-            )
-    return "\t".join([*out, ""])
+    non-empty, hold no tab, CR or LF, and not start with '#'. The rules
+    are checked on the text; the ids are walked only to name a bad one."""
+    text = ("%s\t" * len(ids)) % tuple(ids)  # %s formats as str() does, without a call per id
+    if (text.count("\t") != len(ids) or text[:1] in ("\t", "#") or "\n" in text or "\r" in text
+            or "\t\t" in text or "\t#" in text):
+        bad = next(s for s in map(str, ids) if not s or s[0] == "#" or "\t" in s or "\r" in s or "\n" in s)
+        raise InputError(
+            f"node id {bad!r} cannot be written to a TSV file: ids must be non-empty, "
+            "hold no tab, CR or LF, and not start with '#'"
+        )
+    return text
 
 
 def _write_tsv(path, table: str, *sections: Tuple[np.ndarray, ...]) -> None:
@@ -521,22 +520,20 @@ def _write_rows_py(fh, table: bytes, sections: Sequence[Tuple[np.ndarray, ...]])
 
 
 def _write_rows_c(fh, table: bytes, sections: Sequence[Tuple[np.ndarray, ...]]) -> None:
-    """:func:`_write_rows_py` compiled from ``_native.c``: each block of
-    ``_WRITE_ROWS`` lines is written into one reused buffer."""
-    off = np.zeros(table.count(b"\t") + 1, dtype=np.int64)
-    off[1:] = np.flatnonzero(np.frombuffer(table, dtype=np.uint8) == ord("\t")) + 1
-    size = np.diff(off)  # each entry's bytes with its tab
-    buf = np.empty(0, dtype=np.uint8)
+    """:func:`_write_rows_py` compiled from ``_native.c``: the kernel fills
+    one buffer of ``_WRITE_BYTES`` with as many whole lines as fit, which are
+    written before it goes on; a line longer than the buffer grows it."""
+    off = np.concatenate([[0], np.flatnonzero(np.frombuffer(table, dtype=np.uint8) == 9) + 1])  # 9: tab
+    buf, size = np.empty(_WRITE_BYTES, dtype=np.uint8), np.zeros(1, dtype=np.int64)
     for cols in sections:
-        for lo in range(0, len(cols[0]), _WRITE_ROWS):
-            cells = np.stack([col[lo:lo + _WRITE_ROWS] for col in cols], axis=1)
-            need = int(size[cells].sum())
-            if need > len(buf):
-                buf = np.empty(need, dtype=np.uint8)
-            k = _native.LIB.commtrack_write_rows(
-                table, off.ctypes.data, len(cells), len(cols), cells.ctypes.data, buf.ctypes.data,
-            )
-            fh.write(buf[:k])
+        lo, col_ptrs = 0, np.array([col.ctypes.data for col in cols], dtype=np.uintp)
+        while lo < len(cols[0]):
+            k = _native.LIB.commtrack_write_rows(table, off.ctypes.data, lo, len(cols[0]), len(cols),
+                                                 col_ptrs.ctypes.data, buf.ctypes.data, len(buf), size.ctypes.data)
+            fh.write(buf[:int(size[0])])
+            lo += k
+            if k == 0:  # line lo alone is longer than the buffer
+                buf = np.empty(sum(int(off[col[lo] + 1] - off[col[lo]]) for col in cols), dtype=np.uint8)
 
 
 _write_rows = _write_rows_py if _native.LIB is None else _write_rows_c
@@ -549,17 +546,19 @@ def write_edge_tsv(g: Graph, path) -> None:
     u, v, w = g._upper_edges()
     loops = np.flatnonzero(g.self_loops != 0.0)
     lone = np.flatnonzero((g.neighbor_counts() == 0) & (g.self_loops == 0.0))
-    weights, at = _as_text(np.concatenate([w, g.self_loops[loops]]), _format_weight)
+    w = np.concatenate([w, g.self_loops[loops]])
+    uniq = np.unique(w)  # its inverse would cost four arrays the size of w
+    at = np.searchsorted(uniq, w)
     del w
-    at += g.n  # the weight texts follow the ids in the table
+    at += g.n  # each distinct weight's text, formatted once, follows the ids in the table
+    weights = "".join([_format_weight(x) + "\t" for x in uniq.tolist()])
     _write_tsv(path, ids + weights, (u, v, at[:len(u)]), (loops, loops, at[len(u):]), (lone,))
 
 
 def write_partition_tsv(part: Partition, path) -> None:
-    ids = _writable_ids(part.ids.ids)
-    labels, at = _as_text(part.labels)
-    at += part.n  # the label texts follow the ids in the table
-    _write_tsv(path, ids + labels, (np.arange(part.n), at))
+    uniq, dense, _ = part.ranked
+    labels = "".join([f"{x}\t" for x in uniq.tolist()])  # they follow the ids in the table
+    _write_tsv(path, _writable_ids(part.ids.ids) + labels, (np.arange(part.n), dense + part.n))
 
 
 def _raise_first_bad_line(path, problem: Callable[[list], Optional[str]]) -> NoReturn:
@@ -666,27 +665,22 @@ _TABLE_MAX_LINES = 2**31
 def _edge_tokens_c(data: bytes) -> Optional[EdgeTokens]:
     """:func:`_edge_tokens_py` compiled from ``_native.c``. Every array is
     sized from the line count; only the parts written cost memory."""
-    lines = data.count(b"\n") + 1
+    lines = int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == 10)) + 1  # bytes.count is 6x slower
     if lines >= _TABLE_MAX_LINES:
         return _edge_tokens_py(data)
-    id_slots = np.zeros(1 << (4 * lines - 1).bit_length(), dtype=np.uint32)
-    w_slots = np.zeros(1 << (2 * lines - 1).bit_length(), dtype=np.uint32)
-    id_off = np.empty(2 * lines + 1, dtype=np.int64)
-    w_off = np.empty(lines + 1, dtype=np.int64)
-    id_text = np.empty(len(data) + 1, dtype=np.uint8)
-    w_text = np.empty(len(data) + 1, dtype=np.uint8)
+    id_slots, w_slots = (np.zeros(1 << (k * lines - 1).bit_length(), dtype=np.uint32) for k in (4, 2))
+    id_off, w_off = np.empty(2 * lines + 1, dtype=np.int64), np.empty(lines + 1, dtype=np.int64)
+    id_text, w_text = np.empty(2 * len(data) + 2, dtype=np.uint8), np.empty(len(data) + 1, dtype=np.uint8)
     u, v, wi = (np.empty(lines, dtype=np.int64) for _ in range(3))
-    text_len = np.zeros(3, dtype=np.int64)
+    lone, text_len = np.zeros(2 * lines, dtype=np.uint32), np.zeros(4, dtype=np.int64)
     m = _native.LIB.commtrack_edge_tokens(
-        data, len(data),
-        id_slots.ctypes.data, len(id_slots) - 1, id_off.ctypes.data, id_text.ctypes.data,
+        data, len(data), id_slots.ctypes.data, len(id_slots) - 1, id_off.ctypes.data, id_text.ctypes.data,
         w_slots.ctypes.data, len(w_slots) - 1, w_off.ctypes.data, w_text.ctypes.data,
-        u.ctypes.data, v.ctypes.data, wi.ctypes.data, text_len.ctypes.data,
-    )
+        *(a.ctypes.data for a in (u, v, wi, lone, text_len)))
     if m < 0:
         return None
-    id_len, w_len, n_lone = text_len.tolist()
-    return id_text[:id_len].tobytes(), u[:m], v[:m], wi[:m], w_text[:w_len].tobytes(), n_lone
+    at, id_len, w_len, n_lone = text_len.tolist()
+    return id_text[at:at + id_len].tobytes(), u[:m], v[:m], wi[:m], w_text[:w_len].tobytes(), n_lone
 
 
 _edge_tokens = _edge_tokens_py if _native.LIB is None else _edge_tokens_c
@@ -751,7 +745,7 @@ def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
     label_ids, label_at = np.unique(v, return_inverse=True)
     try:
         labels = np.array([int(texts[i]) for i in label_ids.tolist()], dtype=np.int64)[label_at]
-        ids = IdMap([texts[i] for i in u.tolist()])
+        ids = IdMap(map(texts.__getitem__, u.tolist()))
     except (ValueError, OverflowError, InputError):  # a bad label, or a node listed twice
         _raise_first_bad_line(path, problem)
     if graph is None:

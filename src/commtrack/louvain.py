@@ -289,21 +289,25 @@ class _Seeding:
                 raise InputError(f"fresh community label {first_bad} is outside the int64 range")
             init[new] = fresh_label_start + np.arange(len(new), dtype=np.int64)
         self.start = _level_start(graph, init, self.prev_labels)  # the first level's
-        self.sampling_seeds: dict = {}  # a context seed -> the seeds of its two samples
+        self.samples: dict = {}  # (0 fixed or 1 preferential, fraction, seed) -> the set, drawn once, read-only
         for a in (init, remaining, *self.start):
             a.flags.writeable = False
 
     def context(self, p: float, q: float, seed: int) -> DynamicContext:
-        """This seeding's context: ``p`` of the surviving nodes pinned, ``q`` of all nodes steered."""
+        """This seeding's context: ``p`` of the surviving nodes pinned, ``q`` of all nodes steered;
+        contexts that ask for the same set with the same seed share one read-only draw."""
         if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
             raise InputError(f"p and q must be in [0, 1], got p={p}, q={q}")
-        if seed not in self.sampling_seeds:
-            self.sampling_seeds[seed] = derive_seed(seed, 0), derive_seed(seed, 1)
-        fixed_seed, pref_seed = self.sampling_seeds[seed]
+        for which, fraction in ((0, p), (1, q)):
+            if (which, fraction, seed) not in self.samples:
+                population = self.remaining if which == 0 else np.arange(self.graph.n)
+                sample = _sample_without_replacement(population, fraction, derive_seed(seed, which))
+                sample.flags.writeable = False
+                self.samples[which, fraction, seed] = sample
         return DynamicContext(
             prev_labels=self.prev_labels,
-            fixed=_sample_without_replacement(self.remaining, p, fixed_seed),
-            pref=_sample_without_replacement(np.arange(self.graph.n), q, pref_seed),
+            fixed=self.samples[0, p, seed],
+            pref=self.samples[1, q, seed],
             init_labels=self.init_labels,
             _seeding=self,
         )

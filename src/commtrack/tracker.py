@@ -192,7 +192,7 @@ def step(
         deaths=sorted(prev_labels - next_labels - matched_prev),
         n_fixed=len(ctx.fixed),
         n_pref=len(ctx.pref),
-        fixed_ids=tuple(g_next.ids.ids[int(i)] for i in ctx.fixed),
+        fixed_ids=tuple(map(g_next.ids.ids.__getitem__, ctx.fixed.tolist())),
     )
 
     tl.steps.append(TimelineStep(str(step_index), g_next, part))

@@ -341,3 +341,107 @@ def test_reader_and_writer_memory_stays_bounded(tmp_path):
     assert _peak_bytes(read_edge_tsv, path) <= _peak_bytes(oracle_read_edge_tsv, path)
     # the writers format a few thousand lines at a time, not the whole file
     assert _peak_bytes(write_edge_tsv, g, tmp_path / "out.tsv") < 4_000_000
+
+
+def _reads_as_line_reader(path, monkeypatch):
+    """Both tokenizer bodies give the same tokens for ``path``, and
+    ``read_edge_tsv`` on each gives the line reader's graph; returns it."""
+    want = _outcome(oracle_read_edge_tsv, path)
+    bodies = tsv_backends()
+    tokens = {name: _tokens_key(body(graph._edge_file_bytes(path))) for name, body in bodies.items()}
+    assert all(t == tokens["python"] for t in tokens.values())
+    for body in bodies.values():
+        monkeypatch.setattr(graph, "_edge_tokens", body)
+        assert _graph_key(_outcome(read_edge_tsv, path)) == _graph_key(want)
+    return want
+
+
+@pytest.mark.parametrize("text, ids", [
+    ("a\nb\na\tc\t2\nc\td\n", ["a", "b", "c", "d"]),  # one-field lines first
+    ("a\tb\t1\nz\nb\tc\n", ["z", "a", "b", "c"]),  # between edges
+    ("a\tb\t1\nb\tc\t2\nc\tc\t1\nx\ny\n", ["x", "y", "a", "b", "c"]),  # last, as write_edge_tsv puts them
+    ("a\tb\nz", ["z", "a", "b"]),  # the last line, with no LF
+    ("a\tb\nb\nc\ta\nb\nc\n", ["b", "c", "a"]),  # lone ids that also appear in edge lines
+    ("# x\n\nq\na\tq\t3\n\nq\nr\n#c\nr\ta\n", ["q", "r", "a"]),  # repeated, among comments and blank lines
+])
+def test_one_field_lines_read_as_line_reader(tmp_path, text, ids, monkeypatch):
+    path = tmp_path / "g.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert _reads_as_line_reader(path, monkeypatch).ids.ids == ids
+
+
+def test_isolated_nodes_written_last_read_back_as_line_reader(tmp_path, monkeypatch):
+    g = build_graph([("a", "b", 1.0), ("b", "c", 2.5), ("c", "c", 1.0)], nodes=["x", "b", "y"])
+    write_edge_tsv(g, tmp_path / "g.tsv")
+    assert (tmp_path / "g.tsv").read_text(encoding="utf-8").endswith("\nx\ny\n")
+    assert _reads_as_line_reader(tmp_path / "g.tsv", monkeypatch).ids.ids == ["x", "y", "b", "a", "c"]
+
+
+def test_long_file_with_one_field_lines_at_both_ends_reads_as_line_reader(tmp_path, monkeypatch):
+    # more lines than the hypothesis tests ever draw, so the id table and
+    # the renumbering of the compiled body work at scale
+    n = 70_000
+    head = [f"h{i}" for i in range(50)] + ["e5"]  # e5 is also an edge endpoint
+    tail = [f"t{i}" for i in range(50)] + ["e17", "h3"]  # h3 is a lone id met again
+    edges = [f"e{i}\te{(i * 7919 + 1) % 30_000}\t{1 + i % 4}" for i in range(n)]
+    path = tmp_path / "g.tsv"
+    path.write_text("\n".join(head + edges + tail) + "\n", encoding="utf-8")
+    g = _reads_as_line_reader(path, monkeypatch)
+    assert g.ids.ids[:102] == head + tail[:-1]
+    assert g.n == 102 + n - 2  # e0 .. e69999, less e5 and e17 counted above
+
+
+_ID_RULE = "ids must be non-empty, hold no tab, CR or LF, and not start with '#'"
+
+
+def _first_unwritable(ids):
+    """The first id, as text, that the per-id rule rejects; None if none."""
+    for s in map(str, ids):
+        if not s or s[0] == "#" or "\t" in s or "\r" in s or "\n" in s:
+            return s
+    return None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ids=st.lists(
+        st.sampled_from(["a", "b#", "a b", "é", " #", "x" * 40, "1"]) | st.integers(-3, 3)
+        | st.sampled_from(["", "#", "#a", "a\tb", "\t", "a\r", "\rb", "a\n", "\n", "a\t#b", "\t\t", "b\t"]),
+        unique=True, max_size=10,
+    ),
+    edges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=12),
+)
+def test_joined_id_check_matches_the_per_id_rule(tmp_path, ids, edges, monkeypatch):
+    g = build_graph([(ids[a], ids[b]) for a, b in edges if a < len(ids) and b < len(ids)], nodes=ids)
+    part = Partition(g.ids, np.arange(g.n, dtype=np.int64))
+    bad = _first_unwritable(g.ids.ids)
+    got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
+    for body in write_backends().values():
+        monkeypatch.setattr(graph, "_write_rows", body)
+        for write, oracle, obj in ((write_edge_tsv, oracle_write_edge_tsv, g),
+                                   (write_partition_tsv, oracle_write_partition_tsv, part)):
+            if bad is None:
+                write(obj, got)
+                oracle(obj, want)
+                assert got.read_bytes() == want.read_bytes()
+                got.unlink()
+            else:
+                with pytest.raises(InputError) as exc:
+                    write(obj, got)
+                assert str(exc.value) == f"node id {bad!r} cannot be written to a TSV file: {_ID_RULE}"
+                assert not got.exists()
+
+
+def test_an_id_longer_than_the_write_buffer_writes_the_line_writers_bytes(tmp_path, monkeypatch):
+    big = "x" * (1 << 20)
+    assert len(big) > graph._WRITE_BYTES
+    g = build_graph([("a", big, 2.0), (big, big + "z", 0.5), (big, big, 1.0)], nodes=["lone", big + "y"])
+    part = Partition(g.ids, np.arange(g.n, dtype=np.int64))
+    oracle_write_edge_tsv(g, tmp_path / "g.tsv")
+    oracle_write_partition_tsv(part, tmp_path / "p.tsv")
+    for body in write_backends().values():
+        monkeypatch.setattr(graph, "_write_rows", body)
+        write_edge_tsv(g, tmp_path / "got.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "g.tsv").read_bytes()
+        write_partition_tsv(part, tmp_path / "got.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "p.tsv").read_bytes()
