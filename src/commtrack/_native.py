@@ -18,6 +18,8 @@ the flags, the interpreter and the machine, and loaded from there through
 ctypes. :data:`LIB` is None when no compiler, build or load succeeds; each
 caller then runs its pure-Python twin, which computes the same bytes.
 :data:`KERNEL` says which body of all seven kernels runs, "c" or "python".
+A wrapper runs its kernel through :func:`call`, which passes each numpy
+array by its data address; this module alone takes an array's address.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ import sys
 import zlib
 from pathlib import Path
 
-__all__ = ["LIB", "KERNEL", "cache_path"]
+import numpy as np
+
+__all__ = ["LIB", "KERNEL", "addresses", "call", "cache_path"]
 
 _SOURCE = Path(__file__).with_name("_native.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")  # no FMA, no reassociation
@@ -50,6 +54,16 @@ def _bind(path: str) -> ctypes.CDLL:
         fn.restype = scalar.get(result)  # None for void
         fn.argtypes = [ctypes.c_void_p if "*" in p else scalar[p.split()[-2]] for p in params.split(",")]
     return lib
+
+
+def addresses(arrays) -> tuple:
+    """The data address of each of the numpy ``arrays``, in order."""
+    return tuple(a.ctypes.data for a in arrays)
+
+
+def call(kernel: str, *args):
+    """Run :data:`LIB`'s ``kernel`` on ``args``, each numpy array passed by its data address."""
+    return getattr(LIB, kernel)(*[a.ctypes.data if isinstance(a, np.ndarray) else a for a in args])
 
 
 def _compile(directory: str, name: str) -> str:

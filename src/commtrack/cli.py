@@ -162,7 +162,7 @@ def _cmd_ingest(args) -> int:
 
     def _lines():
         for name in args.cdr:
-            with open(name, "r", encoding="utf-8") as fh, reading_text(name):
+            with open(name, "r", encoding="utf-8-sig") as fh, reading_text(name):  # a BOM is no part of line 1
                 yield from fh
 
     g, report = ingest_pipeline(

@@ -171,8 +171,7 @@ class Graph:
         :attr:`degrees` (C-contiguous float64), taken once per graph. The
         graph holds every one of these arrays and never replaces it."""
         if self._pointers is None:
-            arrays = (self.indptr, self.nbr, self.wgt, self.self_loops, self.degrees)
-            self._pointers = tuple(a.ctypes.data for a in arrays)
+            self._pointers = _native.addresses((self.indptr, self.nbr, self.wgt, self.self_loops, self.degrees))
         return self._pointers
 
     def _upper_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,9 +297,7 @@ def _build_c(ids: IdMap, u: np.ndarray, v: np.ndarray, w: np.ndarray, loops: np.
     out_nbr = np.empty(2 * m, dtype=np.int64)
     out_wgt = np.empty(2 * m, dtype=np.float64)
     scratch = np.empty(4 * n + 3 + m, dtype=np.int64), np.empty(n + m, dtype=np.float64)
-    k = _native.LIB.commtrack_build(
-        n, m, *(a.ctypes.data for a in (u, v, w, *scratch, out_ptr, out_nbr, out_wgt, loops)),
-    )
+    k = _native.call("commtrack_build", n, m, u, v, w, *scratch, out_ptr, out_nbr, out_wgt, loops)
     del scratch
     if k < 2 * m:  # keep no unused tail alive with the graph
         out_nbr, out_wgt = out_nbr[:k].copy(), out_wgt[:k].copy()
@@ -432,7 +429,6 @@ def _project_py(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
 
 def _project_c(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
     """:func:`_project_py` compiled from ``_native.c``; ``new_index`` is checked."""
-    indptr, nbr, wgt, loops, _ = g._kernel_pointers()
     n, c = g.n, len(ids)
     # a symmetric adjacency has at most len(nbr) // 2 edges, and c nodes at most c (c - 1) / 2
     cap = min(len(g.nbr) // 2, c * (c - 1) // 2)
@@ -441,10 +437,8 @@ def _project_c(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
     out_nbr = np.empty(2 * cap, dtype=np.int64)
     out_wgt = np.empty(2 * cap, dtype=np.float64)
     out_loops = np.zeros(c, dtype=np.float64)
-    k = _native.LIB.commtrack_project(
-        n, indptr, nbr, wgt, loops, new_index.ctypes.data,
-        c, cap, *(a.ctypes.data for a in (*scratch, out_ptr, out_nbr, out_wgt, out_loops)),
-    )
+    k = _native.call("commtrack_project", n, *g._kernel_pointers()[:4], new_index, c, cap,
+                     *scratch, out_ptr, out_nbr, out_wgt, out_loops)
     if k < 0:
         raise InternalInvariantError("graph adjacency is not symmetric: it projects to too many edges")
     if k < 2 * cap:  # keep no unused tail alive with the graph
@@ -526,10 +520,10 @@ def _write_rows_c(fh, table: bytes, sections: Sequence[Tuple[np.ndarray, ...]]) 
     off = np.concatenate([[0], np.flatnonzero(np.frombuffer(table, dtype=np.uint8) == 9) + 1])  # 9: tab
     buf, size = np.empty(_WRITE_BYTES, dtype=np.uint8), np.zeros(1, dtype=np.int64)
     for cols in sections:
-        lo, col_ptrs = 0, np.array([col.ctypes.data for col in cols], dtype=np.uintp)
+        lo, col_ptrs = 0, np.array(_native.addresses(cols), dtype=np.uintp)
         while lo < len(cols[0]):
-            k = _native.LIB.commtrack_write_rows(table, off.ctypes.data, lo, len(cols[0]), len(cols),
-                                                 col_ptrs.ctypes.data, buf.ctypes.data, len(buf), size.ctypes.data)
+            k = _native.call("commtrack_write_rows", table, off, lo, len(cols[0]), len(cols),
+                             col_ptrs, buf, len(buf), size)
             fh.write(buf[:int(size[0])])
             lo += k
             if k == 0:  # line lo alone is longer than the buffer
@@ -578,6 +572,8 @@ def _raise_first_bad_line(path, problem: Callable[[list], Optional[str]]) -> NoR
 def _edge_line_problem(parts: list) -> Optional[str]:
     if len(parts) > 3:
         return "expected 1-3 tab-separated fields"
+    if "" in parts[:2]:
+        return "empty node id"
     if len(parts) == 3:
         try:
             float(parts[2])
@@ -673,10 +669,8 @@ def _edge_tokens_c(data: bytes) -> Optional[EdgeTokens]:
     id_text, w_text = np.empty(2 * len(data) + 2, dtype=np.uint8), np.empty(len(data) + 1, dtype=np.uint8)
     u, v, wi = (np.empty(lines, dtype=np.int64) for _ in range(3))
     lone, text_len = np.zeros(2 * lines, dtype=np.uint32), np.zeros(4, dtype=np.int64)
-    m = _native.LIB.commtrack_edge_tokens(
-        data, len(data), id_slots.ctypes.data, len(id_slots) - 1, id_off.ctypes.data, id_text.ctypes.data,
-        w_slots.ctypes.data, len(w_slots) - 1, w_off.ctypes.data, w_text.ctypes.data,
-        *(a.ctypes.data for a in (u, v, wi, lone, text_len)))
+    m = _native.call("commtrack_edge_tokens", data, len(data), id_slots, len(id_slots) - 1, id_off, id_text,
+                     w_slots, len(w_slots) - 1, w_off, w_text, u, v, wi, lone, text_len)
     if m < 0:
         return None
     at, id_len, w_len, n_lone = text_len.tolist()
@@ -708,6 +702,8 @@ def read_edge_tsv(path) -> Graph:
         _raise_first_bad_line(path, _edge_line_problem)
     w = np.array([*weights, 1.0], dtype=np.float64)[wi]  # -1 picks the 1.0 of a two-field line
     ids = IdMap(_texts(id_text))
+    if "" in ids:
+        _raise_first_bad_line(path, _edge_line_problem)
     return graph_from_edges(ids, u, v, w, np.zeros(len(ids)))
 
 
@@ -725,6 +721,8 @@ def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
         if len(parts) != 2:
             return "expected 'node<TAB>label'"
         node, label_s = parts
+        if not node:
+            return "empty node id"
         try:
             label = int(label_s)
         except ValueError:
@@ -747,6 +745,8 @@ def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:
         labels = np.array([int(texts[i]) for i in label_ids.tolist()], dtype=np.int64)[label_at]
         ids = IdMap(map(texts.__getitem__, u.tolist()))
     except (ValueError, OverflowError, InputError):  # a bad label, or a node listed twice
+        _raise_first_bad_line(path, problem)
+    if "" in ids:
         _raise_first_bad_line(path, problem)
     if graph is None:
         return Partition(ids, labels)

@@ -425,11 +425,8 @@ def _cdr_tokens_c(lines: List[str], window: WindowSpec, index: Dict[str, int]) -
     status = np.empty(n, dtype=np.uint8)
     u, v = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     text_len = np.zeros(1, dtype=np.int64)
-    m = _native.LIB.commtrack_cdr_tokens(
-        data, n, bounds.ctypes.data, window._anchor_index - window.span_months, window._anchor_index,
-        slots.ctypes.data, len(slots) - 1, off.ctypes.data, id_text.ctypes.data,
-        status.ctypes.data, u.ctypes.data, v.ctypes.data, text_len.ctypes.data,
-    )
+    m = _native.call("commtrack_cdr_tokens", data, n, bounds, window._anchor_index - window.span_months,
+                     window._anchor_index, slots, len(slots) - 1, off, id_text, status, u, v, text_len)
     ids = id_text[: text_len[0]].tobytes().decode("ascii").split("\t")[:-1]
     del data, slots, off, id_text, bounds  # before the table grows, to keep the peak down
     intern = index.setdefault

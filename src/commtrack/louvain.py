@@ -208,10 +208,7 @@ def _sums_py(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarra
 def _sums_c(g: Graph, dense: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_sums_py` compiled from ``_native.c``; ``dense`` is checked."""
     com_in, com_tot, loop_sum = np.zeros(c), np.zeros(c), np.zeros(c)
-    _native.LIB.commtrack_community_sums(
-        g.n, *g._kernel_pointers(), dense.ctypes.data, c,
-        *(a.ctypes.data for a in (com_in, com_tot, loop_sum)),
-    )
+    _native.call("commtrack_community_sums", g.n, *g._kernel_pointers(), dense, c, com_in, com_tot, loop_sum)
     return com_in, com_tot
 
 
@@ -346,10 +343,8 @@ class _Level:
         c = len(self.com_tot)
         self._scratch = np.empty(c), np.empty(c, dtype=np.int64), np.empty(c, dtype=np.int64)
         level = (self.node_slot, self.com_in, self.com_tot, self.pref, self.slot_is_prev)
-        return (
-            *self.graph._kernel_pointers(), c, *(a.ctypes.data for a in level),
-            self.two_m, self.min_diff, *(a.ctypes.data for a in self._scratch),
-        )
+        return (*self.graph._kernel_pointers(), c, *_native.addresses(level),
+                self.two_m, self.min_diff, *_native.addresses(self._scratch))
 
 
 def _sweep_py(visit: np.ndarray, lv: _Level) -> Tuple[int, np.ndarray]:
@@ -439,7 +434,7 @@ def _sweep_c(visit: np.ndarray, lv: _Level) -> Tuple[int, np.ndarray]:
     """:func:`_sweep_py` compiled from ``_native.c``; ``visit`` is C-contiguous
     int64 and ``lv``'s arrays are checked (see :func:`_one_level`)."""
     active = np.zeros(len(lv.node_slot), dtype=np.uint8)
-    moved = _native.LIB.commtrack_sweep(len(visit), visit.ctypes.data, active.ctypes.data, *lv.c_args)
+    moved = _native.call("commtrack_sweep", len(visit), visit, active, *lv.c_args)
     return moved, active
 
 

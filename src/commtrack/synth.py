@@ -112,33 +112,23 @@ def _sample_inter_edges(
     inter_pairs = total_pairs - intra_pairs
     count = rng.binomial(inter_pairs, p_out) if inter_pairs and p_out else 0
 
-    chosen: set = set()
-    keys: List[int] = []
+    keys = np.empty(0, dtype=np.int64)
     while len(keys) < count:
         need = count - len(keys)
         u = rng.integers(0, n, size=2 * need + 16)
         v = rng.integers(0, n, size=2 * need + 16)
         ok = (u != v) & (labels[u] != labels[v])
-        for key in (np.minimum(u[ok], v[ok]) * n + np.maximum(u[ok], v[ok])).tolist():
-            if key not in chosen:
-                chosen.add(key)
-                keys.append(key)
-                if len(keys) == count:
-                    break
-    pairs = np.array(keys, dtype=np.int64)
-    return pairs // n, pairs % n
+        drawn = np.minimum(u[ok], v[ok]) * n + np.maximum(u[ok], v[ok])
+        new = drawn[np.sort(np.unique(drawn, return_index=True)[1])]  # first draws, in draw order
+        keys = np.concatenate([keys, new[~np.isin(new, keys)][:need]])
+    return keys // n, keys % n
 
 
 def _snapshot(ids: List[str], labels: np.ndarray, p_in: float, p_out: float,
               rng_intra: np.random.Generator, rng_inter: np.random.Generator) -> Graph:
     order = np.argsort(labels, kind="stable")
-    parts: List[Tuple[np.ndarray, np.ndarray]] = []
-    start = 0
-    labs = labels[order]
-    for end in range(1, len(order) + 1):
-        if end == len(order) or labs[end] != labs[start]:
-            parts.append(_sample_intra_edges(order[start:end], p_in, rng_intra))
-            start = end
+    blocks = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    parts = [_sample_intra_edges(block, p_in, rng_intra) for block in blocks]
     parts.append(_sample_inter_edges(labels, p_out, rng_inter))
     # distinct and loop-free by construction: intra pairs have i < j inside one
     # block, inter pairs are deduplicated and join two labels
@@ -161,9 +151,8 @@ def generate(spec: SynthSpec) -> List[Tuple[Graph, Partition]]:
             n = len(ids)
             n_gone = round_half_up(spec.churn_rate * n)
             if n_gone:
-                gone = set(rng_churn.choice(n, size=n_gone, replace=False).tolist())
-                keep = [i for i in range(n) if i not in gone]
-                ids = [ids[i] for i in keep]
+                keep = np.delete(np.arange(n), rng_churn.choice(n, size=n_gone, replace=False))
+                ids = [ids[i] for i in keep.tolist()]
                 labels = labels[keep]
                 fresh = [f"n{next_id + i}" for i in range(n_gone)]
                 next_id += n_gone

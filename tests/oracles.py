@@ -299,6 +299,32 @@ def random_churned_ids(rng, str_ids: bool, max_nodes: int = 40) -> Tuple[list, l
     return snapshot(), snapshot()
 
 
+# --- synth reference ---------------------------------------------------------
+
+
+def oracle_sample_inter_edges(labels, p_out: float, rng):
+    """``synth._sample_inter_edges`` one key at a time: the same draws from
+    ``rng``, each new cross-community pair kept in draw order until the
+    binomial count is met. Returns the pairs as (u, v) lists, u < v."""
+    n = len(labels)
+    counts: Dict[int, int] = {}
+    for x in labels.tolist():
+        counts[x] = counts.get(x, 0) + 1
+    inter_pairs = n * (n - 1) // 2 - sum(k * (k - 1) // 2 for k in counts.values())
+    count = rng.binomial(inter_pairs, p_out) if inter_pairs and p_out else 0
+    chosen: set = set()
+    pairs: List[Tuple[int, int]] = []
+    while len(pairs) < count:
+        size = 2 * (count - len(pairs)) + 16
+        u, v = rng.integers(0, n, size=size).tolist(), rng.integers(0, n, size=size).tolist()
+        for a, b in zip(u, v):
+            pair = (min(a, b), max(a, b))
+            if a != b and labels[a] != labels[b] and pair not in chosen and len(pairs) < count:
+                chosen.add(pair)
+                pairs.append(pair)
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
 # --- ingest reference --------------------------------------------------------
 
 
@@ -431,6 +457,8 @@ def oracle_read_edge_tsv(path):
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
+            if len(parts) <= 3 and "" in parts[:2]:
+                raise InputError(f"{path}:{lineno}: empty node id")
             if len(parts) == 1:
                 nodes.append(parts[0])
                 continue
@@ -465,6 +493,8 @@ def oracle_read_partition_tsv(path, graph=None):
             if len(parts) != 2:
                 raise InputError(f"{path}:{lineno}: expected 'node<TAB>label'")
             node, label_s = parts
+            if not node:
+                raise InputError(f"{path}:{lineno}: empty node id")
             try:
                 label = int(label_s)
             except ValueError as exc:

@@ -2,11 +2,13 @@
 
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import commtrack.cli as cli
+import commtrack.ingest as ingest
 from commtrack.cli import SweepSpec, _parse_pct_list, _parse_seeds, main, run_sweep
 from commtrack.errors import InputError, InternalInvariantError
 from commtrack.graph import read_edge_tsv, read_partition_tsv
@@ -14,6 +16,8 @@ from commtrack.louvain import LouvainConfig, louvain_static, renumber_partition
 from commtrack.sweep import _fmt_pct
 from commtrack.metrics import MatchConfig, compare
 from commtrack.synth import SynthSpec, generate
+
+from oracles import cdr_backends
 
 
 def test_parse_pct_list():
@@ -324,6 +328,25 @@ def test_ingest_skips_the_header_of_every_input_file(tmp_path, capsys):
     assert rc == 0
     assert "4 records kept (0 rejected, 0 outside window)" in capsys.readouterr().err
     assert read_edge_tsv(out).n_edges == 2
+
+
+@pytest.mark.parametrize("header", ["", "origin,target,timestamp,kind,duration_s\n"])
+def test_ingest_reads_past_a_byte_order_mark(tmp_path, capsys, header):
+    # the BOM is no part of line 1: a header after it is still a header, and a
+    # first record's origin is the id "a" that the other records name
+    body = header + "a,b,2012-03-05T10:00:00,call,62\nb,a,2012-03-06T10:00:00,sms,0\na,b,2012-03-07T10:00:00,call,5\n"
+    runs = set()
+    for name, tokens in cdr_backends().items():
+        for bom in ("", "\ufeff"):
+            cdr, out = tmp_path / "x.csv", tmp_path / f"{name}{len(bom)}.tsv"
+            cdr.write_text(bom + body, encoding="utf-8")
+            argv = ["ingest", "--cdr", str(cdr), "--month", "2012-03", "--max-rejected", "0", "--weight", "comm_count"]
+            with mock.patch.object(ingest, "_cdr_tokens", tokens):
+                assert main([*argv, "-o", str(out)]) == 0
+            runs.add((out.read_bytes(), capsys.readouterr().err))
+    (edges, err), = runs
+    assert edges == b"a\tb\t3\n"
+    assert "3 records kept (0 rejected, 0 outside window), 2 directed pairs" in err
 
 
 def test_ingest_timestamp_converting_outside_years_1_to_9999(tmp_path, capsys):

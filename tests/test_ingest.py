@@ -702,6 +702,31 @@ def test_cdr_bodies_number_ids_into_the_run_table(lines, prior):
     assert all(t == got["python"] for t in got.values())
 
 
+def test_pipeline_crosses_the_block_boundary_as_the_reference():
+    # the first block ends at line 65,536 and line 65,537 is rejected; the
+    # ids, ASCII and not, recur in both blocks, so the second block's lines
+    # are numbered into the table the first one filled
+    ids = [f"u{k}" for k in range(400)] + ["\u00e9", "\u00e9t\u00e9"]
+    stamp = "2012-03-{:02d}T10:{:02d}:00"
+    lines = [f"{ids[k % 402]},{ids[(k * 7 + 1) % 402]},{stamp.format(1 + k % 28, k % 60)},call,{k % 9}\n"
+             for k in range(ingest._CHUNK)]
+    lines.append("u1,u2,2012-03-01T10:00:00,call\n")
+    lines += [f"{ids[(k * 7 + 1) % 402]},{ids[k % 402]},{stamp.format(1 + k % 28, 0)},sms,0\n" for k in range(6000)]
+    window = WindowSpec.from_label("2012-03")
+    want_g, want = oracle_ingest(lines, window, 200, "comm_count")
+    assert want["first_line"] == {"field_count": ingest._CHUNK + 1}
+    assert want["n_directed_pairs"] == 2 * want_g.n_edges == 804
+    for body in cdr_backends().values():
+        with mock.patch.object(ingest, "_cdr_tokens", body):
+            g, report = ingest_pipeline(iter(lines), window, weight_mode="comm_count")
+        assert _arrays(g) == _arrays(want_g)
+        rej = report.rejections
+        assert (rej.n_lines, rej.n_valid, rej.reasons, rej.first_line) == (
+            want["n_lines"], want["n_valid"], want["reasons"], want["first_line"])
+        assert (report.n_in_window, report.n_directed_pairs, report.filter.removed) == (
+            want["n_in_window"], want["n_directed_pairs"], want["removed"])
+
+
 def test_durations_past_the_interpreter_digit_limit_are_judged_by_it():
     # Python 3.11+ refuses int() of more than sys.get_int_max_str_digits()
     # digits, 3.10 reads them: each body must agree with the running interpreter

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import commtrack.louvain as louvain
@@ -746,6 +746,52 @@ def test_sweep_backends_are_bit_identical(monkeypatch):
     assert runs["c"] == runs["python"]
 
 
+@st.composite
+def _sweep_calls(draw):
+    """One level for a ``_sweep`` call: a small graph with integer or float
+    weights, loops and repeats, random slots with their sums, random pref
+    and previous-slot marks, and distinct visited nodes in random order."""
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    weight = draw(st.sampled_from([st.just(1.0), st.integers(1, 4).map(float), st.floats(0.001, 4.0)]))
+    g = build_graph(draw(st.lists(st.tuples(node, node, weight), max_size=30)), nodes=range(n))
+    if draw(st.booleans()):  # singletons, as a static run starts: equal scores are common
+        c, slot = n, np.arange(n, dtype=np.int64)
+    else:
+        c = draw(st.integers(1, n + 2))
+        slot = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)), dtype=np.int64)
+    marks = (draw(st.lists(st.booleans(), min_size=k, max_size=k)) for k in (n, c))
+    pref, is_prev = (np.array(m, dtype=np.uint8) for m in marks)
+    visit = np.array(draw(st.permutations(range(n)))[:draw(st.integers(0, n))], dtype=np.int64)
+    return g, slot, c, pref, is_prev, visit
+
+
+_TIE = np.zeros(3, dtype=np.uint8)  # node 0's two neighbours score alike: the smaller slot must win
+
+
+@pytest.mark.skipif(len(sweep_backends()) < 2, reason="only the Python sweep is available")
+@settings(max_examples=300, deadline=None)
+@given(_sweep_calls())
+@example((build_graph([(0, 1), (0, 2)], nodes=range(3)), np.arange(3), 3, _TIE, _TIE, np.arange(3)))
+def test_sweep_bodies_agree_call_by_call(call):
+    # two sweeps of one level: all of the level's visit list, then in the same
+    # order those the first marked active; moves, the active mask and the
+    # slots and sums left behind must agree bit for bit
+    g, slot, c, pref, is_prev, visit = call
+    com_in, com_tot = louvain._sums_py(g, slot, c)
+    two_m = g.total_weight_2m
+    runs = {}
+    for name, sweep in sweep_backends().items():
+        lv = louvain._Level(g, slot.copy(), com_in.copy(), com_tot.copy(), pref, is_prev,
+                            two_m, louvain.MIN_GAIN * two_m * two_m / 2.0)
+        order, runs[name] = visit, []
+        for _ in range(2):
+            moved, active = sweep(order, lv)
+            runs[name].append((moved, active.tobytes(), *(a.tobytes() for a in (lv.node_slot, lv.com_in, lv.com_tot))))
+            order = order[active[order] != 0]
+    assert runs["c"] == runs["python"]
+
+
 SRC = str(Path(louvain.__file__).resolve().parents[1])
 KERNEL_PROBE = "import commtrack.louvain as louvain; print(louvain.KERNEL)"
 
@@ -768,7 +814,7 @@ def test_bound_kernels_are_the_ones_the_wrappers_call():
 
     defs = _native._KERNEL_DEF.findall(_native._SOURCE.read_text(encoding="utf-8"))
     wrappers = "".join(p.read_text(encoding="utf-8") for p in _native._SOURCE.parent.glob("*.py"))
-    called = set(re.findall(r"_native\.LIB\.(commtrack_\w+)", wrappers))
+    called = set(re.findall(r"_native\.call\(\"(commtrack_\w+)\"", wrappers))
     assert sorted(name for _, name, _ in defs) == sorted(called) and len(called) == 7
     if _native.LIB is not None:
         for _, name, params in defs:

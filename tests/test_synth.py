@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from commtrack import synth
 from commtrack.errors import InputError
 from commtrack.graph import Partition
 from commtrack.louvain import LouvainConfig, louvain_static, round_half_up
 from commtrack.metrics import compare
 from commtrack.synth import SynthSpec, generate
 
-from oracles import edge_list
+from oracles import edge_list, oracle_sample_inter_edges
 
 
 def test_spec_validation():
@@ -126,3 +129,15 @@ def test_calibration_louvain_recovers_planted():
         if score >= 0.9:
             ok += 1
     assert ok >= 9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=30), st.floats(0.0, 0.99), st.integers(0, 2**32))
+def test_cross_pairs_match_the_one_key_at_a_time_reference(labels, p_out, seed):
+    # the same pairs in the same order, and the generator left in the same
+    # state, so every later draw of a snapshot sequence is unchanged too
+    labels = np.array(labels, dtype=np.int64)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    u, v = synth._sample_inter_edges(labels, p_out, rng)
+    assert (u.tolist(), v.tolist()) == oracle_sample_inter_edges(labels, p_out, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

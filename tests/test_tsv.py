@@ -146,6 +146,10 @@ def test_read_partition_tsv_matches_line_reader(tmp_path, text, graph_ids, monke
         ("1\na\t1\n", "p.tsv:1: expected 'node<TAB>label'"),
         ("a\t1\t2\n", "p.tsv:1: expected 'node<TAB>label'"),
         ("b\t2\r\na\t1\t2\n", "p.tsv:2: expected 'node<TAB>label'"),
+        # an empty node id, alone, listed twice, or before a bad label
+        ("\t0\n", "p.tsv:1: empty node id"),
+        ("a\t0\n\t1\n\t2\n", "p.tsv:2: empty node id"),
+        ("a\t0\n\tx\n", "p.tsv:2: empty node id"),
     ],
 )
 def test_partition_reader_errors_name_the_line(tmp_path, text, message, monkeypatch):
@@ -168,6 +172,12 @@ def test_partition_reader_errors_name_the_line(tmp_path, text, message, monkeypa
         ("a\tb\r# note\rb\tc\t1\t2\r", "g.tsv:3: expected 1-3 tab-separated fields"),
         ("lone\n\na\tb\tnan\n", "edge weight on ('a', 'b') must be finite and non-negative, got nan"),
         ("a\tb\t-0\nb\tc\t-inf\n", "edge weight on ('b', 'c') must be finite and non-negative, got -inf"),
+        # an empty node id: a lone tab, an empty second field, one before a
+        # bad weight, one after an edge whose weight the graph refuses
+        ("\t\n", "g.tsv:1: empty node id"),
+        ("lone\na\t\t1\n", "g.tsv:2: empty node id"),
+        ("a\tb\n\tb\tx\n", "g.tsv:2: empty node id"),
+        ("a\tb\tnan\nc\t\n", "g.tsv:2: empty node id"),
     ],
 )
 def test_edge_reader_errors_name_the_line(tmp_path, text, message, monkeypatch):
@@ -197,6 +207,25 @@ def test_non_utf8_edge_file_fails_as_line_reader(tmp_path, data, monkeypatch):
         with pytest.raises(InputError) as got:
             read_edge_tsv(path)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.skipif("c" not in tsv_backends(), reason="only the Python tokenizer is available")
+def test_files_past_the_c_id_table_go_to_the_python_body(monkeypatch):
+    # the guard reads the line count, here 4: patched down to it, the C
+    # wrapper returns the Python body's tokens; one above, the kernel runs
+    data = b"a\tb\t2\nlone\nb\tc\n"
+    python_body, handed = graph._edge_tokens_py, []
+
+    def python_spy(d):
+        handed.append((d, python_body(d)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(graph, "_edge_tokens_py", python_spy)
+    monkeypatch.setattr(graph, "_TABLE_MAX_LINES", 4)
+    tokens = graph._edge_tokens_c(data)
+    assert [d for d, _ in handed] == [data] and tokens is handed[0][1]
+    monkeypatch.setattr(graph, "_TABLE_MAX_LINES", 5)
+    assert _tokens_key(graph._edge_tokens_c(data)) == _tokens_key(tokens) and len(handed) == 1
 
 
 def test_many_distinct_ids_read_as_line_reader(tmp_path, monkeypatch):
