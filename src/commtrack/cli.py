@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .errors import InputError, InternalInvariantError, reading_text
+from .errors import InputError, InternalInvariantError, reading_text, replacing
 from .graph import (
     read_edge_tsv,
     read_partition_tsv,
@@ -210,7 +210,8 @@ def _cmd_compare(args) -> int:
     report = compare(prev, nxt, g, MatchConfig(args.r))
     text = report.to_json()
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        with replacing(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     else:
         print(text)
     return 0
@@ -241,9 +242,6 @@ def _cmd_track(args) -> int:
             file=sys.stderr,
         )
     else:
-        if g.n == 0:
-            # no later snapshot could share a node with it, so no append could succeed
-            raise InputError(f"{args.add}: the first snapshot has no nodes; a timeline cannot start from it")
         tl = bootstrap(g, LouvainConfig(rng_seed=derive_step_seed(args.seed, 0)))
         print(
             f"track: timeline started with {len(tl.last.partition.ranked[0])} communities",
@@ -284,7 +282,7 @@ def _cmd_sweep(args) -> int:
         r=args.r,
     )
     results = run_sweep(g_t, g_t1, spec, LouvainConfig(node_order=args.order))
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    with replacing(args.output, "w", encoding="utf-8", newline="") as fh:
         write_sweep_csv(results, fh)
     print(f"sweep: {len(results)} rows -> {args.output}", file=sys.stderr)
     return 0

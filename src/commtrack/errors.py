@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and what a failed read
+reports or a failed write leaves behind."""
 
+import os
+import tempfile
 from contextlib import contextmanager
 
-__all__ = ["CommtrackError", "InputError", "InternalInvariantError", "reading_text"]
+__all__ = ["CommtrackError", "InputError", "InternalInvariantError", "reading_text", "replacing"]
+
+_UMASK = os.umask(0o022)  # read by setting it: restored at once
+os.umask(_UMASK)
 
 
 class CommtrackError(Exception):
@@ -31,3 +37,21 @@ def reading_text(path):
         yield
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+@contextmanager
+def replacing(path, mode: str = "wb", **kwargs):
+    """Open a new file beside ``path`` for writing, with ``open``'s ``mode``
+    and ``kwargs``, and make it ``path`` once the block completes. A write
+    that fails or is interrupted leaves ``path`` with its old bytes, or
+    absent, and removes the new file."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        with open(fd, mode, **kwargs) as fh:
+            os.fchmod(fd, 0o666 & ~_UMASK)  # as open() would create it
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import _native
-from .errors import InputError, InternalInvariantError, reading_text
+from .errors import InputError, InternalInvariantError, reading_text, replacing
 
 __all__ = [
     "IdMap",
@@ -492,14 +492,14 @@ def _writable_ids(ids: Sequence[ExternalId]) -> str:
 
 
 def _write_tsv(path, table: str, *sections: Tuple[np.ndarray, ...]) -> None:
-    """Write ``path`` as one line per row of each section, a tuple of
-    equally long index columns: cell ``i`` is entry ``i`` of ``table``, a
-    text holding each entry followed by a tab, and the cells of a row are
-    joined by tabs."""
+    """Write ``path``, whole or not at all, as one line per row of each
+    section, a tuple of equally long index columns: cell ``i`` is entry ``i``
+    of ``table``, a text holding each entry followed by a tab, and the cells
+    of a row are joined by tabs."""
     n_entries = table.count("\t")
     sections = tuple(tuple(checked_index(col, len(cols[0]), 0, n_entries, "row cell") for col in cols)
                      for cols in sections)
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         _write_rows(fh, table.encode("utf-8"), sections)
 
 

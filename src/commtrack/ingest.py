@@ -12,12 +12,13 @@ pairs are folded block by block into sorted distinct int64 keys with counts,
 and mutual pairs are found by sorting unordered pair keys, built on the ids'
 text ranks, once. Memory is bounded by the distinct directed pairs and one
 block, not by the line count. The tokenizer body is C (:func:`_cdr_tokens_c`),
-which decides plain ASCII lines with a canonical timestamp and hands every
-other line to the line validator, or Python (:func:`_cdr_tokens_py`), the
-validator on every line, parsing each timestamp in full; both give the same
-statuses and the same in-window pairs. The record-level
-:func:`iter_parse_cdr` shares the validator, and :func:`symmetrize` the
-mutual-pair graph construction.
+which decides only well-formed records (plain ASCII, five fields, a canonical
+timestamp) and hands every other line to the line validator, the one place
+that knows the header, blank lines and the rejection reasons; or Python
+(:func:`_cdr_tokens_py`), the validator on every line, parsing each timestamp
+in full. Both give the same statuses and the same in-window pairs. The
+record-level :func:`iter_parse_cdr` shares the validator, and
+:func:`symmetrize` the mutual-pair graph construction.
 
 Record format (header optional, on any line, UTF-8):
     origin,target,timestamp,kind,duration_s
@@ -93,17 +94,18 @@ def _parse_timestamp(text: str) -> Optional[datetime]:
 
 _HEADER_FIELDS = ("origin", "target")
 
-# The status of a line: a record in or out of the window, one of the two
-# kinds of line that are not counted, one of the seven rejection reasons, or
-# "defer", which only the compiled tokenizer gives, to a line it leaves to
-# the validator. A status code is its index here.
+# The status of a line: a record in or out of the window; "defer", which
+# only the compiled tokenizer gives, to every line but a well-formed record,
+# leaving it to the validator; one of the two kinds of line that are not
+# counted; or one of the seven rejection reasons, the contiguous tail that
+# _note_block counts. A status code is its index here.
 _STATUSES = (
-    "in_window", "out_of_window", "blank", "header",
+    "in_window", "out_of_window", "defer", "blank", "header",
     "field_count", "empty_id", "self_record", "bad_timestamp", "bad_kind", "bad_duration",
-    "sms_nonzero_duration", "defer",
+    "sms_nonzero_duration",
 )
-(_IN, _OUT, _BLANK, _HEADER, _FIELD_COUNT, _EMPTY_ID, _SELF_RECORD, _BAD_TIMESTAMP, _BAD_KIND,
- _BAD_DURATION, _SMS_NONZERO_DURATION, _DEFER) = range(len(_STATUSES))
+(_IN, _OUT, _DEFER, _BLANK, _HEADER, _FIELD_COUNT, _EMPTY_ID, _SELF_RECORD, _BAD_TIMESTAMP, _BAD_KIND,
+ _BAD_DURATION, _SMS_NONZERO_DURATION) = range(len(_STATUSES))
 
 
 def _judge_line(raw: str) -> Tuple[int, Optional[Tuple[str, str, datetime]]]:
@@ -403,11 +405,12 @@ def _cdr_tokens_py(lines: List[str], window: WindowSpec, index: Dict[str, int]) 
 
 
 def _cdr_tokens_c(lines: List[str], window: WindowSpec, index: Dict[str, int]) -> CdrTokens:
-    """:func:`_cdr_tokens_py` compiled from ``_native.c`` for the lines it
-    can decide exactly: those of printable ASCII with a canonical timestamp
-    (see ``commtrack_cdr_tokens``), whose block id table is mapped into
-    ``index``. The line validator judges every line it defers straight into
-    ``index``; their pairs follow the compiled ones."""
+    """:func:`_cdr_tokens_py` compiled from ``_native.c`` for the lines that
+    are well-formed records (see ``commtrack_cdr_tokens``), whose block id
+    table is mapped into ``index``. Every other line, and each decided line
+    starting with ``o`` or ``O``, which may be a header, is deferred: the line
+    validator judges it straight into ``index``, and its pairs follow the
+    compiled ones."""
     n = len(lines)
     text = "".join(lines)
     bounds = np.zeros(n + 1, dtype=np.int64)
@@ -427,11 +430,18 @@ def _cdr_tokens_c(lines: List[str], window: WindowSpec, index: Dict[str, int]) -
     text_len = np.zeros(1, dtype=np.int64)
     m = _native.call("commtrack_cdr_tokens", data, n, bounds, window._anchor_index - window.span_months,
                      window._anchor_index, slots, len(slots) - 1, off, id_text, status, u, v, text_len)
+    u, v = u[:m], v[:m]
+    decided = np.flatnonzero(status != _DEFER)  # records: bounds[decided] are their first bytes
+    maybe_header = decided[(np.frombuffer(data, dtype=np.uint8)[bounds[decided]] | 0x20) == ord(_HEADER_FIELDS[0][0])]
+    if len(maybe_header):
+        keep = ~np.isin(np.flatnonzero(status == _IN), maybe_header)
+        u, v = u[keep], v[keep]
+        status[maybe_header] = _DEFER
     ids = id_text[: text_len[0]].tobytes().decode("ascii").split("\t")[:-1]
-    del data, slots, off, id_text, bounds  # before the table grows, to keep the peak down
+    del data, slots, off, id_text, bounds, decided  # before the table grows, to keep the peak down
     intern = index.setdefault
     number = np.array([intern(x, len(index)) for x in ids], dtype=np.int64)
-    u, v = number[u[:m]], number[v[:m]]
+    u, v = number[u], number[v]
     deferred = np.flatnonzero(status == _DEFER)
     if len(deferred):
         du, dv = _judge_lines(lines, deferred.tolist(), window, status, index)

@@ -21,13 +21,13 @@ when they are used.
 from __future__ import annotations
 
 import json
-import os
+import os  # kept: the tests patch os.replace through tracker.os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import InputError
+from .errors import InputError, replacing
 from .graph import (
     Graph,
     Partition,
@@ -148,7 +148,13 @@ def derive_step_seed(base_seed: int, step_index: int) -> int:
 
 
 def bootstrap(g0: Graph, cfg: LouvainConfig = LouvainConfig()) -> Timeline:
-    """Start a timeline: plain detection on the first snapshot, labels 0..c-1."""
+    """Start a timeline: plain detection on the first snapshot, labels 0..c-1.
+
+    A snapshot with no nodes is refused: no later snapshot could share a node
+    with it, so no step could follow it.
+    """
+    if g0.n == 0:
+        raise InputError("the first snapshot has no nodes; a timeline cannot start from it")
     part, _report = louvain_static(g0, cfg)
     part = renumber_partition(part, start=0)
     tl = Timeline()
@@ -257,11 +263,9 @@ def save_timeline(tl: Timeline, directory) -> None:
             for ev in tl.events
         ],
     }
-    tmp = d / (_META + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with replacing(d / _META, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, d / _META)
     tl._stored = _Stored(here, len(tl.steps), history_start + len(rows))
 
 

@@ -10,6 +10,7 @@ import pytest
 import commtrack.cli as cli
 import commtrack.ingest as ingest
 from commtrack.cli import SweepSpec, _parse_pct_list, _parse_seeds, main, run_sweep
+import commtrack.errors as errors
 from commtrack.errors import InputError, InternalInvariantError
 from commtrack.graph import read_edge_tsv, read_partition_tsv
 from commtrack.louvain import LouvainConfig, louvain_static, renumber_partition
@@ -551,3 +552,65 @@ def test_every_cli_reader_reports_non_utf8_as_input_error(tmp_path, capsys, read
     capsys.readouterr()
     assert main(argv) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+class _DiskFull:
+    """A file that takes half of the first write and then fails it, as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["ingest", "detect", "compare", "sweep", "synth", "track"])
+@pytest.mark.parametrize("old", [None, b"old bytes\n"])
+def test_a_write_cut_short_leaves_the_old_output(tmp_path, monkeypatch, capsys, command, old):
+    inp, out = tmp_path / "in", tmp_path / "out"
+    inp.mkdir()
+    out.mkdir()
+    p0, p1, _, _ = _write_pair(inp)
+    cdr = inp / "x.csv"
+    cdr.write_text("A,B,2012-03-05T10:00:00,call,62\nB,A,2012-03-10T09:00:00,sms,0\n", encoding="utf-8")
+    assert main(["detect", "--graph", str(p0), "-o", str(inp / "p0.tsv")]) == 0
+    assert main(["detect", "--graph", str(p1), "-o", str(inp / "p1.tsv")]) == 0
+    target = out / "result"
+    argv = {
+        "ingest": ["ingest", "--cdr", str(cdr), "--month", "2012-03", "-o", str(target)],
+        "detect": ["detect", "--graph", str(p0), "-o", str(target)],
+        "compare": ["compare", "--prev", str(inp / "p0.tsv"), "--next", str(inp / "p1.tsv"), "-o", str(target)],
+        "sweep": ["sweep", "--graph-t", str(p0), "--graph-t1", str(p1), "-o", str(target)],
+        "synth": ["synth", "--nodes", "40", "--communities", "2", "--p-in", "0.3", "--p-out", "0.02",
+                  "-o", str(out)],
+        "track": ["track", "--timeline", str(out), "--add", str(p1)],
+    }[command]
+    if command in ("synth", "track"):  # a directory of outputs: its committed state is the old one
+        if old is not None:
+            assert main(["track", "--timeline", str(out), "--add", str(p0)] if command == "track" else argv) == 0
+            if command == "track":
+                argv += ["--p", "0.5"]
+    elif old is not None:
+        target.write_bytes(old)
+    before = _tree(out)
+    real_open = open
+    monkeypatch.setattr(errors, "open", lambda *a, **k: _DiskFull(real_open(*a, **k)), raising=False)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert _tree(out) == before  # old bytes or no file, and no temporary file left

@@ -565,6 +565,36 @@ def test_modularity_matches_oracle_small_random():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@st.composite
+def _weighted_graphs(draw):
+    """Up to 12 nodes, some isolated; distinct edges and self-loops with
+    unit, integer or float weights; a label per node."""
+    n = draw(st.integers(1, 12))
+    weight = draw(st.sampled_from([st.just(1.0), st.integers(1, 9).map(float),
+                                   st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False)]))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(lambda e: tuple(sorted(e)))
+    pairs = draw(st.lists(ends, min_size=1, max_size=30, unique=True))
+    edges = [(u, v, draw(weight)) for u, v in pairs]
+    labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return n, edges, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_graphs())
+def test_modularity_matches_networkx(case):
+    # an oracle written outside this package, with its own self-loop
+    # convention: a loop adds 2w to its node's degree and w to its community
+    nx = pytest.importorskip("networkx")
+    n, edges, labels = case
+    g = build_graph(edges, nodes=range(n))
+    ng = nx.Graph()
+    ng.add_nodes_from(range(n))
+    ng.add_weighted_edges_from(edges)
+    communities = [{u for u in range(n) if labels[u] == lab} for lab in set(labels)]
+    want = nx.community.modularity(ng, communities, weight="weight")
+    assert modularity(g, Partition(g.ids, np.asarray(labels))) == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_subgraph_matches_build_graph_on_kept_edges():
     rng = np.random.default_rng(41)
     for _ in range(200):

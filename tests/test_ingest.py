@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -463,7 +464,7 @@ def _fromisoformat_status(text, window):
     return ingest._IN if window.contains(ts) else ingest._OUT
 
 
-@pytest.mark.parametrize("text, in_c", [
+@pytest.mark.parametrize("text, canonical", [
     ("2012-02-29T10:00:00", True),   # leap days
     ("2000-02-29T10:00:00", True),
     ("1900-02-29T10:00:00", True),   # no leap day in a century year not divisible by 400
@@ -482,7 +483,7 @@ def _fromisoformat_status(text, window):
     ("\u0662\u0660\u0661\u0662-03-05T10:00:00", False),
     ("2012-03-05T10:00:00+00:00", False),
 ])
-def test_compiled_canonical_month_matches_fromisoformat(text, in_c):
+def test_compiled_canonical_month_matches_fromisoformat(text, canonical):
     if "c" not in cdr_backends():
         pytest.skip("the compiled library is not loaded")
     windows = [WindowSpec.from_label("2012-03", span_months=3)]
@@ -494,10 +495,62 @@ def test_compiled_canonical_month_matches_fromisoformat(text, in_c):
     for window in windows:
         with mock.patch.object(ingest, "_judge_lines", wraps=ingest._judge_lines) as judge:
             status, u, v, ids = _tokens(ingest._cdr_tokens_c, [f"a,b,{text},call,1"], window)
-        assert judge.called != in_c  # a canonical timestamp is decided in C alone
-        assert status.tolist() == [_fromisoformat_status(text, window)]
+        want = _fromisoformat_status(text, window)
+        # a canonical timestamp that names a real date is decided in C alone;
+        # any other text, a canonical one that names no date too, is deferred
+        assert judge.called != (canonical and want != ingest._BAD_TIMESTAMP)
+        assert status.tolist() == [want]
         assert [(ids[a], ids[b]) for a, b in zip(u.tolist(), v.tolist())] == (
             [("a", "b")] if status[0] == ingest._IN else [])
+
+
+# one line per way not to be a well-formed record, each of the validator's
+# statuses among them, between well-formed records
+_NOT_RECORDS = [
+    "",                                          # blank
+    "origin,target,timestamp,kind,duration_s",   # header
+    "Origin,TARGET,2012-03-05T10:00:00,call,1",  # a header that is also a well-formed record
+    "a,b,2012-03-05T10:00:00,call",              # field_count
+    ",b,2012-03-05T10:00:00,call,1",             # empty_id
+    "a,a,2012-03-05T10:00:00,call,1",            # self_record
+    "a,b,2012-02-30T10:00:00,call,1",            # bad_timestamp
+    "a,b,2012-03-05T10:00:00,fax,1",             # bad_kind
+    "a,b,2012-03-05T10:00:00,call,-1",           # bad_duration
+    "a,b,2012-03-05T10:00:00,sms,1",             # sms_nonzero_duration
+    "a,b,2012-03-05T10:00:00Z,call,1",           # a record, but no canonical timestamp
+    "o1,b,2012-03-05T10:00:00,call,1",           # a record whose first byte could start a header
+]
+
+
+def test_compiled_body_defers_exactly_what_is_no_well_formed_record():
+    if "c" not in cdr_backends():
+        pytest.skip("the compiled library is not loaded")
+    lines, deferred = [], []
+    for k, line in enumerate(_NOT_RECORDS):
+        lines += [f"b{k},c,2012-0{1 + k % 4}-05T10:00:00,{'sms,0' if k % 2 else 'CALL,42'}\n", line + "\n"]
+        deferred.append(2 * k + 1)
+    window = WindowSpec.from_label("2012-03", span_months=2)
+    with mock.patch.object(ingest, "_judge_lines", wraps=ingest._judge_lines) as judge:
+        got = _body_tokens(ingest._cdr_tokens_c, lines, window)
+    ((args, _),) = judge.call_args_list
+    assert args[1] == deferred
+    assert got == _body_tokens(ingest._cdr_tokens_py, lines, window)
+    assert set(got[0]) == set(range(len(ingest._STATUSES))) - {ingest._DEFER}
+    py_report, c_report = (rep.rejections for rep in _pipeline_reports(lines, window))
+    assert c_report == py_report
+    assert list(c_report.reasons.items()) == list(py_report.reasons.items())
+    assert list(c_report.first_line.items()) == list(py_report.first_line.items())
+
+
+def test_compiled_line_outcomes_are_the_first_statuses():
+    import commtrack._native as native
+
+    source = native._SOURCE.read_text(encoding="utf-8")
+    (body,) = re.findall(r"enum \{([^}]*)\};", source)
+    names = [x.strip() for x in body.split(",")]
+    assert names == ["CDR_IN_WINDOW", "CDR_OUT_OF_WINDOW", "CDR_DEFER"]
+    assert [f"CDR_{x.upper()}" for x in ingest._STATUSES[:len(names)]] == names
+    assert (ingest._IN, ingest._OUT, ingest._DEFER) == (0, 1, 2)
 
 
 # --- pipeline against the record-by-record reference ---------------------------------

@@ -25,10 +25,9 @@ def two_triangles():
 
 
 def test_bootstrap_empty_graph():
-    tl = bootstrap(build_graph([]))
-    assert tl.last.partition.n == 0
-    assert tl.label_counter == 0
-    assert tl.history == []
+    # no later snapshot could share a node with it, so no step could follow
+    with pytest.raises(InputError, match="the first snapshot has no nodes"):
+        bootstrap(build_graph([]))
 
 
 def test_bootstrap_two_triangles_matches_exhaustive_optimum():
