@@ -515,9 +515,10 @@ static int64_t canonical_month(const char *s, int64_t len)
  * all its bytes, but one trailing LF, lie in 0x21-0x7E, so no strip() can
  * change it, and it has five fields: two ids, non-empty and different; a
  * canonical timestamp; call or sms in any case; and a duration of 1-18 ASCII
- * digits, all zeros for sms. status[i] receives CDR_IN_WINDOW or
- * CDR_OUT_OF_WINDOW for such a line, CDR_DEFER for any other; whether a
- * record is also a header is the caller's to tell. The origin and target of
+ * digits, all zeros for sms. A record whose first byte is o or O may be a
+ * header, so it is not decided here either. status[i] receives
+ * CDR_IN_WINDOW or CDR_OUT_OF_WINDOW for a decided line, CDR_DEFER for any
+ * other, before any of its ids is interned. The origin and target of
  * each in-window line are interned in line order into u[j] and v[j]. A month
  * index idx lies in the window when lo < idx <= hi.
  *
@@ -559,7 +560,8 @@ int64_t commtrack_cdr_tokens(
             digits = is_digit(f[4][k]);
             zero &= f[4][k] == '0';
         }
-        if (len[0] == 0 || len[1] == 0 || (len[0] == len[1] && memcmp(f[0], f[1], (size_t)len[0]) == 0)
+        if ((*p | 0x20) == 'o' || len[0] == 0 || len[1] == 0
+            || (len[0] == len[1] && memcmp(f[0], f[1], (size_t)len[0]) == 0)
             || month < 0 || !(sms || is_word(f[3], len[3], "call")) || !digits || (sms && !zero))
             continue;
         if (month <= lo || month > hi) {

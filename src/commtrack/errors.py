@@ -2,13 +2,11 @@
 reports or a failed write leaves behind."""
 
 import os
-import tempfile
+import secrets
+import stat
 from contextlib import contextmanager
 
 __all__ = ["CommtrackError", "InputError", "InternalInvariantError", "reading_text", "replacing"]
-
-_UMASK = os.umask(0o022)  # read by setting it: restored at once
-os.umask(_UMASK)
 
 
 class CommtrackError(Exception):
@@ -42,16 +40,43 @@ def reading_text(path):
 @contextmanager
 def replacing(path, mode: str = "wb", **kwargs):
     """Open a new file beside ``path`` for writing, with ``open``'s ``mode``
-    and ``kwargs``, and make it ``path`` once the block completes. A write
-    that fails or is interrupted leaves ``path`` with its old bytes, or
-    absent, and removes the new file."""
-    directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    (``"w"`` or ``"wb"``) and ``kwargs``, and make it ``path`` once the block
+    completes. A write that fails or is interrupted leaves ``path`` with its
+    old bytes, or absent, and removes the new file.
+
+    A symlink is written through: the file it names is replaced, the link
+    stays. A replaced file keeps its permission bits; a new one gets those
+    ``open`` would give it. A ``path`` that exists and is no regular file (a
+    terminal, a pipe, a device) is written in place."""
     try:
-        with open(fd, mode, **kwargs) as fh:
-            os.fchmod(fd, 0o666 & ~_UMASK)  # as open() would create it
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    try:
+        fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    except OSError as exc:
+        _report_as(exc, tmp, path)
         raise
+    try:
+        with fh:
+            if old is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException as exc:
+        os.unlink(tmp)
+        _report_as(exc, tmp, path)
+        raise
+
+
+def _report_as(exc, tmp, path):
+    """Let an error about the temporary file ``tmp`` name ``path`` instead."""
+    if getattr(exc, "filename", None) == tmp:
+        exc.filename, exc.filename2 = os.fspath(path), None

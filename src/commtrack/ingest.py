@@ -406,11 +406,10 @@ def _cdr_tokens_py(lines: List[str], window: WindowSpec, index: Dict[str, int]) 
 
 def _cdr_tokens_c(lines: List[str], window: WindowSpec, index: Dict[str, int]) -> CdrTokens:
     """:func:`_cdr_tokens_py` compiled from ``_native.c`` for the lines that
-    are well-formed records (see ``commtrack_cdr_tokens``), whose block id
-    table is mapped into ``index``. Every other line, and each decided line
-    starting with ``o`` or ``O``, which may be a header, is deferred: the line
-    validator judges it straight into ``index``, and its pairs follow the
-    compiled ones."""
+    are well-formed records not starting with ``o`` or ``O``, which may be a
+    header (see ``commtrack_cdr_tokens``), whose block id table is mapped
+    into ``index``. Every other line is deferred: the line validator judges
+    it straight into ``index``, and its pairs follow the compiled ones."""
     n = len(lines)
     text = "".join(lines)
     bounds = np.zeros(n + 1, dtype=np.int64)
@@ -430,18 +429,11 @@ def _cdr_tokens_c(lines: List[str], window: WindowSpec, index: Dict[str, int]) -
     text_len = np.zeros(1, dtype=np.int64)
     m = _native.call("commtrack_cdr_tokens", data, n, bounds, window._anchor_index - window.span_months,
                      window._anchor_index, slots, len(slots) - 1, off, id_text, status, u, v, text_len)
-    u, v = u[:m], v[:m]
-    decided = np.flatnonzero(status != _DEFER)  # records: bounds[decided] are their first bytes
-    maybe_header = decided[(np.frombuffer(data, dtype=np.uint8)[bounds[decided]] | 0x20) == ord(_HEADER_FIELDS[0][0])]
-    if len(maybe_header):
-        keep = ~np.isin(np.flatnonzero(status == _IN), maybe_header)
-        u, v = u[keep], v[keep]
-        status[maybe_header] = _DEFER
     ids = id_text[: text_len[0]].tobytes().decode("ascii").split("\t")[:-1]
-    del data, slots, off, id_text, bounds, decided  # before the table grows, to keep the peak down
+    del data, slots, off, id_text, bounds  # before the table grows, to keep the peak down
     intern = index.setdefault
     number = np.array([intern(x, len(index)) for x in ids], dtype=np.int64)
-    u, v = number[u], number[v]
+    u, v = number[u[:m]], number[v[:m]]
     deferred = np.flatnonzero(status == _DEFER)
     if len(deferred):
         du, dv = _judge_lines(lines, deferred.tolist(), window, status, index)

@@ -21,7 +21,6 @@ when they are used.
 from __future__ import annotations
 
 import json
-import os  # kept: the tests patch os.replace through tracker.os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path

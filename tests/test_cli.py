@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -268,8 +269,6 @@ def _synth_steps(out, steps):
 
 
 def test_track_after_interrupted_append_matches_uninterrupted(tmp_path, monkeypatch):
-    import commtrack.tracker as tracker
-
     syn = tmp_path / "syn"
     _synth_steps(syn, 4)
     clean = tmp_path / "clean"
@@ -277,11 +276,14 @@ def test_track_after_interrupted_append_matches_uninterrupted(tmp_path, monkeypa
 
     tl_dir = tmp_path / "tl"
     _track_run(tl_dir, syn, range(2))
+    real_replace = errors.os.replace
     with monkeypatch.context() as m:
-        def boom(src, dst):
-            raise OSError("rename failed")
+        def boom(src, dst):  # fails the commit alone, after the step files and history rows
+            if os.path.basename(dst) == "meta.json":
+                raise OSError("rename failed")
+            real_replace(src, dst)
 
-        m.setattr(tracker.os, "replace", boom)
+        m.setattr(errors.os, "replace", boom)
         rc = main(["track", "--timeline", str(tl_dir), "--add",
                    str(syn / "step_2.graph.tsv"), "--seed", "7", "--p", "0.5", "--q", "0.25"])
     assert rc == 2
@@ -614,3 +616,43 @@ def test_a_write_cut_short_leaves_the_old_output(tmp_path, monkeypatch, capsys, 
     assert main(argv) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert _tree(out) == before  # old bytes or no file, and no temporary file left
+
+
+def test_an_output_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    p0, _, _, _ = _write_pair(tmp_path)
+    want, real, link = tmp_path / "want.tsv", tmp_path / "real.tsv", tmp_path / "link.tsv"
+    assert main(["detect", "--graph", str(p0), "-o", str(want)]) == 0
+    real.write_bytes(b"old bytes\n")
+    real.chmod(0o640)
+    link.symlink_to(real.name)
+    assert main(["detect", "--graph", str(p0), "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_bytes() == want.read_bytes()
+    assert real.stat().st_mode & 0o777 == 0o640  # the replaced file keeps its permission bits
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g0.tsv", "g1.tsv", "link.tsv", "real.tsv", "want.tsv"]
+
+
+def test_an_output_that_is_a_pipe_is_written_in_place(tmp_path):
+    p0, p1, _, _ = _write_pair(tmp_path)
+    for name, p in (("p0", p0), ("p1", p1)):
+        assert main(["detect", "--graph", str(p), "-o", str(tmp_path / f"{name}.tsv")]) == 0
+    argv = ["compare", "--prev", str(tmp_path / "p0.tsv"), "--next", str(tmp_path / "p1.tsv"), "-o"]
+    assert main(argv + [str(tmp_path / "want.json")]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so that opening it to write does not block
+    try:
+        assert main(argv + [str(fifo)]) == 0
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert got == (tmp_path / "want.json").read_bytes()
+    assert fifo.is_fifo()
+
+
+def test_an_output_that_cannot_be_made_is_reported_by_its_path(tmp_path, capsys):
+    p0, _, _, _ = _write_pair(tmp_path)
+    target = tmp_path / "missing" / "part.tsv"
+    assert main(["detect", "--graph", str(p0), "-o", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and ".tmp" not in err

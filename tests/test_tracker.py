@@ -1,8 +1,11 @@
 """Timeline orchestration: bootstrap, stepping, lineage, persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import commtrack.errors as errors
 import commtrack.tracker as tracker
 from commtrack.errors import InputError
 from commtrack.graph import build_graph, read_edge_tsv, write_edge_tsv
@@ -358,9 +361,15 @@ def _interrupt_partition_write(monkeypatch):
 
 
 def _interrupt_commit(monkeypatch):
+    # every output is renamed into place; only meta.json's rename, the
+    # commit, fails, after the step files and history rows are written
+    real_replace = errors.os.replace
+
     def boom(src, dst):
-        raise _Interrupted("rename failed")
-    monkeypatch.setattr(tracker.os, "replace", boom)
+        if Path(dst).name == "meta.json":
+            raise _Interrupted("rename failed")
+        real_replace(src, dst)
+    monkeypatch.setattr(errors.os, "replace", boom)
 
 
 @pytest.mark.parametrize("interrupt", [_interrupt_partition_write, _interrupt_commit])
