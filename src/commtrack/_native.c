@@ -18,17 +18,35 @@
 #include <stdint.h>
 #include <string.h>
 
+/* Add w to acc[s] for key, and return n_touched counting s if it is new for
+ * key: the stamped gather of the sweep and the projection. Selects, not a
+ * branch on a slot's being new that the data decides and the CPU cannot
+ * predict: a new slot sums 0.0 + w, the bits of a reset then an add, and
+ * whatever acc[s] held is dropped. s is stored in touched[n_touched] even
+ * when it repeats, so touched needs one entry more than there are slots.
+ */
+static inline int64_t gather(
+    int64_t s, int64_t key, double w, int64_t *stamp, double *acc, int64_t *touched, int64_t n_touched)
+{
+    const int fresh = stamp[s] != key;
+    const double kept[2] = {acc[s], 0.0};
+    touched[n_touched] = s;
+    stamp[s] = key;
+    acc[s] = kept[fresh] + w;
+    return n_touched + fresh;
+}
+
 /* One level-1 sweep of the Louvain move rule: louvain._sweep_py.
  *
  * The same arithmetic in the same order. Slots are numbered in ascending
  * community-key order, so "smallest key" on equal scores is "smallest slot".
  *
- * Scratch: weight, stamp and touched hold one entry per slot (c slots) and
- * serve every sweep of a level; stamp is reset to -1 here, so no mark of an
- * earlier sweep survives. active is one zeroed byte per node, new for each
- * call. Returns the number of moves; on return active[v] is 1 for every node
- * v that moved or neighbours a node that did. Which nodes the next sweep
- * visits, and in what order, is the caller's.
+ * Scratch: weight and stamp hold one entry per slot (c slots), touched c + 1
+ * (see gather); they serve every sweep of a level, and stamp is reset to -1
+ * here, so no mark of an earlier sweep survives. active is one zeroed byte
+ * per node, new for each call. Returns the number of moves; on return
+ * active[v] is 1 for every node v that moved or neighbours a node that did.
+ * Which nodes the next sweep visits, and in what order, is the caller's.
  */
 int64_t commtrack_sweep(
     int64_t n_visit, const int64_t *visit, uint8_t *active,
@@ -47,15 +65,8 @@ int64_t commtrack_sweep(
         const int64_t lo = indptr[u], hi = indptr[u + 1];
         const double ku = k[u];
         int64_t n_touched = 0;
-        for (int64_t e = lo; e < hi; e++) {
-            const int64_t s = node_slot[nbr[e]];
-            if (stamp[s] != u) {
-                stamp[s] = u;
-                weight[s] = 0.0;
-                touched[n_touched++] = s;
-            }
-            weight[s] += wgt[e];
-        }
+        for (int64_t e = lo; e < hi; e++)
+            n_touched = gather(node_slot[nbr[e]], u, wgt[e], stamp, weight, touched, n_touched);
         const double w_own = stamp[su] == u ? weight[su] : 0.0;
         com_tot[su] -= ku;
 
@@ -163,9 +174,13 @@ static inline void mirror_upper(
  * inside one new node in CSR order. The weight of a new edge (a, b), a < b,
  * adds its CSR entries from a to b over a's members in node order, each
  * row in order. Each edge is summed once and mirrored into the CSR, so both
- * orientations carry the same bits; each row is sorted by neighbour.
+ * orientations carry the same bits; each row is sorted by neighbour. Every
+ * mapped neighbour b of a's members is gathered, with no branch on b > a per
+ * entry; only the b > a are then kept, in the order first met, so each
+ * (a, b) adds the same entries in the same order.
  *
- * i_scratch holds 4 c + n + 3 + cap int64 and f_scratch c + cap doubles;
+ * i_scratch holds 4 c + n + 4 + cap int64 (touched takes c + 1, see gather)
+ * and f_scratch c + cap doubles;
  * out_ptr holds c + 1 zeros and out_loops c zeros; out_nbr and out_wgt have
  * room for 2 cap entries. Returns the number of CSR entries written, or -1
  * when the new graph has more than cap edges.
@@ -178,7 +193,7 @@ int64_t commtrack_project(
 {
     /* first[a] .. first[a + 1]: a's members, in node order */
     int64_t *first = i_scratch, *members = first + c + 2, *stamp = members + n;
-    int64_t *touched = stamp + c, *upper_ptr = touched + c, *upper_nbr = upper_ptr + c + 1;
+    int64_t *touched = stamp + c, *upper_ptr = touched + c + 1, *upper_nbr = upper_ptr + c + 1;
     double *acc = f_scratch, *upper_wgt = acc + c;
 
     memset(first, 0, (size_t)(c + 2) * sizeof *first);
@@ -208,20 +223,19 @@ int64_t commtrack_project(
                 const int64_t b = new_index[nbr[e]];
                 const double half[2] = {0.0, wgt[e] * 0.5};  /* a select, as in the sums */
                 loop += half[b == a];
-                if (b > a) {
-                    if (stamp[b] != a) {
-                        stamp[b] = a;
-                        acc[b] = 0.0;
-                        touched[n_touched++] = b;
-                    }
-                    acc[b] += wgt[e];
-                }
+                if (b >= 0)
+                    n_touched = gather(b, a, wgt[e], stamp, acc, touched, n_touched);
             }
         }
         out_loops[a] = loop;
-        if (n_touched > cap - m)
-            return -1;
+        int64_t n_upper = 0;  /* keep the b > a, in first-seen order */
         for (int64_t t = 0; t < n_touched; t++) {
+            touched[n_upper] = touched[t];
+            n_upper += touched[t] > a;
+        }
+        if (n_upper > cap - m)
+            return -1;
+        for (int64_t t = 0; t < n_upper; t++) {
             const int64_t b = touched[t];
             upper_nbr[m] = b;
             upper_wgt[m++] = acc[b];

@@ -432,7 +432,7 @@ def _project_c(g: Graph, ids: IdMap, new_index: np.ndarray) -> Graph:
     n, c = g.n, len(ids)
     # a symmetric adjacency has at most len(nbr) // 2 edges, and c nodes at most c (c - 1) / 2
     cap = min(len(g.nbr) // 2, c * (c - 1) // 2)
-    scratch = np.empty(4 * c + n + 3 + cap, dtype=np.int64), np.empty(c + cap, dtype=np.float64)
+    scratch = np.empty(4 * c + n + 4 + cap, dtype=np.int64), np.empty(c + cap, dtype=np.float64)
     out_ptr = np.zeros(c + 1, dtype=np.int64)
     out_nbr = np.empty(2 * cap, dtype=np.int64)
     out_wgt = np.empty(2 * cap, dtype=np.float64)

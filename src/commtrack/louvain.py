@@ -337,11 +337,12 @@ class _Level:
     @cached_property
     def c_args(self) -> tuple:
         """:func:`_sweep_c`'s arguments after ``visit`` and ``active``: the
-        addresses of the graph's and the level's arrays and of a weight,
-        stamp and touched scratch of one entry per slot, which every sweep of
-        the level reuses. The level holds each of them."""
+        addresses of the graph's and the level's arrays and of a weight and a
+        stamp scratch of one entry per slot and a touched scratch of one more
+        (the kernel may store one entry past the last distinct slot), which
+        every sweep of the level reuses. The level holds each of them."""
         c = len(self.com_tot)
-        self._scratch = np.empty(c), np.empty(c, dtype=np.int64), np.empty(c, dtype=np.int64)
+        self._scratch = np.empty(c), np.empty(c, dtype=np.int64), np.empty(c + 1, dtype=np.int64)
         level = (self.node_slot, self.com_in, self.com_tot, self.pref, self.slot_is_prev)
         return (*self.graph._kernel_pointers(), c, *_native.addresses(level),
                 self.two_m, self.min_diff, *_native.addresses(self._scratch))
@@ -513,11 +514,13 @@ def _one_level(
     node_slot, com_in, com_tot = node_slot.copy(), com_in.copy(), com_tot.copy()
     lv = _Level(lg, node_slot, com_in, com_tot, pref, slot_is_prev, two_m, MIN_GAIN * two_m * two_m / 2.0)
 
-    order = list(range(n))
     if cfg.node_order == "shuffled":
+        order = list(range(n))
         rng.shuffle(order)
-    order = np.asarray(order, dtype=np.int64)
-    order = order[movable[order]]
+        order = np.asarray(order, dtype=np.int64)
+        order = order[movable[order]]
+    else:  # intp is int32 on some platforms; the kernel reads int64
+        order = np.flatnonzero(movable).astype(np.int64, copy=False)
     active = np.ones(n, dtype=np.uint8)
 
     q_prev = q_start

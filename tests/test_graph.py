@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import commtrack.graph as graph
@@ -382,8 +382,18 @@ def _graph_bytes(g):
     return g.ids.ids, [(a.dtype.str, a.tobytes()) for a in (g.indptr, g.nbr, g.wgt, g.self_loops)]
 
 
+# new node 1's rows mix entries left out (-1), entries inside it, lower and
+# higher neighbours, and reach all three new nodes before repeating them
+_MIXED_ROWS = build_graph(
+    [(0, 0, 1.5), (0, 1, 0.1), (0, 2, 2.0), (0, 3, 1 / 3), (0, 4, 2.5), (0, 5, 0.1), (0, 6, 1e-300),
+     (1, 2, 3.0), (1, 4, 1 / 3), (1, 3, 0.7), (2, 4, 1.0), (3, 6, 4.0)],
+    nodes=range(7),
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=_graph_and_maps())
+@example(case=(_MIXED_ROWS, 3, np.array([1, 1, -1, 0, 2, 2, 0]), 2, np.array([0, 0, 1, 1, 1, 0, 0])))
 def test_sum_and_projection_bodies_are_bit_identical(case):
     g, c, new_index, k, dense = case
     ids = IdMap(range(c))

@@ -773,6 +773,13 @@ _TIE = np.zeros(3, dtype=np.uint8)  # node 0's two neighbours score alike: the s
 @settings(max_examples=300, deadline=None)
 @given(_sweep_calls())
 @example((build_graph([(0, 1), (0, 2)], nodes=range(3)), np.arange(3), 3, _TIE, _TIE, np.arange(3)))
+# node 0's row reaches slots 0, 1 and 2, every slot of the level, then slot 2
+# again: the compiled sweep stores that repeat in touched[c]
+@example((build_graph([(0, v, float(v)) for v in range(1, 5)], nodes=range(5)), np.array([0, 0, 1, 2, 2]), 3,
+          np.zeros(5, dtype=np.uint8), np.zeros(3, dtype=np.uint8), np.arange(5)))
+# every entry of node 0's row lies in its own slot
+@example((build_graph([(0, 1, 0.5), (0, 2, 1 / 3)], nodes=range(3)), np.zeros(3, dtype=np.int64), 1,
+          np.zeros(3, dtype=np.uint8), np.zeros(1, dtype=np.uint8), np.arange(3)))
 def test_sweep_bodies_agree_call_by_call(call):
     # two sweeps of one level: all of the level's visit list, then in the same
     # order those the first marked active; moves, the active mask and the
