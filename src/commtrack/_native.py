@@ -14,12 +14,14 @@ table entries into tab-separated lines (``commtrack_write_rows``, behind
 (``commtrack_cdr_tokens``, behind :func:`commtrack.ingest._cdr_tokens_c`).
 The library is compiled with ``$CC`` (default ``cc``) into
 ``${XDG_CACHE_HOME:-~/.cache}/commtrack/``, under a name keyed by the source,
-the flags, the interpreter and the machine, and loaded from there through
-ctypes. :data:`LIB` is None when no compiler, build or load succeeds; each
-caller then runs its pure-Python twin, which computes the same bytes.
-:data:`KERNEL` says which body of all seven kernels runs, "c" or "python".
-A wrapper runs its kernel through :func:`call`, which passes each numpy
-array by its data address; this module alone takes an array's address.
+the flags, the interpreter and the machine, written whole through
+:func:`commtrack.errors.replacing` like every other output, and loaded from
+there through ctypes. :data:`LIB` is None when no compiler, build or load
+succeeds; each caller then runs its pure-Python twin, which computes the
+same bytes. :data:`KERNEL` says which body of all seven kernels runs, "c"
+or "python". A wrapper runs its kernel through :func:`call`, which passes
+each numpy array by its data address; this module alone takes an array's
+address.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+
+from .errors import replacing
 
 __all__ = ["LIB", "KERNEL", "addresses", "call", "cache_path"]
 
@@ -66,24 +70,17 @@ def call(kernel: str, *args):
     return getattr(LIB, kernel)(*[a.ctypes.data if isinstance(a, np.ndarray) else a for a in args])
 
 
-def _compile(directory: str, name: str) -> str:
-    """Compile ``_native.c`` to ``directory/name`` through a temporary file."""
+def _compile(path: str) -> str:
+    """Compile ``_native.c`` to ``path``, whole or not at all (see :func:`replacing`)."""
     import shlex
     import subprocess
-    import tempfile
 
-    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=directory)
-    os.close(fd)
-    try:
-        cmd = [*shlex.split(os.environ.get("CC") or "cc"), *_CFLAGS, "-o", tmp, str(_SOURCE)]
+    with replacing(path) as fh:
+        fh.close()  # the compiler writes the file by its name
+        cmd = [*shlex.split(os.environ.get("CC") or "cc"), *_CFLAGS, "-o", fh.name, str(_SOURCE)]
         subprocess.run(cmd, check=True, timeout=_BUILD_TIMEOUT_S,
                        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        path = os.path.join(directory, name)
-        os.replace(tmp, path)
-        return path
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    return path
 
 
 def cache_path() -> str:
@@ -118,9 +115,9 @@ def _load():
         writable = False
     try:
         if writable:
-            return _bind(_compile(cache, name))
+            return _bind(_compile(path))
         with tempfile.TemporaryDirectory() as scratch:
-            return _bind(_compile(scratch, name))
+            return _bind(_compile(os.path.join(scratch, name)))
     except (OSError, AttributeError, ValueError, subprocess.SubprocessError):
         return None
 

@@ -2,9 +2,8 @@
 reports or a failed write leaves behind."""
 
 import os
-import secrets
 import stat
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 __all__ = ["CommtrackError", "InputError", "InternalInvariantError", "reading_text", "replacing"]
 
@@ -42,7 +41,8 @@ def replacing(path, mode: str = "wb", **kwargs):
     """Open a new file beside ``path`` for writing, with ``open``'s ``mode``
     (``"w"`` or ``"wb"``) and ``kwargs``, and make it ``path`` once the block
     completes. A write that fails or is interrupted leaves ``path`` with its
-    old bytes, or absent, and removes the new file.
+    old bytes, or absent, and removes the new file. A block whose bytes
+    another writer makes closes the handle and has them written to its name.
 
     A symlink is written through: the file it names is replaced, the link
     stays. A replaced file keeps its permission bits; a new one gets those
@@ -58,7 +58,8 @@ def replacing(path, mode: str = "wb", **kwargs):
         return
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    # not secrets.token_hex: importing secrets loads OpenSSL into every process
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, mode.replace("w", "x"), **kwargs)
     except OSError as exc:
@@ -71,7 +72,8 @@ def replacing(path, mode: str = "wb", **kwargs):
             yield fh
         os.replace(tmp, target)
     except BaseException as exc:
-        os.unlink(tmp)
+        with suppress(FileNotFoundError):  # a failing linker removes its output
+            os.unlink(tmp)
         _report_as(exc, tmp, path)
         raise
 

@@ -222,7 +222,7 @@ def build_graph(edges: Iterable[EdgeInput], nodes: Iterable[ExternalId] = ()) ->
         ends.append(b)
         ws.append(w)
     id_map, idx = _intern(nodes, ends)
-    return graph_from_edges(id_map, idx[0::2], idx[1::2], np.asarray(ws, dtype=np.float64), np.zeros(len(id_map)))
+    return graph_from_edges(id_map, idx[0::2], idx[1::2], np.asarray(ws, dtype=np.float64))
 
 
 def _intern(nodes: Iterable[ExternalId], ends: list) -> Tuple[IdMap, np.ndarray]:
@@ -232,12 +232,9 @@ def _intern(nodes: Iterable[ExternalId], ends: list) -> Tuple[IdMap, np.ndarray]
     return id_map, np.fromiter(map(id_map.index.__getitem__, ends), dtype=np.int64, count=len(ends))
 
 
-def graph_from_edges(
-    ids: IdMap, u: np.ndarray, v: np.ndarray, w: np.ndarray, self_loops: np.ndarray
-) -> Graph:
+def graph_from_edges(ids: IdMap, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
     """CSR graph of the undirected edge entries ``(u[i], v[i], w[i])``, given
-    as int64 node indices into ``ids`` in any order and orientation, on top
-    of ``self_loops`` (each node's starting loop weight).
+    as int64 node indices into ``ids`` in any order and orientation.
 
     Entries may repeat and may be loops: each loop entry adds to its node's
     loop weight and each edge sums its entries, both in input order, so both
@@ -255,10 +252,7 @@ def graph_from_edges(
             f"edge weight on ({ids.ids[u[i]]!r}, {ids.ids[v[i]]!r}) must be finite "
             f"and non-negative, got {float(w[i])}"
         )
-    loops = np.array(self_loops, dtype=np.float64)  # a copy: the builder adds to it
-    if loops.shape != (n,):
-        raise InternalInvariantError(f"self-loops must hold {n} entries, got shape {loops.shape}")
-    return _build(ids, u, v, w, loops)
+    return _build(ids, u, v, w, np.zeros(n))  # the builder adds loop entries to it
 
 
 def _build_py(ids: IdMap, u: np.ndarray, v: np.ndarray, w: np.ndarray, loops: np.ndarray) -> Graph:
@@ -704,7 +698,7 @@ def read_edge_tsv(path) -> Graph:
     ids = IdMap(_texts(id_text))
     if "" in ids:
         _raise_first_bad_line(path, _edge_line_problem)
-    return graph_from_edges(ids, u, v, w, np.zeros(len(ids)))
+    return graph_from_edges(ids, u, v, w)
 
 
 def read_partition_tsv(path, graph: Optional[Graph] = None) -> Partition:

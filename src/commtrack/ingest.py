@@ -282,7 +282,6 @@ def _mutual_graph(
         new_index[a],
         new_index[b],
         w,
-        np.zeros(len(nodes), dtype=np.float64),
     )
 
 

@@ -153,9 +153,7 @@ def derive_seed(*parts: int) -> int:
 
 
 def _sample_without_replacement(population: Sequence[int], fraction: float, seed: int) -> np.ndarray:
-    """A sorted sample of ``fraction`` of the sorted ``population``."""
-    if not 0.0 <= fraction <= 1.0:
-        raise InputError(f"sampling fraction must be in [0, 1], got {fraction}")
+    """A sorted sample of ``fraction`` (in [0, 1]) of the sorted ``population``."""
     pop = np.asarray(population, dtype=np.int64)
     k = round_half_up(fraction * len(pop))
     if k >= len(pop):

@@ -71,9 +71,7 @@ class ComparisonReport:
         return self.mi_nats / denom
 
     def to_json(self) -> str:
-        d = self.__dict__.copy()
-        d["matching"] = [list(pair) for pair in self.matching]
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(self.__dict__, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ComparisonReport":

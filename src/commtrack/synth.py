@@ -133,7 +133,7 @@ def _snapshot(ids: List[str], labels: np.ndarray, p_in: float, p_out: float,
     # distinct and loop-free by construction: intra pairs have i < j inside one
     # block, inter pairs are deduplicated and join two labels
     u, v = (np.concatenate(ends) for ends in zip(*parts))
-    return graph_from_edges(IdMap(ids), u, v, np.ones(len(u)), np.zeros(len(ids)))
+    return graph_from_edges(IdMap(ids), u, v, np.ones(len(u)))
 
 
 def generate(spec: SynthSpec) -> List[Tuple[Graph, Partition]]:

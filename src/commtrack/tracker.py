@@ -222,8 +222,9 @@ def save_timeline(tl: Timeline, directory) -> None:
 
     Steps this timeline already committed in that directory (it was loaded
     from it or last saved to it) are never written again; only new steps'
-    files and history rows are. A stored graph or partition that was never
-    read is copied byte for byte. ``meta.json`` is the commit point: it is
+    files and history rows are. Step files are written whole, and one that
+    was never read is copied byte for byte; history rows are appended.
+    ``meta.json`` is the commit point: it is
     replaced atomically once everything it names is on disk, so a save
     interrupted before that leaves the previous commit loadable, and the next
     save overwrites the uncommitted files.
@@ -241,7 +242,9 @@ def save_timeline(tl: Timeline, directory) -> None:
             if not isinstance(held, Path):
                 write(held, path)
             elif held.resolve() != path.resolve():
-                shutil.copyfile(held, path)  # never read: keep its bytes
+                with replacing(path) as fh:
+                    fh.close()
+                    shutil.copyfile(held, fh.name)  # never read: keep its bytes
     rows = b"".join(r.to_json().encode("utf-8") + b"\n" for r in tl.history[max(start - 1, 0):])
     with open(d / _HISTORY, "ab") as fh:
         fh.truncate(history_start)  # drops rows an interrupted save left behind

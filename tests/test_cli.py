@@ -1,8 +1,10 @@
 """Command-line behavior: argument plumbing, file formats, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -302,6 +304,51 @@ def test_track_garbled_meta_exits_2(tmp_path, text):
     (tl_dir / "meta.json").write_text(text, encoding="utf-8")
     rc = main(["track", "--timeline", str(tl_dir), "--add", str(syn / "step_1.graph.tsv")])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def three_step_timeline(tmp_path_factory):
+    """A 3-step timeline built by `track`, and the 4-step synth it came from."""
+    root = tmp_path_factory.mktemp("three_steps")
+    _synth_steps(root / "syn", 4)
+    _track_run(root / "tl", root / "syn", range(3))
+    return root
+
+
+def _edit(name, change):
+    """Damage a timeline's file ``name``: rewrite it as ``change`` of its lines."""
+    def damage(d):
+        lines = (d / name).read_text(encoding="utf-8").splitlines(True)
+        (d / name).write_text("".join(change(lines)), encoding="utf-8")
+    return damage
+
+
+@pytest.mark.parametrize("damage, code, message", [
+    (_edit("history.jsonl", lambda rows: rows[:1]), 2, "inconsistent: 3 steps but 1 history rows"),
+    (_edit("history.jsonl", lambda rows: ["not json\n", *rows[1:]]), 2, "unreadable history row"),
+    (lambda d: (d / "step_1.graph.tsv").unlink(), 2, "missing files for step 1"),
+    (_edit("step_2.partition.tsv", lambda rows: ["n0\tnot-a-label\n"]), 2, "step_2.partition.tsv:1"),
+    # an append reads only the last partition: an earlier one fails only where it is used
+    (_edit("step_0.partition.tsv", lambda rows: ["n0\tnot-a-label\n"]), 0, "step 3 appended"),
+], ids=["history-cut", "history-not-json", "step-file-missing", "last-partition-garbled",
+        "earlier-partition-garbled"])
+def test_track_on_a_damaged_timeline(three_step_timeline, tmp_path, capsys, damage, code, message):
+    tl_dir = tmp_path / "tl"
+    shutil.copytree(three_step_timeline / "tl", tl_dir)
+    damage(tl_dir)
+    digests = lambda: {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tl_dir.iterdir()}
+    before = digests()
+    capsys.readouterr()
+    rc = main(["track", "--timeline", str(tl_dir), "--add", str(three_step_timeline / "syn" / "step_3.graph.tsv"),
+               "--seed", "7", "--p", "0.5"])
+    assert (rc, message in capsys.readouterr().err) == (code, True)
+    after = digests()
+    if code:
+        assert after == before
+    else:
+        assert all(after[name] == digest for name, digest in before.items() if name.startswith("step_"))
+        assert {"step_3.graph.tsv", "step_3.partition.tsv"} <= set(after)
+        assert json.loads((tl_dir / "meta.json").read_text())["n_steps"] == 4
 
 
 def test_ingest_command(tmp_path):

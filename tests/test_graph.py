@@ -471,12 +471,10 @@ def test_builder_rejects_indices_out_of_bounds(monkeypatch):
     w = np.ones(2)
     for body in build_backends().values():
         monkeypatch.setattr(graph, "_build", body)
-        assert graph_from_edges(ids, np.array([0, 1]), np.array([1, 2]), w, np.zeros(3)).n_edges == 2
+        assert graph_from_edges(ids, np.array([0, 1]), np.array([1, 2]), w).n_edges == 2
         for u, v in (([0, 1, 2], [1, 2]), ([0, 3], [1, 2]), ([0, 1], [-1, 2]), ([0, 1], [1, 3])):
             with pytest.raises(InternalInvariantError):
-                graph_from_edges(ids, np.array(u), np.array(v), w, np.zeros(3))
-        with pytest.raises(InternalInvariantError):
-            graph_from_edges(ids, np.array([0, 1]), np.array([1, 2]), w, np.zeros(2))
+                graph_from_edges(ids, np.array(u), np.array(v), w)
 
 
 # --- text round-trips -----------------------------------------------------------

@@ -75,8 +75,6 @@ def test_sampling_sizes_and_determinism():
     c = sample(pop, 0.3, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    with pytest.raises(InputError):
-        sample(pop, 1.2, seed=0)
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -828,6 +826,16 @@ def test_bound_kernels_are_the_ones_the_wrappers_call():
             assert len(getattr(_native.LIB, name).argtypes) == params.count(",") + 1
 
 
+def test_a_failed_build_leaves_no_file_and_reports_the_compiler(tmp_path, monkeypatch):
+    def failing_link(cmd, **kwargs):  # a linker that fails removes its output
+        os.unlink(cmd[cmd.index("-o") + 1])
+        raise subprocess.CalledProcessError(1, cmd)
+    monkeypatch.setattr(subprocess, "run", failing_link)
+    with pytest.raises(subprocess.CalledProcessError):
+        _native._compile(str(tmp_path / "lib.so"))
+    assert os.listdir(tmp_path) == []
+
+
 def test_kernel_fallback_and_cache(tmp_path, monkeypatch):
     (g, _), = _planted(5, nodes=1000)
     graph = tmp_path / "g.tsv"
@@ -904,7 +912,7 @@ def test_kernel_fallback_and_cache(tmp_path, monkeypatch):
     assert "reasons: {'bad_duration': 2, 'field_count': 1, 'sms_nonzero_duration': 2," in ingests["python", True][0][2]
 
     # a corrupt file at the cache path is rebuilt when a compiler exists, and
-    # never loaded when none does
+    # never loaded when none does; either way the build leaves no temporary file
     cache_home = str(tmp_path / "corrupt")
     monkeypatch.setenv("XDG_CACHE_HOME", cache_home)
     path = Path(_native.cache_path())
@@ -913,5 +921,7 @@ def test_kernel_fallback_and_cache(tmp_path, monkeypatch):
         path.write_bytes(b"not a shared library")
         assert _python(["-c", KERNEL_PROBE], XDG_CACHE_HOME=cache_home) == (0, "c\n", "")
         assert path.read_bytes()[:4] == b"\x7fELF"
+        assert os.listdir(path.parent) == [path.name]
     path.write_bytes(b"not a shared library")
     assert _python(["-c", KERNEL_PROBE], CC="false", XDG_CACHE_HOME=cache_home) == (0, "python\n", "")
+    assert os.listdir(path.parent) == [path.name]

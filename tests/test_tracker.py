@@ -1,5 +1,6 @@
 """Timeline orchestration: bootstrap, stepping, lineage, persistence."""
 
+import errno
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,32 @@ def test_save_into_other_directory_keeps_unread_step_bytes(tmp_path):
     save_timeline(again, tmp_path / "again")
     save_timeline(again, d)
     assert _files(d) == before == _files(tmp_path / "again")
+
+
+def test_a_step_copy_cut_short_leaves_the_target_timeline(tmp_path, monkeypatch):
+    graphs = _stored_sequence(tmp_path, steps=3)
+    d = tmp_path / "tl"
+    for k in range(3):
+        _append(d, graphs, k)
+    (tmp_path / "other").mkdir()
+    others = _stored_sequence(tmp_path / "other", seed=22, steps=2)
+    target = tmp_path / "target"
+    for k in range(2):
+        _append(target, others, k)
+    committed, before = load_timeline(target), _files(target)
+
+    def half_copy(src, dst):  # a disk that fills halfway through the first copy
+        data = Path(src).read_bytes()
+        Path(dst).write_bytes(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+    monkeypatch.setattr(tracker.shutil, "copyfile", half_copy)
+    with pytest.raises(OSError) as exc_info:
+        save_timeline(load_timeline(d), target)
+    assert (exc_info.value.errno, exc_info.value.filename) == (errno.ENOSPC, str(target / "step_0.graph.tsv"))
+    assert _files(target) == before  # every old byte, and no temporary file
+    tl = load_timeline(target)
+    assert len(tl.steps) == 2 and tl.history == committed.history
+    assert tl.last.partition == committed.last.partition
 
 
 class _Interrupted(OSError):
