@@ -2,6 +2,7 @@
 reports or a failed write leaves behind."""
 
 import os
+import secrets
 import stat
 from contextlib import contextmanager, suppress
 
@@ -58,8 +59,7 @@ def replacing(path, mode: str = "wb", **kwargs):
         return
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
-    # not secrets.token_hex: importing secrets loads OpenSSL into every process
-    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     try:
         fh = open(tmp, mode.replace("w", "x"), **kwargs)
     except OSError as exc:

@@ -4,7 +4,8 @@ Everything here is deliberately naive: dense matrices, exhaustive
 enumeration, dictionary counting. Nothing is shared with the package code, so
 the same bug would have to be written twice to slip through. The helpers
 after ``canonical_blocks`` hand tests package objects: the bodies of each
-compiled kernel, a graph's edge list and the singleton partition. Two
+compiled kernel, a graph's edge list and bytes, and the singleton
+partition; ``lfr_graph`` hands them networkx's LFR benchmark graph. Two
 references at the end reuse package parts: the TSV reference builds its
 graphs and partitions in the package's containers (``IdMap``, ``Graph``,
 ``Partition``), and the ingest reference composes the package's
@@ -262,6 +263,23 @@ def singleton_partition(g):
     from commtrack.graph import Partition
 
     return Partition(g.ids, np.arange(g.n, dtype=np.int64))
+
+
+def graph_bytes(g) -> tuple:
+    """A package ``Graph``'s ids and the dtype and bytes of each CSR array, so
+    that two graphs compare bit for bit."""
+    return g.ids.ids, [(a.dtype.str, a.tobytes()) for a in (g.indptr, g.nbr, g.wgt, g.self_loops)]
+
+
+def lfr_graph(seed: int):
+    """networkx's LFR benchmark graph (Lancichinetti, Fortunato & Radicchi
+    2008) of ``seed``, as generated, self-loops included: 1,000 nodes whose
+    degrees and community sizes are heavy-tailed. Each node's ``community``
+    attribute holds its planted community. Needs networkx."""
+    import networkx as nx
+
+    return nx.LFR_benchmark_graph(1000, 2.5, 1.5, 0.2, average_degree=10, max_degree=60,
+                                  min_community=20, max_community=100, seed=seed)
 
 
 def random_graph(rng, max_nodes: int = 12, max_edges: int = 50, loops: bool = True) -> Tuple[int, List[Edge]]:

@@ -30,6 +30,7 @@ from oracles import (
     agg_backends,
     build_backends,
     edge_list,
+    graph_bytes,
     oracle_build_graph,
     oracle_modularity,
     random_graph,
@@ -378,10 +379,6 @@ def _graph_and_maps(draw):
     return g, c, np.asarray(new_index, dtype=np.int64), k, np.asarray(dense, dtype=np.int64)
 
 
-def _graph_bytes(g):
-    return g.ids.ids, [(a.dtype.str, a.tobytes()) for a in (g.indptr, g.nbr, g.wgt, g.self_loops)]
-
-
 # new node 1's rows mix entries left out (-1), entries inside it, lower and
 # higher neighbours, and reach all three new nodes before repeating them
 _MIXED_ROWS = build_graph(
@@ -395,11 +392,20 @@ _MIXED_ROWS = build_graph(
 @given(case=_graph_and_maps())
 @example(case=(_MIXED_ROWS, 3, np.array([1, 1, -1, 0, 2, 2, 0]), 2, np.array([0, 0, 1, 1, 1, 0, 0])))
 def test_sum_and_projection_bodies_are_bit_identical(case):
-    g, c, new_index, k, dense = case
+    _sum_and_projection_bodies_agree(*case)
+
+
+def test_sum_and_projection_bodies_agree_on_an_lfr_graph(lfr):
+    g, _, part = lfr
+    keys, dense = np.unique(part.labels, return_inverse=True)
+    _sum_and_projection_bodies_agree(g, len(keys), dense, len(keys), dense)
+
+
+def _sum_and_projection_bodies_agree(g, c, new_index, k, dense):
     ids = IdMap(range(c))
     projected, sums = {}, {}
     for name, (sums_body, project_body) in agg_backends().items():
-        projected[name] = _graph_bytes(project_body(g, ids, new_index))
+        projected[name] = graph_bytes(project_body(g, ids, new_index))
         sums[name] = [(a.dtype.str, a.tobytes()) for a in sums_body(g, dense, k)]
     assert all(x == projected["python"] for x in projected.values())
     assert all(x == sums["python"] for x in sums.values())
@@ -445,13 +451,21 @@ def _edge_entries(draw):
 @settings(max_examples=400, deadline=None)
 @given(case=_edge_entries())
 def test_builder_bodies_are_bit_identical(case):
-    n, u, v, w, loops = case
+    _builder_bodies_agree(*case)
+
+
+def test_builder_bodies_agree_on_an_lfr_graph(lfr):
+    g, (u, v, w), _ = lfr
+    _builder_bodies_agree(g.n, u, v, w, np.zeros(g.n))
+
+
+def _builder_bodies_agree(n, u, v, w, loops):
     ids = IdMap(range(n))
-    built = {name: _graph_bytes(body(ids, u, v, w, loops.copy())) for name, body in build_backends().items()}
+    built = {name: graph_bytes(body(ids, u, v, w, loops.copy())) for name, body in build_backends().items()}
     assert all(x == built["python"] for x in built.values())
     if not loops.any():  # the dictionary builder starts every loop at 0.0
         want = oracle_build_graph(zip(u.tolist(), v.tolist(), w.tolist()), nodes=range(n))
-        assert built["python"] == _graph_bytes(want)
+        assert built["python"] == graph_bytes(want)
 
 
 def test_builder_sums_parallel_entries_in_input_order():

@@ -1,34 +1,24 @@
 """LFR benchmark graphs (Lancichinetti, Fortunato & Radicchi 2008) as an
-independent oracle: their degrees and community sizes are heavy-tailed, which
-neither ``synth``'s planted partitions nor the hypothesis strategies draw."""
+independent oracle of quality: their degrees and community sizes are
+heavy-tailed, which neither ``synth``'s planted partitions nor the hypothesis
+strategies draw. The kernel differentials take the seed-1 graph as one more
+input through the ``lfr`` fixture."""
 
 import numpy as np
 import pytest
 
-import commtrack.graph as graph
-import commtrack.louvain as louvain
-from commtrack.graph import IdMap, Partition, build_graph, write_edge_tsv, write_partition_tsv
-from commtrack.louvain import DynamicContext, LouvainConfig, louvain_dynamic, louvain_static, renumber_partition
+from commtrack.graph import Partition, build_graph
+from commtrack.louvain import louvain_static
 from commtrack.metrics import compare
 
-from oracles import agg_backends, build_backends, sweep_backends, write_backends
+from oracles import lfr_graph
 
 nx = pytest.importorskip("networkx")
 
 
-def _lfr(seed):
-    """The LFR graph of ``seed`` as generated, with the self-loops the generator draws."""
-    return nx.LFR_benchmark_graph(1000, 2.5, 1.5, 0.2, average_degree=10, max_degree=60,
-                                  min_community=20, max_community=100, seed=seed)
-
-
-def _graph_bytes(g):
-    return g.ids.ids, [(a.dtype.str, a.tobytes()) for a in (g.indptr, g.nbr, g.wgt, g.self_loops)]
-
-
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_louvain_meets_networkx_and_the_planted_partition(seed):
-    G = _lfr(seed)
+    G = lfr_graph(seed)
     # LFR graphs are simple by definition; with the generator's loops kept,
     # seed 3 reads Q 0.6637 against networkx's 0.6649 and NMI 0.9589
     G.remove_edges_from(list(nx.selfloop_edges(G)))
@@ -38,59 +28,3 @@ def test_louvain_meets_networkx_and_the_planted_partition(seed):
     theirs = nx.community.modularity(G, nx.community.louvain_communities(G, seed=seed))
     assert report.final_q >= theirs - 1e-3
     assert compare(planted, part).normalized_mi() >= 0.95
-
-
-@pytest.fixture(scope="module")
-def looped():
-    """The seed-1 graph with its self-loops, its edge list as index entries,
-    and a Louvain partition of it."""
-    G = _lfr(1)
-    g = build_graph(G.edges(), nodes=G.nodes)
-    u, v = (g.ids.positions(list(ends)) for ends in zip(*G.edges()))
-    return g, (u, v, np.ones(len(u))), louvain_static(g)[0]
-
-
-def test_builder_bodies_agree(looped):
-    g, (u, v, w), _ = looped
-    for body in build_backends().values():
-        assert _graph_bytes(body(g.ids, u, v, w, np.zeros(g.n))) == _graph_bytes(g)
-
-
-def test_sum_and_projection_bodies_agree(looped):
-    g, _, part = looped
-    keys, dense = np.unique(part.labels, return_inverse=True)
-    got = {name: ([a.tobytes() for a in sums(g, dense, len(keys))],
-                  _graph_bytes(project(g, IdMap(range(len(keys))), dense)))
-           for name, (sums, project) in agg_backends().items()}
-    assert all(x == got["python"] for x in got.values())
-
-
-def test_row_writer_bodies_agree(looped, tmp_path, monkeypatch):
-    g, _, part = looped
-    written = {}
-    for name, body in write_backends().items():
-        monkeypatch.setattr(graph, "_write_rows", body)
-        write_edge_tsv(g, tmp_path / "g.tsv")
-        write_partition_tsv(part, tmp_path / "p.tsv")
-        written[name] = [(tmp_path / f).read_bytes() for f in ("g.tsv", "p.tsv")]
-    assert all(x == written["python"] for x in written.values())
-
-
-def test_louvain_bodies_are_bit_identical(looped, monkeypatch):
-    # labels, every LevelStats field and final_q, compared through repr, with
-    # the sweep, the community sums and the projection switched together
-    backends = sweep_backends()
-    if len(backends) < 2:
-        pytest.skip("only the Python sweep is available")
-    g, _, _ = looped
-    cfg = LouvainConfig(rng_seed=1)
-    runs = {}
-    for name, sweep in backends.items():
-        sums, project = agg_backends()[name]
-        monkeypatch.setattr(louvain, "_sweep", sweep)
-        monkeypatch.setattr(louvain, "_sums", sums)
-        monkeypatch.setattr(graph, "_project", project)
-        part, report = louvain_static(g, cfg)
-        ctx = DynamicContext.from_previous(renumber_partition(part), g, 0.5, 0.25, seed=1)
-        runs[name] = [(p.labels.tolist(), repr(r)) for p, r in ((part, report), louvain_dynamic(g, ctx, cfg))]
-    assert runs["c"] == runs["python"]

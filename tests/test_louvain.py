@@ -703,9 +703,8 @@ def test_planted_quality_holds():
 
 
 def _runs_of_every_shape(seed):
-    """Labels and report repr of static and dynamic runs, in both node orders,
-    on a 4000-node planted transition and on random float-weight graphs."""
-    out = []
+    """``_runs_of_a_transition`` on a 4000-node planted transition and on
+    random float-weight graphs."""
     (g0, _), (g1, _) = _planted(seed, nodes=4000, steps=2, churn=0.05, migrate=0.03)
     rng = np.random.default_rng(seed)
     graphs = [(g0, g1)]
@@ -715,32 +714,50 @@ def _runs_of_every_shape(seed):
         edges = list(zip(u.tolist(), v.tolist(), (rng.random(4 * n) * 3).tolist()))
         g = build_graph(edges, nodes=range(n))
         graphs.append((g, g))
-    for g_t, g_t1 in graphs:
-        for order in ("index", "shuffled"):
-            cfg = LouvainConfig(rng_seed=seed, node_order=order)
-            part, report = louvain_static(g_t, cfg)
+    return [run for g_t, g_t1 in graphs for run in _runs_of_a_transition(g_t, g_t1, seed)]
+
+
+def _runs_of_a_transition(g_t, g_t1, seed):
+    """Labels and report repr of a static run on ``g_t`` and of dynamic runs
+    on ``g_t1`` from it, in both node orders."""
+    out = []
+    for order in ("index", "shuffled"):
+        cfg = LouvainConfig(rng_seed=seed, node_order=order)
+        part, report = louvain_static(g_t, cfg)
+        out.append((part.labels.tolist(), repr(report)))
+        prev = renumber_partition(part)
+        for p, q in ((0.0, 0.0), (0.5, 0.25), (0.0, 1.0), (1.0, 1.0)):
+            part, report = louvain_dynamic(g_t1, DynamicContext.from_previous(prev, g_t1, p, q, seed), cfg)
             out.append((part.labels.tolist(), repr(report)))
-            prev = renumber_partition(part)
-            for p, q in ((0.0, 0.0), (0.5, 0.25), (0.0, 1.0), (1.0, 1.0)):
-                part, report = louvain_dynamic(g_t1, DynamicContext.from_previous(prev, g_t1, p, q, seed), cfg)
-                out.append((part.labels.tolist(), repr(report)))
     return out
 
 
-def test_sweep_backends_are_bit_identical(monkeypatch):
-    # labels, every LevelStats field and final_q, compared through repr,
-    # which round-trips every float bit; every Louvain kernel switches
-    # together: the sweep, the community sums and the aggregation
+def _by_body(monkeypatch, runs):
+    """``runs()`` under each body of this machine, with every Louvain kernel
+    switched together: the sweep, the community sums and the aggregation."""
     backends = sweep_backends()
     if len(backends) < 2:
         pytest.skip("only the Python sweep is available")
-    runs = {}
+    out = {}
     for name, sweep in backends.items():
         sums, project = agg_backends()[name]
         monkeypatch.setattr(louvain, "_sweep", sweep)
         monkeypatch.setattr(louvain, "_sums", sums)
         monkeypatch.setattr("commtrack.graph._project", project)
-        runs[name] = [_runs_of_every_shape(seed) for seed in (1, 2)]
+        out[name] = runs()
+    return out
+
+
+def test_sweep_backends_are_bit_identical(monkeypatch):
+    # labels, every LevelStats field and final_q, compared through repr,
+    # which round-trips every float bit
+    runs = _by_body(monkeypatch, lambda: [_runs_of_every_shape(seed) for seed in (1, 2)])
+    assert runs["c"] == runs["python"]
+
+
+def test_sweep_backends_are_bit_identical_on_an_lfr_graph(lfr, monkeypatch):
+    g = lfr[0]
+    runs = _by_body(monkeypatch, lambda: _runs_of_a_transition(g, g, seed=1))
     assert runs["c"] == runs["python"]
 
 
@@ -911,17 +928,20 @@ def test_kernel_fallback_and_cache(tmp_path, monkeypatch):
     assert ingests["python", True][0][0] == 2 and ingests["python", True][1] is None
     assert "reasons: {'bad_duration': 2, 'field_count': 1, 'sms_nonzero_duration': 2," in ingests["python", True][0][2]
 
-    # a corrupt file at the cache path is rebuilt when a compiler exists, and
-    # never loaded when none does; either way the build leaves no temporary file
-    cache_home = str(tmp_path / "corrupt")
+    # a cold cache gets the library; a corrupt file at the cache path is
+    # rebuilt when a compiler exists, and never loaded when none does; every
+    # build leaves the library alone, with no temporary file
+    cache_home = str(tmp_path / "cache")
     monkeypatch.setenv("XDG_CACHE_HOME", cache_home)
     path = Path(_native.cache_path())
-    path.parent.mkdir(parents=True)
     if louvain.KERNEL == "c":
+        assert _python(["-c", KERNEL_PROBE], XDG_CACHE_HOME=cache_home) == (0, "c\n", "")
+        assert os.listdir(path.parent) == [path.name]
         path.write_bytes(b"not a shared library")
         assert _python(["-c", KERNEL_PROBE], XDG_CACHE_HOME=cache_home) == (0, "c\n", "")
         assert path.read_bytes()[:4] == b"\x7fELF"
         assert os.listdir(path.parent) == [path.name]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(b"not a shared library")
     assert _python(["-c", KERNEL_PROBE], CC="false", XDG_CACHE_HOME=cache_home) == (0, "python\n", "")
     assert os.listdir(path.parent) == [path.name]

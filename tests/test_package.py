@@ -1,10 +1,7 @@
-"""The package's public names, and what importing it loads."""
+"""The package's public names."""
 
 import importlib
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -39,13 +36,3 @@ def test_readme_library_example_runs(capsys):
     (g0, _), (g1, _) = generate(spec)
     exec(compile(code, "README.md", "exec"), {"g0": g0, "g1": g1})
     assert capsys.readouterr().out.strip()
-
-
-def test_import_loads_no_openssl():
-    # secrets imports hmac, which loads OpenSSL through _hashlib: about 4 MB
-    # of RSS in every process that runs the CLI
-    src = str(Path(commtrack.__file__).resolve().parent.parent)
-    probe = "import sys, commtrack.cli; print(sorted({'secrets', '_hashlib'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

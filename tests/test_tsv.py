@@ -296,6 +296,15 @@ def test_writer_bodies_write_the_same_bytes(tmp_path, names, edges, lone, monkey
     # non-ASCII ids, repr float weights, self-loops, lone nodes and empty graphs
     g = build_graph([(names[u], names[v], w) for u, v, w in edges], nodes=[names[i] for i in lone])
     part = Partition(g.ids, np.arange(g.n, dtype=np.int64) * -7)
+    _writer_bodies_write_the_oracle_bytes(g, part, tmp_path, monkeypatch)
+
+
+def test_writer_bodies_agree_on_an_lfr_graph(lfr, tmp_path, monkeypatch):
+    g, _, part = lfr
+    _writer_bodies_write_the_oracle_bytes(g, part, tmp_path, monkeypatch)
+
+
+def _writer_bodies_write_the_oracle_bytes(g, part, tmp_path, monkeypatch):
     oracle_write_edge_tsv(g, tmp_path / "g.tsv")
     oracle_write_partition_tsv(part, tmp_path / "p.tsv")
     for body in write_backends().values():
@@ -466,11 +475,4 @@ def test_an_id_longer_than_the_write_buffer_writes_the_line_writers_bytes(tmp_pa
     assert len(big) > graph._WRITE_BYTES
     g = build_graph([("a", big, 2.0), (big, big + "z", 0.5), (big, big, 1.0)], nodes=["lone", big + "y"])
     part = Partition(g.ids, np.arange(g.n, dtype=np.int64))
-    oracle_write_edge_tsv(g, tmp_path / "g.tsv")
-    oracle_write_partition_tsv(part, tmp_path / "p.tsv")
-    for body in write_backends().values():
-        monkeypatch.setattr(graph, "_write_rows", body)
-        write_edge_tsv(g, tmp_path / "got.tsv")
-        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "g.tsv").read_bytes()
-        write_partition_tsv(part, tmp_path / "got.tsv")
-        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "p.tsv").read_bytes()
+    _writer_bodies_write_the_oracle_bytes(g, part, tmp_path, monkeypatch)
