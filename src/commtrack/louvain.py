@@ -109,6 +109,11 @@ class LevelStats:
 
 @dataclass
 class RunReport:
+    """What one detection run did: one :class:`LevelStats` per level that
+    ran, in order, and ``final_q``, the last one's ``q_end``. A run stops
+    before a level on which every community holds a pinned node, since none
+    of them could move there; ``levels`` does not list it."""
+
     levels: List[LevelStats] = field(default_factory=list)
     final_q: float = 0.0
     n_fixed: int = 0
@@ -284,25 +289,33 @@ class _Seeding:
                 raise InputError(f"fresh community label {first_bad} is outside the int64 range")
             init[new] = fresh_label_start + np.arange(len(new), dtype=np.int64)
         self.start = _level_start(graph, init, self.prev_labels)  # the first level's
-        self.samples: dict = {}  # (0 fixed or 1 preferential, fraction, seed) -> the set, drawn once, read-only
+        # (0 fixed or 1 preferential, drawn size, seed) -> the set, drawn once, read-only;
+        # a draw of none or all of its population is keyed without a seed
+        self.samples: dict = {}
         for a in (init, remaining, *self.start):
             a.flags.writeable = False
 
     def context(self, p: float, q: float, seed: int) -> DynamicContext:
-        """This seeding's context: ``p`` of the surviving nodes pinned, ``q`` of all nodes steered;
-        contexts that ask for the same set with the same seed share one read-only draw."""
+        """This seeding's context: ``p`` of the surviving nodes pinned, ``q`` of all nodes steered.
+        Contexts that ask for the same set share one read-only draw: one of the same size with the
+        same seed, or one of none or all of the population with any seed."""
         if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
             raise InputError(f"p and q must be in [0, 1], got p={p}, q={q}")
+        drawn = []
         for which, fraction in ((0, p), (1, q)):
-            if (which, fraction, seed) not in self.samples:
-                population = self.remaining if which == 0 else np.arange(self.graph.n)
+            size = len(self.remaining) if which == 0 else self.graph.n
+            k = round_half_up(fraction * size)
+            key = which, k, seed if 0 < k < size else None
+            if key not in self.samples:
+                population = self.remaining if which == 0 else np.arange(size)
                 sample = _sample_without_replacement(population, fraction, derive_seed(seed, which))
                 sample.flags.writeable = False
-                self.samples[which, fraction, seed] = sample
+                self.samples[key] = sample
+            drawn.append(self.samples[key])
         return DynamicContext(
             prev_labels=self.prev_labels,
-            fixed=self.samples[0, p, seed],
-            pref=self.samples[1, q, seed],
+            fixed=drawn[0],
+            pref=drawn[1],
             init_labels=self.init_labels,
             _seeding=self,
         )
@@ -549,7 +562,12 @@ def _one_level(
 
 def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, RunReport]:
     """Phase 1 and aggregation, level by level, from ``ctx``; ``node_of`` maps
-    each node of ``g`` to its node in the current level graph."""
+    each node of ``g`` to its node in the current level graph.
+
+    The run stops after a level that moves nothing or gains less than
+    :data:`MIN_GAIN`, and after one whose every community holds a pinned
+    node: the next level would sweep an empty visit list once and keep the
+    partition as it is, so it is neither aggregated nor run."""
     two_m = g.total_weight_2m
     # move scores are products of two weights; past this bound they round to 0
     if 0.0 < two_m and two_m * two_m < sys.float_info.min:
@@ -578,12 +596,14 @@ def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, 
         report.final_q = stats.q_end
         if stats.moves == 0 or stats.q_end - stats.q_start < MIN_GAIN:
             break
+        movable = ~np.isin(uniq, frozen)
+        if not movable.any():  # every community holds a pinned node: the next level could not move
+            break
 
         # supernode dense[u] of the next level is community uniq[dense[u]],
         # and its external id is that key
         lg = aggregate_by_partition(lg, Partition._from_dense(lg.ids, uniq, dense))
         node_of = dense[node_of]
-        movable = ~np.isin(uniq, frozen)
         # the preferential rule applies to the first level only
         pref = np.zeros(lg.n, dtype=bool)
         start = _level_start(lg, uniq, np.empty(0, dtype=np.int64))

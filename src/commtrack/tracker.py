@@ -20,6 +20,7 @@ when they are used.
 
 from __future__ import annotations
 
+import filecmp
 import json
 import shutil
 from dataclasses import dataclass, field
@@ -227,7 +228,10 @@ def save_timeline(tl: Timeline, directory) -> None:
     ``meta.json`` is the commit point: it is
     replaced atomically once everything it names is on disk, so a save
     interrupted before that leaves the previous commit loadable, and the next
-    save overwrites the uncommitted files.
+    save overwrites the uncommitted files. A directory that holds a timeline
+    this one did not commit loses that commit just before the first step file
+    whose bytes change is renamed in, so a save cut short after that leaves
+    no timeline there, never a mix of two.
     """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
@@ -235,16 +239,27 @@ def save_timeline(tl: Timeline, directory) -> None:
     stored = tl._stored if tl._stored is not None and tl._stored.directory == here else None
     start = stored.n_steps if stored else 0
     history_start = stored.history_bytes if stored else 0
+    # a commit this timeline did not make names step files about to be
+    # replaced: withdraw it once the first one whose bytes change is whole,
+    # before it is renamed in
+    foreign = d / _META if stored is None and (d / _META).exists() else None
     for k in range(start, len(tl.steps)):
         st = tl.steps[k]
         gpath, ppath = _step_paths(d, k)
         for held, path, write in ((st._graph, gpath, write_edge_tsv), (st._partition, ppath, write_partition_tsv)):
-            if not isinstance(held, Path):
+            if isinstance(held, Path):
+                if held.resolve() == path.resolve():
+                    continue
+                write = shutil.copyfile  # never read: keep its bytes
+            elif foreign is None:
                 write(held, path)
-            elif held.resolve() != path.resolve():
-                with replacing(path) as fh:
-                    fh.close()
-                    shutil.copyfile(held, fh.name)  # never read: keep its bytes
+                continue
+            with replacing(path) as fh:
+                fh.close()
+                write(held, fh.name)
+                if foreign is not None and not (path.exists() and filecmp.cmp(fh.name, path, shallow=False)):
+                    foreign.unlink()
+                    foreign = None
     rows = b"".join(r.to_json().encode("utf-8") + b"\n" for r in tl.history[max(start - 1, 0):])
     with open(d / _HISTORY, "ab") as fh:
         fh.truncate(history_start)  # drops rows an interrupted save left behind

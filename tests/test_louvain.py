@@ -381,6 +381,76 @@ def test_sweep_cells_match_cells_seeded_from_fresh_baselines(order):
         assert len({(part.labels.tobytes(), repr(report)) for part, report in runs}) == 1
 
 
+@pytest.mark.parametrize("order", ["index", "shuffled"])
+def test_sweep_cells_with_the_same_draws_share_one_run(order, monkeypatch):
+    # under index order a run is fixed by its pinned and steered draws: one
+    # run per distinct pair of draws, whose rows equal rows of cells seeded
+    # afresh; shuffled order runs every cell
+    from commtrack import sweep
+    from commtrack.metrics import MatchConfig
+    from commtrack.sweep import SweepSpec, run_sweep
+
+    (g0, _), (g1, _) = _planted(6, nodes=300, steps=2, churn=0.1, migrate=0.05)
+    cfg = LouvainConfig(node_order=order)
+    # 0.001 draws none of either population and 0.999 all of it; 0.5 and 0.501
+    # draw the same sizes, so with the same seed the same sets
+    spec = SweepSpec([0.0, 0.001, 0.5, 0.501, 0.999, 1.0], [0.0, 0.5, 0.501, 1.0], [2, 7])
+    n_surviving = int(np.isin(g1.ids.ids, g0.ids.ids).sum())
+    for size in (n_surviving, g1.n):
+        assert (round_half_up(0.001 * size), round_half_up(0.999 * size)) == (0, size)
+        assert round_half_up(0.5 * size) == round_half_up(0.501 * size)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return louvain_dynamic(*args)
+    monkeypatch.setattr(sweep, "louvain_dynamic", counting)
+    rows = run_sweep(g0, g1, spec, cfg)
+    got = [(r.p, r.q, r.seed, r.mi_nats, r.matching_count, r.modularity_next) for r in rows]
+
+    base = {s: renumber_partition(louvain_static(g0, LouvainConfig(rng_seed=s, node_order=order))[0])
+            for s in (spec.seeds[:1] if order == "index" else spec.seeds)}
+    want, draws, runtime = [], set(), {}
+    for p in spec.p_values:
+        for q in spec.q_values:
+            for s in spec.seeds:
+                b = base[s if order == "shuffled" else spec.seeds[0]]
+                prev, ref = (Partition(IdMap(b.ids.ids), b.labels) for _ in range(2))
+                ctx = DynamicContext.from_previous(prev, g1, p, q, seed=derive_seed(s, 2))
+                part, _ = louvain_dynamic(g1, ctx, LouvainConfig(rng_seed=derive_seed(s, 3), node_order=order))
+                report = compare(ref, part, g1, MatchConfig(spec.r))
+                want.append((p, q, s, report.mi_nats, report.n_matching, report.modularity_next))
+                draw = (ctx.fixed.tobytes(), ctx.pref.tobytes())
+                draws.add(draw)
+                runtime.setdefault(draw, set()).add(rows[len(want) - 1].runtime_ms)
+    assert repr(got) == repr(want)
+    n_cells = len(spec.p_values) * len(spec.q_values) * len(spec.seeds)
+    if order == "index":
+        assert len(calls) == len(draws) < n_cells
+        assert all(len(times) == 1 for times in runtime.values())  # a shared run's time
+    else:
+        assert len(calls) == n_cells
+
+
+@pytest.fixture(scope="module")
+def seeded_pair():
+    g0, g1 = _drifting_pair(3)
+    return g1, renumber_partition(louvain_static(g0)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32), st.integers(0, 2**64 - 1),
+       st.integers(0, 2**64 - 1))
+def test_index_order_runs_do_not_read_the_run_seed(seeded_pair, p, q, draw_seed, seed_a, seed_b):
+    # what lets a sweep share one run between cells: under index order only
+    # the draws, not the run's own seed, decide the run
+    g1, prev = seeded_pair
+    ctx = DynamicContext.from_previous(prev, g1, p, q, seed=draw_seed)
+    (a, report_a), (b, report_b) = (louvain_dynamic(g1, ctx, LouvainConfig(rng_seed=s)) for s in (seed_a, seed_b))
+    assert a.labels.tolist() == b.labels.tolist()
+    assert repr(report_a) == repr(report_b)
+
+
 def test_seedings_live_only_as_long_as_the_call_that_uses_them(monkeypatch):
     # no partition keeps a seeding: each tracker step seeds once and a sweep
     # once per baseline, and every seeding dies with the call that built it
@@ -470,6 +540,47 @@ def test_p1_identical_snapshot_is_identity():
     ctx = DynamicContext.from_previous(prev, g, 1.0, 0.0, seed=4)
     part, _ = louvain_dynamic(g, ctx)
     assert part == prev
+
+
+def _two_triangles_and_newcomers(lone_triangle):
+    """Two triangles seeded as two communities, a new node tied to each, and
+    optionally a new triangle tied to neither."""
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 0), (6, 1), (6, 2), (7, 3), (7, 4), (7, 5)]
+    if lone_triangle:
+        edges += [(8, 9), (9, 10), (8, 10)]
+    g = build_graph(edges, nodes=range(11 if lone_triangle else 8))
+    prev = Partition(IdMap(range(6)), np.array([0, 0, 0, 1, 1, 1]))
+    return g, DynamicContext.from_previous(prev, g, 1.0, 0.0, seed=4)
+
+
+def test_a_level_whose_every_community_is_pinned_ends_the_run():
+    # the newcomers join the pinned triangles at level 1; a second level
+    # could move neither supernode, so the run ends after one
+    g, ctx = _two_triangles_and_newcomers(lone_triangle=False)
+    part, report = louvain_dynamic(g, ctx)
+    assert part.labels.tolist() == [0, 0, 0, 1, 1, 1, 0, 1]
+    assert len(report.levels) == 1 and report.levels[0].moves == 2
+    assert report.final_q == report.levels[-1].q_end
+    assert report.final_q == pytest.approx(modularity(g, part), abs=1e-9)
+
+
+def test_a_community_without_a_pinned_node_still_aggregates():
+    g, ctx = _two_triangles_and_newcomers(lone_triangle=True)
+    part, report = louvain_dynamic(g, ctx)
+    assert part.labels.tolist()[:8] == [0, 0, 0, 1, 1, 1, 0, 1]
+    assert len(set(part.labels.tolist()[8:])) == 1
+    assert len(report.levels) == 2 and report.levels[1].n_nodes == 3
+    assert report.final_q == pytest.approx(modularity(g, part), abs=1e-9)
+
+
+def test_static_runs_end_only_on_a_level_that_gains_nothing():
+    # a static run pins nothing, so only the move and gain rules end it
+    for seed in range(3):
+        (g, _), = _planted(seed, nodes=1000)
+        _, report = louvain_static(g, LouvainConfig(rng_seed=seed))
+        last = report.levels[-1]
+        assert len(report.levels) > 1
+        assert last.moves == 0 or last.q_end - last.q_start < louvain.MIN_GAIN
 
 
 def test_pref_restriction_only_targets_previous_labels(monkeypatch):

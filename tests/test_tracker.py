@@ -375,6 +375,35 @@ def test_a_step_copy_cut_short_leaves_the_target_timeline(tmp_path, monkeypatch)
     assert tl.last.partition == committed.last.partition
 
 
+def test_a_save_cut_short_after_a_step_copy_leaves_no_timeline(tmp_path, monkeypatch):
+    # the first copied step file replaces one the target's meta.json names;
+    # a save cut short after it must not leave that meta.json over a mix
+    graphs = _stored_sequence(tmp_path, steps=3)
+    d = tmp_path / "tl"
+    for k in range(3):
+        _append(d, graphs, k)
+    (tmp_path / "other").mkdir()
+    others = _stored_sequence(tmp_path / "other", seed=22, steps=2)
+    target = tmp_path / "target"
+    for k in range(2):
+        _append(target, others, k)
+    real_copy, copied = tracker.shutil.copyfile, []
+
+    def second_fails(src, dst):  # a disk that fills during the second copy
+        if copied:
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+        copied.append(dst)
+        return real_copy(src, dst)
+    monkeypatch.setattr(tracker.shutil, "copyfile", second_fails)
+    with pytest.raises(OSError) as exc_info:
+        save_timeline(load_timeline(d), target)
+    assert exc_info.value.filename == str(target / "step_0.partition.tsv")
+    assert (target / "step_0.graph.tsv").read_bytes() == (d / "step_0.graph.tsv").read_bytes()
+    assert not [name for name in _files(target) if name.startswith(".")]
+    with pytest.raises(InputError, match="no timeline found"):
+        load_timeline(target)
+
+
 class _Interrupted(OSError):
     pass
 
@@ -422,6 +451,24 @@ def test_interrupted_append_keeps_last_commit(tmp_path, monkeypatch, interrupt):
     for k in range(2, len(graphs)):
         _append(d, graphs, k)
     assert _files(d) == _files(clean)
+
+
+def test_a_save_that_changes_no_step_file_keeps_the_commit(tmp_path, monkeypatch):
+    # saved elsewhere, then back into the directory it was loaded from: the
+    # step files it writes there have the bytes they replace, so a save cut
+    # short at its commit leaves the old commit
+    graphs = _stored_sequence(tmp_path, steps=3)
+    d = tmp_path / "tl"
+    for k in range(3):
+        _append(d, graphs, k)
+    before = _files(d)
+    again = load_timeline(d)
+    save_timeline(again, tmp_path / "elsewhere")
+    with monkeypatch.context() as m:
+        _interrupt_commit(m)
+        with pytest.raises(_Interrupted):
+            save_timeline(again, d)
+    assert _files(d) == before
 
 
 def test_uncommitted_history_tail_is_ignored(tmp_path):
