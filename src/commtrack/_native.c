@@ -6,10 +6,11 @@
  * passes raw pointers. The library is built with -ffp-contract=off so no
  * multiply-add is fused.
  *
- * Seven kernels: the level-1 Louvain sweep, the community sums and the graph
+ * Eight kernels: the level-1 Louvain sweep, the community sums and the graph
  * projection (Louvain phase 2) around it, the CSR builder behind every graph
  * made from an edge list, the edge and partition TSV tokenizer, the TSV row
- * writer and the CDR line tokenizer. The sums, the projection and the builder
+ * writer, and the CDR line tokenizer and the id interner behind the run's
+ * one CDR id table. The sums, the projection and the builder
  * add in numpy's order, so their floating-point results are bit-identical to
  * the numpy twins'. The CDR tokenizer decides only well-formed records; it
  * defers every other line to the Python validator, which alone says why a
@@ -340,9 +341,9 @@ static int64_t intern(interner *t, const char *s, int64_t len, uint64_t h)
 {
     for (uint64_t j = (h ^ (h >> 32)) & t->mask;; j = (j + 1) & t->mask) {
         const uint32_t slot = t->slots[j];
-        if (slot == 0) {
+        if (slot == 0) {  /* memmove: a re-interned table copies each id onto itself */
             const int64_t at = t->off[t->n];
-            memcpy(t->text + at, s, (size_t)len);
+            memmove(t->text + at, s, (size_t)len);
             t->text[at + len] = '\t';
             t->off[t->n + 1] = at + len + 1;
             t->slots[j] = (uint32_t)++t->n;
@@ -522,7 +523,7 @@ static int64_t canonical_month(const char *s, int64_t len)
     return (int64_t)year * 12 + month - 1;
 }
 
-/* Decide and intern a block of well-formed CDR records: ingest._cdr_tokens_py
+/* Decide and intern a block of well-formed CDR records: ingest._CdrTokensPy
  * for those lines, every other line marked CDR_DEFER for the Python validator.
  *
  * Line i is buf[bounds[i] .. bounds[i + 1]). It is a well-formed record when
@@ -536,19 +537,20 @@ static int64_t canonical_month(const char *s, int64_t len)
  * each in-window line are interned in line order into u[j] and v[j]. A month
  * index idx lies in the window when lo < idx <= hi.
  *
- * Capacities, for n lines: off 2n + 1 entries, text bounds[n] + 1 bytes,
- * status, u and v n each; slots is a zeroed power of two of at least 4n
- * entries (mask is its size - 1). Returns the number of in-window lines;
- * text_len receives the length of the id text.
+ * The ids go into the run's table (slots, mask, off, text), which holds
+ * *n_ids ids; *n_ids receives the count after. For n lines the table has
+ * room for 2n more ids: off 2n more entries, text bounds[n] more bytes,
+ * slots a power of two of at least twice the ids it may then hold (mask is
+ * its size - 1). status, u and v hold n entries each. Returns the number of
+ * in-window lines.
  */
 int64_t commtrack_cdr_tokens(
     const char *buf, int64_t n, const int64_t *bounds, int64_t lo, int64_t hi,
-    uint32_t *slots, int64_t mask, int64_t *off, char *text,
-    uint8_t *status, int64_t *u, int64_t *v, int64_t *text_len)
+    uint32_t *slots, int64_t mask, int64_t *off, char *text, int64_t *n_ids,
+    uint8_t *status, int64_t *u, int64_t *v)
 {
-    interner ids = {slots, (uint64_t)mask, off, text, 0};
+    interner ids = {slots, (uint64_t)mask, off, text, *n_ids};
     int64_t m = 0;
-    off[0] = 0;
     for (int64_t i = 0; i < n; i++) {
         const char *p = buf + bounds[i], *end = buf + bounds[i + 1];
         if (end > p && end[-1] == '\n')
@@ -587,6 +589,24 @@ int64_t commtrack_cdr_tokens(
         v[m] = intern(&ids, f[1], len[1], fnv1a(f[1], len[1]));
         m++;
     }
-    text_len[0] = off[ids.n];
+    *n_ids = ids.n;
     return m;
+}
+
+/* Number n strings in the run's CDR id table, as commtrack_cdr_tokens
+ * does: string k is buf[o[k] .. o[k + 1] - 1), each followed by one byte of
+ * no string, the layout of the table's own text, and number[k] receives
+ * its number. The table holds *n_ids ids and has room for n more; *n_ids
+ * receives the count after. Re-interning the table's own text (buf text, o
+ * off) into zeroed slots with *n_ids 0 gives each id its number again. */
+void commtrack_intern(
+    const char *buf, int64_t n, const int64_t *o,
+    uint32_t *slots, int64_t mask, int64_t *off, char *text, int64_t *n_ids, int64_t *number)
+{
+    interner ids = {slots, (uint64_t)mask, off, text, *n_ids};
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t len = o[k + 1] - o[k] - 1;
+        number[k] = intern(&ids, buf + o[k], len, fnv1a(buf + o[k], len));
+    }
+    *n_ids = ids.n;
 }

@@ -1,6 +1,6 @@
 """The package's one compiled library, built from ``_native.c`` at first import.
 
-It holds seven kernels: the level-1 sweep (``commtrack_sweep``, behind
+It holds eight kernels: the level-1 sweep (``commtrack_sweep``, behind
 :func:`commtrack.louvain._sweep_c`), the community sums
 (``commtrack_community_sums``, behind :func:`commtrack.louvain._sums_c`),
 the graph projection (``commtrack_project``, behind
@@ -10,15 +10,16 @@ behind :func:`commtrack.graph._build_c`), the edge and partition TSV
 tokenizer (``commtrack_edge_tokens``, behind
 :func:`commtrack.graph._edge_tokens_c`), the TSV row writer that copies
 table entries into tab-separated lines (``commtrack_write_rows``, behind
-:func:`commtrack.graph._write_rows_c`) and the CDR line tokenizer
-(``commtrack_cdr_tokens``, behind :func:`commtrack.ingest._cdr_tokens_c`).
+:func:`commtrack.graph._write_rows_c`), and the CDR line tokenizer
+(``commtrack_cdr_tokens``) and id interner (``commtrack_intern``) behind
+:class:`commtrack.ingest._CdrTokensC`, which share one id table per run.
 The library is compiled with ``$CC`` (default ``cc``) into
 ``${XDG_CACHE_HOME:-~/.cache}/commtrack/``, under a name keyed by the source,
 the flags, the interpreter and the machine, written whole through
 :func:`commtrack.errors.replacing` like every other output, and loaded from
 there through ctypes. :data:`LIB` is None when no compiler, build or load
 succeeds; each caller then runs its pure-Python twin, which computes the
-same bytes. :data:`KERNEL` says which body of all seven kernels runs, "c"
+same bytes. :data:`KERNEL` says which body of all eight kernels runs, "c"
 or "python". A wrapper runs its kernel through :func:`call`, which passes
 each numpy array by its data address; this module alone takes an array's
 address.

@@ -7,18 +7,20 @@ count exceeds a cap (call centers, spam farms) in one pass.
 
 :func:`ingest_pipeline` runs this columnar: lines are judged a block at a
 time by a tokenizer body that gives each line a status and numbers the ids
-of in-window records in the run's one id table, in-window (origin, target)
-pairs are folded block by block into sorted distinct int64 keys with counts,
-and mutual pairs are found by sorting unordered pair keys, built on the ids'
-text ranks, once. Memory is bounded by the distinct directed pairs and one
-block, not by the line count. The tokenizer body is C (:func:`_cdr_tokens_c`),
-which decides only well-formed records (plain ASCII, five fields, a canonical
-timestamp) and hands every other line to the line validator, the one place
-that knows the header, blank lines and the rejection reasons; or Python
-(:func:`_cdr_tokens_py`), the validator on every line, parsing each timestamp
-in full. Both give the same statuses and the same in-window pairs. The
-record-level :func:`iter_parse_cdr` shares the validator, and
-:func:`symmetrize` the mutual-pair graph construction.
+of in-window records in the run's one id table, decoded once at the end;
+in-window (origin, target) pairs are folded into a stack of sorted distinct
+int64 key runs with counts, merged geometrically; and mutual pairs are found
+by sorting unordered pair keys, built on the ids' text ranks, once. Memory is
+bounded by twice the distinct directed pairs and one block, not by the line
+count. The tokenizer body is C (:class:`_CdrTokensC`), which decides only
+well-formed records (plain ASCII, five fields, a canonical timestamp) and
+hands every other line to the line validator, the one place that knows the
+header, blank lines and the rejection reasons; its id table is numpy arrays
+that it grows and the compiled code interns into. Or it is Python
+(:class:`_CdrTokensPy`), the validator on every line, parsing each timestamp
+in full, with a dict for its table. Both give the same statuses and the same
+in-window pairs. The record-level :func:`iter_parse_cdr` shares the
+validator, and :func:`symmetrize` the mutual-pair graph construction.
 
 Record format (header optional, on any line, UTF-8):
     origin,target,timestamp,kind,duration_s
@@ -80,16 +82,20 @@ class RejectionReport:
         self.first_line.setdefault(reason, lineno)
 
 
-@lru_cache(maxsize=1 << 16)
 def _parse_timestamp(text: str) -> Optional[datetime]:
-    """ISO-8601 parse; the cache pays off because CDR batches reuse many
-    identical timestamps. 'Z' suffixes are accepted."""
+    """ISO-8601 parse; 'Z' suffixes are accepted."""
     if text.endswith("Z") or text.endswith("z"):
         text = text[:-1] + "+00:00"
     try:
         return datetime.fromisoformat(text)
     except ValueError:
         return None
+
+
+# CDR batches often share timestamps, and a cache of them pays where they
+# recur; where they do not, each miss costs more than the parse it would save
+_cached_timestamp = lru_cache(maxsize=1 << 12)(_parse_timestamp)
+_SAMPLE = 256  # lines of a block judged through the cache to see if it pays
 
 
 _HEADER_FIELDS = ("origin", "target")
@@ -108,9 +114,10 @@ _STATUSES = (
  _BAD_DURATION, _SMS_NONZERO_DURATION) = range(len(_STATUSES))
 
 
-def _judge_line(raw: str) -> Tuple[int, Optional[Tuple[str, str, datetime]]]:
+def _judge_line(raw: str, parse=_cached_timestamp) -> Tuple[int, Optional[Tuple[str, str, datetime]]]:
     """The line validator: the status code of one line and, for a record,
-    ``(origin, target, timestamp)``, its status then ``_IN``.
+    ``(origin, target, timestamp)``, its status then ``_IN``. The timestamp
+    is read by ``parse``, :func:`_parse_timestamp` with or without a cache.
 
     Kind and duration are checked, then dropped: no graph reads them.
     """
@@ -127,7 +134,7 @@ def _judge_line(raw: str) -> Tuple[int, Optional[Tuple[str, str, datetime]]]:
         return _EMPTY_ID, None
     if origin == target:
         return _SELF_RECORD, None
-    ts = _parse_timestamp(ts_text)
+    ts = parse(ts_text)
     if ts is None:
         return _BAD_TIMESTAMP, None
     kind = kind_text.lower()
@@ -238,6 +245,16 @@ def _check_cap(cap: int) -> None:
         raise InputError(f"cap must be a positive integer, got {cap}")
 
 
+def _first_seen(flat: np.ndarray, n: int) -> np.ndarray:
+    """The distinct values of ``flat``, each in ``0 .. n - 1``, in the order
+    they first occur: each value's first position, by one ``minimum.at``
+    pass, then an argsort of those positions, which are distinct."""
+    first = np.full(n, len(flat), dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(len(flat), dtype=np.int64))
+    seen = np.flatnonzero(first < len(flat))
+    return seen[np.argsort(first[seen])]
+
+
 def _mutual_graph(
     ids: List[str], origin: np.ndarray, target: np.ndarray, comms: np.ndarray, weight_mode: str
 ) -> Graph:
@@ -259,8 +276,11 @@ def _mutual_graph(
     key *= n
     key += np.maximum(lo, hi, out=hi)
     del lo, hi, rank
-    order = np.argsort(key)
-    key = key[order]
+    if weight_mode == "unit":  # no count is read, so the keys alone are sorted
+        key.sort()
+    else:
+        order = np.argsort(key)
+        key = key[order]
     # the pairs are distinct, so an unordered pair seen twice is the two
     # directions of one mutual pair, side by side once sorted
     twin = np.flatnonzero(key[1:] == key[:-1])
@@ -272,9 +292,9 @@ def _mutual_graph(
         w = comms[order[twin]]
         w += comms[order[twin + 1]]
         w = w.astype(np.float64)
-    del order, twin
-    seen, first_at = np.unique(np.column_stack((a, b)).ravel(), return_index=True)
-    nodes = seen[np.argsort(first_at)]
+        del order
+    del twin
+    nodes = _first_seen(np.column_stack((a, b)).ravel(), n)
     new_index = np.zeros(n, dtype=np.int64)
     new_index[nodes] = np.arange(len(nodes))
     return graph_from_edges(
@@ -355,6 +375,10 @@ class IngestReport:
 
 _CHUNK = 1 << 16  # lines judged, and their in-window pairs folded, per block
 _KEY_BASE = 1 << 32  # pair key = origin index * _KEY_BASE + target index
+# the run's ids are numbered below this: a pair key must stay below 2**63,
+# and the compiled table's uint32 slots hold a number + 1 even after a
+# block adds its 2 * _CHUNK ids at most
+_TABLE_MAX_IDS = 2**31
 
 # per block: one status code per line, and the origin and target numbers of
 # each in-window line in the run's id table. Which number a new id gets, and
@@ -370,89 +394,197 @@ def _judge_lines(
     line validator and store its status in ``status[i]``. The origin and
     target of each in-window line are interned in ``index``, which numbers
     new ids ``len(index)`` on. Returns the in-window lines' origin and
-    target numbers, in line order."""
+    target numbers, in line order.
+
+    The first ``_SAMPLE`` lines read their timestamps through the cache, and
+    the others do only if at least half of those hit it."""
     intern = index.setdefault
     u: List[int] = []
     v: List[int] = []
-    for i in positions:
-        code, record = _judge_line(lines[i])
-        if record is not None:
-            origin, target, ts = record
-            if window.contains(ts):
-                u.append(intern(origin, len(index)))
-                v.append(intern(target, len(index)))
-            else:
-                code = _OUT
-        status[i] = code
+    todo = iter(positions)
+    parse = _cached_timestamp
+    hits = _cached_timestamp.cache_info().hits
+    for part in (islice(todo, _SAMPLE), todo):
+        for i in part:
+            code, record = _judge_line(lines[i], parse)
+            if record is not None:
+                origin, target, ts = record
+                if window.contains(ts):
+                    u.append(intern(origin, len(index)))
+                    v.append(intern(target, len(index)))
+                else:
+                    code = _OUT
+            status[i] = code
+        if _cached_timestamp.cache_info().hits - hits < _SAMPLE // 2:
+            parse = _parse_timestamp
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
-def _cdr_tokens_py(lines: List[str], window: WindowSpec, index: Dict[str, int]) -> CdrTokens:
-    """Judge a block of CDR lines, each element one line, with the line
-    validator, and number the ids of its in-window records in ``index``, the
-    run's id table: ids it holds keep their numbers, and new ids take the
-    next ones, here in first-seen order, origin before target.
+class _CdrTokensPy:
+    """A CDR tokenizer body for one run: the line validator on every line,
+    and the run's id table, a dict, that numbers the ids of the in-window
+    records. It starts with the ``prior`` ids, numbered in order.
 
-    Returns one ``_STATUSES`` code per line (never ``_DEFER``) and the origin
-    and target numbers of each in-window line in line order. This body is the
-    definition: :func:`_cdr_tokens_c` gives the same statuses and the same
-    in-window pairs of ids.
+    :meth:`block` judges a block of lines, each element one line, and gives
+    ids it holds their numbers and new ids the next ones, here in first-seen
+    order, origin before target. It returns one ``_STATUSES`` code per line
+    (never ``_DEFER``) and the origin and target numbers of each in-window
+    line in line order. This body is the definition: :class:`_CdrTokensC`
+    gives the same statuses and the same in-window pairs of ids.
     """
-    status = bytearray(len(lines))
-    u, v = _judge_lines(lines, range(len(lines)), window, status, index)
-    return np.frombuffer(status, dtype=np.uint8), u, v
+
+    def __init__(self, prior: Iterable[str] = ()):
+        self.index: Dict[str, int] = dict(zip(prior, count()))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def ids(self) -> List[str]:
+        """The ids in number order."""
+        return list(self.index)
+
+    def block(self, lines: List[str], window: WindowSpec) -> CdrTokens:
+        status = bytearray(len(lines))
+        u, v = _judge_lines(lines, range(len(lines)), window, status, self.index)
+        return np.frombuffer(status, dtype=np.uint8), u, v
 
 
-def _cdr_tokens_c(lines: List[str], window: WindowSpec, index: Dict[str, int]) -> CdrTokens:
-    """:func:`_cdr_tokens_py` compiled from ``_native.c`` for the lines that
-    are well-formed records not starting with ``o`` or ``O``, which may be a
-    header (see ``commtrack_cdr_tokens``), whose block id table is mapped
-    into ``index``. Every other line is deferred: the line validator judges
-    it straight into ``index``, and its pairs follow the compiled ones."""
-    n = len(lines)
-    text = "".join(lines)
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, lines), dtype=np.int64, count=n), out=bounds[1:])
-    if text.isascii():
-        data = text.encode("ascii")
-    else:  # character to byte offsets: a character starts at each byte that is no UTF-8 continuation
-        data = text.encode("utf-8", "surrogatepass")
-        starts = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) & 0xC0 != 0x80)
-        bounds = np.append(starts, len(data))[bounds]
-    del text
-    slots = np.zeros(1 << (4 * n - 1).bit_length(), dtype=np.uint32)
-    off = np.empty(2 * n + 1, dtype=np.int64)
-    id_text = np.empty(len(data) + 1, dtype=np.uint8)
-    status = np.empty(n, dtype=np.uint8)
-    u, v = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    text_len = np.zeros(1, dtype=np.int64)
-    m = _native.call("commtrack_cdr_tokens", data, n, bounds, window._anchor_index - window.span_months,
-                     window._anchor_index, slots, len(slots) - 1, off, id_text, status, u, v, text_len)
-    ids = id_text[: text_len[0]].tobytes().decode("ascii").split("\t")[:-1]
-    del data, slots, off, id_text, bounds  # before the table grows, to keep the peak down
-    intern = index.setdefault
-    number = np.array([intern(x, len(index)) for x in ids], dtype=np.int64)
-    u, v = number[u[:m]], number[v[:m]]
-    deferred = np.flatnonzero(status == _DEFER)
-    if len(deferred):
-        du, dv = _judge_lines(lines, deferred.tolist(), window, status, index)
-        u, v = np.concatenate((u, du)), np.concatenate((v, dv))
-    return status, u, v
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """``a`` in an array of at least ``size`` entries and twice its own."""
+    out = np.empty(max(size, 2 * len(a)), dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
 
-_cdr_tokens = _cdr_tokens_py if _native.LIB is None else _cdr_tokens_c
+class _CdrTokensC:
+    """:class:`_CdrTokensPy` compiled from ``_native.c``, with the run's id
+    table in numpy arrays this object owns and grows: each id's UTF-8 bytes
+    (``surrogatepass``) followed by a tab, where no id holds a comma, their
+    offsets, and a hash slot table. ``commtrack_cdr_tokens`` judges the
+    lines that are well-formed records not starting with ``o`` or ``O``,
+    which may be a header, and numbers their ids into the table. Every other
+    line is deferred: the line validator judges it, ``commtrack_intern``
+    numbers its distinct in-window ids into the same table, and its pairs
+    follow the compiled ones."""
+
+    _START = 1 << 10  # ids the table first has room for
+
+    def __init__(self, prior: Iterable[str] = ()):
+        self.n = np.zeros(1, dtype=np.int64)  # ids held; the kernels update it
+        self.off = np.zeros(self._START + 1, dtype=np.int64)
+        self.text = np.empty(8 * self._START, dtype=np.uint8)
+        self.slots = np.zeros(2 * self._START, dtype=np.uint32)
+        self._intern(list(prior))
+
+    def __len__(self) -> int:
+        return int(self.n[0])
+
+    def ids(self) -> List[str]:
+        """The ids in number order, decoded at once."""
+        n = len(self)
+        text = self.text[: self.off[n]].copy()
+        text[self.off[1:n + 1] - 1] = ord(",")
+        return text.tobytes().decode("utf-8", "surrogatepass").split(",")[:-1]
+
+    def _reserve(self, n_ids: int, n_bytes: int) -> None:
+        """Room for ``n_ids`` more ids with ``n_bytes`` of text and tabs."""
+        held = len(self)
+        need = held + n_ids
+        if need >= len(self.off):
+            self.off = _grown(self.off, need + 1)
+        if self.off[held] + n_bytes > len(self.text):
+            self.text = _grown(self.text, int(self.off[held]) + n_bytes)
+        if 2 * need > len(self.slots):  # at most half full: re-intern the text into twice the slots or more
+            self.slots = np.zeros(1 << (2 * need - 1).bit_length(), dtype=np.uint32)
+            self.n[0] = 0
+            _native.call("commtrack_intern", self.text, held, self.off, self.slots, len(self.slots) - 1,
+                         self.off, self.text, self.n, np.empty(held, dtype=np.int64))
+
+    def _intern(self, names: List[str]) -> np.ndarray:
+        """The numbers of ``names``, new ones numbered in order."""
+        data = ",".join([*names, ""]).encode("utf-8", "surrogatepass")
+        o = np.zeros(len(names) + 1, dtype=np.int64)
+        o[1:] = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(",")) + 1
+        self._reserve(len(names), len(data))
+        number = np.empty(len(names), dtype=np.int64)
+        _native.call("commtrack_intern", data, len(names), o, self.slots, len(self.slots) - 1,
+                     self.off, self.text, self.n, number)
+        return number
+
+    def block(self, lines: List[str], window: WindowSpec) -> CdrTokens:
+        n = len(lines)
+        text = "".join(lines)
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, lines), dtype=np.int64, count=n), out=bounds[1:])
+        if text.isascii():
+            data = text.encode("ascii")
+        else:  # character to byte offsets: a character starts at each byte that is no UTF-8 continuation
+            data = text.encode("utf-8", "surrogatepass")
+            starts = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) & 0xC0 != 0x80)
+            bounds = np.append(starts, len(data))[bounds]
+        del text
+        self._reserve(2 * n, len(data))
+        status = np.empty(n, dtype=np.uint8)
+        u, v = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        m = _native.call("commtrack_cdr_tokens", data, n, bounds, window._anchor_index - window.span_months,
+                         window._anchor_index, self.slots, len(self.slots) - 1, self.off, self.text, self.n,
+                         status, u, v)
+        del data, bounds
+        u, v = u[:m], v[:m]
+        deferred = np.flatnonzero(status == _DEFER)
+        if len(deferred):  # numbered first in a table of their own, then its ids in the run's
+            local: Dict[str, int] = {}
+            du, dv = _judge_lines(lines, deferred.tolist(), window, status, local)
+            number = self._intern(list(local))
+            u, v = np.concatenate((u, number[du])), np.concatenate((v, number[dv]))
+        return status, u, v
 
 
-def _fold_pairs(keys: np.ndarray, counts: np.ndarray, chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Add a chunk of pair keys to the sorted distinct ``keys`` and their ``counts``."""
-    new_keys, new_counts = np.unique(chunk, return_counts=True)
-    pos = np.searchsorted(keys, new_keys)
-    known = np.zeros(len(new_keys), dtype=bool)
-    inside = pos < len(keys)
-    known[inside] = keys[pos[inside]] == new_keys[inside]
-    counts[pos[known]] += new_counts[known]
-    fresh = ~known
-    return np.insert(keys, pos[fresh], new_keys[fresh]), np.insert(counts, pos[fresh], new_counts[fresh])
+_cdr_tokens = _CdrTokensPy if _native.LIB is None else _CdrTokensC
+
+
+def _merge_runs(keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray, new_counts: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge two runs, each sorted distinct keys with their counts, into one.
+
+    A stable argsort (timsort, for int64) of the two runs joined finds them
+    already sorted and merges them in linear time; a key of both runs then
+    sits twice, side by side, and its second count is added to the first."""
+    k = np.concatenate((keys, new_keys))
+    order = np.argsort(k, kind="stable")
+    k = k[order]
+    c = np.concatenate((counts, new_counts))[order]
+    del order
+    twin = np.flatnonzero(k[1:] == k[:-1])
+    if len(twin):
+        c[twin] += c[twin + 1]
+        keep = np.ones(len(k), dtype=bool)
+        keep[twin + 1] = False
+        k, c = k[keep], c[keep]
+    return k, c
+
+
+def _fold_pairs(runs: List[Tuple[np.ndarray, np.ndarray]], chunk: np.ndarray) -> None:
+    """Fold a chunk of pair keys into ``runs``, a stack of sorted distinct
+    keys with their counts, each run at least twice the size of the one
+    above it: the top two merge while that fails. The runs therefore hold
+    fewer than twice the distinct keys, and runs merge mostly with runs of
+    like size, as in a binary counter, not all into one array that every
+    chunk copies."""
+    if not len(chunk):
+        return
+    runs.append(np.unique(chunk, return_counts=True))
+    while len(runs) > 1 and len(runs[-2][0]) < 2 * len(runs[-1][0]):
+        top = runs.pop()
+        runs[-1] = _merge_runs(*runs[-1], *top)
+
+
+def _folded(runs: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys of ``runs`` and their summed counts."""
+    while len(runs) > 1:
+        top = runs.pop()
+        runs[-1] = _merge_runs(*runs[-1], *top)
+    return runs.pop() if runs else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 def _note_block(report: RejectionReport, status: np.ndarray, start: int) -> None:
@@ -477,19 +609,20 @@ def ingest_pipeline(
 ) -> Tuple[Graph, IngestReport]:
     """Streamed parse → window filter → aggregate → symmetrize → degree cap.
 
-    One pass over the input, each element of ``lines`` one line. Held memory
-    is the distinct in-window directed pairs as int64 keys and counts, plus
-    one block of ``_CHUNK`` lines. Arguments are checked before the first
-    line is read.
+    One pass over the input, each element of ``lines`` one line. Between
+    blocks, held memory is the run's id table and fewer than twice the
+    distinct in-window directed pairs as int64 keys and counts (see
+    :func:`_fold_pairs`); a block adds its ``_CHUNK`` lines and their pairs,
+    and a merge of two runs briefly holds them and their merge. Arguments
+    are checked before the first line is read.
     """
     if not 0.0 <= max_rejected_fraction <= 1.0:
         raise InputError("max_rejected_fraction must lie in [0, 1]")
     _check_weight_mode(weight_mode)
     _check_cap(cap)
     rejections = RejectionReport()
-    index: Dict[str, int] = {}
-    keys = np.empty(0, dtype=np.int64)
-    counts = np.empty(0, dtype=np.int64)
+    tokens = _cdr_tokens()
+    runs: List[Tuple[np.ndarray, np.ndarray]] = []
     n_in = 0
     fold_s = 0.0
     source = iter(lines)
@@ -498,14 +631,17 @@ def ingest_pipeline(
         block = list(islice(source, _CHUNK))
         if not block:
             break
-        status, u, v = _cdr_tokens(block, window, index)
+        status, u, v = tokens.block(block, window)
         del block
+        if len(tokens) > _TABLE_MAX_IDS:
+            raise InputError(f"more than {_TABLE_MAX_IDS} distinct ids in the window")
         _note_block(rejections, status, start)
         n_in += len(u)
-        if len(u):
-            t = time.perf_counter()
-            keys, counts = _fold_pairs(keys, counts, u * _KEY_BASE + v)
-            fold_s += time.perf_counter() - t
+        t = time.perf_counter()
+        _fold_pairs(runs, u * _KEY_BASE + v)
+        fold_s += time.perf_counter() - t
+    ids = tokens.ids()
+    del tokens
     t1 = time.perf_counter()
     if rejections.rejected_fraction() > max_rejected_fraction:
         raise InputError(
@@ -513,12 +649,13 @@ def ingest_pipeline(
             f"({rejections.rejected_fraction():.1%}), above the allowed "
             f"{max_rejected_fraction:.1%}; reasons: {rejections.reasons}"
         )
+    keys, counts = _folded(runs)
     t2 = time.perf_counter()
     n_pairs = len(keys)
     origin, target = np.divmod(keys, _KEY_BASE)
     del keys
-    g = _mutual_graph(list(index), origin, target, counts, weight_mode)
-    del origin, target, counts, index
+    g = _mutual_graph(ids, origin, target, counts, weight_mode)
+    del origin, target, counts, ids
     t3 = time.perf_counter()
     g, filter_report = filter_high_degree(g, cap)
     t4 = time.perf_counter()

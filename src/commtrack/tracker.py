@@ -231,7 +231,8 @@ def save_timeline(tl: Timeline, directory) -> None:
     save overwrites the uncommitted files. A directory that holds a timeline
     this one did not commit loses that commit just before the first step file
     whose bytes change is renamed in, so a save cut short after that leaves
-    no timeline there, never a mix of two.
+    no timeline there, never a mix of two; while that commit stands, the
+    history is replaced whole.
     """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
@@ -261,9 +262,13 @@ def save_timeline(tl: Timeline, directory) -> None:
                     foreign.unlink()
                     foreign = None
     rows = b"".join(r.to_json().encode("utf-8") + b"\n" for r in tl.history[max(start - 1, 0):])
-    with open(d / _HISTORY, "ab") as fh:
-        fh.truncate(history_start)  # drops rows an interrupted save left behind
-        fh.write(rows)
+    if foreign is None:
+        with open(d / _HISTORY, "ab") as fh:
+            fh.truncate(history_start)  # drops rows an interrupted save left behind
+            fh.write(rows)
+    else:  # the standing commit names the old rows: replace them whole or not at all
+        with replacing(d / _HISTORY) as fh:
+            fh.write(rows)
     meta = {
         "n_steps": len(tl.steps),
         "snapshot_ids": [st.snapshot_id for st in tl.steps],

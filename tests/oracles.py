@@ -239,10 +239,11 @@ def tsv_backends() -> Dict[str, Callable]:
 
 
 def cdr_backends() -> Dict[str, Callable]:
-    """Every CDR line tokenizer body this machine runs, by name."""
+    """Every CDR line tokenizer body this machine runs, by name: each a
+    class whose instance is one run, holding that run's id table."""
     import commtrack.ingest as ingest
 
-    return _bodies(ingest._cdr_tokens_py, ingest._cdr_tokens_c)
+    return _bodies(ingest._CdrTokensPy, ingest._CdrTokensC)
 
 
 def edge_list(g) -> List[tuple]:

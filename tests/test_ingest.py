@@ -6,6 +6,7 @@ import re
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
@@ -385,10 +386,10 @@ def _reference_tokens(lines, window):
 
 
 def _tokens(body, lines, window):
-    """``body``'s tokens of ``lines`` given an empty id table, then the ids
-    in the table in number order."""
-    index = {}
-    return (*body(lines, window, index), list(index))
+    """``body``'s tokens of ``lines`` given its own empty id table, then the
+    ids in the table in number order."""
+    run = body()
+    return (*run.block(lines, window), run.ids())
 
 
 def _body_tokens(body, lines, window):
@@ -408,7 +409,7 @@ def _check_timestamp_on_bodies(text, window):
         except OverflowError:  # an offset that pushes year 1 or 9999 out of range
             for body in cdr_backends().values():
                 with pytest.raises(OverflowError):
-                    body(lines, w, {})
+                    body().block(lines, w)
             wants.append(None)
             continue
         for body in cdr_backends().values():
@@ -494,7 +495,7 @@ def test_compiled_canonical_month_matches_fromisoformat(text, canonical):
         pass
     for window in windows:
         with mock.patch.object(ingest, "_judge_lines", wraps=ingest._judge_lines) as judge:
-            status, u, v, ids = _tokens(ingest._cdr_tokens_c, [f"a,b,{text},call,1"], window)
+            status, u, v, ids = _tokens(ingest._CdrTokensC, [f"a,b,{text},call,1"], window)
         want = _fromisoformat_status(text, window)
         # a canonical timestamp that names a real date is decided in C alone;
         # any other text, a canonical one that names no date too, is deferred
@@ -531,10 +532,10 @@ def test_compiled_body_defers_exactly_what_is_no_well_formed_record():
         deferred.append(2 * k + 1)
     window = WindowSpec.from_label("2012-03", span_months=2)
     with mock.patch.object(ingest, "_judge_lines", wraps=ingest._judge_lines) as judge:
-        got = _tokens_key(_tokens(ingest._cdr_tokens_c, lines, window))
+        got = _tokens_key(_tokens(ingest._CdrTokensC, lines, window))
     ((args, _),) = judge.call_args_list
     assert args[1] == deferred
-    assert got == _tokens_key(_tokens(ingest._cdr_tokens_py, lines, window))
+    assert got == _tokens_key(_tokens(ingest._CdrTokensPy, lines, window))
     assert set(got[1]) == set(range(len(ingest._STATUSES))) - {ingest._DEFER}
     py_report, c_report = (rep.rejections for rep in _pipeline_reports(lines, window))
     assert c_report == py_report
@@ -743,9 +744,11 @@ def test_cdr_bodies_number_ids_into_the_run_table(lines, prior):
     window = WindowSpec.from_label("2012-03", span_months=2)
     got = {}
     for name, body in cdr_backends().items():
-        index = {x: k for k, x in enumerate(prior)}
-        status, u, v = body(lines, window, index)
-        ids = list(index)
+        run = body(prior)
+        status, u, v = run.block(lines, window)
+        ids = run.ids()
+        index = dict(zip(ids, range(len(ids))))
+        assert len(index) == len(ids) == len(run)
         assert all(index[x] == k for k, x in enumerate(prior))
         assert list(index.values()) == list(range(len(index)))
         assert all(0 <= k < len(ids) for k in u.tolist() + v.tolist())
@@ -753,6 +756,132 @@ def test_cdr_bodies_number_ids_into_the_run_table(lines, prior):
         assert set(ids[len(prior):]) == {x for pair in pairs for x in pair} - set(prior)
         got[name] = (status.tobytes(), sorted(pairs))
     assert all(t == got["python"] for t in got.values())
+
+
+# ids of compiled records (printable ASCII, not starting with o or O), ids
+# that start with o or O, which only deferred lines give, and ids that no
+# compiled record can hold: non-ASCII, an inner tab, space or CR, a lone
+# surrogate
+_RUN_IDS = ["a", "b", "c", "hub", "a0", "o1", "O2", "\u00e9", "x\u00e9", "x\ty", "p q", "r\rs", "\ud800", "\u4e2d"]
+
+
+@st.composite
+def _run_blocks(draw):
+    """Blocks of CDR lines over :data:`_RUN_IDS`: records the compiled body
+    decides, and records it defers (a zone, a space around a field, a CRLF,
+    an id it cannot hold), now and then two lines in one element."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        lines = []
+        for _ in range(draw(st.integers(0, 12))):
+            origin, target = draw(st.lists(st.sampled_from(_RUN_IDS), min_size=2, max_size=2, unique=True))
+            month = draw(st.sampled_from(["2012-01", "2012-02", "2012-03"]))
+            zone = draw(st.sampled_from(["", "", "Z", "+01:00"]))
+            pad = draw(st.sampled_from(["", "", " "]))
+            line = f"{pad}{origin},{target},{month}-05T10:00:00{zone},call,{draw(st.integers(0, 9))}"
+            line += draw(st.sampled_from(["", "\n", "\r\n"]))
+            if lines and not lines[-1].endswith("\n") and draw(st.integers(0, 5)) == 0:
+                line = lines.pop() + "\n" + line
+            lines.append(line)
+        blocks.append(lines)
+    return blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_run_blocks(), st.lists(st.sampled_from(_RUN_IDS), unique=True, max_size=4))
+def test_run_table_matches_the_python_body_across_blocks(blocks, prior):
+    # the compiled table starts with room for one id, so it grows within
+    # the run; each id keeps one number from the block it is first met in
+    # to the end, whichever body or path numbered it
+    window = WindowSpec.from_label("2012-03", span_months=2)
+    got = {}
+    for name, body in cdr_backends().items():
+        with mock.patch.object(ingest._CdrTokensC, "_START", 1):
+            run = body(prior)
+            tokens = [run.block(lines, window) for lines in blocks]
+        ids = run.ids()
+        assert ids[:len(prior)] == prior and len(set(ids)) == len(ids) == len(run)
+        got[name] = [(status.tobytes(), [(ids[a], ids[b]) for a, b in zip(u.tolist(), v.tolist())])
+                     for status, u, v in tokens]
+        assert set(ids) == set(prior) | {x for _, pairs in got[name] for pair in pairs for x in pair}
+    for name in got:
+        assert [(status, sorted(pairs)) for status, pairs in got[name]] == [
+            (status, sorted(pairs)) for status, pairs in got["python"]]
+
+
+def test_run_table_grows_and_keeps_every_number():
+    if "c" not in cdr_backends():
+        pytest.skip("the compiled library is not loaded")
+    window = WindowSpec.from_label("2012-03")
+    with mock.patch.object(ingest._CdrTokensC, "_START", 1):
+        run = ingest._CdrTokensC(["\u00e9"])
+        sizes, pairs = [], []
+        for k in range(4):  # each block adds ids, compiled and deferred, and meets earlier ones again
+            lines = [f"u{j},u{j + 1},2012-03-05T10:00:00,call,1\n" for j in range(40 * k, 40 * k + 60)]
+            lines += [f"u{40 * k},\u00e9,2012-03-05T10:00:00Z,call,1\n", f"o{k},u{40 * k + 1},2012-03-05T10:00:00,sms,0\n"]
+            status, u, v = run.block(lines, window)
+            assert (status == ingest._IN).all()
+            pairs.append(list(zip(u.tolist(), v.tolist())))
+            sizes.append((len(run.slots), len(run.off), len(run.text)))
+    ids = run.ids()
+    assert [s for s in sizes if s != sizes[0]] and sizes == sorted(sizes)
+    assert len(ids) == 1 + 181 + 4
+    for k in range(4):
+        named = [(ids[a], ids[b]) for a, b in pairs[k]]
+        assert named[:60] == [(f"u{j}", f"u{j + 1}") for j in range(40 * k, 40 * k + 60)]
+        assert named[60:] == [(f"u{40 * k}", "\u00e9"), (f"o{k}", f"u{40 * k + 1}")]
+
+
+def test_pipeline_refuses_more_ids_than_its_table_numbers():
+    lines = ["a,b,2012-03-05T10:00:00,call,1", "c,d,2012-03-05T10:00:00Z,call,1", "b,a,2012-03-05T10:00:00,sms,0"]
+    window = WindowSpec.from_label("2012-03")
+    for body in cdr_backends().values():
+        with mock.patch.object(ingest, "_cdr_tokens", body), mock.patch.object(ingest, "_TABLE_MAX_IDS", 3):
+            with pytest.raises(InputError, match="more than 3 distinct ids"):
+                ingest_pipeline(lines, window)
+        with mock.patch.object(ingest, "_cdr_tokens", body), mock.patch.object(ingest, "_TABLE_MAX_IDS", 4):
+            assert ingest_pipeline(lines, window)[0].n_edges == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 60), max_size=40), max_size=12))
+def test_pair_fold_matches_one_count_of_every_key(chunks):
+    # empty chunks and keys repeated within and across chunks; between
+    # chunks the runs hold fewer than twice the distinct keys so far
+    runs, seen = [], set()
+    for chunk in chunks:
+        ingest._fold_pairs(runs, np.array(chunk, dtype=np.int64))
+        seen.update(chunk)
+        assert all(len(below) >= 2 * len(above) for (below, _), (above, _) in zip(runs, runs[1:]))
+        assert sum(len(keys) for keys, _ in runs) <= 2 * len(seen)
+        assert all((np.diff(keys) > 0).all() for keys, _ in runs)
+    keys, counts = ingest._folded(runs)
+    want_keys, want_counts = np.unique(np.array([k for c in chunks for k in c], dtype=np.int64), return_counts=True)
+    assert keys.dtype == counts.dtype == np.int64
+    assert keys.tolist() == want_keys.tolist() and counts.tolist() == want_counts.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), max_size=80), st.integers(0, 10))
+def test_first_seen_numbering_matches_unique_return_index(flat, spare):
+    n = max(flat, default=-1) + 1 + spare
+    flat = np.array(flat, dtype=np.int64)
+    seen, first_at = np.unique(flat, return_index=True)
+    assert ingest._first_seen(flat, n).tolist() == seen[np.argsort(first_at)].tolist()
+
+
+def test_timestamp_cache_serves_only_blocks_whose_stamps_recur():
+    window = WindowSpec.from_label("2012-03")
+    distinct = [f"a,b,2012-03-05T{k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d},call,1" for k in range(2000)]
+    recurring = [f"a,b,2012-0{1 + k % 3}-05T10:00:00,call,1" for k in range(2000)]
+    cache = ingest._cached_timestamp
+    for lines, cached in ((distinct, ingest._SAMPLE), (recurring, 3)):
+        cache.cache_clear()
+        status, u, v = ingest._CdrTokensPy().block(lines, window)
+        assert status.tolist() == [ingest._IN] * len(lines) and len(u) == len(v) == len(lines)
+        # distinct stamps: only the sample goes through the cache
+        assert cache.cache_info().currsize == cached
+    assert cache.cache_info().hits == len(recurring) - 3
 
 
 def test_pipeline_crosses_the_block_boundary_as_the_reference():

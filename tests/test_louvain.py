@@ -948,7 +948,7 @@ def test_bound_kernels_are_the_ones_the_wrappers_call():
     defs = _native._KERNEL_DEF.findall(_native._SOURCE.read_text(encoding="utf-8"))
     wrappers = "".join(p.read_text(encoding="utf-8") for p in _native._SOURCE.parent.glob("*.py"))
     called = set(re.findall(r"_native\.call\(\"(commtrack_\w+)\"", wrappers))
-    assert sorted(name for _, name, _ in defs) == sorted(called) and len(called) == 7
+    assert sorted(name for _, name, _ in defs) == sorted(called) and len(called) == 8
     if _native.LIB is not None:
         for _, name, params in defs:
             assert len(getattr(_native.LIB, name).argtypes) == params.count(",") + 1

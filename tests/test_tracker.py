@@ -1,5 +1,6 @@
 """Timeline orchestration: bootstrap, stepping, lineage, persistence."""
 
+import builtins
 import errno
 from pathlib import Path
 
@@ -469,6 +470,58 @@ def test_a_save_that_changes_no_step_file_keeps_the_commit(tmp_path, monkeypatch
         with pytest.raises(_Interrupted):
             save_timeline(again, d)
     assert _files(d) == before
+
+
+class _HalfWriter:
+    """A file handle whose first write stops halfway, as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise _Interrupted("disk full")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_a_history_write_cut_short_under_a_standing_commit_keeps_a_loadable_directory(tmp_path, monkeypatch):
+    # saved elsewhere, then back into the directory it was loaded from: no
+    # step file's bytes change, so the old meta.json stands while the
+    # history is written; a write cut short there must leave the old
+    # timeline or none, never meta.json over fewer history rows
+    graphs = _stored_sequence(tmp_path, steps=3)
+    d = tmp_path / "tl"
+    for k in range(3):
+        _append(d, graphs, k)
+    committed = load_timeline(d)
+    again = load_timeline(d)
+    save_timeline(again, tmp_path / "elsewhere")
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if Path(file).parent == d and "history.jsonl" in Path(file).name and "r" not in mode:
+            return _HalfWriter(fh)
+        return fh
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", failing_open)
+        with pytest.raises(_Interrupted):
+            save_timeline(again, d)
+    try:
+        tl = load_timeline(d)
+    except InputError as exc:
+        assert "no timeline found" in str(exc)
+    else:
+        assert len(tl.steps) == 3 and tl.history == committed.history
+        assert tl.last.partition == committed.last.partition
 
 
 def test_uncommitted_history_tail_is_ignored(tmp_path):
