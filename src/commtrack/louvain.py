@@ -462,7 +462,8 @@ def _level_start(lg: Graph, keys: ArrayLike, prev_labels: ArrayLike) -> Tuple[np
     ascending (keys already sorted and distinct, as on a static first level
     and every level above the first, as they stand), each node's slot, the
     slots' sums (see :func:`modularity`) and a uint8 mark of the slots whose
-    key ``prev_labels`` holds. The start owns its arrays."""
+    key ``prev_labels`` holds, found by binary search (all 0 when it is empty,
+    as above the first level). The start owns its arrays."""
     n = lg.n
     keys = np.array(keys, dtype=np.int64)
     if np.all(keys[1:] > keys[:-1]):
@@ -473,7 +474,11 @@ def _level_start(lg: Graph, keys: ArrayLike, prev_labels: ArrayLike) -> Tuple[np
     # the compiled sweep reads the level's arrays through raw pointers: fix
     # dtype and layout here, and check the bounds it trusts
     node_slot = checked_index(node_slot, n, 0, c, "community")
-    return slot_key, node_slot, *_sums(lg, node_slot, c), np.isin(slot_key, prev_labels).astype(np.uint8)
+    slot_is_prev, prev = np.zeros(c, dtype=np.uint8), np.asarray(prev_labels)
+    if len(prev):  # a context built by hand may hold its labels unsorted
+        prev = prev if np.all(prev[1:] > prev[:-1]) else np.sort(prev)
+        slot_is_prev[:] = prev[np.minimum(np.searchsorted(prev, slot_key), len(prev) - 1)] == slot_key
+    return slot_key, node_slot, *_sums(lg, node_slot, c), slot_is_prev
 
 
 def _one_level(
@@ -482,7 +487,7 @@ def _one_level(
     movable: ArrayLike,
     pref: ArrayLike,
     cfg: LouvainConfig,
-    rng: random.Random,
+    rng: Optional[random.Random],
     level: int,
 ) -> Tuple[np.ndarray, np.ndarray, LevelStats]:
     """Phase 1 on one level graph from its :func:`_level_start`; returns
@@ -567,7 +572,8 @@ def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, 
     The run stops after a level that moves nothing or gains less than
     :data:`MIN_GAIN`, and after one whose every community holds a pinned
     node: the next level would sweep an empty visit list once and keep the
-    partition as it is, so it is neither aggregated nor run."""
+    partition as it is, so it is neither aggregated nor run. A pinned node never
+    moves, nor does a supernode holding one, so ``node_of`` finds every frozen one."""
     two_m = g.total_weight_2m
     # move scores are products of two weights; past this bound they round to 0
     if 0.0 < two_m and two_m * two_m < sys.float_info.min:
@@ -576,8 +582,7 @@ def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, 
     if g.n == 0:
         return Partition(g.ids, np.empty(0, dtype=np.int64)), report
 
-    rng = random.Random(cfg.rng_seed)
-    frozen = ctx.init_labels[ctx.fixed]  # the communities holding a pinned node
+    rng = random.Random(cfg.rng_seed) if cfg.node_order == "shuffled" else None
 
     movable = np.ones(g.n, dtype=bool)
     movable[ctx.fixed] = False
@@ -596,7 +601,8 @@ def _run(g: Graph, ctx: DynamicContext, cfg: LouvainConfig) -> Tuple[Partition, 
         report.final_q = stats.q_end
         if stats.moves == 0 or stats.q_end - stats.q_start < MIN_GAIN:
             break
-        movable = ~np.isin(uniq, frozen)
+        movable = np.ones(len(uniq), dtype=bool)
+        movable[dense[node_of[ctx.fixed]]] = False  # the communities holding a pinned node
         if not movable.any():  # every community holds a pinned node: the next level could not move
             break
 

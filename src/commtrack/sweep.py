@@ -90,7 +90,8 @@ def run_sweep(
         baselines = {s: baseline(s) for s in spec.seeds}
 
     cells = [(p, q, s) for p in spec.p_values for q in spec.q_values for s in spec.seeds]
-    contexts = [baselines[s][1].context(p, q, derive_seed(int(s), 2)) for p, q, s in cells]
+    ctx_seed = {s: derive_seed(int(s), 2) for s in spec.seeds}
+    contexts = [baselines[s][1].context(p, q, ctx_seed[s]) for p, q, s in cells]
     # under index order the seed orders no visit, so a run is fixed by its draws,
     # and the seeding holds each distinct draw as one array for the whole call
     index = cfg.node_order == "index"

@@ -5,12 +5,15 @@ enumeration, dictionary counting. Nothing is shared with the package code, so
 the same bug would have to be written twice to slip through. The helpers
 after ``canonical_blocks`` hand tests package objects: the bodies of each
 compiled kernel, a graph's edge list and bytes, and the singleton
-partition; ``lfr_graph`` hands them networkx's LFR benchmark graph. Two
-references at the end reuse package parts: the TSV reference builds its
+partition; ``lfr_graph`` hands them networkx's LFR benchmark graph. The
+references near the end reuse package parts: the TSV reference builds its
 graphs and partitions in the package's containers (``IdMap``, ``Graph``,
-``Partition``), and the ingest reference composes the package's
+``Partition``), the ingest reference composes the package's
 record-level parser and tuple-based ``build_graph`` with per-pair
-dictionary symmetrization and a tuple-based degree cap.
+dictionary symmetrization and a tuple-based degree cap, and the compare
+twins are the contingency table and mutual-information loop that
+``metrics`` ran before its table was counted dense and its sum vectorized,
+kept to pin the bits of ``compare``'s report.
 
 Node convention: graphs are (n, edges) with integer nodes 0..n-1 and edges as
 (u, v, w) tuples, possibly repeated (weights accumulate). A self entry
@@ -560,3 +563,61 @@ def oracle_write_partition_tsv(part, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(part.n):
             fh.write(f"{part.ids.ids[i]}\t{int(part.labels[i])}\n")
+
+
+# --- compare twins -------------------------------------------------------------
+
+
+def twin_contingency(a, b):
+    """``metrics._contingency`` by ``np.unique`` over the cell keys alone, the
+    one form it took before it counted small tables whole."""
+    import numpy as np
+
+    _, dense_a, _ = a.ranked
+    uniq_b, dense_b, _ = b.ranked
+    if not (a.ids is b.ids or a.ids == b.ids):
+        pos = a.ids.positions(b.ids.ids)
+        shared = pos >= 0
+        dense_a, dense_b = dense_a[pos[shared]], dense_b[shared]
+    nb = len(uniq_b)
+    cells, counts = np.unique(dense_a * nb + dense_b, return_counts=True)
+    return cells // nb, cells % nb, counts
+
+
+def twin_mutual_information(n: int, table, row, col) -> float:
+    """``metrics._mutual_information`` one cell at a time: ``math.log`` and a
+    left-to-right sum in a Python float."""
+    ia, ib, counts = table
+    mi = 0.0
+    for i, j, nij in zip(ia.tolist(), ib.tolist(), counts.tolist()):
+        mi += (nij / n) * math.log(nij * n / (row[i] * col[j]))
+    return max(0.0, mi)
+
+
+def twin_compare(a, b, g_next=None, cfg=None):
+    """The ``metrics.ComparisonReport`` of ``a`` and ``b`` with the two twins
+    above for the table and the MI; the margins, entropies, matching and
+    modularity are the package's."""
+    import numpy as np
+
+    from commtrack import metrics
+    from commtrack.louvain import modularity
+
+    cfg = cfg or metrics.MatchConfig()
+    table = ia, ib, counts = twin_contingency(a, b)
+    n = int(counts.sum())
+    row = np.bincount(ia, weights=counts)
+    col = np.bincount(ib, weights=counts)
+    return metrics.ComparisonReport(
+        mi_nats=twin_mutual_information(n, table, row, col),
+        entropy_a=metrics._entropy(row / n),
+        entropy_b=metrics._entropy(col / n),
+        n_common=n,
+        n_a=len(a.labels),
+        n_b=len(b.labels),
+        n_communities_a=len(a.ranked[0]),
+        n_communities_b=len(b.ranked[0]),
+        r=cfg.r,
+        matching=metrics._matching(table, a, b, cfg.r),
+        modularity_next=None if g_next is None else modularity(g_next, b),
+    )

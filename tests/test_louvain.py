@@ -607,6 +607,62 @@ def test_pref_restriction_only_targets_previous_labels(monkeypatch):
         assert all(not flags.any() and not start[-1].any() for _, flags, start in seen[1:])
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_INT64 | st.integers(-5, 5), min_size=1, max_size=30),
+       st.lists(_INT64 | st.integers(-5, 5), max_size=30), st.sampled_from(["distinct", "sorted", "as drawn"]),
+       st.booleans())
+@example([-(2**63), -1, 0, 2**63 - 1], [2**63 - 1, -(2**63), 5], "as drawn", False)
+@example([2, 7, 2, -4], [7, 7, -4, -4], "sorted", True)
+@example([3, 1, 2], [], "distinct", True)
+def test_level_start_marks_previous_slots_as_isin_does(keys, prev, form, as_list):
+    # the membership search against np.isin on previous labels sorted and
+    # distinct (as a seeding hands them), sorted with repeats, or as drawn
+    # (a context built by hand), negative, int64-extreme or none
+    prev = {"distinct": sorted(set(prev)), "sorted": sorted(prev), "as drawn": prev}[form]
+    prev = prev if as_list else np.asarray(prev, dtype=np.int64)
+    g = build_graph([], nodes=range(len(keys)))
+    slot_key, *_, slot_is_prev = louvain._level_start(g, np.asarray(keys, dtype=np.int64), prev)
+    assert slot_is_prev.dtype == np.uint8
+    assert np.array_equal(slot_is_prev, np.isin(slot_key, np.asarray(prev, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("order", ["index", "shuffled"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_movable_masks_free_exactly_the_communities_without_a_pin(monkeypatch, p, order):
+    # _run marks each level's frozen supernodes through its node map; they are
+    # the ones keyed by a pinned node's start label, the level's slot keys above
+    # level 1. Runs seeded from singletons climb more levels than those seeded
+    # from a detection, so some maps compose over two aggregations.
+    real = louvain._one_level
+    seen = []
+
+    def spy(lg, start, movable, *rest):
+        seen.append((start[0], np.array(movable)))
+        return real(lg, start, movable, *rest)
+
+    monkeypatch.setattr(louvain, "_one_level", spy)
+    upper, frozen_upper, frozen_third = 0, 0, 0
+    for seed in range(8):
+        g0, g1 = _drifting_pair(seed, n=120, k=8)
+        for prev in (renumber_partition(louvain_static(g0)[0]), singleton_partition(g0)):
+            ctx = DynamicContext.from_previous(prev, g1, p, 0.5, seed=seed)
+            seen.clear()
+            louvain_dynamic(g1, ctx, LouvainConfig(rng_seed=seed, node_order=order))
+            (_, first), *levels = seen
+            assert np.array_equal(first, ~np.isin(np.arange(g1.n), ctx.fixed))
+            for level, (slot_key, movable) in enumerate(levels, start=2):
+                assert np.array_equal(movable, ~np.isin(slot_key, ctx.init_labels[ctx.fixed]))
+                upper += 1
+                frozen_upper += not movable.all()
+                frozen_third += level >= 3 and not movable.all()
+    assert upper > 0
+    assert frozen_upper == (0 if p == 0.0 else upper)
+    assert (frozen_third > 0) == (p == 0.3)
+
+
 def test_pref_never_forces_a_move():
     # steering restricts choices; a steered node with no gain stays put
     g = build_graph([(0, 1)], nodes=[0, 1])

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from commtrack import metrics
 from commtrack.errors import InputError
 from commtrack.graph import IdMap, Partition, build_graph
 from commtrack.metrics import (
@@ -13,7 +16,14 @@ from commtrack.metrics import (
     compare,
 )
 
-from oracles import oracle_entropy, oracle_modularity, oracle_mutual_information, random_churned_ids
+from oracles import (
+    oracle_entropy,
+    oracle_modularity,
+    oracle_mutual_information,
+    random_churned_ids,
+    twin_compare,
+    twin_contingency,
+)
 
 
 def _part(ids, labels):
@@ -248,3 +258,127 @@ def test_report_json_roundtrip():
     clone = ComparisonReport.from_json(report.to_json())
     assert clone == report
     assert clone.matching == [(0, 0), (1, 1)]
+
+
+# --- bits of the report ------------------------------------------------------------
+# ``sweep`` and ``history.jsonl`` write mi_nats and modularity with ``repr``, so
+# ``compare`` must keep the bits of the one-cell-at-a-time loop over a table
+# counted by ``np.unique`` (``oracles.twin_compare``) in both of its table forms.
+
+
+def _arrays(table):
+    return [(x.dtype.str, x.tobytes()) for x in table]
+
+
+def _assert_twin_bits(a, b, g=None, r=0.51):
+    assert _arrays(metrics._contingency(a, b)) == _arrays(twin_contingency(a, b))
+    cfg = MatchConfig(r)
+    assert compare(a, b, g, cfg).to_json() == twin_compare(a, b, g, cfg).to_json()
+
+
+def _labels(draw, n: int, kind: str) -> list:
+    """``n`` int64 labels: one community, all singletons, or up to 40 communities."""
+    values = st.integers(-(2**62), 2**62) | st.integers(0, 9)
+    if kind == "one":
+        return [draw(values)] * n
+    if kind == "singletons":
+        return draw(st.lists(values, min_size=n, max_size=n, unique=True))
+    pool = draw(st.lists(values, min_size=1, max_size=draw(st.integers(1, 40)), unique=True))
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+
+
+@st.composite
+def _partition_pairs(draw):
+    """Two partitions and the later graph: on one id map (the same object or
+    an equal copy) or on churned ones sharing at least one node, each side of
+    one community, all singletons or some communities in between."""
+    n = draw(st.integers(1, 80))
+    ids_a = list(range(n))
+    maps = draw(st.sampled_from(["same", "equal", "churned"]))
+    if maps == "churned":
+        keep = draw(st.lists(st.sampled_from(ids_a), min_size=1, unique=True))
+        ids_b = draw(st.permutations(keep + list(range(n, n + draw(st.integers(0, 30))))))
+    else:
+        ids_b = ids_a
+    kinds = st.sampled_from(["one", "singletons", "some"])
+    a = Partition(IdMap(ids_a), np.asarray(_labels(draw, len(ids_a), draw(kinds)), dtype=np.int64))
+    b_ids = a.ids if maps == "same" else IdMap(ids_b)
+    b = Partition(b_ids, np.asarray(_labels(draw, len(ids_b), draw(kinds)), dtype=np.int64))
+    g = None
+    if draw(st.booleans()):
+        ends = st.integers(0, len(ids_b) - 1)
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * len(ids_b)))
+        g = build_graph([(ids_b[u], ids_b[v]) for u, v in edges], nodes=ids_b)
+        b = Partition(g.ids, b.labels)
+    return a, b, g, draw(st.sampled_from([0.51, 2 / 3, 0.9]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partition_pairs())
+@example((_part(range(3), [5, 5, 5]), _part(range(3), [1, 2, 3]), None, 0.51))
+@example((_part(range(12), range(12)), _part(range(12), range(12, 0, -1)), None, 0.51))
+def test_compare_keeps_the_bits_of_the_unique_table_and_the_loop(case):
+    _assert_twin_bits(*case)
+
+
+@pytest.mark.parametrize("n, na, nb, dense", [
+    (8, 8, 8, True),  # at the bound: 64 cells for 8 nodes
+    (8, 8, 1, True),
+    (8, 1, 8, True),
+    (9, 9, 8, True),  # 72 cells for 9 nodes: at the bound
+    (16, 8, 16, True),  # 128 cells for 16 nodes
+    (10, 9, 9, False),  # 81 cells for 10 nodes: one past
+    (24, 24, 9, False),
+    (40, 40, 40, False),  # all singletons
+    (40, 20, 16, True),  # 320 cells: at the bound again
+    (40, 20, 17, False),
+])
+def test_compare_keeps_its_bits_on_both_sides_of_the_dense_table_bound(n, na, nb, dense):
+    assert (na * nb <= metrics._DENSE_CELLS * n) == dense
+    rng = np.random.default_rng(n * 1000 + na * 31 + nb)
+    for trial in range(20):
+        # every label of each side holds a node, so the table has na x nb cells
+        la = np.concatenate([np.arange(na), rng.integers(0, na, size=n - na)])[rng.permutation(n)]
+        lb = np.concatenate([np.arange(nb), rng.integers(0, nb, size=n - nb)])[rng.permutation(n)]
+        a = _part(range(n), la * 7 - 3)
+        b = _part(range(n), lb * 5 + 100)
+        assert len(a.ranked[0]) == na and len(b.ranked[0]) == nb
+        _assert_twin_bits(a, b)
+        # churned: b's id map in another order, with nodes a lacks; the shared nodes are all n
+        order = rng.permutation(n + 3)
+        ids_b = [int(x) for x in order]
+        _assert_twin_bits(a, _part(ids_b, np.concatenate([lb, [0, 1, 2]])[order] * 5 + 100))
+
+
+@pytest.mark.parametrize("na, nb", [(50, 52), (300, 400)], ids=["dense", "unique"])
+def test_compare_keeps_its_bits_on_tables_of_thousands_of_cells(na, nb):
+    # on tables of a few thousand cells np.sum's pairwise sum drifts from the
+    # left-to-right one (a last-bit log difference rarely reaches sums like
+    # these: the next test has tables where it does)
+    rng = np.random.default_rng(na)
+    for n in (2000, 2100, 2200, 2300):
+        la = rng.integers(0, na, size=n)
+        # b keeps most of a's communities, as a stability run does
+        lb = np.where(rng.random(n) < 0.7, la % nb, rng.integers(0, nb, size=n))
+        a = _part(range(n), la)
+        ids_b = [int(x) for x in rng.permutation(n + 50)]
+        b = _part(ids_b, np.concatenate([lb, rng.integers(0, nb, size=50)])[ids_b])
+        assert (na * nb <= metrics._DENSE_CELLS * n) == (na == 50)
+        _assert_twin_bits(a, a)
+        _assert_twin_bits(a, b)
+
+
+@pytest.mark.parametrize("shape, table", [
+    ((2, 2), [20, 2, 39, 5]),
+    ((2, 2), [33, 20, 36, 22]),
+    ((2, 3), [24, 38, 29, 13, 17, 16]),
+])
+def test_compare_keeps_the_loop_bits_where_np_log_would_not(shape, table):
+    # near-independent tables: MI is a small difference of larger terms, so
+    # a last-bit difference in one log reaches the sum (np.log instead of
+    # math.log gives another repr of mi_nats on each of these)
+    cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+    la = [i for (i, _), c in zip(cells, table) for _ in range(c)]
+    lb = [j for (_, j), c in zip(cells, table) for _ in range(c)]
+    ids = list(range(len(la)))
+    _assert_twin_bits(_part(ids, la), _part(ids, lb))
