@@ -462,8 +462,8 @@ def _level_start(lg: Graph, keys: ArrayLike, prev_labels: ArrayLike) -> Tuple[np
     ascending (keys already sorted and distinct, as on a static first level
     and every level above the first, as they stand), each node's slot, the
     slots' sums (see :func:`modularity`) and a uint8 mark of the slots whose
-    key ``prev_labels`` holds, found by binary search (all 0 when it is empty,
-    as above the first level). The start owns its arrays."""
+    key ``prev_labels`` holds (all 0 without a search when it is empty, as
+    above the first level). The start owns its arrays."""
     n = lg.n
     keys = np.array(keys, dtype=np.int64)
     if np.all(keys[1:] > keys[:-1]):
@@ -474,10 +474,7 @@ def _level_start(lg: Graph, keys: ArrayLike, prev_labels: ArrayLike) -> Tuple[np
     # the compiled sweep reads the level's arrays through raw pointers: fix
     # dtype and layout here, and check the bounds it trusts
     node_slot = checked_index(node_slot, n, 0, c, "community")
-    slot_is_prev, prev = np.zeros(c, dtype=np.uint8), np.asarray(prev_labels)
-    if len(prev):  # a context built by hand may hold its labels unsorted
-        prev = prev if np.all(prev[1:] > prev[:-1]) else np.sort(prev)
-        slot_is_prev[:] = prev[np.minimum(np.searchsorted(prev, slot_key), len(prev) - 1)] == slot_key
+    slot_is_prev = np.isin(slot_key, prev_labels).astype(np.uint8) if len(prev_labels) else np.zeros(c, dtype=np.uint8)
     return slot_key, node_slot, *_sums(lg, node_slot, c), slot_is_prev
 
 

@@ -19,8 +19,6 @@ from .errors import InputError, InternalInvariantError
 from .graph import Graph, Partition
 from .louvain import modularity
 
-_DENSE_CELLS = 8  # the most cells per shared node of a table that _contingency counts whole
-
 __all__ = [
     "MatchConfig",
     "ComparisonReport",
@@ -85,7 +83,8 @@ class ComparisonReport:
 def _contingency(a: Partition, b: Partition) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sparse contingency counts over the nodes ``a`` and ``b`` share: the row and column (indices into each
     side's :attr:`~commtrack.graph.Partition.ranked` labels) and count of each nonzero cell, in label order,
-    the same whether ``np.bincount`` counts it whole (to :data:`_DENSE_CELLS` cells a node) or ``np.unique``."""
+    the same whether ``np.bincount`` counts it whole (while it has no more cells than shared nodes, where it
+    is faster) or ``np.unique`` (many small communities, whose whole table would not fit in memory)."""
     uniq_a, dense_a, _ = a.ranked
     uniq_b, dense_b, _ = b.ranked
     if not (a.ids is b.ids or a.ids == b.ids):
@@ -94,7 +93,7 @@ def _contingency(a: Partition, b: Partition) -> Tuple[np.ndarray, np.ndarray, np
         dense_a, dense_b = dense_a[pos[shared]], dense_b[shared]
     nb = len(uniq_b)
     keys, size = dense_a * nb + dense_b, len(uniq_a) * nb
-    if size <= _DENSE_CELLS * len(keys):
+    if size <= len(keys):
         counts = np.bincount(keys, minlength=size)
         cells = np.flatnonzero(counts)
         return cells // nb, cells % nb, counts[cells]

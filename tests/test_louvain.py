@@ -618,9 +618,9 @@ _INT64 = st.integers(-(2**63), 2**63 - 1)
 @example([2, 7, 2, -4], [7, 7, -4, -4], "sorted", True)
 @example([3, 1, 2], [], "distinct", True)
 def test_level_start_marks_previous_slots_as_isin_does(keys, prev, form, as_list):
-    # the membership search against np.isin on previous labels sorted and
-    # distinct (as a seeding hands them), sorted with repeats, or as drawn
-    # (a context built by hand), negative, int64-extreme or none
+    # the slot marks against np.isin on previous labels sorted and distinct
+    # (as a seeding hands them), sorted with repeats, or as drawn (a context
+    # built by hand), negative, int64-extreme or none (the shortcut's zeros)
     prev = {"distinct": sorted(set(prev)), "sorted": sorted(prev), "as drawn": prev}[form]
     prev = prev if as_list else np.asarray(prev, dtype=np.int64)
     g = build_graph([], nodes=range(len(keys)))
@@ -660,7 +660,8 @@ def test_movable_masks_free_exactly_the_communities_without_a_pin(monkeypatch, p
                 frozen_third += level >= 3 and not movable.all()
     assert upper > 0
     assert frozen_upper == (0 if p == 0.0 else upper)
-    assert (frozen_third > 0) == (p == 0.3)
+    if p == 0.3:  # coverage: some node maps compose over two aggregations with pins in them
+        assert frozen_third > 0
 
 
 def test_pref_never_forces_a_move():

@@ -322,19 +322,19 @@ def test_compare_keeps_the_bits_of_the_unique_table_and_the_loop(case):
 
 
 @pytest.mark.parametrize("n, na, nb, dense", [
-    (8, 8, 8, True),  # at the bound: 64 cells for 8 nodes
-    (8, 8, 1, True),
+    (8, 8, 1, True),  # at the bound: 8 cells for 8 nodes
     (8, 1, 8, True),
-    (9, 9, 8, True),  # 72 cells for 9 nodes: at the bound
-    (16, 8, 16, True),  # 128 cells for 16 nodes
-    (10, 9, 9, False),  # 81 cells for 10 nodes: one past
+    (9, 3, 3, True),
+    (16, 2, 8, True),
+    (12, 3, 4, True),  # at the bound again
+    (11, 3, 4, False),  # 12 cells for 11 nodes: one past
+    (39, 5, 8, False),
+    (40, 5, 8, True),
     (24, 24, 9, False),
     (40, 40, 40, False),  # all singletons
-    (40, 20, 16, True),  # 320 cells: at the bound again
-    (40, 20, 17, False),
 ])
 def test_compare_keeps_its_bits_on_both_sides_of_the_dense_table_bound(n, na, nb, dense):
-    assert (na * nb <= metrics._DENSE_CELLS * n) == dense
+    assert (na * nb <= n) == dense
     rng = np.random.default_rng(n * 1000 + na * 31 + nb)
     for trial in range(20):
         # every label of each side holds a node, so the table has na x nb cells
@@ -350,7 +350,7 @@ def test_compare_keeps_its_bits_on_both_sides_of_the_dense_table_bound(n, na, nb
         _assert_twin_bits(a, _part(ids_b, np.concatenate([lb, [0, 1, 2]])[order] * 5 + 100))
 
 
-@pytest.mark.parametrize("na, nb", [(50, 52), (300, 400)], ids=["dense", "unique"])
+@pytest.mark.parametrize("na, nb", [(40, 50), (300, 400)], ids=["dense", "unique"])
 def test_compare_keeps_its_bits_on_tables_of_thousands_of_cells(na, nb):
     # on tables of a few thousand cells np.sum's pairwise sum drifts from the
     # left-to-right one (a last-bit log difference rarely reaches sums like
@@ -363,7 +363,7 @@ def test_compare_keeps_its_bits_on_tables_of_thousands_of_cells(na, nb):
         a = _part(range(n), la)
         ids_b = [int(x) for x in rng.permutation(n + 50)]
         b = _part(ids_b, np.concatenate([lb, rng.integers(0, nb, size=50)])[ids_b])
-        assert (na * nb <= metrics._DENSE_CELLS * n) == (na == 50)
+        assert (na * nb <= n) == (na == 40)
         _assert_twin_bits(a, a)
         _assert_twin_bits(a, b)
 
