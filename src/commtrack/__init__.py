@@ -21,10 +21,8 @@ from .graph import (
 from .ingest import (
     FilterReport,
     WindowSpec,
-    aggregate_window,
     filter_high_degree,
     ingest_pipeline,
-    symmetrize,
 )
 from .louvain import (
     DynamicContext,
@@ -61,10 +59,8 @@ __all__ = [
     "write_partition_tsv",
     "FilterReport",
     "WindowSpec",
-    "aggregate_window",
     "filter_high_degree",
     "ingest_pipeline",
-    "symmetrize",
     "DynamicContext",
     "LouvainConfig",
     "RunReport",

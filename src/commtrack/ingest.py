@@ -35,7 +35,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone, tzinfo
-from functools import lru_cache
 from itertools import count, islice
 from typing import Dict, Iterable, Iterator, List, Mapping, MutableSequence, Optional, Tuple
 
@@ -84,18 +83,12 @@ class RejectionReport:
 
 def _parse_timestamp(text: str) -> Optional[datetime]:
     """ISO-8601 parse; 'Z' suffixes are accepted."""
-    if text.endswith("Z") or text.endswith("z"):
+    if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     try:
         return datetime.fromisoformat(text)
     except ValueError:
         return None
-
-
-# CDR batches often share timestamps, and a cache of them pays where they
-# recur; where they do not, each miss costs more than the parse it would save
-_cached_timestamp = lru_cache(maxsize=1 << 12)(_parse_timestamp)
-_SAMPLE = 256  # lines of a block judged through the cache to see if it pays
 
 
 _HEADER_FIELDS = ("origin", "target")
@@ -114,27 +107,28 @@ _STATUSES = (
  _BAD_DURATION, _SMS_NONZERO_DURATION) = range(len(_STATUSES))
 
 
-def _judge_line(raw: str, parse=_cached_timestamp) -> Tuple[int, Optional[Tuple[str, str, datetime]]]:
+def _judge_line(raw: str) -> Tuple[int, Optional[Tuple[str, str, datetime]]]:
     """The line validator: the status code of one line and, for a record,
     ``(origin, target, timestamp)``, its status then ``_IN``. The timestamp
-    is read by ``parse``, :func:`_parse_timestamp` with or without a cache.
+    is read by :func:`_parse_timestamp`, in full on every record.
 
     Kind and duration are checked, then dropped: no graph reads them.
     """
     line = raw.strip()
     if not line:
         return _BLANK, None
-    fields = list(map(str.strip, line.split(",")))
-    if fields[0].lower() == _HEADER_FIELDS[0] and len(fields) > 1 and fields[1].lower() == _HEADER_FIELDS[1]:
+    fields = line.split(",")
+    head = fields[0].strip().lower()
+    if head == _HEADER_FIELDS[0] and len(fields) > 1 and fields[1].strip().lower() == _HEADER_FIELDS[1]:
         return _HEADER, None
     if len(fields) != 5:
         return _FIELD_COUNT, None
-    origin, target, ts_text, kind_text, dur_text = fields
+    origin, target, ts_text, kind_text, dur_text = map(str.strip, fields)
     if not origin or not target:
         return _EMPTY_ID, None
     if origin == target:
         return _SELF_RECORD, None
-    ts = parse(ts_text)
+    ts = _parse_timestamp(ts_text)
     if ts is None:
         return _BAD_TIMESTAMP, None
     kind = kind_text.lower()
@@ -222,8 +216,8 @@ class WindowSpec:
                 ts = ts.astimezone(self.tz)
             except OverflowError:  # lands before year 1 or after 9999, outside any window
                 return False
-        idx = ts.year * 12 + (ts.month - 1)
-        return self._anchor_index - self.span_months < idx <= self._anchor_index
+        anchor = self._anchor_index
+        return anchor - self.span_months < ts.year * 12 + (ts.month - 1) <= anchor
 
 
 def aggregate_window(records: Iterable[Tuple[str, str, datetime]], window: WindowSpec) -> Counter:
@@ -394,36 +388,27 @@ def _judge_lines(
     line validator and store its status in ``status[i]``. The origin and
     target of each in-window line are interned in ``index``, which numbers
     new ids ``len(index)`` on. Returns the in-window lines' origin and
-    target numbers, in line order.
-
-    The first ``_SAMPLE`` lines read their timestamps through the cache, and
-    the others do only if at least half of those hit it."""
+    target numbers, in line order."""
     intern = index.setdefault
     u: List[int] = []
     v: List[int] = []
-    todo = iter(positions)
-    parse = _cached_timestamp
-    hits = _cached_timestamp.cache_info().hits
-    for part in (islice(todo, _SAMPLE), todo):
-        for i in part:
-            code, record = _judge_line(lines[i], parse)
-            if record is not None:
-                origin, target, ts = record
-                if window.contains(ts):
-                    u.append(intern(origin, len(index)))
-                    v.append(intern(target, len(index)))
-                else:
-                    code = _OUT
-            status[i] = code
-        if _cached_timestamp.cache_info().hits - hits < _SAMPLE // 2:
-            parse = _parse_timestamp
+    for i in positions:
+        code, record = _judge_line(lines[i])
+        if record is not None:
+            origin, target, ts = record
+            if window.contains(ts):
+                u.append(intern(origin, len(index)))
+                v.append(intern(target, len(index)))
+            else:
+                code = _OUT
+        status[i] = code
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
 class _CdrTokensPy:
     """A CDR tokenizer body for one run: the line validator on every line,
     and the run's id table, a dict, that numbers the ids of the in-window
-    records. It starts with the ``prior`` ids, numbered in order.
+    records.
 
     :meth:`block` judges a block of lines, each element one line, and gives
     ids it holds their numbers and new ids the next ones, here in first-seen
@@ -433,8 +418,8 @@ class _CdrTokensPy:
     gives the same statuses and the same in-window pairs of ids.
     """
 
-    def __init__(self, prior: Iterable[str] = ()):
-        self.index: Dict[str, int] = dict(zip(prior, count()))
+    def __init__(self):
+        self.index: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.index)
@@ -469,12 +454,11 @@ class _CdrTokensC:
 
     _START = 1 << 10  # ids the table first has room for
 
-    def __init__(self, prior: Iterable[str] = ()):
+    def __init__(self):
         self.n = np.zeros(1, dtype=np.int64)  # ids held; the kernels update it
         self.off = np.zeros(self._START + 1, dtype=np.int64)
         self.text = np.empty(8 * self._START, dtype=np.uint8)
         self.slots = np.zeros(2 * self._START, dtype=np.uint32)
-        self._intern(list(prior))
 
     def __len__(self) -> int:
         return int(self.n[0])

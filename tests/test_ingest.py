@@ -737,14 +737,32 @@ def test_cdr_tokenizer_bodies_agree_on_arbitrary_text(lines):
     assert all(t == tokens["python"] for t in tokens.values())
 
 
+def _run_holding(body, prior, window):
+    """A run of ``body`` whose id table holds ``prior``, numbered in order:
+    one earlier block per consecutive pair of them, each a record in
+    ``window`` that numbers its target after its origin."""
+    run = body()
+    for origin, target in zip(prior, prior[1:]):
+        status, _, _ = run.block([f"{origin},{target},2012-03-05T10:00:00,call,1\n"], window)
+        assert status.tolist() == [ingest._IN]
+    assert run.ids() == prior
+    return run
+
+
+def _prior_ids(ids, max_size):
+    """Distinct ids for :func:`_run_holding`: none, or at least two, since
+    a record numbers an id only with its partner."""
+    return st.lists(st.sampled_from(ids), unique=True, max_size=max_size).filter(lambda prior: len(prior) != 1)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow], phases=_NO_SHRINK)
-@given(_cdr_lines(), st.lists(st.sampled_from(_NODE_IDS + ["p", "p\u00e9"]), unique=True, max_size=6))
+@given(_cdr_lines(), _prior_ids(_NODE_IDS + ["p", "p\u00e9"], 6))
 def test_cdr_bodies_number_ids_into_the_run_table(lines, prior):
     # the id table holds ids of earlier blocks, some of which recur here
     window = WindowSpec.from_label("2012-03", span_months=2)
     got = {}
     for name, body in cdr_backends().items():
-        run = body(prior)
+        run = _run_holding(body, prior, window)
         status, u, v = run.block(lines, window)
         ids = run.ids()
         index = dict(zip(ids, range(len(ids))))
@@ -788,7 +806,7 @@ def _run_blocks(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_run_blocks(), st.lists(st.sampled_from(_RUN_IDS), unique=True, max_size=4))
+@given(_run_blocks(), _prior_ids(_RUN_IDS, 4))
 def test_run_table_matches_the_python_body_across_blocks(blocks, prior):
     # the compiled table starts with room for one id, so it grows within
     # the run; each id keeps one number from the block it is first met in
@@ -797,7 +815,7 @@ def test_run_table_matches_the_python_body_across_blocks(blocks, prior):
     got = {}
     for name, body in cdr_backends().items():
         with mock.patch.object(ingest._CdrTokensC, "_START", 1):
-            run = body(prior)
+            run = _run_holding(body, prior, window)
             tokens = [run.block(lines, window) for lines in blocks]
         ids = run.ids()
         assert ids[:len(prior)] == prior and len(set(ids)) == len(ids) == len(run)
@@ -814,7 +832,7 @@ def test_run_table_grows_and_keeps_every_number():
         pytest.skip("the compiled library is not loaded")
     window = WindowSpec.from_label("2012-03")
     with mock.patch.object(ingest._CdrTokensC, "_START", 1):
-        run = ingest._CdrTokensC(["\u00e9"])
+        run = _run_holding(ingest._CdrTokensC, ["\u00e9", "u0"], window)  # non-ASCII: interned as deferred
         sizes, pairs = [], []
         for k in range(4):  # each block adds ids, compiled and deferred, and meets earlier ones again
             lines = [f"u{j},u{j + 1},2012-03-05T10:00:00,call,1\n" for j in range(40 * k, 40 * k + 60)]
@@ -868,20 +886,6 @@ def test_first_seen_numbering_matches_unique_return_index(flat, spare):
     flat = np.array(flat, dtype=np.int64)
     seen, first_at = np.unique(flat, return_index=True)
     assert ingest._first_seen(flat, n).tolist() == seen[np.argsort(first_at)].tolist()
-
-
-def test_timestamp_cache_serves_only_blocks_whose_stamps_recur():
-    window = WindowSpec.from_label("2012-03")
-    distinct = [f"a,b,2012-03-05T{k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d},call,1" for k in range(2000)]
-    recurring = [f"a,b,2012-0{1 + k % 3}-05T10:00:00,call,1" for k in range(2000)]
-    cache = ingest._cached_timestamp
-    for lines, cached in ((distinct, ingest._SAMPLE), (recurring, 3)):
-        cache.cache_clear()
-        status, u, v = ingest._CdrTokensPy().block(lines, window)
-        assert status.tolist() == [ingest._IN] * len(lines) and len(u) == len(v) == len(lines)
-        # distinct stamps: only the sample goes through the cache
-        assert cache.cache_info().currsize == cached
-    assert cache.cache_info().hits == len(recurring) - 3
 
 
 def test_pipeline_crosses_the_block_boundary_as_the_reference():
